@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .probability import InvariantViolation
-from .quantum import HERMITICITY_TOL, IDENTITY_2, PAULIS, TRACE_TOL
+from .quantum import IDENTITY_2, PAULIS, validate_state
 
 BLOCH_NORM_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -41,6 +41,8 @@ def bloch_vector(v: Sequence[float]) -> np.ndarray:
     r = np.asarray(v, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
     if np.linalg.norm(r) > 1.0 + BLOCH_NORM_TOL:
         raise InvariantViolation(f"Bloch vector norm {np.linalg.norm(r)!r} exceeds 1")
     return r
@@ -56,6 +58,8 @@ class MeasurementFrame:
         n = np.asarray(self.n_plus, dtype=float)
         if n.shape != (3,):
             raise ValueError(f"n_plus must be a 3-vector, got shape {n.shape}")
+        if not np.isfinite(n).all():
+            raise ValueError(f"n_plus must be finite, got {n.tolist()!r}")
         if abs(np.linalg.norm(n) - 1.0) > BLOCH_NORM_TOL:
             raise InvariantViolation(f"n_plus norm {np.linalg.norm(n)!r} deviates from 1")
         object.__setattr__(self, "n_plus", n)
@@ -107,6 +111,8 @@ class BreakDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d sequence")
+        if not np.isfinite(w).all():
+            raise ValueError(f"cell weights must be finite, got {w.tolist()!r}")
         if np.any(w < 0):
             raise InvariantViolation("cell weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
@@ -281,21 +287,9 @@ class BlochVector15:
         }
 
 
-def _check_decomposable(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"state must be 4x4, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvariantViolation("state is not Hermitian")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
-        raise InvariantViolation(f"state trace {trace!r} deviates from 1")
-    return rho
-
-
 def decompose(rho: np.ndarray) -> BlochVector15:
     """Generalized Bloch vector of a two-qubit state: r_i = (2/sqrt(6)) Tr(rho G_i)."""
-    rho = _check_decomposable(rho)
+    rho = validate_state(rho, check_psd=False)
     r15 = np.array([_DECOMP_SCALE * np.trace(rho @ gen).real for gen in _LAMBDA_BASIS])
     return BlochVector15(r15=r15)
 

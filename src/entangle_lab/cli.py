@@ -65,7 +65,8 @@ _VARIANT_CHOICES = [v.value for v in Variant]
 
 
 def _sampled_marginal_tol(trials: int) -> float:
-    # ~3 sigma of a Bernoulli frequency estimate
+    # A residual is the difference of two independent frequencies, each with
+    # standard deviation at most 1/(2 sqrt(n)); 4/sqrt(n) is ~5.7 sigma of it.
     return 4.0 / math.sqrt(trials)
 
 
@@ -91,9 +92,12 @@ def _parse_triple(text: str, flag: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"{flag} expects three comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{flag} expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -327,6 +331,11 @@ def _cmd_bloch_average(args) -> tuple[dict | None, str]:
     return make_report("bloch-average", config_echo, seed, results), ""
 
 
+def _is_finite_number(value) -> bool:
+    # json.loads accepts NaN and Infinity literals.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _load_state_file(path: str) -> np.ndarray:
     """Read a 4x4 complex matrix from JSON; errors name the offending position."""
     try:
@@ -345,16 +354,12 @@ def _load_state_file(path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != 4:
             raise ValueError(f"{path}: matrix[{i}]: expected 4 entries")
         for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+            if _is_finite_number(cell):
                 rho[i, j] = complex(cell)
-            elif (
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
-            ):
+            elif isinstance(cell, list) and len(cell) == 2 and all(_is_finite_number(x) for x in cell):
                 rho[i, j] = complex(cell[0], cell[1])
             else:
-                raise ValueError(f"{path}: matrix[{i}][{j}]: expected a number or [re, im] pair")
+                raise ValueError(f"{path}: matrix[{i}][{j}]: expected a finite number or [re, im] pair")
     return rho
 
 
@@ -395,12 +400,21 @@ def _cmd_bloch_decompose(args) -> tuple[dict | None, str]:
     return make_report("bloch-decompose", config_echo, seed, results), ""
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $ENTANGLE_LAB_SEED or 0)")
     parser.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers; results are identical for any value")
-    parser.add_argument("--timing", action="store_true", help="include wall time in the JSON report")
+    parser.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel workers; results are identical for any value"
+    )
+    parser.add_argument("--timing", action="store_true", help="include wall time in the JSON report (json only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +492,14 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        report, csv_text = args.run(args)
+        if args.timing and args.format == "csv":
+            raise ValueError("--timing needs --format json: CSV output has no field for the wall time")
+        report, text = args.run(args)
+        if report is not None:
+            if args.timing:
+                report["wall_time_s"] = time.perf_counter() - started
+            text = report_to_json(report)
+        _write_output(text, args.out)
     except InvariantViolation as exc:
         _emit_error(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
@@ -488,13 +509,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _emit_error(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
-
-    if report is not None:
-        if args.timing:
-            report["wall_time_s"] = time.perf_counter() - started
-        _write_output(report_to_json(report), args.out)
-    else:
-        _write_output(csv_text, args.out)
     return EXIT_OK
 
 

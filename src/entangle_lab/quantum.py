@@ -5,6 +5,15 @@ P_ij = Tr[rho (P_i(a) x P_j(b))] with the projectors built branch-free from
 (I +/- n.sigma)/2.  For the singlet this yields E(a, b) = -a.b and, on the
 standard coplanar axis family, the textbook CHSH values including the
 Tsirelson point 2*sqrt(2) at alpha = pi/4.
+
+One batched kernel, :func:`joint_probabilities`, computes every probability:
+it takes paired (n, 3) Alice and Bob axes, checks all axis norms at once,
+builds an (n, 2, 2, 2) projector stack, forms the Kronecker products by one
+broadcast multiply and takes all traces in one ``einsum``.
+``joint_distribution`` is a batch of one pair, ``table_for_axes`` a batch of
+four and ``scan_tsirelson`` a batch of four pairs per angle.  The arithmetic
+per cell is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched
+values are bit-identical to a one-cell-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -15,7 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import ChshQuantities, ExperimentTable, InvariantViolation, JointDistribution, chsh
+from .probability import (
+    CHSH_RANGE_TOL,
+    NORMALIZATION_TOL,
+    ChshQuantities,
+    ExperimentTable,
+    InvariantViolation,
+    JointDistribution,
+    chsh,
+)
 
 AXIS_NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -34,6 +51,8 @@ def unit_axis(v: Sequence[float]) -> np.ndarray:
     axis = np.asarray(v, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
+    if not np.isfinite(axis).all():
+        raise ValueError(f"axis must be finite, got {axis.tolist()!r}")
     if abs(np.linalg.norm(axis) - 1.0) > AXIS_NORM_TOL:
         raise InvariantViolation(f"axis norm {np.linalg.norm(axis)!r} deviates from 1")
     return axis
@@ -61,12 +80,15 @@ class AxisQuad:
 def validate_state(rho: np.ndarray, *, check_psd: bool = True) -> np.ndarray:
     """Check the density-matrix invariants of a 4x4 state.
 
-    Hermitian within 1e-12, unit trace within 1e-12 and, when ``check_psd``,
-    smallest eigenvalue >= -1e-10.  Raises InvariantViolation otherwise.
+    Finite entries, Hermitian within 1e-12, unit trace within 1e-12 and, when
+    ``check_psd``, smallest eigenvalue >= -1e-10.  Raises InvariantViolation
+    otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"state must be 4x4, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvariantViolation("state has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise InvariantViolation("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
@@ -95,6 +117,8 @@ def qubit_state(bloch: Sequence[float]) -> np.ndarray:
     r = np.asarray(bloch, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
     if np.linalg.norm(r) > 1.0 + AXIS_NORM_TOL:
         raise InvariantViolation(f"Bloch vector norm {np.linalg.norm(r)!r} exceeds 1")
     rho = IDENTITY_2.copy() / 2.0
@@ -108,44 +132,71 @@ def product_state(alice_bloch: Sequence[float], bob_bloch: Sequence[float]) -> n
     return np.kron(qubit_state(alice_bloch), qubit_state(bob_bloch))
 
 
-def _projector_pair(axis: Sequence[float]) -> dict[int, np.ndarray]:
-    n = unit_axis(axis)
-    n_dot_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return {1: (IDENTITY_2 + n_dot_sigma) / 2.0, -1: (IDENTITY_2 - n_dot_sigma) / 2.0}
+def _projector_stack(axes) -> np.ndarray:
+    """(n, 2, 2, 2) projectors (I + n.sigma)/2, (I - n.sigma)/2 for (n, 3) unit axes.
+
+    Every norm is checked in one pass; a NaN norm fails the check too.
+    """
+    axes = np.asarray(axes, dtype=float)
+    if axes.ndim != 2 or axes.shape[1] != 3:
+        raise ValueError(f"axes must have shape (n, 3), got {axes.shape}")
+    norms = np.linalg.norm(axes, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= AXIS_NORM_TOL)
+    if bad.any():
+        raise InvariantViolation(f"axis norm {norms[bad][0]!r} deviates from 1")
+    n = axes[:, :, None, None]
+    n_dot_sigma = n[:, 0] * PAULI_X + n[:, 1] * PAULI_Y + n[:, 2] * PAULI_Z
+    return np.stack([(IDENTITY_2 + n_dot_sigma) / 2.0, (IDENTITY_2 - n_dot_sigma) / 2.0], axis=1)
 
 
 def projector(axis: Sequence[float], sign: int) -> np.ndarray:
     """Spin projector (I + sign * n.sigma)/2 along a unit axis."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _projector_pair(axis)[sign]
+    return _projector_stack([unit_axis(axis)])[0, (1 - sign) // 2]
 
 
-def _joint_probs(rho: np.ndarray, alice_axis, bob_axis) -> JointDistribution:
-    proj_a = _projector_pair(alice_axis)
-    proj_b = _projector_pair(bob_axis)
-    probs = []
-    for i in (1, -1):
-        for j in (1, -1):
-            # Tr(rho M) without forming the full product
-            value = np.einsum("ij,ji->", rho, np.kron(proj_a[i], proj_b[j]))
-            probs.append(float(value.real))
-    return JointDistribution(*probs)
+def joint_probabilities(rho: np.ndarray, alice_axes, bob_axes) -> np.ndarray:
+    """Outcome probabilities ++, +-, -+, -- of paired product measurements.
+
+    ``alice_axes`` and ``bob_axes`` are (n, 3) unit axes; row k of the (n, 4)
+    result is Tr[rho (P_i(a_k) x P_j(b_k))].  The state is validated once, the
+    Kronecker products are formed by the broadcast multiply of ``np.kron`` and
+    all traces are taken by one ``einsum``, so every value carries the same
+    bits as a per-cell ``einsum("ij,ji->", rho, np.kron(P_i, P_j))``.  Values
+    get the checks of :class:`JointDistribution` in batch: no NaN, each within
+    ``NORMALIZATION_TOL`` of [0, 1] (then clamped), each row summing to one.
+    """
+    rho = validate_state(rho)
+    proj_a = _projector_stack(alice_axes)
+    proj_b = _projector_stack(bob_axes)
+    if proj_a.shape != proj_b.shape:
+        raise ValueError(f"got {proj_a.shape[0]} Alice axes but {proj_b.shape[0]} Bob axes")
+    # kron[n, s, t, i, k, j, l] = P_s(a_n)[i, j] * P_t(b_n)[k, l]
+    kron = proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
+    probs = np.einsum("ij,ncji->nc", rho, kron.reshape(-1, 4, 4, 4)).real
+    if np.isnan(probs).any():
+        raise InvariantViolation("outcome probability is NaN")
+    outside = (probs < -NORMALIZATION_TOL) | (probs > 1.0 + NORMALIZATION_TOL)
+    if outside.any():
+        raise InvariantViolation(f"outcome probability {probs[outside][0]!r} outside [0, 1]")
+    probs = np.minimum(np.maximum(probs, 0.0), 1.0)
+    totals = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
+    unnormalized = np.abs(totals - 1.0) > NORMALIZATION_TOL
+    if unnormalized.any():
+        raise InvariantViolation(f"outcome probabilities sum to {totals[unnormalized][0]!r}, not 1")
+    return probs
 
 
 def joint_distribution(rho: np.ndarray, alice_axis, bob_axis) -> JointDistribution:
     """Joint outcome probabilities of product spin measurements on a state."""
-    return _joint_probs(validate_state(rho), alice_axis, bob_axis)
+    return JointDistribution(*joint_probabilities(rho, [alice_axis], [bob_axis])[0].tolist())
 
 
 def table_for_axes(rho: np.ndarray, axes: AxisQuad) -> ExperimentTable:
-    rho = validate_state(rho)
-    return ExperimentTable(
-        ab=_joint_probs(rho, axes.a, axes.b),
-        ab_prime=_joint_probs(rho, axes.a, axes.b_prime),
-        a_prime_b=_joint_probs(rho, axes.a_prime, axes.b),
-        a_prime_b_prime=_joint_probs(rho, axes.a_prime, axes.b_prime),
-    )
+    alice = [axes.a, axes.a, axes.a_prime, axes.a_prime]
+    bob = [axes.b, axes.b_prime, axes.b, axes.b_prime]
+    return ExperimentTable(*(JointDistribution(*row) for row in joint_probabilities(rho, alice, bob).tolist()))
 
 
 def chsh_for_axes(rho: np.ndarray, axes: AxisQuad) -> ChshQuantities:
@@ -169,19 +220,34 @@ def coplanar_axes(alpha: float) -> AxisQuad:
 
 
 def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float, float]]:
-    """Sweep the coplanar family: (alpha, max |CHSH quantity|) per grid point."""
-    alphas = list(alphas)
+    """Sweep the coplanar family: (alpha, max |CHSH quantity|) per grid point.
+
+    The whole grid is one batch of 4 * len(alphas) axis pairs; correlations
+    and the four CHSH combinations are formed as arrays, with the same range
+    check as :class:`ChshQuantities`.
+    """
+    alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise ValueError("angle grid must be non-empty")
-    rho = validate_state(rho)
-    out = []
-    for alpha in alphas:
-        axes = coplanar_axes(float(alpha))
-        table = ExperimentTable(
-            ab=_joint_probs(rho, axes.a, axes.b),
-            ab_prime=_joint_probs(rho, axes.a, axes.b_prime),
-            a_prime_b=_joint_probs(rho, axes.a_prime, axes.b),
-            a_prime_b_prime=_joint_probs(rho, axes.a_prime, axes.b_prime),
-        )
-        out.append((float(alpha), float(chsh(table).max_abs())))
-    return out
+    a, a_prime = axis_in_xz_plane(0.0), axis_in_xz_plane(math.pi / 2.0)
+    b = np.array([axis_in_xz_plane(alpha) for alpha in alphas])
+    b_prime = np.array([axis_in_xz_plane(alpha + math.pi / 2.0) for alpha in alphas])
+    # Four rows per angle, in table order: AB, AB', A'B, A'B'.
+    alice = np.tile([a, a, a_prime, a_prime], (len(alphas), 1))
+    bob = np.stack([b, b_prime, b, b_prime], axis=1).reshape(-1, 3)
+    p = joint_probabilities(rho, alice, bob).reshape(-1, 4, 4)
+    e = (p[..., 0] + p[..., 3]) - (p[..., 1] + p[..., 2])
+    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = e.T
+    quantities = np.stack(
+        [
+            -e_ab + e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
+            e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
+            e_ab + e_ab_prime - e_a_prime_b + e_a_prime_b_prime,
+            e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime,
+        ],
+        axis=1,
+    )
+    max_abs = np.abs(quantities).max(axis=1)
+    if (max_abs > 4 + CHSH_RANGE_TOL).any():
+        raise InvariantViolation(f"CHSH quantity {max_abs.max()!r} outside [-4, 4]")
+    return list(zip(alphas, max_abs.tolist()))

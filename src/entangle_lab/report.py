@@ -161,4 +161,5 @@ def make_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    # allow_nan=False: a NaN or infinity raises ValueError instead of writing invalid JSON.
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"

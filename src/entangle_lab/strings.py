@@ -26,6 +26,7 @@ code path with the samplers beyond the outcome rule itself.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -88,10 +89,10 @@ class StringModelConfig:
         for name, value in (("p_w", p_w), ("p_1", p_1)):
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
-            if value < 0 or value > 1:
+            if not 0 <= value <= 1:  # also rejects NaN
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if not self.length_l > 0:
-            raise ValueError(f"length_l must be positive, got {self.length_l!r}")
+        if not 0 < self.length_l < math.inf:
+            raise ValueError(f"length_l must be positive and finite, got {self.length_l!r}")
         object.__setattr__(self, "p_w", p_w)
         object.__setattr__(self, "p_1", p_1)
 

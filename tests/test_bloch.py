@@ -154,6 +154,18 @@ class TestBreakDistribution:
         with pytest.raises(ValueError):
             BreakDistribution.piecewise([])
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError) as info:
+            BreakDistribution.piecewise([bad, 1.0])
+        assert not isinstance(info.value, InvariantViolation)
+
+    def test_rejects_non_finite_vectors(self):
+        with pytest.raises(ValueError):
+            bloch_vector([math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            MeasurementFrame(n_plus=np.array([0.0, math.nan, 1.0]))
+
 
 class TestSampleCollapse:
     def test_eigenstate_always_collapses_up(self):
@@ -350,6 +362,8 @@ class TestDecompose:
             decompose(bad)
         with pytest.raises(ValueError):
             decompose(np.eye(2))
+        with pytest.raises(InvariantViolation):
+            decompose(np.full((4, 4), math.nan, dtype=complex))
 
     def test_vector_views_and_serialization(self):
         vec = decompose(singlet_state())

@@ -98,6 +98,18 @@ class TestTable:
         with_timing = run_json(capsys, "table", "--variant", "v1", "--timing")
         assert with_timing["wall_time_s"] > 0
 
+    def test_timing_with_csv_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, _, err = run_cli(capsys, "table", "--variant", "v1", "--format", "csv", "--timing", "--out", str(path))
+        assert code == 2
+        assert "--timing" in json.loads(err)["error"]["message"]
+        assert not path.exists()
+
+    def test_nan_probability_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--variant", "v2", "--pw", "nan", "--trials", "100")
+        assert code == 2
+        assert "p_w" in json.loads(err)["error"]["message"]
+
     def test_trace_dump(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
         code, _, _ = run_cli(
@@ -285,6 +297,21 @@ class TestBloch:
         )
         assert abs(report["results"]["average"]["plus"] - 0.75) < 0.01
 
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
+    def test_collapse_rejects_non_finite_weights(self, capsys, tmp_path, weights):
+        path = tmp_path / "collapse.json"
+        code, _, err = run_cli(
+            capsys, "bloch", "collapse", "--costheta", "0.5", "--cell-weights", weights, "--out", str(path)
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == 2
+        assert not path.exists()
+
+    def test_product_state_rejects_non_finite_vectors(self, capsys):
+        code, _, err = run_cli(capsys, "bloch", "decompose", "--state", "product", "--a", "nan,0,0", "--b", "0,0,1")
+        assert code == 2
+        assert "--a" in json.loads(err)["error"]["message"]
+
     def test_rejects_bad_costheta(self, capsys):
         assert run_cli(capsys, "bloch", "collapse", "--costheta", "1.5", "--trials", "10")[0] == 2
 
@@ -346,6 +373,12 @@ class TestCustomStateFile:
         assert code == 3
         assert json.loads(err)["error"]["code"] == 3
 
+    def test_non_finite_entry_names_the_position(self, capsys, tmp_path):
+        path = self.write_state(tmp_path, '[[0, 0, 0, 0], [0, 0.5, NaN, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]]')
+        code, _, err = run_cli(capsys, "bloch", "decompose", "--state", "custom", "--state-file", path)
+        assert code == 2
+        assert "matrix[1][2]" in json.loads(err)["error"]["message"]
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "bloch", "decompose", "--state", "custom", "--state-file", "/nope.json")
         assert code == 2
@@ -381,3 +414,21 @@ def test_version_flag(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+WORKER_COMMANDS = {
+    "table": ["table", "--variant", "v1"],
+    "scan": ["scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", "3"],
+    "quantum": ["quantum", "--alpha", "0.5"],
+    "collapse": ["bloch", "collapse", "--costheta", "0.5", "--trials", "10"],
+    "average": ["bloch", "average", "--costheta", "0.5", "--cells", "2", "--dists", "10"],
+    "decompose": ["bloch", "decompose", "--state", "singlet"],
+}
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_workers_below_one_is_a_usage_error(capsys, command, workers):
+    code, out, _ = run_cli(capsys, *WORKER_COMMANDS[command], "--workers", workers)
+    assert code == 2
+    assert out == ""

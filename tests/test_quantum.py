@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from entangle_lab.probability import InvariantViolation, correlation, marginals
+from entangle_lab.probability import ExperimentTable, InvariantViolation, JointDistribution, chsh, correlation, marginals
 from entangle_lab.quantum import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     AxisQuad,
     axis_in_xz_plane,
     chsh_for_axes,
     coplanar_axes,
     joint_distribution,
+    joint_probabilities,
     maximally_mixed_state,
     product_state,
     projector,
@@ -223,3 +229,157 @@ class TestValidation:
     def test_product_state_rejects_long_bloch_vector(self):
         with pytest.raises(InvariantViolation):
             product_state([1.1, 0, 0], [0, 0, 1])
+
+
+def random_axes(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def random_state(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+def oracle_distribution(rho, alice_axis, bob_axis):
+    """One cell at a time: np.kron of two projectors and a trace per cell."""
+
+    def projectors(n):
+        n_dot_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+        eye = np.eye(2, dtype=complex)
+        return ((eye + n_dot_sigma) / 2.0, (eye - n_dot_sigma) / 2.0)
+
+    probs = [
+        float(np.einsum("ij,ji->", rho, np.kron(p_a, p_b)).real)
+        for p_a in projectors(np.asarray(alice_axis, dtype=float))
+        for p_b in projectors(np.asarray(bob_axis, dtype=float))
+    ]
+    return JointDistribution(*probs)
+
+
+def oracle_table(rho, quad):
+    return ExperimentTable(
+        ab=oracle_distribution(rho, quad.a, quad.b),
+        ab_prime=oracle_distribution(rho, quad.a, quad.b_prime),
+        a_prime_b=oracle_distribution(rho, quad.a_prime, quad.b),
+        a_prime_b_prime=oracle_distribution(rho, quad.a_prime, quad.b_prime),
+    )
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def states(draw):
+    entries = draw(st.lists(unit_floats, min_size=32, max_size=32))
+    m = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    rho = m @ m.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return rho / trace
+
+
+@st.composite
+def axes(draw):
+    v = np.array(draw(st.lists(unit_floats, min_size=3, max_size=3)))
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    return v / norm
+
+
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestBatchedKernel:
+    def test_singlet_correlation_over_a_large_batch(self):
+        rng = np.random.default_rng(2024)
+        a, b = random_axes(rng, 100_000), random_axes(rng, 100_000)
+        p = joint_probabilities(singlet_state(), a, b)
+        e = (p[:, 0] + p[:, 3]) - (p[:, 1] + p[:, 2])
+        assert np.max(np.abs(e + np.einsum("nk,nk->n", a, b))) < 1e-12
+
+    @pytest.mark.parametrize("state", ["singlet", "random"])
+    def test_no_signaling_for_many_random_quads(self, state):
+        rng = np.random.default_rng(404)
+        rho = singlet_state() if state == "singlet" else random_state(rng)
+        n = 10_000
+        a, a_prime, b, b_prime = (random_axes(rng, n) for _ in range(4))
+        alice = np.stack([a, a, a_prime, a_prime], axis=1).reshape(-1, 3)
+        bob = np.stack([b, b_prime, b, b_prime], axis=1).reshape(-1, 3)
+        p = joint_probabilities(rho, alice, bob).reshape(n, 4, 4)
+        alice_plus = p[..., 0] + p[..., 1]  # per row AB, AB', A'B, A'B'
+        bob_plus = p[..., 0] + p[..., 2]
+        residuals = np.concatenate(
+            [
+                alice_plus[:, 0] - alice_plus[:, 1],
+                alice_plus[:, 2] - alice_plus[:, 3],
+                bob_plus[:, 0] - bob_plus[:, 2],
+                bob_plus[:, 1] - bob_plus[:, 3],
+            ]
+        )
+        assert np.max(np.abs(residuals)) < 1e-12
+        if state == "singlet":
+            assert np.max(np.abs(alice_plus - 0.5)) < 1e-12
+            assert np.max(np.abs(bob_plus - 0.5)) < 1e-12
+
+    @property_settings
+    @given(rho=states(), quad=st.tuples(axes(), axes(), axes(), axes()))
+    def test_table_matches_the_scalar_oracle_bit_for_bit(self, rho, quad):
+        quad = AxisQuad(*quad)
+        got, want = table_for_axes(rho, quad), oracle_table(rho, quad)
+        for (_, d_got), (_, d_want) in zip(got.rows(), want.rows()):
+            assert bits(d_got.probabilities()) == bits(d_want.probabilities())
+
+    @property_settings
+    @given(rho=states(), alphas=st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=1, max_size=20))
+    def test_scan_matches_the_scalar_oracle_bit_for_bit(self, rho, alphas):
+        got = scan_tsirelson(rho, alphas)
+        want = [(alpha, chsh(oracle_table(rho, coplanar_axes(alpha))).max_abs()) for alpha in alphas]
+        assert [alpha for alpha, _ in got] == alphas
+        assert bits(v for _, v in got) == bits(v for _, v in want)
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    @pytest.mark.parametrize("position", [0, 517, 999])
+    def test_one_non_unit_axis_anywhere_rejects_the_batch(self, side, position):
+        rng = np.random.default_rng(5)
+        alice, bob = random_axes(rng, 1000), random_axes(rng, 1000)
+        (alice if side == "alice" else bob)[position] *= 1.0 + 1e-9
+        with pytest.raises(InvariantViolation):
+            joint_probabilities(singlet_state(), alice, bob)
+
+    def test_nan_axis_in_a_batch_is_rejected(self):
+        rng = np.random.default_rng(6)
+        alice, bob = random_axes(rng, 10), random_axes(rng, 10)
+        bob[3, 1] = math.nan
+        with pytest.raises(InvariantViolation):
+            joint_probabilities(singlet_state(), alice, bob)
+
+    def test_mismatched_batches_are_rejected(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError):
+            joint_probabilities(singlet_state(), random_axes(rng, 3), random_axes(rng, 4))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2)])
+    def test_nan_state_entry_raises_instead_of_clamping(self, cell):
+        rho = singlet_state()
+        rho[cell] = math.nan
+        quad = coplanar_axes(math.pi / 4)
+        with pytest.raises(InvariantViolation):
+            joint_distribution(rho, Z, Z)
+        with pytest.raises(InvariantViolation):
+            table_for_axes(rho, quad)
+        with pytest.raises(InvariantViolation):
+            scan_tsirelson(rho, [0.0, math.pi / 4])
+        with pytest.raises(InvariantViolation):
+            validate_state(rho, check_psd=False)
+
+    def test_non_finite_axis_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            unit_axis([math.nan, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            product_state([math.inf, 0.0, 0.0], [0.0, 0.0, 1.0])

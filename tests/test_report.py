@@ -73,6 +73,11 @@ class TestJson:
         with_timing = make_report("table", {}, 7, {}, wall_time_s=0.25)
         assert with_timing["wall_time_s"] == 0.25
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError):
+            report_to_json(make_report("bloch-collapse", {}, 0, {"distribution_plus_probability": bad}))
+
     def test_report_json_parses_back(self):
         text = report_to_json(make_report("scan", {"steps": 3}, 0, {"rows": [[1, 2.5]]}))
         assert text.endswith("\n")

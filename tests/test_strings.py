@@ -203,6 +203,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             StringModelConfig(variant=Variant.V1, length_l=0.0)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError):
+            StringModelConfig(variant=Variant.V2, p_w=bad)
+        with pytest.raises(ValueError):
+            StringModelConfig(variant=Variant.V4, p_1=bad)
+        with pytest.raises(ValueError):
+            StringModelConfig(variant=Variant.V1, length_l=bad)
+
     def test_accepts_variant_by_value(self):
         assert StringModelConfig(variant="v3").variant is Variant.V3
 
