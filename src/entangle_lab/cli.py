@@ -407,18 +407,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_WORKERS_NO_EFFECT = "accepted on every command for a uniform command line; has no effect on this command"
+
+
+def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $ENTANGLE_LAB_SEED or 0)")
     parser.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument(
-        "--workers", type=_positive_int, default=1, help="parallel workers; results are identical for any value"
-    )
+    parser.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     parser.add_argument("--timing", action="store_true", help="include wall time in the JSON report (json only)")
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports usage errors as the JSON error object on stderr, exit 2.
+
+    Subparsers inherit the class, so this covers every subcommand; ``--help``
+    and ``--version`` still print plain text and exit 0.
+    """
+
+    def error(self, message: str):
+        _emit_error(EXIT_CONFIG, message)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="entangle-lab", description=__doc__.splitlines()[0])
+    parser = _JsonErrorParser(prog="entangle-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"entangle-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -430,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per setting (0: analytic only)")
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
     table.add_argument("--trace-limit", type=int, default=100, help="max traced trials per setting")
-    _add_common(table)
+    _add_common(table, workers_help="sampling threads for --trials; results are identical for any value")
     table.set_defaults(run=_cmd_table)
 
     scan = sub.add_parser("scan", help="sweep p_w or p_1 over a grid")

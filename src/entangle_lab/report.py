@@ -1,9 +1,10 @@
 """Versioned JSON report envelopes and round-trippable CSV emission.
 
-Reports are fully self-describing: they embed the tool version, the echoed
-configuration and the master seed.  Identical (config, seed, version) produce
-byte-identical output regardless of worker count; wall-clock timing is
-therefore opt-in and carried in a single optional field.
+Reports are fully self-describing: they embed the tool version, the stream
+format of the sampled numbers, the echoed configuration and the master seed.
+Identical (config, seed, version) produce byte-identical output regardless of
+worker count; wall-clock timing is therefore opt-in and carried in a single
+optional field.
 
 CSV uses '.' decimals, no thousands separators and 17 significant digits, so
 every emitted file parses back to the exact same doubles and re-emits byte
@@ -25,6 +26,7 @@ from .probability import (
     MarginalReport,
     exact_rational,
 )
+from .rng import STREAM_FORMAT
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "entangle-lab"
@@ -150,6 +152,7 @@ def make_report(
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "version": __version__,
+        "stream_format": STREAM_FORMAT,
         "command": command,
         "config": config,
         "seed": seed,

@@ -512,10 +512,11 @@ def lhv_table(
         p = p / p.sum()
         for setting in SETTINGS:
             picks = rng.choice(n_lam, size=trials, p=p)
-            counts = [0, 0, 0, 0]
-            for pick in picks:
-                counts[outcome_index(lam_values[int(pick)], setting)] += 1
-            dists.append(JointDistribution(*(c / trials for c in counts)))
+            # One strategy call per distinct picked lambda, then count the trials.
+            picked, trial_lam = np.unique(picks, return_inverse=True)
+            cell = np.array([outcome_index(lam_values[int(lam)], setting) for lam in picked])
+            counts = np.bincount(cell[trial_lam], minlength=4)
+            dists.append(JointDistribution(*(int(c) / trials for c in counts)))
     return ExperimentTable(*dists)
 
 

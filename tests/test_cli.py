@@ -2,9 +2,13 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import entangle_lab
+from entangle_lab import rng
 from entangle_lab.cli import main
 from entangle_lab.report import parse_csv
 
@@ -432,3 +436,61 @@ def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     code, out, _ = run_cli(capsys, *WORKER_COMMANDS[command], "--workers", workers)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--variant", "v2", "--trials", "100", "--seed", "5"],
+        ["quantum", "--alpha", "0.5", "--trials", "100", "--seed", "5"],
+        ["bloch", "collapse", "--costheta", "0.5", "--trials", "100", "--seed", "5"],
+    ],
+)
+def test_sampled_reports_carry_the_stream_format(capsys, args):
+    assert run_json(capsys, *args)["stream_format"] == rng.STREAM_FORMAT
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert match is not None
+    assert entangle_lab.__version__ == match.group(1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["quantum", "--alpha", "0.5", "--workers", "0"],
+        ["table", "--variant", "v9"],
+        ["table", "--variant", "v1", "--trials", "abc"],
+    ],
+)
+def test_usage_errors_are_one_json_line_on_stderr(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 2
+    assert error["message"]
+
+
+def test_help_and_version_stay_plain_text(capsys):
+    code, out, err = run_cli(capsys, "--version")
+    assert (code, out.strip(), err) == (0, f"entangle-lab {entangle_lab.__version__}", "")
+    code, out, err = run_cli(capsys, "table", "--help")
+    assert code == 0 and out.startswith("usage:") and err == ""
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_workers_help_says_what_the_flag_does(capsys, command):
+    argv = WORKER_COMMANDS[command]
+    subcommand = argv[:2] if argv[0] == "bloch" else argv[:1]
+    code, out, _ = run_cli(capsys, *subcommand, "--help")
+    assert code == 0
+    workers_help = " ".join(out.split()).split("--workers WORKERS ", 1)[1]
+    if command == "table":
+        assert workers_help.startswith("sampling threads")
+    else:
+        assert "has no effect on this command" in workers_help.split("--timing", 1)[0]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from entangle_lab.rng import (
+    DOMAIN_BLOCH_COLLAPSE,
+    DOMAIN_STRING_TRIALS,
+    STREAM_FORMAT,
     TRIAL_BLOCK,
     block_uniforms,
     iter_block_slices,
@@ -17,6 +20,36 @@ def test_keys_are_frozen():
     assert stream_key(0) == 196839400122488997330729021788935948731
     assert stream_key(0, 1) == 123613671566511923892581520460014608085
     assert stream_key(2**64 - 1, 3, 5) == 99472797434113677328127820115953780612
+
+
+def _bits(values: np.ndarray) -> list[str]:
+    return [format(int(v), "016x") for v in values.ravel().view(np.uint64)]
+
+
+# Golden draws, compared bit for bit.  Any change to these values changes every
+# sampled number in every report: it requires bumping rng.STREAM_FORMAT (and
+# the package version), never just updating the expected bits.
+def test_stream_format_is_two():
+    assert STREAM_FORMAT == 2
+
+
+def test_first_block_draws_are_frozen():
+    u = block_uniforms(0, DOMAIN_STRING_TRIALS, 0, 0, 2, 5)
+    assert u.shape == (2, 5)
+    assert _bits(u) == [
+        "3fe4175b10e8c89a", "3fe5ff323a45713d", "3fb63026dde355e0", "3fa3c4678d753f00", "3fdb325869fe502c",
+        "3fdad3b09d2719dc", "3fc808e0f39b2e90", "3fecada45939530d", "3fe541976afe6796", "3fdb6074ae6cf66c",
+    ]
+
+
+def test_top_seed_block_draws_are_frozen():
+    u = block_uniforms(2**64 - 1, DOMAIN_STRING_TRIALS, 3, 7, 2, 2)
+    assert _bits(u) == ["3fa4e867bcca2260", "3fe2260ab3905415", "3fdb1e5f9f5a0a9e", "3fedb558aaee5a2c"]
+
+
+def test_bloch_collapse_draws_are_frozen():
+    u = substream(7, DOMAIN_BLOCH_COLLAPSE).random(4)
+    assert _bits(u) == ["3fd46da823624072", "3fd6d5043ee8b8aa", "3f94881296388ba0", "3fd33e9f16bf17e8"]
 
 
 def test_substreams_reproduce():

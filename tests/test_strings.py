@@ -382,6 +382,51 @@ class TestLhvBaseline:
             for s, e in zip(sd.probabilities(), ed.probabilities()):
                 assert abs(s - float(e)) < 4 / math.sqrt(20_000)
 
+    def test_sampled_mode_equals_a_per_trial_loop(self):
+        # Oracle: one strategy call per sampled trial, from an identical stream.
+        def loop_rows(alice, bob, lams, weights, trials, rng):
+            p = np.asarray([float(w) for w in weights])
+            p = p / p.sum()
+            rows = []
+            for setting in SETTINGS:
+                counts = [0, 0, 0, 0]
+                for pick in rng.choice(len(lams), size=trials, p=p):
+                    lam = lams[int(pick)]
+                    a, b = alice(lam, setting.alice), bob(lam, setting.bob)
+                    counts[(0 if a > 0 else 2) + (0 if b > 0 else 1)] += 1
+                rows.append(tuple(c / trials for c in counts))
+            return rows
+
+        rng = np.random.default_rng(4242)
+        for case in range(40):
+            n_lambda = int(rng.integers(1, 40))
+            trials = int(rng.integers(1, 3000))
+            alice, bob, lams, weights = random_lhv_strategy(n_lambda, rng)
+            table = lhv_table(alice, bob, lams, weights, trials=trials, rng=substream(77, case))
+            expected = loop_rows(alice, bob, lams, weights, trials, substream(77, case))
+            assert [dist.probabilities() for _, dist in table.rows()] == expected
+
+    def test_sampled_mode_calls_the_strategy_once_per_distinct_lambda(self):
+        calls = []
+
+        def alice(lam, setting):
+            calls.append(lam)
+            return 1 if lam % 2 else -1
+
+        lhv_table(alice, lambda lam, s: 1, tuple(range(5)), trials=10_000, rng=substream(3, 0))
+        assert len(calls) == 4 * 5
+        assert sorted(set(calls)) == list(range(5))
+
+    def test_sampled_mode_validates_only_picked_lambdas(self):
+        def alice(lam, setting):
+            return 0 if lam == "never" else 1
+
+        lams = ("often", "never")
+        table = lhv_table(alice, lambda lam, s: 1, lams, (1, 0), trials=100, rng=substream(3, 1))
+        assert all(dist.probabilities() == (1.0, 0.0, 0.0, 0.0) for _, dist in table.rows())
+        with pytest.raises(ValueError):
+            lhv_table(alice, lambda lam, s: 1, lams, (0.5, 0.5), trials=100, rng=substream(3, 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, ())
