@@ -43,8 +43,9 @@ def bloch_vector(v: Sequence[float]) -> np.ndarray:
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
-    if np.linalg.norm(r) > 1.0 + BLOCH_NORM_TOL:
-        raise InvariantViolation(f"Bloch vector norm {np.linalg.norm(r)!r} exceeds 1")
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0 + BLOCH_NORM_TOL:
+        raise InvariantViolation(f"Bloch vector norm {norm!r} exceeds 1")
     return r
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
+    WEIGHT_TOL,
     BreakDistribution,
     MeasurementFrame,
     collapse_counts,
@@ -40,7 +41,7 @@ from .bloch import (
     universal_average,
 )
 from .probability import ExperimentTable, InvariantViolation, JointDistribution, check_bell_bounds, chsh, marginals
-from .quantum import coplanar_axes, maximally_mixed_state, product_state, singlet_state, table_for_axes
+from .quantum import AXIS_NORM_TOL, coplanar_axes, maximally_mixed_state, product_state, singlet_state, table_for_axes
 from .report import (
     bell_bounds_to_json,
     chsh_to_json,
@@ -87,7 +88,7 @@ def _parse_seed(args) -> tuple[int, str]:
     return seed, source
 
 
-def _parse_triple(text: str, flag: str) -> list[float]:
+def _parse_bloch_vector(text: str, flag: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"{flag} expects three comma-separated numbers, got {text!r}")
@@ -97,7 +98,27 @@ def _parse_triple(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} expects numbers, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{flag} expects finite numbers, got {text!r}")
+    norm = float(np.linalg.norm(values))
+    if norm > 1.0 + AXIS_NORM_TOL:
+        raise ValueError(f"{flag} must have norm at most 1, got {norm!r}")
     return values
+
+
+def _parse_cell_weights(text: str) -> list[float]:
+    """``--cell-weights``: finite, non-negative numbers that sum to 1."""
+    weights = []
+    for position, part in enumerate(text.split(","), start=1):
+        try:
+            weight = float(part)
+        except ValueError:
+            raise ValueError(f"--cell-weights: weight {position} is not a number: {part!r}") from None
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"--cell-weights: weight {position} must be finite and non-negative, got {part!r}")
+        weights.append(weight)
+    total = float(np.sum(weights))  # summed as BreakDistribution sums them
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"--cell-weights must sum to 1, got {total!r}")
+    return weights
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -277,8 +298,7 @@ def _cmd_bloch_collapse(args) -> tuple[dict | None, str]:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     r, frame = _collapse_geometry(args.costheta)
     if args.cell_weights:
-        weights = [float(w) for w in args.cell_weights.split(",")]
-        dist = BreakDistribution.piecewise(weights)
+        dist = BreakDistribution.piecewise(_parse_cell_weights(args.cell_weights))
     else:
         dist = BreakDistribution.uniform()
     born_plus, born_minus = outcome_probabilities(r, frame)
@@ -372,7 +392,7 @@ def _cmd_bloch_decompose(args) -> tuple[dict | None, str]:
     elif args.state == "product":
         if not args.a or not args.b:
             raise ValueError("--state product needs --a and --b Bloch vectors")
-        rho = product_state(_parse_triple(args.a, "--a"), _parse_triple(args.b, "--b"))
+        rho = product_state(_parse_bloch_vector(args.a, "--a"), _parse_bloch_vector(args.b, "--b"))
     else:  # custom
         if not args.state_file:
             raise ValueError("--state custom needs --state-file")

@@ -119,8 +119,9 @@ def qubit_state(bloch: Sequence[float]) -> np.ndarray:
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
-    if np.linalg.norm(r) > 1.0 + AXIS_NORM_TOL:
-        raise InvariantViolation(f"Bloch vector norm {np.linalg.norm(r)!r} exceeds 1")
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0 + AXIS_NORM_TOL:
+        raise InvariantViolation(f"Bloch vector norm {norm!r} exceeds 1")
     rho = IDENTITY_2.copy() / 2.0
     for component, pauli in zip(r, PAULIS):
         rho += 0.5 * component * pauli

@@ -17,22 +17,24 @@ many strings there are:
 * ``V4`` - two independent strings; each observer privately selects string 1
   with probability p_1 and applies the V3 measurements to the selection.
 
-Every trial consumes a fixed number of uniform draws in a fixed order, so the
-scalar sampler, the vectorized estimator and the trial replay iterator are
-exactly interchangeable.  Analytic tables are computed by exact enumeration
-of the same mechanism over ``fractions.Fraction`` arithmetic; they share no
-code path with the samplers beyond the outcome rule itself.
+The mechanism is written once, in two layers: ``_events`` applies every
+threshold test to the uniform draws, and ``_outcome_indices`` turns the
+boolean events into outcomes.  ``estimate_table`` counts the outcomes of
+whole draw blocks, ``iter_trials`` replays the same draws with a
+``MicroTrace`` per trial, and ``analytic_table`` runs the kernel over the
+finite event space with exact ``fractions.Fraction`` weights.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -180,144 +182,126 @@ class MicroTrace:
         }
 
 
-def _plus_outcome(parity: bool, pulls: bool, long_fragment: bool | None, white: bool) -> bool:
-    """The outcome rule shared by samplers and enumeration.
+class _Events(NamedTuple):
+    """The boolean events of a batch of trials, one entry per trial.
 
-    A color measurement is + iff white.  A pull measurement is + iff the
+    ``white`` has one column per string.  ``sel_a``/``sel_b`` (V4 only) are
+    True where that observer holds string 1.  ``cut`` is True where the cut
+    leaves Alice the long side; it is None when no string splits in the
+    setting, so samplers skip that test.
+    """
+
+    white: tuple[np.ndarray, ...]
+    sel_a: np.ndarray | None
+    sel_b: np.ndarray | None
+    cut: np.ndarray | None
+
+
+def _splits(variant: Variant, setting: Setting) -> bool:
+    """Whether the cut decides the fragments: both pull, or a pre-cut string is pulled."""
+    alice_pulls, bob_pulls = setting.alice_pulls, setting.bob_pulls
+    return (alice_pulls and bob_pulls) or (variant is Variant.V1_PRE_BROKEN and (alice_pulls or bob_pulls))
+
+
+def _events(config: StringModelConfig, setting: Setting, u: np.ndarray) -> _Events:
+    """draws -> events: every threshold test, applied to a (rows, k) draw array.
+
+    Each row is laid out as in :func:`trial_from_draws`.
+    """
+    p_w = float(config.p_w)
+    if config.variant is Variant.V4:
+        p_1 = float(config.p_1)
+        white = (u[:, 0] < p_w, u[:, 1] < p_w)
+        sel_a, sel_b = u[:, 2] < p_1, u[:, 3] < p_1
+    else:
+        white, sel_a, sel_b = (u[:, 0] < p_w,), None, None
+    cut = u[:, -1] >= 0.5 if _splits(config.variant, setting) else None
+    return _Events(white, sel_a, sel_b, cut)
+
+
+def _outcome_indices(variant: Variant, setting: Setting, events: _Events) -> np.ndarray:
+    """events -> outcome: indices 0, 1, 2, 3 for ++, +-, -+, --.
+
+    The one copy of the outcome rule.  A color measurement is + iff the
+    observer's string is white.  A pull measurement is + iff the collected
     fragment is long (plain variants) or iff long-white / short-black
     (parity variants).
     """
-    if not pulls:
-        return white
-    if parity:
-        return long_fragment == white
-    return long_fragment
+    if events.sel_a is None:
+        alice_white = bob_white = events.white[0]
+    else:
+        alice_white = np.where(events.sel_a, *events.white)
+        bob_white = np.where(events.sel_b, *events.white)
+    if _splits(variant, setting):
+        # The cut gives one side the long fragment of the string both hold ...
+        alice_long, bob_long = events.cut, ~events.cut
+        if events.sel_a is not None:
+            # ... but observers holding different strings each collect a whole one.
+            apart = events.sel_a != events.sel_b
+            alice_long, bob_long = alice_long | apart, bob_long | apart
+    else:
+        # A lone puller collects the whole string.
+        alice_long = bob_long = np.ones(alice_white.shape, dtype=bool)
+    parity = variant in _PARITY_VARIANTS
+    if setting.alice_pulls:
+        a_plus = (alice_long == alice_white) if parity else alice_long
+    else:
+        a_plus = alice_white
+    if setting.bob_pulls:
+        b_plus = (bob_long == bob_white) if parity else bob_long
+    else:
+        b_plus = bob_white
+    return (~a_plus) * 2 + (~b_plus)
 
 
-def _color_name(white: bool) -> str:
-    return "white" if white else "black"
+_PAIRS = tuple(OutcomePair(alice, bob) for alice in (1, -1) for bob in (1, -1))
+_COLOR_NAMES = {True: "white", False: "black"}
+_STRING_NAMES = {True: "string1", False: "string2"}
+
+
+def _replay(config: StringModelConfig, setting: Setting, u: np.ndarray):
+    """Yield ``(OutcomePair, MicroTrace)`` per draw row: one kernel call, then the traces."""
+    events = _events(config, setting, u)
+    indices = _outcome_indices(config.variant, setting, events).tolist()
+    colors = zip(*([_COLOR_NAMES[w] for w in column.tolist()] for column in events.white))
+    if events.sel_a is None:
+        selections, shared = itertools.repeat(None), itertools.repeat(True)
+    else:
+        sel_a, sel_b = events.sel_a.tolist(), events.sel_b.tolist()
+        selections = ((_STRING_NAMES[a], _STRING_NAMES[b]) for a, b in zip(sel_a, sel_b))
+        shared = (a == b for a, b in zip(sel_a, sel_b))
+    alice_pulls, bob_pulls = setting.alice_pulls, setting.bob_pulls
+    splits = _splits(config.variant, setting)
+    length = config.length_l
+    for index, color, selection, same, u_break in zip(indices, colors, selections, shared, u[:, -1].tolist()):
+        break_fraction = None
+        if same and (alice_pulls or bob_pulls):
+            break_fraction = u_break if splits else (1.0 if alice_pulls else 0.0)
+        if break_fraction is None:
+            length_alice = length_bob = None
+        else:
+            length_alice = break_fraction * length
+            length_bob = length - length_alice
+        yield _PAIRS[index], MicroTrace(break_fraction, color, selection, length_alice, length_bob)
 
 
 def trial_from_draws(config: StringModelConfig, setting: Setting, draws: Sequence[float]):
-    """Resolve one trial from its uniform draws; the scalar reference mechanism.
+    """Resolve one trial from its uniform draws; returns ``(OutcomePair, MicroTrace)``.
 
     ``draws`` layout: single-string variants use (color, break); V4 uses
     (color string 1, color string 2, Alice selection, Bob selection, break).
     Unused draws are consumed but ignored, keeping the layout
-    setting-independent.  Returns ``(OutcomePair, MicroTrace)``.
+    setting-independent.
     """
-    variant = config.variant
-    k = draws_per_trial(variant)
+    k = draws_per_trial(config.variant)
     if len(draws) != k:
-        raise ValueError(f"{variant.value} trial needs {k} draws, got {len(draws)}")
-    parity = variant in _PARITY_VARIANTS
-    alice_pulls = setting.alice_pulls
-    bob_pulls = setting.bob_pulls
-    length = config.length_l
-
-    if variant is Variant.V4:
-        u_c1, u_c2, u_sa, u_sb, u_break = (float(u) for u in draws)
-        white = (u_c1 < config.p_w, u_c2 < config.p_w)
-        sel_a = 0 if u_sa < config.p_1 else 1
-        sel_b = 0 if u_sb < config.p_1 else 1
-        same = sel_a == sel_b
-        break_fraction = None
-        if same and (alice_pulls or bob_pulls):
-            if alice_pulls and bob_pulls:
-                break_fraction = u_break
-            else:
-                break_fraction = 1.0 if alice_pulls else 0.0
-        # A puller whose string nobody else pulls collects all of it.
-        alice_long = (break_fraction >= 0.5) if (same and alice_pulls and bob_pulls) else True
-        bob_long = (break_fraction < 0.5) if (same and alice_pulls and bob_pulls) else True
-        a_plus = _plus_outcome(parity, alice_pulls, alice_long, white[sel_a])
-        b_plus = _plus_outcome(parity, bob_pulls, bob_long, white[sel_b])
-        colors = (_color_name(white[0]), _color_name(white[1]))
-        selections = (f"string{sel_a + 1}", f"string{sel_b + 1}")
-    else:
-        u_color, u_break = (float(u) for u in draws)
-        white = u_color < config.p_w
-        pre_broken = variant is Variant.V1_PRE_BROKEN
-        break_fraction = None
-        if alice_pulls or bob_pulls:
-            if (alice_pulls and bob_pulls) or pre_broken:
-                break_fraction = u_break
-            else:
-                break_fraction = 1.0 if alice_pulls else 0.0
-        alice_long = None if break_fraction is None else break_fraction >= 0.5
-        bob_long = None if break_fraction is None else break_fraction < 0.5
-        a_plus = _plus_outcome(parity, alice_pulls, alice_long, white)
-        b_plus = _plus_outcome(parity, bob_pulls, bob_long, white)
-        colors = (_color_name(white),)
-        selections = None
-
-    if break_fraction is None:
-        length_alice = length_bob = None
-    else:
-        length_alice = break_fraction * length
-        length_bob = length - length_alice
-    pair = OutcomePair(alice=1 if a_plus else -1, bob=1 if b_plus else -1)
-    trace = MicroTrace(
-        break_fraction=break_fraction,
-        colors=colors,
-        selections=selections,
-        length_alice=length_alice,
-        length_bob=length_bob,
-    )
-    return pair, trace
+        raise ValueError(f"{config.variant.value} trial needs {k} draws, got {len(draws)}")
+    return next(_replay(config, setting, np.asarray(draws, dtype=float).reshape(1, k)))
 
 
 def sample_trial(config: StringModelConfig, setting: Setting, rng: np.random.Generator):
     """Simulate one trial of the physical mechanism with a caller-owned stream."""
     return trial_from_draws(config, setting, rng.random(draws_per_trial(config.variant)))
-
-
-def _outcome_indices(config: StringModelConfig, setting: Setting, u: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`trial_from_draws`: outcome indices for draw rows."""
-    variant = config.variant
-    parity = variant in _PARITY_VARIANTS
-    alice_pulls = setting.alice_pulls
-    bob_pulls = setting.bob_pulls
-    n = u.shape[0]
-    true = np.ones(n, dtype=bool)
-
-    if variant is Variant.V4:
-        p_w = float(config.p_w)
-        p_1 = float(config.p_1)
-        white1 = u[:, 0] < p_w
-        white2 = u[:, 1] < p_w
-        sel_a1 = u[:, 2] < p_1
-        sel_b1 = u[:, 3] < p_1
-        alice_white = np.where(sel_a1, white1, white2)
-        bob_white = np.where(sel_b1, white1, white2)
-        if alice_pulls and bob_pulls:
-            same = sel_a1 == sel_b1
-            alice_long = np.where(same, u[:, 4] >= 0.5, True)
-            bob_long = np.where(same, u[:, 4] < 0.5, True)
-        else:
-            alice_long = bob_long = true
-    else:
-        white = u[:, 0] < float(config.p_w)
-        alice_white = bob_white = white
-        pre_broken = variant is Variant.V1_PRE_BROKEN
-        if alice_pulls and bob_pulls:
-            alice_long = u[:, 1] >= 0.5
-            bob_long = ~alice_long
-        elif pre_broken:
-            alice_long = u[:, 1] >= 0.5
-            bob_long = ~alice_long
-        else:
-            alice_long = bob_long = true
-
-    if alice_pulls:
-        a_plus = (alice_long == alice_white) if parity else alice_long
-    else:
-        a_plus = alice_white
-    if bob_pulls:
-        b_plus = (bob_long == bob_white) if parity else bob_long
-    else:
-        b_plus = bob_white
-    return (~a_plus) * 2 + (~b_plus)
 
 
 def estimate_table(
@@ -349,8 +333,9 @@ def estimate_table(
 
     def run(task):
         si, block, rows = task
-        u = block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, rows, k)
-        return si, np.bincount(_outcome_indices(config, SETTINGS[si], u), minlength=4)
+        setting = SETTINGS[si]
+        events = _events(config, setting, block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, rows, k))
+        return si, np.bincount(_outcome_indices(config.variant, setting, events), minlength=4)
 
     counts = np.zeros((len(SETTINGS), 4), dtype=np.int64)
     if workers == 1:
@@ -382,79 +367,46 @@ def iter_trials(
     """
     k = draws_per_trial(config.variant)
     si = setting_index(setting)
-    t = start
     end = start + n_trials
-    while t < end:
-        block = t // TRIAL_BLOCK
-        row0 = t % TRIAL_BLOCK
-        row_end = min(TRIAL_BLOCK, row0 + (end - t))
-        u = block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, row_end, k)
-        for row in range(row0, row_end):
-            yield trial_from_draws(config, setting, u[row])
-        t += row_end - row0
+    for block in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK)):
+        first = block * TRIAL_BLOCK
+        u = block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, min(end - first, TRIAL_BLOCK), k)
+        yield from _replay(config, setting, u[max(start - first, 0):])
 
 
-def _exact(value: Real) -> Fraction:
-    """The exact rational value of a parameter (floats via their binary value)."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _event_space(config: StringModelConfig) -> tuple[_Events, list[int], int]:
+    """Every event of one trial with its exact probability.
 
-
-def _enumerate_worlds(config: StringModelConfig, setting: Setting):
-    """Exact sample-space enumeration: yields (Fraction weight, outcome index)."""
-    variant = config.variant
-    parity = variant in _PARITY_VARIANTS
-    alice_pulls = setting.alice_pulls
-    bob_pulls = setting.bob_pulls
-    p_w = _exact(config.p_w)
-    p_b = 1 - p_w
-    half = Fraction(1, 2)
-
-    def emit(weight, a_long, b_long, a_white, b_white):
-        a_plus = _plus_outcome(parity, alice_pulls, a_long, a_white)
-        b_plus = _plus_outcome(parity, bob_pulls, b_long, b_white)
-        return weight, (0 if a_plus else 2) + (0 if b_plus else 1)
-
-    if variant is Variant.V4:
-        p_1 = _exact(config.p_1)
-        p_2 = 1 - p_1
-        for sel_a, w_a in ((0, p_1), (1, p_2)):
-            for sel_b, w_b in ((0, p_1), (1, p_2)):
-                for white1, w_1 in ((True, p_w), (False, p_b)):
-                    for white2, w_2 in ((True, p_w), (False, p_b)):
-                        base = w_a * w_b * w_1 * w_2
-                        if base == 0:
-                            continue
-                        a_white = white1 if sel_a == 0 else white2
-                        b_white = white1 if sel_b == 0 else white2
-                        if alice_pulls and bob_pulls and sel_a == sel_b:
-                            yield emit(base * half, True, False, a_white, b_white)
-                            yield emit(base * half, False, True, a_white, b_white)
-                        else:
-                            yield emit(base, True, True, a_white, b_white)
-        return
-
-    pre_broken = variant is Variant.V1_PRE_BROKEN
-    for white, w_c in ((True, p_w), (False, p_b)):
-        if w_c == 0:
-            continue
-        if (alice_pulls and bob_pulls) or (pre_broken and (alice_pulls or bob_pulls)):
-            yield emit(w_c * half, True, False, white, white)
-            yield emit(w_c * half, False, True, white, white)
-        else:
-            # A lone puller takes the whole string; color-only trials need no break.
-            yield emit(w_c, True, True, white, white)
+    Returns the events as columns, one row per combination, and each row's
+    probability as an integer numerator over one common denominator.
+    """
+    p_w, p_1 = Fraction(config.p_w), Fraction(config.p_1)
+    # One factor per event column: white per string, the V4 selections, the cut.
+    factors = [p_w, p_w, p_1, p_1] if config.variant is Variant.V4 else [p_w]
+    factors.append(Fraction(1, 2))
+    rows = list(itertools.product((True, False), repeat=len(factors)))
+    weights = [
+        math.prod(p.numerator if event else p.denominator - p.numerator for p, event in zip(factors, row))
+        for row in rows
+    ]
+    denominator = math.prod(p.denominator for p in factors)
+    columns = [np.array(column) for column in zip(*rows)]
+    if config.variant is Variant.V4:
+        events = _Events(tuple(columns[:2]), *columns[2:])
+    else:
+        events = _Events((columns[0],), None, None, columns[1])
+    return events, weights, denominator
 
 
 def analytic_table(config: StringModelConfig) -> ExperimentTable:
-    """Closed-form experiment table of a variant, computed in exact rationals."""
+    """Closed-form experiment table: the outcome kernel over the exact event space."""
+    events, weights, denominator = _event_space(config)
     dists = []
     for setting in SETTINGS:
-        probs = [Fraction(0)] * 4
-        for weight, index in _enumerate_worlds(config, setting):
-            probs[index] += weight
-        dists.append(JointDistribution(*probs))
+        cells = [0] * 4
+        for weight, index in zip(weights, _outcome_indices(config.variant, setting, events).tolist()):
+            cells[index] += weight
+        dists.append(JointDistribution(*(Fraction(c, denominator) for c in cells)))
     return ExperimentTable(*dists)
 
 
@@ -485,6 +437,9 @@ def lhv_table(
         weights = [Fraction(1, n_lam)] * n_lam
     if len(weights) != n_lam:
         raise ValueError("weights and lam_values must have equal length")
+    # Compared, not converted: math.isfinite(w) overflows on a huge Fraction.
+    if any(w != w or abs(w) == math.inf for w in weights):
+        raise ValueError("weights must be finite, not NaN or infinite")
     total = sum(weights)
     if any(w < 0 for w in weights) or abs(total - 1) > 1e-12:
         raise ValueError("weights must be non-negative and sum to 1")

@@ -22,7 +22,7 @@ from entangle_lab.bloch import (
     universal_average,
 )
 from entangle_lab.probability import InvariantViolation
-from entangle_lab.quantum import maximally_mixed_state, product_state, singlet_state
+from entangle_lab.quantum import maximally_mixed_state, product_state, qubit_state, singlet_state
 from entangle_lab.rng import substream
 
 Z_FRAME = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
@@ -387,3 +387,9 @@ class TestRankOneResidual:
         residual = rank_one_residual(vec.r_conn)
         assert residual > 0.1
         assert abs(residual - math.sqrt(2.0 / 3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("check", (bloch_vector, qubit_state))
+def test_overlong_bloch_vector_message_shows_a_plain_float(check):
+    with pytest.raises(InvariantViolation, match=r"^Bloch vector norm 2\.0 exceeds 1$"):
+        check([2.0, 0.0, 0.0])

@@ -494,3 +494,39 @@ def test_workers_help_says_what_the_flag_does(capsys, command):
         assert workers_help.startswith("sampling threads")
     else:
         assert "has no effect on this command" in workers_help.split("--timing", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "weights, fragment",
+    [
+        ("0,0", "must sum to 1, got 0.0"),
+        ("0.25,0.25", "must sum to 1, got 0.5"),
+        ("-0.5,1.5", "weight 1 must be finite and non-negative"),
+        ("0.5,-0.0001,0.5001", "weight 2 must be finite and non-negative"),
+        (",", "weight 1 is not a number: ''"),
+        ("abc,1", "weight 1 is not a number: 'abc'"),
+        ("1,abc", "weight 2 is not a number: 'abc'"),
+        ("nan,1", "weight 1 must be finite"),
+    ],
+)
+def test_collapse_cell_weight_errors_are_configuration_errors(capsys, tmp_path, weights, fragment):
+    path = tmp_path / "collapse.json"
+    code, out, err = run_cli(
+        capsys, "bloch", "collapse", "--costheta", "0.5", f"--cell-weights={weights}", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == 2
+    assert error["message"].startswith("--cell-weights")
+    assert fragment in error["message"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag, a, b", [("--b", "1,0,0", "2,0,0"), ("--a", "0.8,0.8,0", "0,0,1")])
+def test_product_state_rejects_overlong_bloch_vectors(capsys, flag, a, b):
+    code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "product", "--a", a, "--b", b)
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"{flag} must have norm at most 1, got ")
+    assert "np.float64" not in message
+    float(message.rsplit(" ", 1)[1])  # a plain float

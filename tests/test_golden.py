@@ -1,0 +1,71 @@
+"""Golden outputs: SHA-256 digests of trace files and reports, fixed per stream format.
+
+The digests pin whole output bytes, not only keys or sampled counts, so any
+change to the mechanism, the substreams or the serialization shows up here.
+A deliberate change of sampled numbers must bump ``rng.STREAM_FORMAT`` and
+re-record the digests that depend on it.
+"""
+
+import hashlib
+
+import pytest
+
+from entangle_lab.cli import main
+
+TRACE_ARGS = {
+    "v1": ["--variant", "v1"],
+    "v1pre": ["--variant", "v1pre"],
+    "v2": ["--variant", "v2", "--pw", "0.3"],
+    "v3": ["--variant", "v3", "--pw", "0.7"],
+    "v4": ["--variant", "v4", "--pw", "0.4", "--p1", "0.3"],
+}
+
+# The commands of acceptance criterion 11.
+REPORT_ARGS = {
+    "table": ["table", "--variant", "v4", "--pw", "0.5", "--p1", "0.3", "--trials", "200000", "--seed", "13"],
+    "scan": ["scan", "--variant", "v4", "--parameter", "p_1", "--pw", "0.5", "--start", "0", "--stop", "1", "--steps", "101", "--seed", "13", "--format", "csv"],
+    "quantum": ["quantum", "--alpha", "0.785", "--trials", "50000", "--seed", "13"],
+    "collapse": ["bloch", "collapse", "--costheta", "0.5", "--trials", "200000", "--seed", "13"],
+    "average": ["bloch", "average", "--costheta", "0.5", "--cells", "64", "--dists", "20000", "--seed", "13"],
+    "decompose": ["bloch", "decompose", "--state", "singlet", "--seed", "13"],
+}
+
+TRACE_DIGESTS = {
+    "v1": "5d8931b0d6420a0b527d5199341a56227abad537671d2449cdc7637a7416f1e0",
+    "v1pre": "1cada09674398537acd39e4d59a3ce816453954e8d4c317930b77d842a738a91",
+    "v2": "3c24b9b774618fbe7fa4810293bd99731a74662a53c9de8c5cce85eb3c0fce1c",
+    "v3": "618028545f63a6586a1bc0c138d82f0a603829b0be578215815178d17395bff7",
+    "v4": "c8ed2dfb22bc3fbf2eae8b153ad3688cdc34e7be5a5f43ccf6c252cf3a10a3a8",
+}
+
+REPORT_DIGESTS = {
+    "table": "890679fd181a6ed4ddbfa91657381b15793fe3e484eb1ead100553b6ece06246",
+    "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
+    "quantum": "fede0f83a8a920daeb5cbb1bd9ef6dc0be6dc072161eb0cee9167f3269f2519a",
+    "collapse": "4f286e78717efd2938f45b89a1e02e94c33f6a3693083522baf346c7210a8d34",
+    "average": "6b6d83dadcc4d9e0a416d9bb9171ece1a9df068c61e830f95f5ea6e5c0e7459e",
+    "decompose": "20977a2634b087b94d3e77f0c752a25bb6ed94befb57e87d05f834d0f1caf415",
+}
+
+
+def trace_digest(tmp_path, variant: str) -> str:
+    path = tmp_path / f"{variant}.jsonl"
+    args = ["table", *TRACE_ARGS[variant], "--trials", "500", "--seed", "21", "--trace", str(path), "--trace-limit", "120"]
+    assert main(args + ["--out", str(tmp_path / f"{variant}.json")]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def report_digest(tmp_path, name: str) -> str:
+    path = tmp_path / f"{name}.out"
+    assert main(REPORT_ARGS[name] + ["--workers", "1", "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(TRACE_ARGS))
+def test_trace_bytes_are_golden(tmp_path, variant):
+    assert trace_digest(tmp_path, variant) == TRACE_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_ARGS))
+def test_report_bytes_are_golden(tmp_path, name):
+    assert report_digest(tmp_path, name) == REPORT_DIGESTS[name]

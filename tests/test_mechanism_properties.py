@@ -1,0 +1,188 @@
+"""Property tests of the string mechanism against independent per-row oracles.
+
+``oracle_trial`` is a branchy scalar resolution of one trial, written out
+apart from the package's event/outcome layers.  Every sampling path
+(``trial_from_draws``, ``iter_trials``, ``estimate_table``) must agree with it
+row by row, including draws that sit exactly on a threshold or one float
+below it, and ``analytic_table`` must equal the closed forms exactly.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entangle_lab import strings
+from entangle_lab.rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms
+from entangle_lab.strings import (
+    SETTINGS,
+    MicroTrace,
+    OutcomePair,
+    StringModelConfig,
+    Variant,
+    analytic_table,
+    draws_per_trial,
+    estimate_table,
+    iter_trials,
+    setting_index,
+    trial_from_draws,
+)
+
+property_settings = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+HALF = Fraction(1, 2)
+
+
+def _plus(parity, pulls, long_fragment, white):
+    if not pulls:
+        return white
+    if parity:
+        return long_fragment == white
+    return long_fragment
+
+
+def _color(white):
+    return "white" if white else "black"
+
+
+def oracle_trial(config, setting, draws):
+    """One trial resolved branch by branch: ``(OutcomePair, MicroTrace)``."""
+    parity = config.variant in (Variant.V3, Variant.V4)
+    alice_pulls, bob_pulls = setting.alice_pulls, setting.bob_pulls
+    length = config.length_l
+    if config.variant is Variant.V4:
+        u_c1, u_c2, u_sa, u_sb, u_break = (float(u) for u in draws)
+        white = (u_c1 < config.p_w, u_c2 < config.p_w)
+        sel_a = 0 if u_sa < config.p_1 else 1
+        sel_b = 0 if u_sb < config.p_1 else 1
+        same = sel_a == sel_b
+        break_fraction = None
+        if same and (alice_pulls or bob_pulls):
+            if alice_pulls and bob_pulls:
+                break_fraction = u_break
+            else:
+                break_fraction = 1.0 if alice_pulls else 0.0
+        both_on_one = same and alice_pulls and bob_pulls
+        alice_long = (break_fraction >= 0.5) if both_on_one else True
+        bob_long = (break_fraction < 0.5) if both_on_one else True
+        a_plus = _plus(parity, alice_pulls, alice_long, white[sel_a])
+        b_plus = _plus(parity, bob_pulls, bob_long, white[sel_b])
+        colors = (_color(white[0]), _color(white[1]))
+        selections = (f"string{sel_a + 1}", f"string{sel_b + 1}")
+    else:
+        u_color, u_break = (float(u) for u in draws)
+        white = u_color < config.p_w
+        break_fraction = None
+        if alice_pulls or bob_pulls:
+            if (alice_pulls and bob_pulls) or config.variant is Variant.V1_PRE_BROKEN:
+                break_fraction = u_break
+            else:
+                break_fraction = 1.0 if alice_pulls else 0.0
+        alice_long = None if break_fraction is None else break_fraction >= 0.5
+        bob_long = None if break_fraction is None else break_fraction < 0.5
+        a_plus = _plus(parity, alice_pulls, alice_long, white)
+        b_plus = _plus(parity, bob_pulls, bob_long, white)
+        colors = (_color(white),)
+        selections = None
+    if break_fraction is None:
+        length_alice = length_bob = None
+    else:
+        length_alice = break_fraction * length
+        length_bob = length - length_alice
+    pair = OutcomePair(alice=1 if a_plus else -1, bob=1 if b_plus else -1)
+    return pair, MicroTrace(break_fraction, colors, selections, length_alice, length_bob)
+
+
+def closed_form_rows(config):
+    """The published closed-form rows, in exact rationals."""
+    p_w = Fraction(config.p_w)
+    p_b = 1 - p_w
+    if config.variant is Variant.V1:
+        return [(0, HALF, HALF, 0), (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)]
+    if config.variant is Variant.V1_PRE_BROKEN:
+        return [(0, HALF, HALF, 0), (HALF, 0, HALF, 0), (HALF, HALF, 0, 0), (1, 0, 0, 0)]
+    if config.variant is Variant.V2:
+        return [(0, HALF, HALF, 0), (p_w, p_b, 0, 0), (p_w, 0, p_b, 0), (p_w, 0, 0, p_b)]
+    if config.variant is Variant.V3:
+        return [(0, HALF, HALF, 0)] + [(p_w, 0, 0, p_b)] * 3
+    p_1 = Fraction(config.p_1)
+    q = p_1 * (1 - p_1)
+    cross = HALF + q * (2 * p_w * p_b - 1)
+    ab = (2 * q * p_w**2, cross, cross, 2 * q * p_b**2)
+    other = (p_w * (1 - 2 * q * p_b), 2 * q * p_w * p_b, 2 * q * p_w * p_b, p_b * (1 - 2 * q * p_w))
+    return [ab, other, other, other]
+
+
+probabilities = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 1 - 2**-53]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 1024).map(lambda k: Fraction(k, 1024)),
+)
+
+configs = st.one_of(
+    st.sampled_from([StringModelConfig(variant=Variant.V1), StringModelConfig(variant=Variant.V1_PRE_BROKEN)]),
+    st.builds(
+        lambda variant, p_w, length: StringModelConfig(variant=variant, p_w=p_w, length_l=length),
+        st.sampled_from([Variant.V2, Variant.V3]),
+        probabilities,
+        st.sampled_from([1.0, 0.3, 7.5]),
+    ),
+    st.builds(lambda p_w, p_1: StringModelConfig(variant=Variant.V4, p_w=p_w, p_1=p_1), probabilities, probabilities),
+)
+
+
+def draw_rows(config, data):
+    """Draw rows mixing random uniforms with every threshold and the float just below it."""
+    k = draws_per_trial(config.variant)
+    thresholds = {float(config.p_w), float(config.p_1), 0.5}
+    edges = sorted(thresholds | {math.nextafter(t, 0.0) for t in thresholds})
+    value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True))
+    rows = [[edge] * k for edge in edges]
+    rows += data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=40))
+    return rows
+
+
+@property_settings
+@given(config=configs, data=st.data())
+def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
+    rows = draw_rows(config, data)
+    u = np.array(rows, dtype=float)
+    start = data.draw(st.integers(0, len(rows) - 1))
+
+    def crafted_block_uniforms(master_seed, domain, si, block, n_rows, k):
+        return u[:n_rows]
+
+    for setting in SETTINGS:
+        expected = [oracle_trial(config, setting, row) for row in rows]
+        assert [trial_from_draws(config, setting, row) for row in rows] == expected
+        with mock.patch.object(strings, "block_uniforms", crafted_block_uniforms):
+            _, counts = estimate_table(config, len(rows), 0)
+            replayed = list(iter_trials(config, setting, 0, len(rows) - start, start))
+        assert replayed == expected[start:]
+        tally = [0, 0, 0, 0]
+        for pair, _ in expected:
+            tally[pair.index] += 1
+        assert counts[setting.label] == tuple(tally)
+
+
+@property_settings
+@given(config=configs)
+def test_analytic_table_equals_the_closed_forms(config):
+    table = analytic_table(config)
+    for (_, dist), expected in zip(table.rows(), closed_form_rows(config)):
+        assert dist.probabilities() == expected
+        assert all(type(p) is Fraction for p in dist.probabilities())
+
+
+def test_replay_across_a_block_boundary_matches_the_oracle():
+    config = StringModelConfig(variant=Variant.V4, p_w=0.4, p_1=0.3)
+    for setting in SETTINGS:
+        si = setting_index(setting)
+        k = draws_per_trial(config.variant)
+        tail = block_uniforms(5, DOMAIN_STRING_TRIALS, si, 0, TRIAL_BLOCK, k)[-3:]
+        head = block_uniforms(5, DOMAIN_STRING_TRIALS, si, 1, 4, k)
+        expected = [oracle_trial(config, setting, row) for row in np.concatenate([tail, head])]
+        assert list(iter_trials(config, setting, 5, 7, start=TRIAL_BLOCK - 3)) == expected

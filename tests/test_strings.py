@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entangle_lab.probability import chsh, correlation, marginals
+from entangle_lab.probability import InvariantViolation, chsh, correlation, marginals
 from entangle_lab.rng import substream
 from entangle_lab.strings import (
     SETTINGS,
@@ -444,3 +444,15 @@ def test_estimated_correlations_track_analytic_for_the_two_string_model():
     exact = analytic_table(config)
     assert abs(float(chsh(sampled).a_chsh) - float(chsh(exact).a_chsh)) < 0.02
     assert abs(float(correlation(sampled.ab)) - float(correlation(exact.ab))) < 0.01
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_lhv_table_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="weights") as info:
+        lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0, 1), weights=(bad, 1.0))
+    assert not isinstance(info.value, InvariantViolation)
+
+
+def test_lhv_table_checks_huge_exact_weights_without_overflow():
+    with pytest.raises(ValueError, match="weights"):
+        lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0, 1), weights=(Fraction(-(10**400)), Fraction(10**400) + 1))
