@@ -63,7 +63,8 @@ class JointDistribution:
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
             object.__setattr__(self, name, _checked_probability(name, getattr(self, name)))
         total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
-        if abs(total - 1) > NORMALIZATION_TOL:
+        # Exact first: comparing a Fraction with the float tolerance is slow.
+        if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
             raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
 
     def probabilities(self) -> tuple[Real, Real, Real, Real]:
@@ -127,7 +128,7 @@ class ChshQuantities:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if abs(value) > 4 + CHSH_RANGE_TOL:
+            if abs(value) > 4 and abs(value) > 4 + CHSH_RANGE_TOL:
                 raise InvariantViolation(f"{name} = {value!r} outside [-4, 4]")
 
     def as_dict(self) -> dict[str, Real]:

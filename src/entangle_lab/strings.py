@@ -20,13 +20,18 @@ many strings there are:
 The mechanism is written once, in two layers: ``_events`` applies every
 threshold test to the uniform draws, and ``_outcome_indices`` turns the
 boolean events into outcomes.  ``estimate_table`` counts the outcomes of
-whole draw blocks, ``iter_trials`` replays the same draws with a
-``MicroTrace`` per trial, and ``analytic_table`` runs the kernel over the
-finite event space with exact ``fractions.Fraction`` weights.
+whole draw blocks, and ``iter_trials`` replays the same draws with a
+``MicroTrace`` per trial.  ``cell_polynomials`` runs the kernel once per
+variant over the finite event space and keeps every cell as an integer
+polynomial in (p_w, p_1); ``analytic_table`` evaluates these cached
+polynomials exactly, in integers over one denominator, into
+``fractions.Fraction`` cells.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -363,50 +368,88 @@ def iter_trials(
     """Replay trials [start, start + n_trials) of a setting, one by one.
 
     Reads the same substreams as :func:`estimate_table`, so trial ``t`` here
-    is exactly trial ``t`` of the vectorized estimate.
+    is exactly trial ``t`` of the vectorized estimate.  ``n_trials == 0``
+    replays nothing; a negative ``start`` or ``n_trials`` is a ``ValueError``.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     k = draws_per_trial(config.variant)
     si = setting_index(setting)
     end = start + n_trials
-    for block in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK)):
+
+    def replay_block(block: int):
         first = block * TRIAL_BLOCK
         u = block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, min(end - first, TRIAL_BLOCK), k)
-        yield from _replay(config, setting, u[max(start - first, 0):])
+        return _replay(config, setting, u[max(start - first, 0):])
+
+    # A plain function returning a lazy chain, so bad arguments raise at the call.
+    return itertools.chain.from_iterable(map(replay_block, range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK))))
 
 
-def _event_space(config: StringModelConfig) -> tuple[_Events, list[int], int]:
-    """Every event of one trial with its exact probability.
+class CellPolynomials(NamedTuple):
+    """Every cell of one variant's exact table as an integer polynomial in (p_w, p_1).
 
-    Returns the events as columns, one row per combination, and each row's
-    probability as an integer numerator over one common denominator.
+    ``cells[row][cell]`` (rows AB, AB', A'B, A'B'; cells ++, +-, -+, --) is a
+    tuple of ``((a, c), coefficient)`` pairs, one per Bernstein monomial with
+    a nonzero integer coefficient.  With ``(k_w, k_1) = degrees`` the cell is
+
+        sum(coefficient * p_w**a * (1 - p_w)**(k_w - a) * p_1**c * (1 - p_1)**(k_1 - c)) / 2
+
+    where ``a`` counts white strings, ``c`` counts observers holding string 1
+    and the 1/2 is the fair cut.  The white string of V1 and V1_PRE_BROKEN has
+    no color parameter, so their ``k_w`` is 0.
     """
-    p_w, p_1 = Fraction(config.p_w), Fraction(config.p_1)
-    # One factor per event column: white per string, the V4 selections, the cut.
-    factors = [p_w, p_w, p_1, p_1] if config.variant is Variant.V4 else [p_w]
-    factors.append(Fraction(1, 2))
-    rows = list(itertools.product((True, False), repeat=len(factors)))
-    weights = [
-        math.prod(p.numerator if event else p.denominator - p.numerator for p, event in zip(factors, row))
-        for row in rows
-    ]
-    denominator = math.prod(p.denominator for p in factors)
+
+    degrees: tuple[int, int]
+    cells: tuple[tuple[tuple[tuple[tuple[int, int], int], ...], ...], ...]
+
+
+@functools.cache
+def cell_polynomials(variant: Variant) -> CellPolynomials:
+    """The outcome kernel run once per setting over the symbolic event space.
+
+    Each event row (colors, V4 selections, cut) adds 1 to the coefficient of
+    its monomial in the cell its outcome lands in.
+    """
+    variant = Variant(variant)
+    n_strings, n_selections = (2, 2) if variant is Variant.V4 else (1, 0)
+    colors = (True,) if variant in _SINGLE_WHITE else (True, False)
+    # One row per event combination: colors, V4 selections, then the cut.
+    rows = list(itertools.product(*[colors] * n_strings, *[(True, False)] * n_selections, (True, False)))
     columns = [np.array(column) for column in zip(*rows)]
-    if config.variant is Variant.V4:
-        events = _Events(tuple(columns[:2]), *columns[2:])
-    else:
-        events = _Events((columns[0],), None, None, columns[1])
-    return events, weights, denominator
+    events = _Events(tuple(columns[:n_strings]), *(columns[n_strings:-1] or (None, None)), columns[-1])
+    k_w = 0 if variant in _SINGLE_WHITE else n_strings
+    monomials = [(sum(row[:n_strings]) if k_w else 0, sum(row[n_strings:-1])) for row in rows]
+    basis = sorted(set(monomials))
+    cells = []
+    for setting in SETTINGS:
+        counts = collections.Counter(zip(_outcome_indices(variant, setting, events).tolist(), monomials))
+        cells.append(tuple(tuple((m, counts[i, m]) for m in basis if counts[i, m]) for i in range(4)))
+    return CellPolynomials((k_w, n_selections), tuple(cells))
+
+
+def _scaled_bernstein(p: Fraction, k: int) -> list[int]:
+    """``p**a * (1 - p)**(k - a) * denominator**k`` for a = 0..k, in integers."""
+    n, m = p.numerator, p.denominator - p.numerator
+    return [n**a * m ** (k - a) for a in range(k + 1)]
 
 
 def analytic_table(config: StringModelConfig) -> ExperimentTable:
-    """Closed-form experiment table: the outcome kernel over the exact event space."""
-    events, weights, denominator = _event_space(config)
+    """Closed-form experiment table: the cell polynomials evaluated exactly.
+
+    Every cell is an integer numerator over one denominator,
+    ``2 * d_w**k_w * d_1**k_1``, reduced by ``Fraction``.
+    """
+    (k_w, k_1), cells = cell_polynomials(config.variant)
+    p_w, p_1 = Fraction(config.p_w), Fraction(config.p_1)
+    w, s = _scaled_bernstein(p_w, k_w), _scaled_bernstein(p_1, k_1)
+    denominator = 2 * p_w.denominator**k_w * p_1.denominator**k_1
     dists = []
-    for setting in SETTINGS:
-        cells = [0] * 4
-        for weight, index in zip(weights, _outcome_indices(config.variant, setting, events).tolist()):
-            cells[index] += weight
-        dists.append(JointDistribution(*(Fraction(c, denominator) for c in cells)))
+    for row in cells:
+        numerators = (sum(n * w[a] * s[c] for (a, c), n in cell) for cell in row)
+        dists.append(JointDistribution(*(Fraction(x, denominator) for x in numerators)))
     return ExperimentTable(*dists)
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_lab.bloch import (
     BlochVector15,
@@ -346,6 +348,16 @@ class TestDecompose:
                 rho = make(rng)
                 back = reconstruct(decompose(rho))
                 assert np.max(np.abs(back - rho)) < 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_reconstruct_inverts_decompose_on_gaussian_states(self, seed, rank):
+        # rho = G G^dagger / tr with a complex Gaussian 4 x rank G: states of every rank.
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = g @ g.conj().T
+        rho = rho / np.trace(rho).real
+        assert np.max(np.abs(reconstruct(decompose(rho)) - rho)) <= 1e-12
 
     def test_norms_separate_pure_from_mixed(self):
         rng = np.random.default_rng(53)

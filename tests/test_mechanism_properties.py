@@ -4,9 +4,11 @@
 apart from the package's event/outcome layers.  Every sampling path
 (``trial_from_draws``, ``iter_trials``, ``estimate_table``) must agree with it
 row by row, including draws that sit exactly on a threshold or one float
-below it, and ``analytic_table`` must equal the closed forms exactly.
+below it, and ``analytic_table`` must equal the closed forms and an
+enumeration of the event space exactly.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -175,6 +177,44 @@ def test_analytic_table_equals_the_closed_forms(config):
     for (_, dist), expected in zip(table.rows(), closed_form_rows(config)):
         assert dist.probabilities() == expected
         assert all(type(p) is Fraction for p in dist.probabilities())
+
+
+def enumerated_table_rows(config):
+    """Exact rows by enumerating the finite event space with integer weights.
+
+    Each combination of the white, selection and cut events is weighted by
+    its product of exact factors, run through the outcome kernel and summed
+    per cell; the cell polynomials must give the same rows.
+    """
+    p_w, p_1 = Fraction(config.p_w), Fraction(config.p_1)
+    factors = [p_w, p_w, p_1, p_1] if config.variant is Variant.V4 else [p_w]
+    factors.append(HALF)
+    rows = list(itertools.product((True, False), repeat=len(factors)))
+    weights = [
+        math.prod(p.numerator if event else p.denominator - p.numerator for p, event in zip(factors, row))
+        for row in rows
+    ]
+    denominator = math.prod(p.denominator for p in factors)
+    columns = [np.array(column) for column in zip(*rows)]
+    if config.variant is Variant.V4:
+        events = strings._Events(tuple(columns[:2]), *columns[2:])
+    else:
+        events = strings._Events((columns[0],), None, None, columns[1])
+    table = []
+    for setting in SETTINGS:
+        cells = [0] * 4
+        for weight, index in zip(weights, strings._outcome_indices(config.variant, setting, events).tolist()):
+            cells[index] += weight
+        table.append(tuple(Fraction(c, denominator) for c in cells))
+    return table
+
+
+@property_settings
+@given(config=configs)
+def test_analytic_table_equals_the_enumerated_event_space(config):
+    got = [dist.probabilities() for _, dist in analytic_table(config).rows()]
+    assert got == enumerated_table_rows(config)
+    assert all(type(p) is Fraction for row in got for p in row)
 
 
 def test_replay_across_a_block_boundary_matches_the_oracle():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_lab.probability import (
     ChshQuantities,
@@ -258,3 +260,54 @@ def test_exact_rational_rendering():
     assert exact_rational(1.0) == "1/1"
     # the dyadic expansion of an irrational parameter has a huge denominator
     assert exact_rational(math.sqrt(2) / 2) is None
+
+
+# --- exact-first tolerance checks: the verdicts at the tolerance edges ---
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_normalization_verdicts_at_the_tolerance(kind):
+    small, large = (Fraction(1, 10**13), Fraction(1, 10**11)) if kind is Fraction else (1e-13, 1e-11)
+    accepted = JointDistribution(kind(HALF) + small, kind(HALF), kind(0), kind(0))
+    assert type(accepted.p_pp) is kind
+    with pytest.raises(InvariantViolation, match="sum to"):
+        JointDistribution(kind(HALF) + large, kind(HALF), kind(0), kind(0))
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chsh_range_verdicts_at_the_tolerance(kind, sign):
+    small, large = (Fraction(1, 10**10), Fraction(2, 10**9)) if kind is Fraction else (1e-10, 2e-9)
+    edge = sign * (kind(4) + small)
+    assert ChshQuantities(edge, 0, 0, 0).a_chsh == edge
+    with pytest.raises(InvariantViolation, match="outside"):
+        ChshQuantities(0, sign * (kind(4) + large), 0, 0)
+
+
+def test_nan_chsh_value_is_accepted_and_kept():
+    q = ChshQuantities(float("nan"), 0.0, 0.0, 0.0)
+    assert math.isnan(q.a_chsh)
+
+
+# --- JointDistribution invariants over random rows ---
+
+rows = st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weights=rows)
+def test_joint_distribution_invariants_for_exact_and_float_rows(weights):
+    exact = JointDistribution(*(Fraction(w, sum(weights)) for w in weights))
+    approx = JointDistribution(*(w / sum(weights) for w in weights))
+    assert exact.marginal_alice_plus() + exact.marginal_alice_minus() == 1
+    assert exact.marginal_bob_plus() + exact.marginal_bob_minus() == 1
+    assert -1 <= correlation(exact) <= 1
+    assert math.isclose(approx.marginal_alice_plus() + approx.marginal_alice_minus(), 1, abs_tol=1e-12)
+    assert math.isclose(approx.marginal_bob_plus() + approx.marginal_bob_minus(), 1, abs_tol=1e-12)
+    assert -1 <= correlation(approx) <= 1
+    for p, q in zip(exact.probabilities(), approx.probabilities()):
+        assert math.isclose(p, q, abs_tol=1e-15)
+    assert math.isclose(correlation(exact), correlation(approx), abs_tol=1e-12)
+    for side in ("alice_plus", "bob_plus"):
+        pick = getattr(JointDistribution, f"marginal_{side}")
+        assert math.isclose(pick(exact), pick(approx), abs_tol=1e-12)

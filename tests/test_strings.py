@@ -337,6 +337,18 @@ class TestEstimateTable:
         tail = list(iter_trials(config, AB, 3, 20, start=30))
         assert full[30:] == tail
 
+    @pytest.mark.parametrize("start, n_trials", [(-2, 3), (-1, 0), (0, -1), (5, -3)])
+    def test_replay_rejects_negative_start_or_count_at_the_call(self, start, n_trials):
+        config = StringModelConfig(variant=Variant.V2, p_w=0.5)
+        name = "start" if start < 0 else "n_trials"
+        with pytest.raises(ValueError, match=name):
+            iter_trials(config, AB, 1, n_trials, start=start)
+
+    @pytest.mark.parametrize("start", [0, 7, 4096])
+    def test_replay_of_zero_trials_is_empty(self, start):
+        config = StringModelConfig(variant=Variant.V4, p_w=0.5, p_1=0.3)
+        assert list(iter_trials(config, AB, 1, 0, start=start)) == []
+
     def test_converges_to_analytic(self):
         n = 100_000
         config = StringModelConfig(variant=Variant.V2, p_w=0.3)
