@@ -1,7 +1,7 @@
 """String models of bipartite correlations, CHSH/no-signaling diagnostics,
 singlet reference predictions and the extended-Bloch collapse sampler."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .probability import (
     BellBoundReport,
@@ -39,6 +39,7 @@ from .quantum import (
     joint_probabilities,
     maximally_mixed_state,
     product_state,
+    sample_table,
     scan_tsirelson,
     singlet_state,
     table_for_axes,
@@ -57,53 +58,3 @@ from .bloch import (
     sample_collapse,
     universal_average,
 )
-
-__all__ = [
-    "__version__",
-    "BellBoundReport",
-    "BoundCheck",
-    "ChshQuantities",
-    "ExperimentTable",
-    "InvariantViolation",
-    "JointDistribution",
-    "MarginalComparison",
-    "MarginalReport",
-    "check_bell_bounds",
-    "chsh",
-    "correlation",
-    "marginals",
-    "MicroTrace",
-    "OutcomePair",
-    "SETTINGS",
-    "Setting",
-    "StringModelConfig",
-    "Variant",
-    "analytic_table",
-    "estimate_table",
-    "lhv_table",
-    "pre_broken_lhv_strategy",
-    "random_lhv_strategy",
-    "sample_trial",
-    "AxisQuad",
-    "chsh_for_axes",
-    "coplanar_axes",
-    "joint_distribution",
-    "joint_probabilities",
-    "maximally_mixed_state",
-    "product_state",
-    "scan_tsirelson",
-    "singlet_state",
-    "table_for_axes",
-    "BlochVector15",
-    "BreakDistribution",
-    "MeasurementFrame",
-    "collapse_counts",
-    "decohere",
-    "decompose",
-    "lambda_basis",
-    "outcome_probabilities",
-    "rank_one_residual",
-    "reconstruct",
-    "sample_collapse",
-    "universal_average",
-]

@@ -10,6 +10,12 @@ reproduces the Born statistics exactly; non-uniform (piecewise-constant)
 distributions span the classical-to-solipsistic spectrum, and averaging over
 random distributions recovers the Born values again.
 
+As in the string model, the outcome is one threshold test on one uniform
+draw u: + iff u < F(p+), with F = ``BreakDistribution.plus_probability``.
+``collapse_counts`` tests whole trial blocks through ``rng.count_outcomes``,
+the driver of the string and quantum tables too; ``sample_collapse`` tests
+one draw and maps it to the break position it reports.
+
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
 describing their connection, which for product states is fixed by the local
@@ -26,10 +32,10 @@ import numpy as np
 
 from .probability import InvariantViolation
 from .quantum import IDENTITY_2, PAULIS, validate_state
+from .rng import DOMAIN_BLOCH_COLLAPSE, count_outcomes
 
 BLOCH_NORM_TOL = 1e-12
 WEIGHT_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 
 #: Normalization making the 15 generators satisfy Tr(G_i G_j) = 2 delta_ij.
 _GEN_SCALE = 1.0 / math.sqrt(2.0)
@@ -170,13 +176,14 @@ def sample_collapse(
     """One collapse: draw the break point, return (outcome, lambda).
 
     The outcome is +1 iff the break lies in the segment reaching from n-
-    to the decohered state, i.e. iff its uniform measure is below p+; a
-    break exactly at the split point counts as -1.  lambda is reported in
-    diameter coordinates ([-1, 1], n- to n+).
+    to the decohered state, i.e. iff the draw is below F(p+); a break
+    exactly at the split point counts as -1.  lambda is the break position
+    in diameter coordinates ([-1, 1], n- to n+).
     """
     p_plus, _ = outcome_probabilities(r, frame)
-    m = float(dist.measure_from_uniform(rng.random()))
-    return (1 if m < p_plus else -1), 2.0 * m - 1.0
+    u = rng.random()
+    m = float(dist.measure_from_uniform(u))
+    return (1 if u < dist.plus_probability(p_plus) else -1), 2.0 * m - 1.0
 
 
 def collapse_counts(
@@ -184,19 +191,23 @@ def collapse_counts(
     frame: MeasurementFrame,
     dist: BreakDistribution,
     n_samples: int,
-    rng: np.random.Generator,
+    master_seed: int,
+    *,
+    workers: int = 1,
 ) -> tuple[int, int]:
-    """Vectorized tally of :func:`sample_collapse`: (n_plus, n_minus).
+    """Tally of ``n_samples`` collapses: (n_plus, n_minus).
 
-    Sample i consumes the i-th uniform of ``rng``, exactly as n_samples
-    scalar calls would.
+    Sample i reads the one draw of trial i on ``DOMAIN_BLOCH_COLLAPSE`` and
+    makes :func:`sample_collapse`'s threshold test on it; the counts are
+    bit-identical for any ``workers`` value.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p_plus, _ = outcome_probabilities(r, frame)
-    m = dist.measure_from_uniform(rng.random(n_samples))
-    n_plus = int(np.count_nonzero(m < p_plus))
-    return n_plus, n_samples - n_plus
+    threshold = dist.plus_probability(p_plus)
+    counts = count_outcomes(
+        master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 1, 2,
+        lambda _si, u: u[:, 0] >= threshold, workers=workers,
+    )
+    return int(counts[0, 0]), int(counts[0, 1])
 
 
 def universal_average(

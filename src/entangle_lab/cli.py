@@ -40,9 +40,11 @@ from .bloch import (
     rank_one_residual,
     universal_average,
 )
-from .probability import ExperimentTable, InvariantViolation, JointDistribution, check_bell_bounds, chsh, marginals
-from .quantum import AXIS_NORM_TOL, coplanar_axes, maximally_mixed_state, product_state, singlet_state, table_for_axes
+from .probability import InvariantViolation, check_bell_bounds, chsh, marginals
+from .quantum import AXIS_NORM_TOL, coplanar_axes, maximally_mixed_state, product_state, sample_table
+from .quantum import singlet_state, table_for_axes
 from .report import (
+    _ROW_KEYS,
     bell_bounds_to_json,
     chsh_to_json,
     counts_to_json,
@@ -52,7 +54,7 @@ from .report import (
     report_to_json,
     table_to_json,
 )
-from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, DOMAIN_QUANTUM_SAMPLING, substream
+from .rng import DOMAIN_BLOCH_AVERAGE, substream
 from .strings import SETTINGS, StringModelConfig, Variant, analytic_table, estimate_table, iter_trials
 
 EXIT_OK = 0
@@ -155,10 +157,9 @@ def _table_csv(analytic, sampled) -> str:
     header = ["section", "row", "p_pp", "p_pm", "p_mp", "p_mm"]
     rows = []
     sections = [("analytic", analytic)] + ([("sampled", sampled)] if sampled is not None else [])
-    key = {"AB": "ab", "AB'": "ab_prime", "A'B": "a_prime_b", "A'B'": "a_prime_b_prime"}
     for section, table in sections:
         for label, dist in table.rows():
-            rows.append([section, key[label]] + [float(p) for p in dist.probabilities()])
+            rows.append([section, _ROW_KEYS[label]] + [float(p) for p in dist.probabilities()])
     return emit_csv(header, rows)
 
 
@@ -262,15 +263,7 @@ def _cmd_quantum(args) -> tuple[dict | None, str]:
 
     sampled = counts = None
     if args.trials:
-        dists = []
-        counts = {}
-        for si, (label, dist) in enumerate(analytic.rows()):
-            p = np.asarray([float(x) for x in dist.probabilities()])
-            p = p / p.sum()
-            cell_counts = substream(seed, DOMAIN_QUANTUM_SAMPLING, si).multinomial(args.trials, p)
-            counts[label] = tuple(int(c) for c in cell_counts)
-            dists.append(JointDistribution(*(int(c) / args.trials for c in cell_counts)))
-        sampled = ExperimentTable(*dists)
+        sampled, counts = sample_table(analytic, args.trials, seed, workers=args.workers)
 
     config_echo = {
         "alpha": args.alpha,
@@ -302,7 +295,7 @@ def _cmd_bloch_collapse(args) -> tuple[dict | None, str]:
     else:
         dist = BreakDistribution.uniform()
     born_plus, born_minus = outcome_probabilities(r, frame)
-    n_plus, n_minus = collapse_counts(r, frame, dist, args.trials, substream(seed, DOMAIN_BLOCH_COLLAPSE))
+    n_plus, n_minus = collapse_counts(r, frame, dist, args.trials, seed, workers=args.workers)
 
     config_echo = {
         "subcommand": "collapse",
@@ -428,6 +421,7 @@ def _positive_int(text: str) -> int:
 
 
 _WORKERS_NO_EFFECT = "accepted on every command for a uniform command line; has no effect on this command"
+_WORKERS_SAMPLING = "sampling threads for --trials; results are identical for any value"
 
 
 def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
@@ -463,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per setting (0: analytic only)")
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
     table.add_argument("--trace-limit", type=int, default=100, help="max traced trials per setting")
-    _add_common(table, workers_help="sampling threads for --trials; results are identical for any value")
+    _add_common(table, workers_help=_WORKERS_SAMPLING)
     table.set_defaults(run=_cmd_table)
 
     scan = sub.add_parser("scan", help="sweep p_w or p_1 over a grid")
@@ -480,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     quantum = sub.add_parser("quantum", help="singlet reference values on the coplanar axis family")
     quantum.add_argument("--alpha", type=float, required=True, help="angle between the A and B axes, in [0, pi]")
     quantum.add_argument("--mixed", action="store_true", help="use the maximally mixed state instead of the singlet")
-    quantum.add_argument("--trials", type=int, default=0, help="multinomial samples per setting (0: analytic only)")
-    _add_common(quantum)
+    quantum.add_argument("--trials", type=int, default=0, help="sampled trials per setting (0: analytic only)")
+    _add_common(quantum, workers_help=_WORKERS_SAMPLING)
     quantum.set_defaults(run=_cmd_quantum)
 
     bloch = sub.add_parser("bloch", help="collapse sampling, universal averages, 15-dim decomposition")
@@ -491,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     collapse.add_argument("--costheta", type=float, required=True, help="r.n+ of the measured state")
     collapse.add_argument("--trials", type=int, default=10000)
     collapse.add_argument("--cell-weights", default=None, help="comma-separated piecewise cell weights (default: uniform)")
-    _add_common(collapse)
+    _add_common(collapse, workers_help=_WORKERS_SAMPLING)
     collapse.set_defaults(run=_cmd_bloch_collapse)
 
     average = bloch_sub.add_parser("average", help="universal average over random break distributions")
@@ -536,10 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         _emit_error(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC
-    except (ValueError, TypeError) as exc:
-        _emit_error(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, TypeError, OSError) as exc:
         _emit_error(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
     return EXIT_OK

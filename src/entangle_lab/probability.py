@@ -22,9 +22,6 @@ NORMALIZATION_TOL = 1e-12
 #: Row labels of an experiment table, in canonical order.
 ROW_LABELS = ("AB", "AB'", "A'B", "A'B'")
 
-#: Outcome labels in canonical order: ++, +-, -+, --.
-OUTCOME_LABELS = ("++", "+-", "-+", "--")
-
 
 class InvariantViolation(ValueError):
     """A numerical invariant failed (normalization, hermiticity, positivity)."""
@@ -100,6 +97,17 @@ class ExperimentTable:
             ("A'B", self.a_prime_b),
             ("A'B'", self.a_prime_b_prime),
         )
+
+
+def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]]:
+    """Relative-frequency table of sampled counts, and the counts by row label.
+
+    ``counts`` holds one (n_pp, n_pm, n_mp, n_mm) row per setting in canonical
+    row order; each row is divided by its own total.
+    """
+    rows = [tuple(int(c) for c in row) for row in counts]
+    table = ExperimentTable(*(JointDistribution(*(c / sum(row) for c in row)) for row in rows))
+    return table, dict(zip(ROW_LABELS, rows))
 
 
 def correlation(dist: JointDistribution) -> Real:

@@ -13,21 +13,28 @@ is fixed.
 Trial-indexed sampling uses one substream per (domain, setting, block) with
 ``TRIAL_BLOCK`` trials per block and a fixed number of draws per trial, so
 trial ``t`` always reads rows ``t % TRIAL_BLOCK`` of block ``t // TRIAL_BLOCK``
-regardless of chunking.
+regardless of chunking.  :func:`count_outcomes` is the one sampling driver on
+this layout: it maps each block's draws to cell indices with a caller's
+outcome function and sums the per-block counts, on one thread or several.
+The string table, the quantum table and the Bloch collapse all sample
+through it; each outcome is a threshold test on the draws.
 
-``STREAM_FORMAT`` names the mapping from (seed, path) to numbers.  Format 1
-seeded Philox with the same keys; format 2 seeds SFC64.  Any change to the
-numbers a substream yields must bump it.
+``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
+Format 1 seeded Philox with the same keys; format 2 seeds SFC64; format 3
+samples the quantum table and the Bloch collapse on the trial-block layout
+too.  Any change to the numbers a sampler yields must bump it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
 #: Version of the substream numbers; reports carry it as ``stream_format``.
-STREAM_FORMAT = 2
+STREAM_FORMAT = 3
 
 #: Trials per substream block for trial-indexed sampling.
 TRIAL_BLOCK = 1 << 16
@@ -85,3 +92,37 @@ def iter_block_slices(n_trials: int):
         yield block, start, rows
         block += 1
         start += rows
+
+
+def count_outcomes(
+    master_seed: int, domain: int, n_settings: int, n_trials: int, draws_per_trial: int, n_cells: int,
+    outcome: Callable[[int, np.ndarray], np.ndarray], *, workers: int = 1,
+) -> np.ndarray:
+    """Outcome counts of ``n_trials`` trials per setting, shape (n_settings, n_cells).
+
+    ``outcome(setting_index, u)`` maps a (rows, draws_per_trial) block of
+    draws to one cell index per row.  Each (setting, block) is one task; the
+    counts depend only on the block layout, so they are bit-identical for
+    any ``workers`` value.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in iter_block_slices(n_trials)]
+
+    def run(task):
+        si, block, rows = task
+        # The draws are passed as a temporary, so ``outcome`` can free them early.
+        cells = outcome(si, block_uniforms(master_seed, domain, si, block, rows, draws_per_trial))
+        return si, np.bincount(cells, minlength=n_cells)
+
+    counts = np.zeros((n_settings, n_cells), dtype=np.int64)
+    if workers == 1:
+        results = map(run, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, tasks))
+    for si, block_counts in results:
+        counts[si] += block_counts
+    return counts

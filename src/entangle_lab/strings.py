@@ -20,11 +20,11 @@ many strings there are:
 The mechanism is written once, in two layers: ``_events`` applies every
 threshold test to the uniform draws, and ``_outcome_indices`` turns the
 boolean events into outcomes.  ``estimate_table`` counts the outcomes of
-whole draw blocks, and ``iter_trials`` replays the same draws with a
-``MicroTrace`` per trial.  ``cell_polynomials`` runs the kernel once per
-variant over the finite event space and keeps every cell as an integer
-polynomial in (p_w, p_1); ``analytic_table`` evaluates these cached
-polynomials exactly, in integers over one denominator, into
+whole draw blocks through ``rng.count_outcomes``, and ``iter_trials``
+replays the same draws with a ``MicroTrace`` per trial.  ``cell_polynomials``
+runs the kernel once per variant over the finite event space and keeps every
+cell as an integer polynomial in (p_w, p_1); ``analytic_table`` evaluates
+these cached polynomials exactly, in integers over one denominator, into
 ``fractions.Fraction`` cells.
 """
 
@@ -34,7 +34,6 @@ import collections
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,8 +42,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .probability import ExperimentTable, JointDistribution
-from .rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms, iter_block_slices
+from .probability import ExperimentTable, JointDistribution, frequency_table
+from .rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms, count_outcomes
 
 
 class Variant(str, Enum):
@@ -130,11 +129,9 @@ class Setting:
 
 SETTINGS = (Setting("A", "B"), Setting("A", "B'"), Setting("A'", "B"), Setting("A'", "B'"))
 
-_SETTING_INDEX = {s.label: i for i, s in enumerate(SETTINGS)}
-
 
 def setting_index(setting: Setting) -> int:
-    return _SETTING_INDEX[setting.label]
+    return SETTINGS.index(setting)
 
 
 @dataclass(frozen=True)
@@ -318,44 +315,24 @@ def estimate_table(
 ):
     """Monte Carlo table from ``trials_per_setting`` mechanism trials per setting.
 
-    Deterministic given ``master_seed``: trials are partitioned into fixed
-    blocks whose substreams depend only on (seed, setting, block), so the
-    counts are bit-identical for any ``workers`` value.  Returns the
+    Deterministic given ``master_seed``: :func:`rng.count_outcomes` samples
+    fixed blocks whose substreams depend only on (seed, setting, block), so
+    the counts are bit-identical for any ``workers`` value.  Returns the
     relative-frequency :class:`ExperimentTable` and the raw counts as
     ``{row label: (n_pp, n_pm, n_mp, n_mm)}``.
     """
-    if trials_per_setting < 1:
-        raise ValueError(f"trials_per_setting must be >= 1, got {trials_per_setting}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    k = draws_per_trial(config.variant)
 
-    tasks = [
-        (si, block, rows)
-        for si in range(len(SETTINGS))
-        for block, _start, rows in iter_block_slices(trials_per_setting)
-    ]
-
-    def run(task):
-        si, block, rows = task
+    def outcome(si, u):
         setting = SETTINGS[si]
-        events = _events(config, setting, block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, rows, k))
-        return si, np.bincount(_outcome_indices(config.variant, setting, events), minlength=4)
+        events = _events(config, setting, u)
+        del u  # frees the draws before the kernel allocates: a smaller working set
+        return _outcome_indices(config.variant, setting, events)
 
-    counts = np.zeros((len(SETTINGS), 4), dtype=np.int64)
-    if workers == 1:
-        results = map(run, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    for si, block_counts in results:
-        counts[si] += block_counts
-
-    n = trials_per_setting
-    dists = [JointDistribution(*(int(c) / n for c in counts[si])) for si in range(len(SETTINGS))]
-    table = ExperimentTable(*dists)
-    raw = {SETTINGS[si].label: tuple(int(c) for c in counts[si]) for si in range(len(SETTINGS))}
-    return table, raw
+    counts = count_outcomes(
+        master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting,
+        draws_per_trial(config.variant), 4, outcome, workers=workers,
+    )
+    return frequency_table(counts)
 
 
 def iter_trials(
@@ -494,28 +471,28 @@ def lhv_table(
             raise ValueError(f"strategy outcomes must be +1 or -1, got ({a!r}, {b!r})")
         return (0 if a > 0 else 2) + (0 if b > 0 else 1)
 
-    dists = []
     if trials is None:
+        dists = []
         for setting in SETTINGS:
             probs = [0 * total] * 4  # zero of the weights' numeric type
             for lam, w in zip(lam_values, weights):
                 probs[outcome_index(lam, setting)] += w
             dists.append(JointDistribution(*probs))
-    else:
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if rng is None:
-            raise ValueError("sampled enumeration needs an rng")
-        p = np.asarray([float(w) for w in weights])
-        p = p / p.sum()
-        for setting in SETTINGS:
-            picks = rng.choice(n_lam, size=trials, p=p)
-            # One strategy call per distinct picked lambda, then count the trials.
-            picked, trial_lam = np.unique(picks, return_inverse=True)
-            cell = np.array([outcome_index(lam_values[int(lam)], setting) for lam in picked])
-            counts = np.bincount(cell[trial_lam], minlength=4)
-            dists.append(JointDistribution(*(int(c) / trials for c in counts)))
-    return ExperimentTable(*dists)
+        return ExperimentTable(*dists)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if rng is None:
+        raise ValueError("sampled enumeration needs an rng")
+    p = np.asarray([float(w) for w in weights])
+    p = p / p.sum()
+    counts = []
+    for setting in SETTINGS:
+        picks = rng.choice(n_lam, size=trials, p=p)
+        # One strategy call per distinct picked lambda, then count the trials.
+        picked, trial_lam = np.unique(picks, return_inverse=True)
+        cell = np.array([outcome_index(lam_values[int(lam)], setting) for lam in picked])
+        counts.append(np.bincount(cell[trial_lam], minlength=4))
+    return frequency_table(counts)[0]
 
 
 def pre_broken_lhv_strategy():

@@ -222,7 +222,7 @@ def test_criterion_08_born_oracle_equivalence():
             r = np.array([math.sqrt(1 - costheta**2), 0.0, costheta])
             frame = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
             n_plus, _ = collapse_counts(
-                r, frame, BreakDistribution.uniform(), n_samples, substream(880 + case, 0)
+                r, frame, BreakDistribution.uniform(), n_samples, 880 + case
             )
             born_plus, _ = outcome_probabilities(r, frame)
             assert abs(n_plus / n_samples - born_plus) < 4.0 / math.sqrt(n_samples)

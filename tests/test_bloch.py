@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestBreakDistribution:
             p_plus = 0.65
             r = np.array([math.sqrt(1 - (2 * p_plus - 1) ** 2), 0.0, 2 * p_plus - 1])
             n = 200_000
-            n_plus, _ = collapse_counts(r, Z_FRAME, dist, n, substream(5, 0))
+            n_plus, _ = collapse_counts(r, Z_FRAME, dist, n, 5)
             assert abs(n_plus / n - dist.plus_probability(p_plus)) < 4 / math.sqrt(n)
 
     def test_validation(self):
@@ -206,24 +207,20 @@ class TestSampleCollapse:
             1 for _ in range(n) if sample_collapse(r, Z_FRAME, dist, substream(7, 0, _))[0] == 1
         )
         # one uniform per sample: replaying the same substream per index
-        rng = np.vstack([substream(7, 0, i).random(1) for i in range(n)]).ravel()
+        draws = np.vstack([substream(7, 0, i).random(1) for i in range(n)])
 
-        class Replay:
-            def __init__(self, values):
-                self.values = values
+        def replay(master_seed, domain, setting_index, block_index, rows, draws_per_trial):
+            return draws[:rows]
 
-            def random(self, size):
-                return self.values[:size]
-
-        n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, n, Replay(rng))
+        with mock.patch("entangle_lab.rng.block_uniforms", replay):
+            n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, n, 0)
         assert n_plus == scalar_plus
         assert n_plus + n_minus == n
 
     def test_uniform_frequencies_converge_to_born(self):
-        rng = substream(11, 3)
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
         n = 200_000
-        n_plus, _ = collapse_counts(r, Z_FRAME, BreakDistribution.uniform(), n, rng)
+        n_plus, _ = collapse_counts(r, Z_FRAME, BreakDistribution.uniform(), n, 11)
         assert abs(n_plus / n - 0.75) < 4 / math.sqrt(n)
 
     def test_uniform_frequencies_track_born_over_many_geometries(self):
@@ -233,12 +230,12 @@ class TestSampleCollapse:
             r = random_unit(rng)
             frame = MeasurementFrame(n_plus=random_unit(rng))
             born_plus, _ = outcome_probabilities(r, frame)
-            n_plus, _ = collapse_counts(r, frame, BreakDistribution.uniform(), n, substream(400, case))
+            n_plus, _ = collapse_counts(r, frame, BreakDistribution.uniform(), n, 400 + case)
             assert abs(n_plus / n - born_plus) < 4 / math.sqrt(n)
 
     def test_rejects_non_positive_sample_count(self):
         with pytest.raises(ValueError):
-            collapse_counts(Z_FRAME.n_plus, Z_FRAME, BreakDistribution.uniform(), 0, substream(0, 0))
+            collapse_counts(Z_FRAME.n_plus, Z_FRAME, BreakDistribution.uniform(), 0, 0)
 
 
 class TestUniversalAverage:

@@ -490,7 +490,7 @@ def test_workers_help_says_what_the_flag_does(capsys, command):
     code, out, _ = run_cli(capsys, *subcommand, "--help")
     assert code == 0
     workers_help = " ".join(out.split()).split("--workers WORKERS ", 1)[1]
-    if command == "table":
+    if command in ("table", "quantum", "collapse"):
         assert workers_help.startswith("sampling threads")
     else:
         assert "has no effect on this command" in workers_help.split("--timing", 1)[0]

@@ -39,12 +39,12 @@ TRACE_DIGESTS = {
 }
 
 REPORT_DIGESTS = {
-    "table": "890679fd181a6ed4ddbfa91657381b15793fe3e484eb1ead100553b6ece06246",
+    "table": "9142ad436726c045043dd2d2686bb53feebc4790d27649dccce7efc6c72b2707",
     "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
-    "quantum": "fede0f83a8a920daeb5cbb1bd9ef6dc0be6dc072161eb0cee9167f3269f2519a",
-    "collapse": "4f286e78717efd2938f45b89a1e02e94c33f6a3693083522baf346c7210a8d34",
-    "average": "6b6d83dadcc4d9e0a416d9bb9171ece1a9df068c61e830f95f5ea6e5c0e7459e",
-    "decompose": "20977a2634b087b94d3e77f0c752a25bb6ed94befb57e87d05f834d0f1caf415",
+    "quantum": "f1e42c7b0815e027ef4f7b207e8939b04667992a981654027b53cac22e2f296b",
+    "collapse": "053f71cb1d0db568c24ce1c90122ab2324960a629b0f84e3749504cefbc2924a",
+    "average": "e16d9fd4f9b88cf2ff4c9c46e8bbd771a92d02eab52b869fd4882e5a12ff6e24",
+    "decompose": "0572fd6cb1bafd240e446a3d7470395d69e247ea0aeaba84e8084b027bc27287",
 }
 
 

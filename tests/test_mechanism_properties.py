@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_lab import strings
+from entangle_lab import rng, strings
 from entangle_lab.rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms
 from entangle_lab.strings import (
     SETTINGS,
@@ -160,7 +160,10 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
     for setting in SETTINGS:
         expected = [oracle_trial(config, setting, row) for row in rows]
         assert [trial_from_draws(config, setting, row) for row in rows] == expected
-        with mock.patch.object(strings, "block_uniforms", crafted_block_uniforms):
+        with (
+            mock.patch.object(strings, "block_uniforms", crafted_block_uniforms),
+            mock.patch.object(rng, "block_uniforms", crafted_block_uniforms),
+        ):
             _, counts = estimate_table(config, len(rows), 0)
             replayed = list(iter_trials(config, setting, 0, len(rows) - start, start))
         assert replayed == expected[start:]
