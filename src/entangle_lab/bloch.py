@@ -138,22 +138,6 @@ class BreakDistribution:
     def n_cells(self) -> int:
         return 1 if self.weights is None else int(self.weights.size)
 
-    def measure_from_uniform(self, u):
-        """Map uniform draws to break positions in measure coordinates.
-
-        Scalar or array.  Cell k is chosen when the cumulative weight passes
-        u, and the position inside the cell is the rescaled remainder.
-        """
-        if self.weights is None:
-            return u
-        cum = np.cumsum(self.weights)
-        k = np.searchsorted(cum, u, side="right")
-        k = np.minimum(k, self.weights.size - 1)
-        lower = np.where(k > 0, cum[k - 1], 0.0)
-        width = self.weights[k]
-        frac = np.where(width > 0, (u - lower) / np.where(width > 0, width, 1.0), 0.0)
-        return (k + frac) / self.weights.size
-
     def plus_probability(self, p_plus: float) -> float:
         """Exact probability that the break lands on the + side of the split.
 
@@ -182,7 +166,15 @@ def sample_collapse(
     """
     p_plus, _ = outcome_probabilities(r, frame)
     u = rng.random()
-    m = float(dist.measure_from_uniform(u))
+    m = u  # the break position in measure coordinates, [0, 1)
+    if dist.weights is not None:
+        # Cell k is the first whose cumulative weight passes u; the position
+        # inside it is the rescaled remainder.
+        cum = np.cumsum(dist.weights)
+        k = min(int(np.searchsorted(cum, u, side="right")), dist.n_cells - 1)
+        lower = float(cum[k - 1]) if k > 0 else 0.0
+        width = float(dist.weights[k])
+        m = (k + ((u - lower) / width if width > 0 else 0.0)) / dist.n_cells
     return (1 if u < dist.plus_probability(p_plus) else -1), 2.0 * m - 1.0
 
 

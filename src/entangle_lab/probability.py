@@ -6,15 +6,19 @@ measurements (AB, AB', A'B, A'B') form an experiment table, from which
 correlation functions, the four CHSH combinations, Bell-bound verdicts and
 no-signaling (marginal-law) residuals are derived.
 
-Probabilities may be floats or ``fractions.Fraction``; all operations are
-polymorphic over both, so tables built from closed forms stay exact while
-Monte Carlo tables flow through the same code path.
+Probabilities may be floats or ``fractions.Fraction``; every operation runs one
+expression tree for both.  Exact cells (ints and Fractions, at least one a
+Fraction) enter it as integer numerators over one common denominator ``d``, and
+a ``Fraction(n, d)`` is built only for a returned value (an int where no Fraction
+went into it, as ``Fraction`` arithmetic gives); floats enter it unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Real
 
 NORMALIZATION_TOL = 1e-12
@@ -27,19 +31,30 @@ class InvariantViolation(ValueError):
     """A numerical invariant failed (normalization, hermiticity, positivity)."""
 
 
-def _checked_probability(name: str, value) -> Real:
-    """Validate a single probability, absorbing float round-off at the edges."""
-    if not isinstance(value, Real):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if isinstance(value, float):
-        if not value == value:  # NaN
-            raise InvariantViolation(f"{name} is NaN")
-        if value < -NORMALIZATION_TOL or value > 1.0 + NORMALIZATION_TOL:
-            raise InvariantViolation(f"{name} = {value!r} outside [0, 1]")
-        return min(max(value, 0.0), 1.0)
-    if value < 0 or value > 1:
-        raise InvariantViolation(f"{name} = {value!r} outside [0, 1]")
-    return value
+def _scaled(values: tuple) -> tuple[tuple, int | None, int]:
+    """``(numerators, d, fractions)``: ints and Fractions, at least one a Fraction,
+    as integers over their least common denominator ``d``, with bit ``i`` of
+    ``fractions`` set for a Fraction at ``i``; any other values unchanged, ``d = None``.
+    """
+    fractions = 0
+    for i, value in enumerate(values):
+        if isinstance(value, Fraction):
+            fractions |= 1 << i
+        elif not isinstance(value, int):
+            return values, None, 0
+    if not fractions:
+        return values, None, 0
+    denominators = [v.denominator for v in values]
+    d = math.lcm(*denominators)
+    return tuple([v.numerator * (d // q) for v, q in zip(values, denominators)]), d, fractions
+
+
+def _unscaled(n, fractions: int, d: int | None):
+    """The value ``n`` stands for: ``n`` unscaled, else ``n / d``, a Fraction if a
+    Fraction (a set bit of ``fractions``) went into it and an int otherwise."""
+    if d is None:
+        return n
+    return Fraction(n, d) if fractions else n // d
 
 
 @dataclass(frozen=True)
@@ -57,27 +72,47 @@ class JointDistribution:
     p_mm: Real
 
     def __post_init__(self):
-        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            object.__setattr__(self, name, _checked_probability(name, getattr(self, name)))
-        total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
-        # Exact first: comparing a Fraction with the float tolerance is slow.
-        if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
-            raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
+        scaled, d, _ = _scaled(self.probabilities())
+        one = 1 if d is None else d
+        checked = []
+        for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
+            if isinstance(n, float):
+                if not n == n:  # NaN
+                    raise InvariantViolation(f"{name} is NaN")
+                if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
+                    raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
+                n = min(max(n, 0.0), 1.0)  # absorb float round-off at the edges
+                object.__setattr__(self, name, n)
+            elif not isinstance(n, Real):
+                raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
+            elif n < 0 or n > one:
+                raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
+            checked.append(n)
+        total = checked[0] + checked[1] + checked[2] + checked[3]
+        # Exact first: only a row that misses 1 builds its total (a Fraction if scaled).
+        if total != one:
+            total = _unscaled(total, 1, d)
+            if abs(total - 1) > NORMALIZATION_TOL:
+                raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
 
     def probabilities(self) -> tuple[Real, Real, Real, Real]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
+    def _marginal(self, i: int, j: int) -> Real:
+        cells, d, fractions = _scaled(self.probabilities())
+        return _unscaled(cells[i] + cells[j], fractions & (1 << i | 1 << j), d)
+
     def marginal_alice_plus(self) -> Real:
-        return self.p_pp + self.p_pm
+        return self._marginal(0, 1)
 
     def marginal_alice_minus(self) -> Real:
-        return self.p_mp + self.p_mm
+        return self._marginal(2, 3)
 
     def marginal_bob_plus(self) -> Real:
-        return self.p_pp + self.p_mp
+        return self._marginal(0, 2)
 
     def marginal_bob_minus(self) -> Real:
-        return self.p_pm + self.p_mm
+        return self._marginal(1, 3)
 
 
 @dataclass(frozen=True)
@@ -98,6 +133,11 @@ class ExperimentTable:
             ("A'B'", self.a_prime_b_prime),
         )
 
+    @cached_property
+    def _scaled_cells(self) -> tuple[tuple, int | None, int]:
+        """The 16 cells, row by row, through :func:`_scaled` (once per table)."""
+        return _scaled(tuple(p for _, row in self.rows() for p in row.probabilities()))
+
 
 def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]]:
     """Relative-frequency table of sampled counts, and the counts by row label.
@@ -110,12 +150,17 @@ def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]
     return table, dict(zip(ROW_LABELS, rows))
 
 
+def _correlation(p_pp, p_pm, p_mp, p_mm):
+    return (p_pp + p_mm) - (p_pm + p_mp)
+
+
 def correlation(dist: JointDistribution) -> Real:
     """Correlation function E: agreement minus disagreement of the two outcomes.
 
     E = (P++ + P--) - (P+- + P-+), always in [-1, 1].
     """
-    return (dist.p_pp + dist.p_mm) - (dist.p_pm + dist.p_mp)
+    cells, d, fractions = _scaled(dist.probabilities())
+    return _unscaled(_correlation(*cells), fractions, d)
 
 
 CHSH_RANGE_TOL = 1e-9
@@ -156,16 +201,15 @@ class ChshQuantities:
 
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
-    e_ab = correlation(table.ab)
-    e_ab_prime = correlation(table.ab_prime)
-    e_a_prime_b = correlation(table.a_prime_b)
-    e_a_prime_b_prime = correlation(table.a_prime_b_prime)
-    return ChshQuantities(
-        a_chsh=-e_ab + e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
-        b_chsh=e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
-        c_chsh=e_ab + e_ab_prime - e_a_prime_b + e_a_prime_b_prime,
-        d_chsh=e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime,
+    cells, d, fractions = table._scaled_cells
+    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = (_correlation(*cells[i : i + 4]) for i in range(0, 16, 4))
+    combinations = (
+        -e_ab + e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
+        e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
+        e_ab + e_ab_prime - e_a_prime_b + e_a_prime_b_prime,
+        e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime,
     )
+    return ChshQuantities(*(_unscaled(q, fractions, d) for q in combinations))
 
 
 @dataclass(frozen=True)
@@ -198,12 +242,14 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     ``bound`` defaults to the classical limit 2; pass 2*sqrt(2) to test
     against the Tsirelson limit instead.
     """
-    if not bound > 0:
-        raise ValueError(f"bound must be positive, got {bound!r}")
+    if not 0 < bound < math.inf:
+        raise ValueError(f"bound must be positive and finite, got {bound!r}")
+    (*values, scaled_bound), d, fractions = _scaled((*quantities.as_tuple(), bound))  # the bound is bit 4
     checks = []
-    for name, value in quantities.as_dict().items():
-        margin = abs(value) - bound
-        checks.append(BoundCheck(quantity=name, value=value, margin=margin, violated=margin > 0))
+    for i, (name, value) in enumerate(quantities.as_dict().items()):
+        margin = abs(values[i]) - scaled_bound
+        margin_value = _unscaled(margin, fractions & (1 << i | 1 << 4), d)
+        checks.append(BoundCheck(quantity=name, value=value, margin=margin_value, violated=margin > 0))
     return BellBoundReport(bound=bound, checks=tuple(checks))
 
 
@@ -225,6 +271,20 @@ class MarginalComparison:
     residual: Real
 
 
+#: Side, own setting, outcome, partner settings, and the two cells (of the 16,
+#: row by row) whose sum is the marginal under each partner setting.
+_MARGINAL_COMPARISONS = (
+    ("alice", "A", "+", ("B", "B'"), (0, 1), (4, 5)),
+    ("alice", "A", "-", ("B", "B'"), (2, 3), (6, 7)),
+    ("alice", "A'", "+", ("B", "B'"), (8, 9), (12, 13)),
+    ("alice", "A'", "-", ("B", "B'"), (10, 11), (14, 15)),
+    ("bob", "B", "+", ("A", "A'"), (0, 2), (8, 10)),
+    ("bob", "B", "-", ("A", "A'"), (1, 3), (9, 11)),
+    ("bob", "B'", "+", ("A", "A'"), (4, 6), (12, 14)),
+    ("bob", "B'", "-", ("A", "A'"), (5, 7), (13, 15)),
+)
+
+
 @dataclass(frozen=True)
 class MarginalReport:
     tolerance: Real
@@ -242,38 +302,23 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     but all eight are kept for diagnostic readability.  The report flags a
     violation iff max |residual| > tolerance.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-
-    def compare(side, setting, outcome, partners, first_row, second_row, pick):
-        first = pick(first_row)
-        second = pick(second_row)
-        return MarginalComparison(
-            side=side,
-            setting=setting,
-            outcome=outcome,
-            partner_settings=partners,
-            first=first,
-            second=second,
-            residual=first - second,
-        )
-
-    bb = ("B", "B'")
-    aa = ("A", "A'")
-    comparisons = (
-        compare("alice", "A", "+", bb, table.ab, table.ab_prime, JointDistribution.marginal_alice_plus),
-        compare("alice", "A", "-", bb, table.ab, table.ab_prime, JointDistribution.marginal_alice_minus),
-        compare("alice", "A'", "+", bb, table.a_prime_b, table.a_prime_b_prime, JointDistribution.marginal_alice_plus),
-        compare("alice", "A'", "-", bb, table.a_prime_b, table.a_prime_b_prime, JointDistribution.marginal_alice_minus),
-        compare("bob", "B", "+", aa, table.ab, table.a_prime_b, JointDistribution.marginal_bob_plus),
-        compare("bob", "B", "-", aa, table.ab, table.a_prime_b, JointDistribution.marginal_bob_minus),
-        compare("bob", "B'", "+", aa, table.ab_prime, table.a_prime_b_prime, JointDistribution.marginal_bob_plus),
-        compare("bob", "B'", "-", aa, table.ab_prime, table.a_prime_b_prime, JointDistribution.marginal_bob_minus),
-    )
-    max_abs = max(abs(c.residual) for c in comparisons)
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    cells, d, fractions = table._scaled_cells
+    comparisons, residuals = [], []
+    for side, setting, outcome, partners, (i, j), (k, m) in _MARGINAL_COMPARISONS:
+        first, second = cells[i] + cells[j], cells[k] + cells[m]
+        first_bits, second_bits = fractions & (1 << i | 1 << j), fractions & (1 << k | 1 << m)
+        residual = first - second
+        values = (_unscaled(first, first_bits, d), _unscaled(second, second_bits, d))
+        residual_value = _unscaled(residual, first_bits | second_bits, d)
+        comparisons.append(MarginalComparison(side, setting, outcome, partners, *values, residual_value))
+        residuals.append(abs(residual))
+    # The first largest |residual|, as max() over the returned residuals picks it.
+    max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)
     return MarginalReport(
         tolerance=tolerance,
-        comparisons=comparisons,
+        comparisons=tuple(comparisons),
         max_abs_residual=max_abs,
         violated=max_abs > tolerance,
     )

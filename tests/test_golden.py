@@ -69,3 +69,23 @@ def test_trace_bytes_are_golden(tmp_path, variant):
 @pytest.mark.parametrize("name", sorted(REPORT_ARGS))
 def test_report_bytes_are_golden(tmp_path, name):
     assert report_digest(tmp_path, name) == REPORT_DIGESTS[name]
+
+
+# Analytic-only reports: the exact CHSH values, Bell margins and marginal
+# comparisons (v3 at p_w = 0.7 has nonzero first/second/residual values).
+EXACT_ARGS = {
+    "table_v3": ["table", "--variant", "v3", "--pw", "0.7"],
+    "scan_v2": ["scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", "101"],
+}
+
+EXACT_DIGESTS = {
+    "table_v3": "b85063f4a3f065345831418e4c330fa4299fc4be88cb66c21ea506910944dff0",
+    "scan_v2": "2e8bc0bc122fc6a50af74aefbdb804ac6d6f1ccaa3b85bff0f00c047b67998b1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ARGS))
+def test_exact_report_bytes_are_golden(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    assert main(EXACT_ARGS[name] + ["--workers", "1", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_DIGESTS[name]

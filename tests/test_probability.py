@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entangle_lab.probability import (
+    NORMALIZATION_TOL,
     ChshQuantities,
     ExperimentTable,
     InvariantViolation,
@@ -311,3 +313,218 @@ def test_joint_distribution_invariants_for_exact_and_float_rows(weights):
     for side in ("alice_plus", "bob_plus"):
         pick = getattr(JointDistribution, f"marginal_{side}")
         assert math.isclose(pick(exact), pick(approx), abs_tol=1e-12)
+
+
+# --- non-finite verdict thresholds ---
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_marginals_reject_non_finite_tolerance(bad):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        marginals(WHITE_STRING_TABLE, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_bell_bounds_reject_non_finite_bound(bad):
+    with pytest.raises(ValueError, match="bound must be positive and finite"):
+        check_bell_bounds(ChshQuantities(4, 0, 0, 0), bound=bad)
+
+
+def test_huge_exact_thresholds_are_finite():
+    huge = Fraction(10**400, 3)
+    assert not marginals(WHITE_STRING_TABLE, huge).violated
+    assert not check_bell_bounds(ChshQuantities(4, 0, 0, 0), bound=huge).any_violated
+
+
+# --- equivalence with plain Fraction/float arithmetic ---
+#
+# The functions below restate the evaluation without a common denominator:
+# every check, sum and difference on the cell values themselves, so ints,
+# Fractions and floats combine by Python's own rules.  The package must return
+# equal values of the same type, floats with the same bits.
+
+FIELDS = ("p_pp", "p_pm", "p_mp", "p_mm")
+
+
+def plain_checked_row(row):
+    def checked(name, value):
+        if not isinstance(value, Real):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+        if isinstance(value, float):
+            if not value == value:
+                raise InvariantViolation(f"{name} is NaN")
+            if value < -NORMALIZATION_TOL or value > 1.0 + NORMALIZATION_TOL:
+                raise InvariantViolation(f"{name} = {value!r} outside [0, 1]")
+            return min(max(value, 0.0), 1.0)
+        if value < 0 or value > 1:
+            raise InvariantViolation(f"{name} = {value!r} outside [0, 1]")
+        return value
+
+    values = tuple(checked(name, value) for name, value in zip(FIELDS, row))
+    total = values[0] + values[1] + values[2] + values[3]
+    if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
+        raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
+    return values
+
+
+def plain_correlation(row):
+    return (row[0] + row[3]) - (row[1] + row[2])
+
+
+def plain_row_marginals(row):
+    return (row[0] + row[1], row[2] + row[3], row[0] + row[2], row[1] + row[3])
+
+
+def plain_chsh(rows):
+    e0, e1, e2, e3 = map(plain_correlation, rows)
+    return (-e0 + e1 + e2 + e3, e0 - e1 + e2 + e3, e0 + e1 - e2 + e3, e0 + e1 + e2 - e3)
+
+
+def plain_marginals(rows, tolerance):
+    alice_plus, alice_minus = (lambda r: r[0] + r[1]), (lambda r: r[2] + r[3])
+    bob_plus, bob_minus = (lambda r: r[0] + r[2]), (lambda r: r[1] + r[3])
+    ab, ab_prime, a_prime_b, a_prime_b_prime = rows
+    comparisons = []
+    for first_row, second_row, pick in (
+        (ab, ab_prime, alice_plus),
+        (ab, ab_prime, alice_minus),
+        (a_prime_b, a_prime_b_prime, alice_plus),
+        (a_prime_b, a_prime_b_prime, alice_minus),
+        (ab, a_prime_b, bob_plus),
+        (ab, a_prime_b, bob_minus),
+        (ab_prime, a_prime_b_prime, bob_plus),
+        (ab_prime, a_prime_b_prime, bob_minus),
+    ):
+        first, second = pick(first_row), pick(second_row)
+        comparisons.append((first, second, first - second))
+    max_abs = max(abs(c[2]) for c in comparisons)
+    return comparisons, max_abs, max_abs > tolerance
+
+
+def plain_bell_bounds(values, bound):
+    return [(abs(v) - bound, abs(v) - bound > 0) for v in values]
+
+
+def assert_same(got, expected):
+    """Equal and of the same type, recursively; floats compared by their bits."""
+    assert type(got) is type(expected), (got, expected)
+    if isinstance(expected, (tuple, list)):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same(g, e)
+    elif isinstance(expected, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+def outcome(build, row):
+    """The checked row, or the exception type and message."""
+    try:
+        return build(row)
+    except (InvariantViolation, TypeError) as error:
+        return type(error), str(error)
+
+
+# Mixed denominators: small ones, and the 2**53-sized ones Fraction(float) gives.
+fraction_weights = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.floats(0, 1).map(Fraction),
+)
+TABLE_KINDS = ("fraction", "int", "float", "mixed int/fraction", "mixed float/fraction")
+
+
+@st.composite
+def table_rows(draw, kind):
+    """One valid row of the given kind."""
+    if kind == "mixed int/fraction":
+        kind = draw(st.sampled_from(["fraction", "int", "int cells"]))
+    if kind == "int":
+        one = draw(st.integers(0, 3))
+        return tuple(int(i == one) for i in range(4))
+    if kind == "float":
+        weights = draw(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(any))
+        return tuple(w / sum(weights) for w in weights)
+    weights = draw(st.lists(fraction_weights, min_size=4, max_size=4).filter(any))
+    row = tuple(w / sum(weights) for w in weights)
+    switch = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    if kind == "int cells":  # integral cells (0 or 1) as ints beside Fractions
+        return tuple(int(p) if s and p.denominator == 1 else p for p, s in zip(row, switch))
+    if kind == "mixed float/fraction":
+        return tuple(float(p) if s else p for p, s in zip(row, switch))
+    return row
+
+
+tolerances = st.one_of(
+    st.sampled_from([0, 1, 1e-9, 0.5, Fraction(1, 10**9), NORMALIZATION_TOL]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.floats(0, 1),
+)
+bounds = st.one_of(
+    st.sampled_from([2, 3, Fraction(5, 2), 2 * math.sqrt(2), 2.0]),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=4, max_denominator=10**6),
+    st.floats(1e-6, 4),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(TABLE_KINDS), data=st.data())
+def test_table_results_equal_plain_arithmetic(kind, data):
+    rows = [data.draw(table_rows(kind)) for _ in range(4)]
+    checked = [plain_checked_row(row) for row in rows]
+    table = ExperimentTable(*(JointDistribution(*row) for row in rows))
+    for (_, dist), row in zip(table.rows(), checked):
+        assert_same(dist.probabilities(), row)
+        assert_same(correlation(dist), plain_correlation(row))
+        picks = (dist.marginal_alice_plus(), dist.marginal_alice_minus(), dist.marginal_bob_plus(), dist.marginal_bob_minus())
+        assert_same(picks, plain_row_marginals(row))
+    quantities = chsh(table)
+    assert_same(quantities.as_tuple(), plain_chsh(checked))
+
+    tolerance = data.draw(tolerances)
+    report = marginals(table, tolerance)
+    comparisons, max_abs, violated = plain_marginals(checked, tolerance)
+    assert_same([(c.first, c.second, c.residual) for c in report.comparisons], comparisons)
+    assert_same(report.max_abs_residual, max_abs)
+    assert report.violated is violated
+    assert report.tolerance is tolerance
+
+    bound = data.draw(bounds)
+    bell = check_bell_bounds(quantities, bound)
+    assert_same([(c.margin, c.violated) for c in bell.checks], plain_bell_bounds(quantities.as_tuple(), bound))
+    assert [c.value for c in bell.checks] == list(quantities.as_tuple())
+
+
+# Cells that may break a check: out of range, NaN, wrong type, or a row sum
+# off 1 by just under, at or just over the tolerance.
+bad_cells = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=1000),
+    st.integers(-2, 2),
+    st.floats(-0.5, 1.5),
+    st.sampled_from([float("nan"), -1e-13, 1 + 1e-13, -1e-11, "0.5", None]),
+)
+sum_offsets = st.sampled_from(
+    [
+        Fraction(1, 10**13),
+        Fraction(1, 10**11),
+        Fraction(NORMALIZATION_TOL),
+        Fraction(NORMALIZATION_TOL) + Fraction(1, 10**40),
+        Fraction(NORMALIZATION_TOL) - Fraction(1, 10**40),
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_row_checks_equal_plain_arithmetic(data):
+    if data.draw(st.booleans()):
+        row = tuple(data.draw(st.lists(bad_cells, min_size=4, max_size=4)))
+    else:  # a valid exact row with one cell moved by a tolerance-sized offset
+        row = list(data.draw(table_rows(data.draw(st.sampled_from(["fraction", "mixed int/fraction"])))))
+        cell = data.draw(st.integers(0, 3))
+        row[cell] += data.draw(st.sampled_from([1, -1])) * data.draw(sum_offsets)
+        row = tuple(row)
+    expected = outcome(plain_checked_row, row)
+    got = outcome(lambda r: JointDistribution(*r).probabilities(), row)
+    assert_same(got, expected)
