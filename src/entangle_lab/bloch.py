@@ -20,6 +20,9 @@ For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
 describing their connection, which for product states is fixed by the local
 vectors and for entangled states is an independent piece of the description.
+The 15 generators are one read-only (15, 4, 4) stack, so ``decompose`` is one
+batched trace and ``reconstruct`` one contraction over it.  Bloch vectors and
+measurement directions are checked by ``quantum``'s one 3-vector check.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .probability import InvariantViolation
-from .quantum import IDENTITY_2, PAULIS, validate_state
+from .quantum import IDENTITY_2, PAULIS, _three_vector, validate_state
 from .rng import DOMAIN_BLOCH_COLLAPSE, count_outcomes
 
-BLOCH_NORM_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
 #: Normalization making the 15 generators satisfy Tr(G_i G_j) = 2 delta_ij.
@@ -44,15 +46,7 @@ _DECOMP_SCALE = 2.0 / math.sqrt(6.0)
 
 def bloch_vector(v: Sequence[float]) -> np.ndarray:
     """Validate a single-qubit Bloch vector: real 3-vector, |r| <= 1."""
-    r = np.asarray(v, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_NORM_TOL:
-        raise InvariantViolation(f"Bloch vector norm {norm!r} exceeds 1")
-    return r
+    return _three_vector(v, "Bloch vector", unit=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +56,7 @@ class MeasurementFrame:
     n_plus: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n_plus, dtype=float)
-        if n.shape != (3,):
-            raise ValueError(f"n_plus must be a 3-vector, got shape {n.shape}")
-        if not np.isfinite(n).all():
-            raise ValueError(f"n_plus must be finite, got {n.tolist()!r}")
-        if abs(np.linalg.norm(n) - 1.0) > BLOCH_NORM_TOL:
-            raise InvariantViolation(f"n_plus norm {np.linalg.norm(n)!r} deviates from 1")
-        object.__setattr__(self, "n_plus", n)
+        object.__setattr__(self, "n_plus", _three_vector(self.n_plus, "n_plus", unit=True))
 
     @property
     def n_minus(self) -> np.ndarray:
@@ -230,23 +217,29 @@ def universal_average(
     return averaged, 1.0 - averaged
 
 
-def lambda_basis() -> list[np.ndarray]:
+def _generator_stack() -> np.ndarray:
+    # Generator g is _GEN_SCALE * kron(left[g], right[g]), the Kronecker product
+    # formed by np.kron's broadcast multiply.
+    identities = np.broadcast_to(IDENTITY_2, (3, 2, 2))
+    left = np.concatenate([PAULIS, identities, np.repeat(PAULIS, 3, axis=0)])
+    right = np.concatenate([identities, PAULIS, np.tile(PAULIS, (3, 1, 1))])
+    stack = _GEN_SCALE * (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(15, 4, 4)
+    stack.setflags(write=False)
+    return stack
+
+
+_LAMBDA_BASIS = _generator_stack()
+
+
+def lambda_basis() -> np.ndarray:
     """The 15 orthogonal generators of the two-qubit Bloch representation.
 
-    Ordered as sigma_i x I (3), I x sigma_i (3), then sigma_j x sigma_k in
-    row-major (j, k) order (9), all scaled by 1/sqrt(2) so that
-    Tr(G_i G_j) = 2 delta_ij.  The ordering is frozen: serialized
-    15-vectors index into exactly this list.
+    A read-only (15, 4, 4) stack ordered as sigma_i x I (3), I x sigma_i (3),
+    then sigma_j x sigma_k in row-major (j, k) order (9), all scaled by
+    1/sqrt(2) so that Tr(G_i G_j) = 2 delta_ij.  The ordering is frozen:
+    serialized 15-vectors index into exactly this stack.
     """
-    basis = [_GEN_SCALE * np.kron(sigma, IDENTITY_2) for sigma in PAULIS]
-    basis += [_GEN_SCALE * np.kron(IDENTITY_2, sigma) for sigma in PAULIS]
-    basis += [
-        _GEN_SCALE * np.kron(sigma_j, sigma_k) for sigma_j in PAULIS for sigma_k in PAULIS
-    ]
-    return basis
-
-
-_LAMBDA_BASIS = lambda_basis()
+    return _LAMBDA_BASIS
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +287,7 @@ class BlochVector15:
 def decompose(rho: np.ndarray) -> BlochVector15:
     """Generalized Bloch vector of a two-qubit state: r_i = (2/sqrt(6)) Tr(rho G_i)."""
     rho = validate_state(rho, check_psd=False)
-    r15 = np.array([_DECOMP_SCALE * np.trace(rho @ gen).real for gen in _LAMBDA_BASIS])
-    return BlochVector15(r15=r15)
+    return BlochVector15(r15=_DECOMP_SCALE * np.trace(rho @ _LAMBDA_BASIS, axis1=1, axis2=2).real)
 
 
 def reconstruct(vec: BlochVector15 | Sequence[float]) -> np.ndarray:
@@ -303,10 +295,7 @@ def reconstruct(vec: BlochVector15 | Sequence[float]) -> np.ndarray:
     r15 = vec.r15 if isinstance(vec, BlochVector15) else np.asarray(vec, dtype=float)
     if r15.shape != (15,):
         raise ValueError(f"expected 15 components, got shape {r15.shape}")
-    rho = np.eye(4, dtype=complex)
-    for component, gen in zip(r15, _LAMBDA_BASIS):
-        rho += math.sqrt(6.0) * component * gen
-    return rho / 4.0
+    return (np.eye(4) + math.sqrt(6.0) * np.tensordot(r15, _LAMBDA_BASIS, axes=1)) / 4.0
 
 
 def rank_one_residual(r_conn: Sequence[float]) -> float:

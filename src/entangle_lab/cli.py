@@ -130,14 +130,22 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _diagnostics(table, tolerance) -> dict:
+    """CHSH values, Bell-bound verdicts and marginal comparisons of one table."""
+    quantities = chsh(table)
+    return {
+        "chsh": chsh_to_json(quantities),
+        "bell_bounds": bell_bounds_to_json(check_bell_bounds(quantities)),
+        "marginals": marginals_to_json(marginals(table, tolerance)),
+    }
+
+
 def _table_sections(analytic, sampled, counts, trials):
     """JSON result sections shared by the table and quantum commands."""
     results = {
         "analytic": {
             "table": table_to_json(analytic, rationals=True),
-            "chsh": chsh_to_json(chsh(analytic)),
-            "bell_bounds": bell_bounds_to_json(check_bell_bounds(chsh(analytic))),
-            "marginals": marginals_to_json(marginals(analytic, ANALYTIC_MARGINAL_TOL)),
+            **_diagnostics(analytic, ANALYTIC_MARGINAL_TOL),
         },
         "sampled": None,
     }
@@ -146,9 +154,7 @@ def _table_sections(analytic, sampled, counts, trials):
             "trials_per_setting": trials,
             "table": table_to_json(sampled),
             "counts": counts_to_json(counts),
-            "chsh": chsh_to_json(chsh(sampled)),
-            "bell_bounds": bell_bounds_to_json(check_bell_bounds(chsh(sampled))),
-            "marginals": marginals_to_json(marginals(sampled, _sampled_marginal_tol(trials))),
+            **_diagnostics(sampled, _sampled_marginal_tol(trials)),
         }
     return results
 

@@ -199,16 +199,20 @@ class ChshQuantities:
         return max(abs(q) for q in self.as_tuple())
 
 
-def chsh(table: ExperimentTable) -> ChshQuantities:
-    """The four CHSH combinations of a table's correlation functions."""
-    cells, d, fractions = table._scaled_cells
-    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = (_correlation(*cells[i : i + 4]) for i in range(0, 16, 4))
-    combinations = (
+def _chsh_combinations(e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
+    """The four CHSH combinations of four correlations (scalars or arrays alike)."""
+    return (
         -e_ab + e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
         e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
         e_ab + e_ab_prime - e_a_prime_b + e_a_prime_b_prime,
         e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime,
     )
+
+
+def chsh(table: ExperimentTable) -> ChshQuantities:
+    """The four CHSH combinations of a table's correlation functions."""
+    cells, d, fractions = table._scaled_cells
+    combinations = _chsh_combinations(*(_correlation(*cells[i : i + 4]) for i in range(0, 16, 4)))
     return ChshQuantities(*(_unscaled(q, fractions, d) for q in combinations))
 
 
@@ -324,21 +328,20 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     )
 
 
-def exact_rational(value, max_denominator: int = 10**6) -> str | None:
+#: Largest denominator :func:`exact_rational` renders.
+EXACT_RATIONAL_MAX_DENOMINATOR = 10**6
+
+
+def exact_rational(value) -> str | None:
     """Render a probability as an exact rational string, if it has a small one.
 
     Returns e.g. ``"1/2"`` when the value is exactly a rational with
-    denominator <= ``max_denominator`` (Fractions directly, floats via their
-    exact binary value), else None.
+    denominator <= ``EXACT_RATIONAL_MAX_DENOMINATOR`` (Fractions directly,
+    floats via their exact binary value), else None.
     """
-    if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, float):
-        frac = Fraction(value)
-    else:
+    if not isinstance(value, (Fraction, int, float)):
         return None
-    if frac.denominator > max_denominator:
+    frac = Fraction(value)
+    if frac.denominator > EXACT_RATIONAL_MAX_DENOMINATOR:
         return None
     return f"{frac.numerator}/{frac.denominator}"

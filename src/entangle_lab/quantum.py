@@ -6,14 +6,17 @@ P_ij = Tr[rho (P_i(a) x P_j(b))] with the projectors built branch-free from
 standard coplanar axis family, the textbook CHSH values including the
 Tsirelson point 2*sqrt(2) at alpha = pi/4.
 
-One batched kernel, :func:`joint_probabilities`, computes every probability:
-it takes paired (n, 3) Alice and Bob axes, checks all axis norms at once,
-builds an (n, 2, 2, 2) projector stack, forms the Kronecker products by one
-broadcast multiply and takes all traces in one ``einsum``.
+Each piece of the algebra is written once: ``_three_vector`` checks every
+real 3-vector and ``_n_dot_sigma`` forms n.sigma, for the projectors and for
+``qubit_state``.  One batched kernel, :func:`joint_probabilities`, computes
+every probability: it takes paired (n, 3) Alice and Bob axes, checks all axis
+norms at once, builds an (n, 2, 2, 2) projector stack, forms the Kronecker
+products by one broadcast multiply and takes all traces in one ``einsum``.
 ``joint_distribution`` is a batch of one pair, ``table_for_axes`` a batch of
-four and ``scan_tsirelson`` a batch of four pairs per angle.  The arithmetic
-per cell is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched
-values are bit-identical to a one-cell-at-a-time loop.
+four and ``scan_tsirelson`` a batch of four pairs per angle, with
+``probability``'s CHSH expressions applied to arrays.  The arithmetic per cell
+is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched values are
+bit-identical to a one-cell-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .probability import (
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
+    _chsh_combinations,
+    _correlation,
     chsh,
     frequency_table,
 )
@@ -44,20 +49,35 @@ PSD_TOL = 1e-10
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def _three_vector(v: Sequence[float], name: str, *, unit: bool) -> np.ndarray:
+    """Check the real 3-vector ``name``: shape and finiteness (ValueError), then the
+    norm (InvariantViolation): 1 within ``AXIS_NORM_TOL`` if ``unit``, else at most 1."""
+    r = np.asarray(v, dtype=float)
+    if r.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"{name} must be finite, got {r.tolist()!r}")
+    norm = float(np.linalg.norm(r))
+    if unit and abs(norm - 1.0) > AXIS_NORM_TOL:
+        raise InvariantViolation(f"{name} norm {norm!r} deviates from 1")
+    if not unit and norm > 1.0 + AXIS_NORM_TOL:
+        raise InvariantViolation(f"{name} norm {norm!r} exceeds 1")
+    return r
 
 
 def unit_axis(v: Sequence[float]) -> np.ndarray:
     """Validate a measurement direction: real 3-vector of unit norm."""
-    axis = np.asarray(v, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-    if not np.isfinite(axis).all():
-        raise ValueError(f"axis must be finite, got {axis.tolist()!r}")
-    if abs(np.linalg.norm(axis) - 1.0) > AXIS_NORM_TOL:
-        raise InvariantViolation(f"axis norm {np.linalg.norm(axis)!r} deviates from 1")
-    return axis
+    return _three_vector(v, "axis", unit=True)
+
+
+def _n_dot_sigma(n: np.ndarray) -> np.ndarray:
+    """n.sigma = n_x X + n_y Y + n_z Z as (..., 2, 2), for real (..., 3) vectors n."""
+    n = n[..., None, None]
+    return n[..., 0, :, :] * PAULI_X + n[..., 1, :, :] * PAULI_Y + n[..., 2, :, :] * PAULI_Z
 
 
 def axis_in_xz_plane(theta: float) -> np.ndarray:
@@ -116,18 +136,7 @@ def maximally_mixed_state() -> np.ndarray:
 
 def qubit_state(bloch: Sequence[float]) -> np.ndarray:
     """Single-qubit density matrix (I + r.sigma)/2 from a Bloch vector."""
-    r = np.asarray(bloch, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError(f"Bloch vector must be finite, got {r.tolist()!r}")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + AXIS_NORM_TOL:
-        raise InvariantViolation(f"Bloch vector norm {norm!r} exceeds 1")
-    rho = IDENTITY_2.copy() / 2.0
-    for component, pauli in zip(r, PAULIS):
-        rho += 0.5 * component * pauli
-    return rho
+    return (IDENTITY_2 + _n_dot_sigma(_three_vector(bloch, "Bloch vector", unit=False))) / 2.0
 
 
 def product_state(alice_bloch: Sequence[float], bob_bloch: Sequence[float]) -> np.ndarray:
@@ -146,9 +155,8 @@ def _projector_stack(axes) -> np.ndarray:
     norms = np.linalg.norm(axes, axis=1)
     bad = ~(np.abs(norms - 1.0) <= AXIS_NORM_TOL)
     if bad.any():
-        raise InvariantViolation(f"axis norm {norms[bad][0]!r} deviates from 1")
-    n = axes[:, :, None, None]
-    n_dot_sigma = n[:, 0] * PAULI_X + n[:, 1] * PAULI_Y + n[:, 2] * PAULI_Z
+        raise InvariantViolation(f"axis norm {float(norms[bad][0])!r} deviates from 1")
+    n_dot_sigma = _n_dot_sigma(axes)
     return np.stack([(IDENTITY_2 + n_dot_sigma) / 2.0, (IDENTITY_2 - n_dot_sigma) / 2.0], axis=1)
 
 
@@ -182,12 +190,12 @@ def joint_probabilities(rho: np.ndarray, alice_axes, bob_axes) -> np.ndarray:
         raise InvariantViolation("outcome probability is NaN")
     outside = (probs < -NORMALIZATION_TOL) | (probs > 1.0 + NORMALIZATION_TOL)
     if outside.any():
-        raise InvariantViolation(f"outcome probability {probs[outside][0]!r} outside [0, 1]")
+        raise InvariantViolation(f"outcome probability {float(probs[outside][0])!r} outside [0, 1]")
     probs = np.minimum(np.maximum(probs, 0.0), 1.0)
     totals = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
     unnormalized = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if unnormalized.any():
-        raise InvariantViolation(f"outcome probabilities sum to {totals[unnormalized][0]!r}, not 1")
+        raise InvariantViolation(f"outcome probabilities sum to {float(totals[unnormalized][0])!r}, not 1")
     return probs
 
 
@@ -244,8 +252,8 @@ def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float
     """Sweep the coplanar family: (alpha, max |CHSH quantity|) per grid point.
 
     The whole grid is one batch of 4 * len(alphas) axis pairs; correlations
-    and the four CHSH combinations are formed as arrays, with the same range
-    check as :class:`ChshQuantities`.
+    and the four CHSH combinations are formed as arrays by the expressions of
+    :func:`probability.chsh`, with the same range check as :class:`ChshQuantities`.
     """
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
@@ -257,18 +265,8 @@ def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float
     alice = np.tile([a, a, a_prime, a_prime], (len(alphas), 1))
     bob = np.stack([b, b_prime, b, b_prime], axis=1).reshape(-1, 3)
     p = joint_probabilities(rho, alice, bob).reshape(-1, 4, 4)
-    e = (p[..., 0] + p[..., 3]) - (p[..., 1] + p[..., 2])
-    e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime = e.T
-    quantities = np.stack(
-        [
-            -e_ab + e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
-            e_ab - e_ab_prime + e_a_prime_b + e_a_prime_b_prime,
-            e_ab + e_ab_prime - e_a_prime_b + e_a_prime_b_prime,
-            e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime,
-        ],
-        axis=1,
-    )
-    max_abs = np.abs(quantities).max(axis=1)
+    e = _correlation(*np.moveaxis(p, 2, 0))  # (angles, rows)
+    max_abs = np.abs(_chsh_combinations(*e.T)).max(axis=0)
     if (max_abs > 4 + CHSH_RANGE_TOL).any():
-        raise InvariantViolation(f"CHSH quantity {max_abs.max()!r} outside [-4, 4]")
+        raise InvariantViolation(f"CHSH quantity {float(max_abs.max())!r} outside [-4, 4]")
     return list(zip(alphas, max_abs.tolist()))

@@ -3,8 +3,8 @@
 Reports are fully self-describing: they embed the tool version, the stream
 format of the sampled numbers, the echoed configuration and the master seed.
 Identical (config, seed, version) produce byte-identical output regardless of
-worker count; wall-clock timing is therefore opt-in and carried in a single
-optional field.
+worker count; wall-clock timing is therefore opt-in, and ``cli.main`` adds it
+as the single optional field ``wall_time_s``.
 
 CSV uses '.' decimals, no thousands separators and 17 significant digits, so
 every emitted file parses back to the exact same doubles and re-emits byte
@@ -139,16 +139,10 @@ def marginals_to_json(report: MarginalReport) -> dict:
     }
 
 
-def make_report(
-    command: str,
-    config: dict,
-    seed: int,
-    results: dict,
-    wall_time_s: float | None = None,
-) -> dict:
+def make_report(command: str, config: dict, seed: int, results: dict) -> dict:
     from . import __version__
 
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "version": __version__,
@@ -158,9 +152,6 @@ def make_report(
         "seed": seed,
         "results": results,
     }
-    if wall_time_s is not None:
-        report["wall_time_s"] = wall_time_s
-    return report
 
 
 def report_to_json(report: dict) -> str:

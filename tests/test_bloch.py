@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,15 @@ from entangle_lab.bloch import (
     universal_average,
 )
 from entangle_lab.probability import InvariantViolation
-from entangle_lab.quantum import maximally_mixed_state, product_state, qubit_state, singlet_state
+from entangle_lab.quantum import (
+    joint_probabilities,
+    maximally_mixed_state,
+    product_state,
+    projector,
+    qubit_state,
+    singlet_state,
+    unit_axis,
+)
 from entangle_lab.rng import substream
 
 Z_FRAME = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
@@ -401,4 +410,19 @@ class TestRankOneResidual:
 @pytest.mark.parametrize("check", (bloch_vector, qubit_state))
 def test_overlong_bloch_vector_message_shows_a_plain_float(check):
     with pytest.raises(InvariantViolation, match=r"^Bloch vector norm 2\.0 exceeds 1$"):
+        check([2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    ("check", "message"),
+    (
+        (unit_axis, "axis norm 2.0 deviates from 1"),
+        (lambda v: MeasurementFrame(n_plus=v), "n_plus norm 2.0 deviates from 1"),
+        (lambda v: projector(v, 1), "axis norm 2.0 deviates from 1"),
+        (lambda v: joint_probabilities(singlet_state(), [v], [[0.0, 0.0, 1.0]]), "axis norm 2.0 deviates from 1"),
+    ),
+    ids=("unit_axis", "MeasurementFrame", "projector", "joint_probabilities"),
+)
+def test_non_unit_axis_message_shows_a_plain_float(check, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         check([2.0, 0.0, 0.0])

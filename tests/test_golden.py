@@ -7,6 +7,7 @@ re-record the digests that depend on it.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -89,3 +90,32 @@ def test_exact_report_bytes_are_golden(tmp_path, name):
     path = tmp_path / f"{name}.json"
     assert main(EXACT_ARGS[name] + ["--workers", "1", "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_DIGESTS[name]
+
+
+# Decompositions that go through qubit_state and the generator stack with
+# non-axis vectors, and through the state-file loader with complex entries.
+# The custom state is 0.7 |psi><psi| + 0.3 I/4 with psi = (0.6, 0.48i, 0, 0.64).
+CUSTOM_STATE = [
+    [0.327, [0, -0.2016], 0, 0.2688],
+    [[0, 0.2016], 0.23628, 0, [0, 0.21504]],
+    [0, 0, 0.075, 0],
+    [0.2688, [0, -0.21504], 0, 0.36172],
+]
+
+DECOMPOSE_ARGS = {
+    "product": ["bloch", "decompose", "--state", "product", "--a", "0.3,-0.4,0.5", "--b=-0.6,0.2,0.7"],
+    "custom": ["bloch", "decompose", "--state", "custom", "--state-file", "state.json"],
+}
+
+DECOMPOSE_DIGESTS = {
+    "product": "b8097c276d03b071dca90e86b295db922256d46114505837c836857430bf63f2",
+    "custom": "8be1f47d8c6cbdb5d0a3e1b7c76abc1e74ec699068b3701ac5ae21bed7002df6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_ARGS))
+def test_decompose_report_bytes_are_golden(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(json.dumps({"matrix": CUSTOM_STATE}), encoding="utf-8")
+    assert main(DECOMPOSE_ARGS[name] + ["--seed", "13", "--out", "out.json"]) == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == DECOMPOSE_DIGESTS[name]

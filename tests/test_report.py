@@ -70,8 +70,6 @@ class TestJson:
         assert report["version"] == entangle_lab.__version__
         assert report["seed"] == 7
         assert "wall_time_s" not in report
-        with_timing = make_report("table", {}, 7, {}, wall_time_s=0.25)
-        assert with_timing["wall_time_s"] == 0.25
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_non_finite_values_are_refused(self, bad):
