@@ -182,10 +182,12 @@ def collapse_counts(
     """
     p_plus, _ = outcome_probabilities(r, frame)
     threshold = dist.plus_probability(p_plus)
-    counts = count_outcomes(
-        master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 1, 2,
-        lambda _si, u: u[:, 0] >= threshold, workers=workers,
-    )
+
+    def outcome(_si, u):
+        n_minus = np.count_nonzero(u[:, 0] >= threshold)
+        return len(u) - n_minus, n_minus
+
+    counts = count_outcomes(master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 1, 2, outcome, workers=workers)
     return int(counts[0, 0]), int(counts[0, 1])
 
 

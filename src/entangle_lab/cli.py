@@ -34,6 +34,7 @@ from .bloch import (
     WEIGHT_TOL,
     BreakDistribution,
     MeasurementFrame,
+    bloch_vector,
     collapse_counts,
     decompose,
     outcome_probabilities,
@@ -41,7 +42,7 @@ from .bloch import (
     universal_average,
 )
 from .probability import InvariantViolation, check_bell_bounds, chsh, marginals
-from .quantum import AXIS_NORM_TOL, coplanar_axes, maximally_mixed_state, product_state, sample_table
+from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
 from .report import (
     _ROW_KEYS,
@@ -98,11 +99,12 @@ def _parse_bloch_vector(text: str, flag: str) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{flag} expects numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} expects finite numbers, got {text!r}")
-    norm = float(np.linalg.norm(values))
-    if norm > 1.0 + AXIS_NORM_TOL:
-        raise ValueError(f"{flag} must have norm at most 1, got {norm!r}")
+    try:
+        bloch_vector(values)
+    except InvariantViolation:
+        raise ValueError(f"{flag} must have norm at most 1, got {float(np.linalg.norm(values))!r}") from None
+    except ValueError:
+        raise ValueError(f"{flag} expects finite numbers, got {text!r}") from None
     return values
 
 

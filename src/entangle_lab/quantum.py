@@ -227,7 +227,8 @@ def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: i
     thresholds = cumulative[:, :3] / cumulative[:, 3:]
     counts = count_outcomes(
         master_seed, DOMAIN_QUANTUM_SAMPLING, 4, trials_per_setting, 1, 4,
-        lambda si, u: np.searchsorted(thresholds[si], u[:, 0], side="right"), workers=workers,
+        lambda si, u: np.bincount(np.searchsorted(thresholds[si], u[:, 0], side="right"), minlength=4),
+        workers=workers,
     )
     return frequency_table(counts)
 

@@ -14,8 +14,10 @@ Trial-indexed sampling uses one substream per (domain, setting, block) with
 ``TRIAL_BLOCK`` trials per block and a fixed number of draws per trial, so
 trial ``t`` always reads rows ``t % TRIAL_BLOCK`` of block ``t // TRIAL_BLOCK``
 regardless of chunking.  :func:`count_outcomes` is the one sampling driver on
-this layout: it maps each block's draws to cell indices with a caller's
-outcome function and sums the per-block counts, on one thread or several.
+this layout: it splits the (setting, block) tasks into one chunk per worker,
+draws every block of a chunk into one reused buffer, counts each block's
+cells with a caller's outcome function and sums the per-block counts, on one
+thread or several.
 The string table, the quantum table and the Bloch collapse all sample
 through it; each outcome is a threshold test on the draws.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,16 +73,29 @@ def block_uniforms(
     block_index: int,
     rows: int,
     draws_per_trial: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The leading ``rows`` trials' uniforms of one block, shape (rows, draws).
 
     Row ``r`` holds the draws of trial ``block_index * TRIAL_BLOCK + r``;
     generating fewer rows than a full block yields the same leading values.
+    With ``out``, a C-contiguous float64 array of ``draws_per_trial`` columns
+    and at least ``rows`` rows, the draws fill ``out[:rows]`` and that view is
+    returned; the values are the same as without it.
     """
     if not 0 < rows <= TRIAL_BLOCK:
         raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
+    if out is not None:
+        if out.dtype != np.float64:
+            raise ValueError(f"out must be float64, got {out.dtype}")
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        if out.ndim != 2 or out.shape[0] < rows or out.shape[1] != draws_per_trial:
+            raise ValueError(f"out must have shape (>= {rows}, {draws_per_trial}), got {out.shape}")
     gen = substream(master_seed, domain, setting_index, block_index)
-    return gen.random((rows, draws_per_trial))
+    if out is None:
+        return gen.random((rows, draws_per_trial))
+    return gen.random(out=out[:rows])
 
 
 def iter_block_slices(n_trials: int):
@@ -96,14 +111,16 @@ def iter_block_slices(n_trials: int):
 
 def count_outcomes(
     master_seed: int, domain: int, n_settings: int, n_trials: int, draws_per_trial: int, n_cells: int,
-    outcome: Callable[[int, np.ndarray], np.ndarray], *, workers: int = 1,
+    outcome: Callable[[int, np.ndarray], Sequence[int]], *, workers: int = 1,
 ) -> np.ndarray:
     """Outcome counts of ``n_trials`` trials per setting, shape (n_settings, n_cells).
 
     ``outcome(setting_index, u)`` maps a (rows, draws_per_trial) block of
-    draws to one cell index per row.  Each (setting, block) is one task; the
-    counts depend only on the block layout, so they are bit-identical for
-    any ``workers`` value.
+    draws to that block's ``n_cells`` counts.  The (setting, block) tasks are
+    dealt round-robin into one chunk per worker, and each chunk draws its
+    blocks into one reused buffer.  The counts are integer sums over blocks
+    whose draws depend only on the block layout, so they are bit-identical
+    for any ``workers`` value.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -111,18 +128,15 @@ def count_outcomes(
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in iter_block_slices(n_trials)]
 
-    def run(task):
-        si, block, rows = task
-        # The draws are passed as a temporary, so ``outcome`` can free them early.
-        cells = outcome(si, block_uniforms(master_seed, domain, si, block, rows, draws_per_trial))
-        return si, np.bincount(cells, minlength=n_cells)
+    def run(chunk):
+        u = np.empty((min(n_trials, TRIAL_BLOCK), draws_per_trial))
+        counts = np.zeros((n_settings, n_cells), dtype=np.int64)
+        for si, block, rows in chunk:
+            counts[si] += outcome(si, block_uniforms(master_seed, domain, si, block, rows, draws_per_trial, out=u))
+        return counts
 
-    counts = np.zeros((n_settings, n_cells), dtype=np.int64)
-    if workers == 1:
-        results = map(run, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    for si, block_counts in results:
-        counts[si] += block_counts
-    return counts
+    n_chunks = min(workers, len(tasks))
+    if n_chunks == 1:
+        return run(tasks)
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        return sum(pool.map(run, [tasks[i::n_chunks] for i in range(n_chunks)]))

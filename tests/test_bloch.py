@@ -218,7 +218,7 @@ class TestSampleCollapse:
         # one uniform per sample: replaying the same substream per index
         draws = np.vstack([substream(7, 0, i).random(1) for i in range(n)])
 
-        def replay(master_seed, domain, setting_index, block_index, rows, draws_per_trial):
+        def replay(master_seed, domain, setting_index, block_index, rows, draws_per_trial, out=None):
             return draws[:rows]
 
         with mock.patch("entangle_lab.rng.block_uniforms", replay):

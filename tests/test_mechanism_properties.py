@@ -154,7 +154,7 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
     u = np.array(rows, dtype=float)
     start = data.draw(st.integers(0, len(rows) - 1))
 
-    def crafted_block_uniforms(master_seed, domain, si, block, n_rows, k):
+    def crafted_block_uniforms(master_seed, domain, si, block, n_rows, k, out=None):
         return u[:n_rows]
 
     for setting in SETTINGS:
@@ -171,6 +171,19 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
         for pair, _ in expected:
             tally[pair.index] += 1
         assert counts[setting.label] == tuple(tally)
+
+
+@property_settings
+@given(config=configs, data=st.data())
+def test_sign_mask_counts_equal_the_index_bincount(config, data):
+    # estimate_table counts each block from the two sign masks; the per-trial
+    # indices of the same kernel must land in the same four cells.
+    u = np.array(draw_rows(config, data), dtype=float)
+    with mock.patch.object(rng, "block_uniforms", lambda master_seed, domain, si, block, n_rows, k, out=None: u):
+        _, counts = estimate_table(config, len(u), 0)
+    for setting in SETTINGS:
+        indices = strings._outcome_indices(config.variant, setting, strings._events(config, setting, u))
+        assert counts[setting.label] == tuple(np.bincount(indices, minlength=4).tolist())
 
 
 @property_settings

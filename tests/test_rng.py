@@ -1,5 +1,7 @@
 """Tests for deterministic substream derivation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from entangle_lab.rng import (
     STREAM_FORMAT,
     TRIAL_BLOCK,
     block_uniforms,
+    count_outcomes,
     iter_block_slices,
     stream_key,
     substream,
@@ -82,6 +85,58 @@ def test_block_uniforms_shape_and_bounds():
         block_uniforms(3, 1, 2, 0, 0, 5)
     with pytest.raises(ValueError):
         block_uniforms(3, 1, 2, 0, TRIAL_BLOCK + 1, 5)
+
+
+@pytest.mark.parametrize("rows", [TRIAL_BLOCK, 17])
+def test_block_uniforms_into_a_buffer_gives_the_same_bits(rows):
+    out = np.full((TRIAL_BLOCK, 5), np.nan)
+    fresh = block_uniforms(3, 1, 2, 4, rows, 5)
+    filled = block_uniforms(3, 1, 2, 4, rows, 5, out=out)
+    assert filled.shape == (rows, 5)
+    assert np.shares_memory(filled, out)
+    assert filled.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((20, 4)),  # wrong column count
+        np.empty((16, 5)),  # too few rows
+        np.empty((20, 5), dtype=np.float32),
+        np.empty((20, 10))[:, ::2],  # five columns, not C-contiguous
+    ],
+    ids=["columns", "rows", "float32", "strided"],
+)
+def test_block_uniforms_rejects_a_malformed_buffer(out):
+    with pytest.raises(ValueError, match="out must"):
+        block_uniforms(3, 1, 2, 0, 17, 5, out=out)
+
+
+def _three_cells(si, u):
+    return np.bincount((u[:, 0] < 0.3 + 0.2 * si) + (u[:, 1] < 0.5), minlength=3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
+    # Three blocks per setting, the last one partial; two settings give six
+    # tasks, so seven workers start six threads.
+    n_trials = 2 * TRIAL_BLOCK + 17
+    expected = np.zeros((2, 3), dtype=np.int64)
+    for si in range(2):
+        for block, _start, rows in iter_block_slices(n_trials):
+            expected[si] += _three_cells(si, block_uniforms(9, DOMAIN_STRING_TRIALS, si, block, rows, 2))
+    threads, buffers = set(), set()
+
+    def outcome(si, u):
+        threads.add(threading.get_ident())
+        buffers.add(u.__array_interface__["data"][0])
+        return _three_cells(si, u)
+
+    counts = count_outcomes(9, DOMAIN_STRING_TRIALS, 2, n_trials, 2, 3, outcome, workers=workers)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, expected)
+    assert len(threads) <= min(workers, 6)
+    assert len(buffers) <= min(workers, 6)  # one reused draw buffer per chunk
 
 
 def test_iter_block_slices_partitions_exactly():

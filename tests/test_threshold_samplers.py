@@ -32,7 +32,7 @@ ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 def feeding(rows):
     """Patch the driver's draws so that every block starts with ``rows``."""
     u = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    return mock.patch("entangle_lab.rng.block_uniforms", lambda seed, domain, si, block, n, k: u[:n])
+    return mock.patch("entangle_lab.rng.block_uniforms", lambda seed, domain, si, block, n, k, out=None: u[:n])
 
 
 class FixedDraw:
