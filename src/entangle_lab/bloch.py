@@ -176,16 +176,16 @@ def collapse_counts(
 ) -> tuple[int, int]:
     """Tally of ``n_samples`` collapses: (n_plus, n_minus).
 
-    Sample i reads the one draw of trial i on ``DOMAIN_BLOCH_COLLAPSE`` and
+    Sample i reads trial i's draw in column 0 on ``DOMAIN_BLOCH_COLLAPSE`` and
     makes :func:`sample_collapse`'s threshold test on it; the counts are
     bit-identical for any ``workers`` value.
     """
     p_plus, _ = outcome_probabilities(r, frame)
     threshold = dist.plus_probability(p_plus)
 
-    def outcome(_si, u):
-        n_minus = np.count_nonzero(u[:, 0] >= threshold)
-        return len(u) - n_minus, n_minus
+    def outcome(_si, rows, draw):
+        n_minus = np.count_nonzero(draw(0) >= threshold)
+        return rows - n_minus, n_minus
 
     counts = count_outcomes(master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 1, 2, outcome, workers=workers)
     return int(counts[0, 0]), int(counts[0, 1])

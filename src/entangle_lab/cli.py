@@ -64,6 +64,8 @@ EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ENTANGLE_LAB_SEED"
 ANALYTIC_MARGINAL_TOL = 1e-9
+#: Traced trials per setting when ``--trace`` is given without ``--trace-limit``.
+TRACE_LIMIT = 100
 
 _VARIANT_CHOICES = [v.value for v in Variant]
 
@@ -183,6 +185,11 @@ def _write_traces(config, seed, trials, path, limit) -> None:
 
 def _cmd_table(args) -> tuple[dict | None, str]:
     seed, seed_source = _parse_seed(args)
+    if args.p1 is not None and args.variant != Variant.V4.value:
+        raise ValueError(f"--p1 applies to v4 only, not {args.variant}")
+    if args.trace_limit is not None and not args.trace:
+        raise ValueError("--trace-limit needs --trace")
+    trace_limit = TRACE_LIMIT if args.trace_limit is None else args.trace_limit
     config = StringModelConfig(
         variant=Variant(args.variant),
         p_w=args.pw,
@@ -193,15 +200,15 @@ def _cmd_table(args) -> tuple[dict | None, str]:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if args.trace and args.trials == 0:
         raise ValueError("--trace needs --trials >= 1")
-    if args.trace_limit < 1:
-        raise ValueError(f"--trace-limit must be >= 1, got {args.trace_limit}")
+    if trace_limit < 1:
+        raise ValueError(f"--trace-limit must be >= 1, got {trace_limit}")
 
     analytic = analytic_table(config)
     sampled = counts = None
     if args.trials:
         sampled, counts = estimate_table(config, args.trials, seed, workers=args.workers)
     if args.trace:
-        _write_traces(config, seed, args.trials, args.trace, args.trace_limit)
+        _write_traces(config, seed, args.trials, args.trace, trace_limit)
 
     config_echo = {
         "variant": config.variant.value,
@@ -460,11 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="analytic and sampled tables of a string-model variant")
     table.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
     table.add_argument("--pw", type=float, default=None, help="white-color probability (v2/v3/v4)")
-    table.add_argument("--p1", type=float, default=None, help="string-1 selection probability (v4)")
+    table.add_argument("--p1", type=float, default=None, help="string-1 selection probability (v4 only)")
     table.add_argument("--length", type=float, default=1.0, help="string length (cancels from probabilities)")
     table.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per setting (0: analytic only)")
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
-    table.add_argument("--trace-limit", type=int, default=100, help="max traced trials per setting")
+    trace_limit_help = f"traced trials per setting (needs --trace; default {TRACE_LIMIT})"
+    table.add_argument("--trace-limit", type=int, default=None, help=trace_limit_help)
     _add_common(table, workers_help=_WORKERS_SAMPLING)
     table.set_defaults(run=_cmd_table)
 

@@ -217,17 +217,17 @@ def chsh_for_axes(rho: np.ndarray, axes: AxisQuad) -> ChshQuantities:
 def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: int, *, workers: int = 1):
     """Monte Carlo table of ``trials_per_setting`` trials per row of ``table``.
 
-    Each trial reads one draw u on ``DOMAIN_QUANTUM_SAMPLING``.  Its cell is
-    the number of the row's first three cumulative thresholds that are <= u;
-    the thresholds are divided by the row total, so a zero-probability cell
-    is never drawn.  Returns the frequency table and the raw counts, as
+    Each trial reads one draw u, in column 0 on ``DOMAIN_QUANTUM_SAMPLING``.
+    Its cell is the number of the row's first three cumulative thresholds
+    that are <= u; the thresholds are divided by the row total, so a
+    zero-probability cell is never drawn.  Returns the frequency table and the raw counts, as
     :func:`strings.estimate_table` does.
     """
     cumulative = np.cumsum([[float(p) for p in dist.probabilities()] for _, dist in table.rows()], axis=1)
     thresholds = cumulative[:, :3] / cumulative[:, 3:]
     counts = count_outcomes(
         master_seed, DOMAIN_QUANTUM_SAMPLING, 4, trials_per_setting, 1, 4,
-        lambda si, u: np.bincount(np.searchsorted(thresholds[si], u[:, 0], side="right"), minlength=4),
+        lambda si, rows, draw: np.bincount(np.searchsorted(thresholds[si], draw(0), side="right"), minlength=4),
         workers=workers,
     )
     return frequency_table(counts)

@@ -17,13 +17,18 @@ many strings there are:
 * ``V4`` - two independent strings; each observer privately selects string 1
   with probability p_1 and applies the V3 measurements to the selection.
 
-The mechanism is written once, in two layers: ``_events`` applies every
-threshold test to the uniform draws, and ``_outcome_signs`` turns the
-boolean events into Alice's and Bob's + masks (``_outcome_indices`` packs
-them into cell indices).  ``estimate_table`` samples through
-``rng.count_outcomes``, one draw buffer per worker chunk and counts per
-block: it counts each block's four cells from the two masks.
-``iter_trials`` replays the same draws with a ``MicroTrace`` per trial.
+The mechanism is written once, in two layers: ``_events`` applies the
+threshold tests a setting's outcome reads to the uniform draws, and
+``_outcome_signs`` turns the boolean events into Alice's and Bob's + masks
+(``_outcome_indices`` packs them into cell indices).  ``_events`` reads its
+draws one column at a time through a ``draw(j)`` source and asks only for
+the columns it tests: the color(s) unless a plain variant has both observers
+pull, V4's selections, and the cut only where a string splits.  A threshold
+at 0 or 1 gives a constant event and draws nothing.  ``estimate_table``
+samples through ``rng.count_outcomes``, whose ``draw(j)`` fills a reused
+per-worker buffer with column j of the block's own substream on first use;
+it counts each block's four cells from the two masks.  ``iter_trials``
+replays the same columns, laid out as rows, with a ``MicroTrace`` per trial.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``analytic_table`` evaluates these cached polynomials exactly, in integers
@@ -63,7 +68,7 @@ _SINGLE_WHITE = frozenset({Variant.V1, Variant.V1_PRE_BROKEN})
 
 
 def draws_per_trial(variant: Variant) -> int:
-    """Uniform draws consumed by one trial: fixed per variant, setting-independent."""
+    """Draw columns of one trial's row layout: fixed per variant, setting-independent."""
     return 5 if variant is Variant.V4 else 2
 
 
@@ -189,13 +194,14 @@ class MicroTrace:
 class _Events(NamedTuple):
     """The boolean events of a batch of trials, one entry per trial.
 
-    ``white`` has one column per string.  ``sel_a``/``sel_b`` (V4 only) are
-    True where that observer holds string 1.  ``cut`` is True where the cut
-    leaves Alice the long side; it is None when no string splits in the
-    setting, so samplers skip that test.
+    ``white`` has one column per string; it is None where the outcome reads
+    no color (a plain variant with both observers pulling).  ``sel_a``/``sel_b``
+    (V4 only) are True where that observer holds string 1.  ``cut`` is True
+    where the cut leaves Alice the long side; it is None when no string splits
+    in the setting, so samplers skip that test.
     """
 
-    white: tuple[np.ndarray, ...]
+    white: tuple[np.ndarray, ...] | None
     sel_a: np.ndarray | None
     sel_b: np.ndarray | None
     cut: np.ndarray | None
@@ -207,19 +213,31 @@ def _splits(variant: Variant, setting: Setting) -> bool:
     return (alice_pulls and bob_pulls) or (variant is Variant.V1_PRE_BROKEN and (alice_pulls or bob_pulls))
 
 
-def _events(config: StringModelConfig, setting: Setting, u: np.ndarray) -> _Events:
-    """draws -> events: every threshold test, applied to a (rows, k) draw array.
+def _below(draw: Callable[[int], np.ndarray], column: int, p: float, rows: int) -> np.ndarray:
+    """The event u < p on one draw column; a threshold at 0 or 1 is constant and draws nothing."""
+    return draw(column) < p if 0 < p < 1 else np.full(rows, p >= 1)
 
-    Each row is laid out as in :func:`trial_from_draws`.
+
+def _events(
+    config: StringModelConfig, setting: Setting, rows: int, draw: Callable[[int], np.ndarray], *, trace: bool = False
+) -> _Events:
+    """draws -> events: the threshold tests the setting's outcome reads, over ``rows`` trials.
+
+    ``draw(j)`` returns draw column j, laid out as in :func:`trial_from_draws`;
+    it is called only for the columns a test needs.  ``trace`` also builds the
+    colors the outcome does not read, which a ``MicroTrace`` records.
     """
+    variant = config.variant
+    n_strings = 2 if variant is Variant.V4 else 1
     p_w = float(config.p_w)
-    if config.variant is Variant.V4:
+    white = None
+    if trace or variant in _PARITY_VARIANTS or not (setting.alice_pulls and setting.bob_pulls):
+        white = tuple(_below(draw, j, p_w, rows) for j in range(n_strings))
+    sel_a = sel_b = None
+    if variant is Variant.V4:
         p_1 = float(config.p_1)
-        white = (u[:, 0] < p_w, u[:, 1] < p_w)
-        sel_a, sel_b = u[:, 2] < p_1, u[:, 3] < p_1
-    else:
-        white, sel_a, sel_b = (u[:, 0] < p_w,), None, None
-    cut = u[:, -1] >= 0.5 if _splits(config.variant, setting) else None
+        sel_a, sel_b = _below(draw, 2, p_1, rows), _below(draw, 3, p_1, rows)
+    cut = draw(draws_per_trial(variant) - 1) >= 0.5 if _splits(variant, setting) else None
     return _Events(white, sel_a, sel_b, cut)
 
 
@@ -231,7 +249,9 @@ def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple
     fragment is long (plain variants) or iff long-white / short-black
     (parity variants).
     """
-    if events.sel_a is None:
+    if events.white is None:
+        alice_white = bob_white = None  # a plain variant with both observers pulling reads no color
+    elif events.sel_a is None:
         alice_white = bob_white = events.white[0]
     else:
         # String 1's color where selected, else string 2's: np.where on these
@@ -274,7 +294,7 @@ _STRING_NAMES = {True: "string1", False: "string2"}
 
 def _replay(config: StringModelConfig, setting: Setting, u: np.ndarray):
     """Yield ``(OutcomePair, MicroTrace)`` per draw row: one kernel call, then the traces."""
-    events = _events(config, setting, u)
+    events = _events(config, setting, len(u), lambda j: u[:, j], trace=True)
     indices = _outcome_indices(config.variant, setting, events).tolist()
     colors = zip(*([_COLOR_NAMES[w] for w in column.tolist()] for column in events.white))
     if events.sel_a is None:
@@ -303,8 +323,9 @@ def trial_from_draws(config: StringModelConfig, setting: Setting, draws: Sequenc
 
     ``draws`` layout: single-string variants use (color, break); V4 uses
     (color string 1, color string 2, Alice selection, Bob selection, break).
-    Unused draws are consumed but ignored, keeping the layout
-    setting-independent.
+    In this scalar row layout, draws a setting does not read are consumed but
+    ignored, keeping it setting-independent; the block samplers draw only the
+    columns a setting reads.
     """
     k = draws_per_trial(config.variant)
     if len(draws) != k:
@@ -327,17 +348,18 @@ def estimate_table(
     """Monte Carlo table from ``trials_per_setting`` mechanism trials per setting.
 
     Deterministic given ``master_seed``: :func:`rng.count_outcomes` samples
-    fixed blocks whose substreams depend only on (seed, setting, block), so
-    the counts are bit-identical for any ``workers`` value.  Returns the
+    fixed blocks whose substreams depend only on (seed, setting, block,
+    column), so the counts are bit-identical for any ``workers`` value.  A
+    setting draws only the columns its outcome reads.  Returns the
     relative-frequency :class:`ExperimentTable` and the raw counts as
     ``{row label: (n_pp, n_pm, n_mp, n_mm)}``.
     """
 
-    def outcome(si, u):
+    def outcome(si, rows, draw):
         setting = SETTINGS[si]
-        a_plus, b_plus = _outcome_signs(config.variant, setting, _events(config, setting, u))
+        a_plus, b_plus = _outcome_signs(config.variant, setting, _events(config, setting, rows, draw))
         n_a, n_b, n_ab = np.count_nonzero(a_plus), np.count_nonzero(b_plus), np.count_nonzero(a_plus & b_plus)
-        return n_ab, n_a - n_ab, n_b - n_ab, len(u) - n_a - n_b + n_ab
+        return n_ab, n_a - n_ab, n_b - n_ab, rows - n_a - n_b + n_ab
 
     counts = count_outcomes(
         master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting,

@@ -218,10 +218,10 @@ class TestSampleCollapse:
         # one uniform per sample: replaying the same substream per index
         draws = np.vstack([substream(7, 0, i).random(1) for i in range(n)])
 
-        def replay(master_seed, domain, setting_index, block_index, rows, draws_per_trial, out=None):
-            return draws[:rows]
+        def replay(master_seed, domain, setting_index, block_index, column, rows, out=None):
+            return draws[:rows, column]
 
-        with mock.patch("entangle_lab.rng.block_uniforms", replay):
+        with mock.patch("entangle_lab.rng.block_column", replay):
             n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, n, 0)
         assert n_plus == scalar_plus
         assert n_plus + n_minus == n

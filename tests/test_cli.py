@@ -133,6 +133,17 @@ class TestTable:
         assert code == 2
         assert json.loads(err)["error"]["code"] == 2
 
+    def test_trace_limit_without_trace_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--variant", "v1", "--trials", "10", "--trace-limit", "5")
+        assert (code, out) == (2, "")
+        assert "--trace-limit" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("variant", ["v1", "v1pre", "v2", "v3"])
+    def test_p1_outside_v4_is_refused(self, capsys, variant):
+        code, out, err = run_cli(capsys, "table", "--variant", variant, "--p1", "0.3")
+        assert (code, out) == (2, "")
+        assert "--p1" in json.loads(err)["error"]["message"]
+
     def test_invalid_probability_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "--variant", "v2", "--pw", "1.5")
         assert code == 2

@@ -32,20 +32,20 @@ REPORT_ARGS = {
 }
 
 TRACE_DIGESTS = {
-    "v1": "5d8931b0d6420a0b527d5199341a56227abad537671d2449cdc7637a7416f1e0",
-    "v1pre": "1cada09674398537acd39e4d59a3ce816453954e8d4c317930b77d842a738a91",
-    "v2": "3c24b9b774618fbe7fa4810293bd99731a74662a53c9de8c5cce85eb3c0fce1c",
-    "v3": "618028545f63a6586a1bc0c138d82f0a603829b0be578215815178d17395bff7",
-    "v4": "c8ed2dfb22bc3fbf2eae8b153ad3688cdc34e7be5a5f43ccf6c252cf3a10a3a8",
+    "v1": "004454f149228305204dd5d99a66ee9e5787ab8dfcd7dd0ef8df13bd322416af",
+    "v1pre": "26f46e1492c760202de0ccdf356635232ced4ca40f963a8d91081d2f39c9fb9c",
+    "v2": "09308e99083af3d3d5db1c7f3cc193461d518eca7b8820848ee5b80700e3368b",
+    "v3": "14140b185cab82369a05f709beda896c710559c031d5e913cb9f4674189398e0",
+    "v4": "6bf686bd138929754a1e56d533891affe5c44d642610661e53b24dda88e3bbfd",
 }
 
 REPORT_DIGESTS = {
-    "table": "9142ad436726c045043dd2d2686bb53feebc4790d27649dccce7efc6c72b2707",
+    "table": "32df74a1bec9d135acdb08029abd6273af81bce469c141d0bbdbb3b00d659ce4",
     "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
-    "quantum": "f1e42c7b0815e027ef4f7b207e8939b04667992a981654027b53cac22e2f296b",
-    "collapse": "053f71cb1d0db568c24ce1c90122ab2324960a629b0f84e3749504cefbc2924a",
-    "average": "e16d9fd4f9b88cf2ff4c9c46e8bbd771a92d02eab52b869fd4882e5a12ff6e24",
-    "decompose": "0572fd6cb1bafd240e446a3d7470395d69e247ea0aeaba84e8084b027bc27287",
+    "quantum": "9f364ef0e7f4e291e64a9896b37f2b3143d0eb15691b2a007fe117611775583a",
+    "collapse": "6530b7c0fac2971b8b75d2bc8cd02bd0a9e4eddff3cdf61f3b3f7ec187ce5c95",
+    "average": "4eacb3d73f169a17360f2d3f64db7eb4d6f7be9dd74a7b5b36deade55a236366",
+    "decompose": "42fb643a9a914aba3fd2e4a2ee0ec9cd1366755b5241003d4a8c4391bed3d2f5",
 }
 
 
@@ -80,8 +80,8 @@ EXACT_ARGS = {
 }
 
 EXACT_DIGESTS = {
-    "table_v3": "b85063f4a3f065345831418e4c330fa4299fc4be88cb66c21ea506910944dff0",
-    "scan_v2": "2e8bc0bc122fc6a50af74aefbdb804ac6d6f1ccaa3b85bff0f00c047b67998b1",
+    "table_v3": "577b8c2787d61ed48c972c2d4b43a1267185d0cc193da3825892dfd351cc84fc",
+    "scan_v2": "59f0695c9d0458eb2ac631c27cde93fd421c92a9a4d61ae6ea484e03cf2e74a5",
 }
 
 
@@ -108,8 +108,8 @@ DECOMPOSE_ARGS = {
 }
 
 DECOMPOSE_DIGESTS = {
-    "product": "b8097c276d03b071dca90e86b295db922256d46114505837c836857430bf63f2",
-    "custom": "8be1f47d8c6cbdb5d0a3e1b7c76abc1e74ec699068b3701ac5ae21bed7002df6",
+    "product": "886989d8434343ad5a4714603319f9ee4e49185c785cb32341e9a579242c491f",
+    "custom": "9fb493893b9f211bb1f0c98b3951d2e8b5d50c2e2d6506d8a4d58e78f1d9af4e",
 }
 
 

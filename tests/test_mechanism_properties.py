@@ -140,7 +140,9 @@ def draw_rows(config, data):
     """Draw rows mixing random uniforms with every threshold and the float just below it."""
     k = draws_per_trial(config.variant)
     thresholds = {float(config.p_w), float(config.p_1), 0.5}
-    edges = sorted(thresholds | {math.nextafter(t, 0.0) for t in thresholds})
+    # A generator never yields 1.0, so an edge of 1.0 is dropped; the largest
+    # draw, the float just below it, stays.
+    edges = sorted(v for v in thresholds | {math.nextafter(t, 0.0) for t in thresholds} if v < 1.0)
     value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True))
     rows = [[edge] * k for edge in edges]
     rows += data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=40))
@@ -154,16 +156,13 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
     u = np.array(rows, dtype=float)
     start = data.draw(st.integers(0, len(rows) - 1))
 
-    def crafted_block_uniforms(master_seed, domain, si, block, n_rows, k, out=None):
-        return u[:n_rows]
+    def crafted_block_column(master_seed, domain, si, block, column, n_rows, out=None):
+        return u[:n_rows, column]
 
     for setting in SETTINGS:
         expected = [oracle_trial(config, setting, row) for row in rows]
         assert [trial_from_draws(config, setting, row) for row in rows] == expected
-        with (
-            mock.patch.object(strings, "block_uniforms", crafted_block_uniforms),
-            mock.patch.object(rng, "block_uniforms", crafted_block_uniforms),
-        ):
+        with mock.patch.object(rng, "block_column", crafted_block_column):
             _, counts = estimate_table(config, len(rows), 0)
             replayed = list(iter_trials(config, setting, 0, len(rows) - start, start))
         assert replayed == expected[start:]
@@ -179,10 +178,11 @@ def test_sign_mask_counts_equal_the_index_bincount(config, data):
     # estimate_table counts each block from the two sign masks; the per-trial
     # indices of the same kernel must land in the same four cells.
     u = np.array(draw_rows(config, data), dtype=float)
-    with mock.patch.object(rng, "block_uniforms", lambda master_seed, domain, si, block, n_rows, k, out=None: u):
+    with mock.patch.object(rng, "block_column", lambda seed, domain, si, block, column, n, out=None: u[:n, column]):
         _, counts = estimate_table(config, len(u), 0)
     for setting in SETTINGS:
-        indices = strings._outcome_indices(config.variant, setting, strings._events(config, setting, u))
+        events = strings._events(config, setting, len(u), lambda j: u[:, j])
+        indices = strings._outcome_indices(config.variant, setting, events)
         assert counts[setting.label] == tuple(np.bincount(indices, minlength=4).tolist())
 
 

@@ -10,6 +10,7 @@ from entangle_lab.rng import (
     DOMAIN_STRING_TRIALS,
     STREAM_FORMAT,
     TRIAL_BLOCK,
+    block_column,
     block_uniforms,
     count_outcomes,
     iter_block_slices,
@@ -32,22 +33,22 @@ def _bits(values: np.ndarray) -> list[str]:
 # Golden draws, compared bit for bit.  Any change to these values changes every
 # sampled number in every report: it requires bumping rng.STREAM_FORMAT (and
 # the package version), never just updating the expected bits.
-def test_stream_format_is_three():
-    assert STREAM_FORMAT == 3
+def test_stream_format_is_four():
+    assert STREAM_FORMAT == 4
 
 
 def test_first_block_draws_are_frozen():
     u = block_uniforms(0, DOMAIN_STRING_TRIALS, 0, 0, 2, 5)
     assert u.shape == (2, 5)
     assert _bits(u) == [
-        "3fe4175b10e8c89a", "3fe5ff323a45713d", "3fb63026dde355e0", "3fa3c4678d753f00", "3fdb325869fe502c",
-        "3fdad3b09d2719dc", "3fc808e0f39b2e90", "3fecada45939530d", "3fe541976afe6796", "3fdb6074ae6cf66c",
+        "3fd0e8c9fa5a2d28", "3faee88e80ebffe0", "3fc279e01df808f0", "3fce4c14a344b298", "3fe4e89dc697123f",
+        "3fe1e9b94bac2b64", "3fb939f15b0be400", "3fe0812720ed43ae", "3fd0b28aba61bca8", "3fbfb7be1d6c94c8",
     ]
 
 
 def test_top_seed_block_draws_are_frozen():
     u = block_uniforms(2**64 - 1, DOMAIN_STRING_TRIALS, 3, 7, 2, 2)
-    assert _bits(u) == ["3fa4e867bcca2260", "3fe2260ab3905415", "3fdb1e5f9f5a0a9e", "3fedb558aaee5a2c"]
+    assert _bits(u) == ["3feca6708f3aba43", "3fdce5e7e87d85ce", "3fdaa27887320490", "3fb714cfd71a2cf0"]
 
 
 def test_bloch_collapse_draws_are_frozen():
@@ -87,12 +88,20 @@ def test_block_uniforms_shape_and_bounds():
         block_uniforms(3, 1, 2, 0, TRIAL_BLOCK + 1, 5)
 
 
+def test_each_column_is_the_substream_of_its_path():
+    u = block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, 5)
+    for column in range(5):
+        expected = substream(3, DOMAIN_STRING_TRIALS, 1, 2, column).random(17)
+        assert block_column(3, DOMAIN_STRING_TRIALS, 1, 2, column, 17).tobytes() == expected.tobytes()
+        assert u[:, column].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("rows", [TRIAL_BLOCK, 17])
-def test_block_uniforms_into_a_buffer_gives_the_same_bits(rows):
-    out = np.full((TRIAL_BLOCK, 5), np.nan)
-    fresh = block_uniforms(3, 1, 2, 4, rows, 5)
-    filled = block_uniforms(3, 1, 2, 4, rows, 5, out=out)
-    assert filled.shape == (rows, 5)
+def test_block_column_into_a_buffer_gives_the_same_bits(rows):
+    out = np.full(TRIAL_BLOCK, np.nan)
+    fresh = block_column(3, 1, 2, 4, 3, rows)
+    filled = block_column(3, 1, 2, 4, 3, rows, out=out)
+    assert filled.shape == (rows,)
     assert np.shares_memory(filled, out)
     assert filled.tobytes() == fresh.tobytes()
 
@@ -100,20 +109,20 @@ def test_block_uniforms_into_a_buffer_gives_the_same_bits(rows):
 @pytest.mark.parametrize(
     "out",
     [
-        np.empty((20, 4)),  # wrong column count
-        np.empty((16, 5)),  # too few rows
-        np.empty((20, 5), dtype=np.float32),
-        np.empty((20, 10))[:, ::2],  # five columns, not C-contiguous
+        np.empty((20, 1)),  # a column, not a vector
+        np.empty(16),  # too few rows
+        np.empty(20, dtype=np.float32),
+        np.empty(40)[::2],  # twenty entries, not C-contiguous
     ],
-    ids=["columns", "rows", "float32", "strided"],
+    ids=["shape", "rows", "float32", "strided"],
 )
-def test_block_uniforms_rejects_a_malformed_buffer(out):
+def test_block_column_rejects_a_malformed_buffer(out):
     with pytest.raises(ValueError, match="out must"):
-        block_uniforms(3, 1, 2, 0, 17, 5, out=out)
+        block_column(3, 1, 2, 0, 0, 17, out=out)
 
 
-def _three_cells(si, u):
-    return np.bincount((u[:, 0] < 0.3 + 0.2 * si) + (u[:, 1] < 0.5), minlength=3)
+def _three_cells(si, u0, u1):
+    return np.bincount((u0 < 0.3 + 0.2 * si) + (u1 < 0.5), minlength=3)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -124,13 +133,15 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
     expected = np.zeros((2, 3), dtype=np.int64)
     for si in range(2):
         for block, _start, rows in iter_block_slices(n_trials):
-            expected[si] += _three_cells(si, block_uniforms(9, DOMAIN_STRING_TRIALS, si, block, rows, 2))
+            u = block_uniforms(9, DOMAIN_STRING_TRIALS, si, block, rows, 2)
+            expected[si] += _three_cells(si, u[:, 0], u[:, 1])
     threads, buffers = set(), set()
 
-    def outcome(si, u):
+    def outcome(si, rows, draw):
         threads.add(threading.get_ident())
-        buffers.add(u.__array_interface__["data"][0])
-        return _three_cells(si, u)
+        buffers.add(draw(0).__array_interface__["data"][0])
+        assert draw(1) is draw(1)  # drawn once per block
+        return _three_cells(si, draw(0), draw(1))
 
     counts = count_outcomes(9, DOMAIN_STRING_TRIALS, 2, n_trials, 2, 3, outcome, workers=workers)
     assert counts.dtype == np.int64

@@ -4,7 +4,7 @@
 u < F(p+); ``quantum.sample_table`` picks the cell as the number of a row's
 cumulative thresholds that are <= u; ``estimate_table`` runs the string
 kernel.  Crafted draw rows (every threshold and the float just below it) are
-fed by patching ``entangle_lab.rng.block_uniforms``, and each sampler is
+fed by patching ``entangle_lab.rng.block_column``, and each sampler is
 checked row by row against an independent rule written out here.  All three
 must give identical counts for any number of workers.
 """
@@ -32,7 +32,7 @@ ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 def feeding(rows):
     """Patch the driver's draws so that every block starts with ``rows``."""
     u = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    return mock.patch("entangle_lab.rng.block_uniforms", lambda seed, domain, si, block, n, k, out=None: u[:n])
+    return mock.patch("entangle_lab.rng.block_column", lambda seed, domain, si, block, j, n, out=None: u[:n, j])
 
 
 class FixedDraw:
@@ -196,24 +196,24 @@ STRING_CONFIGS = {
     "v4": StringModelConfig(Variant.V4, p_w=0.4, p_1=0.3),
 }
 
-# estimate_table counts of 2 * TRIAL_BLOCK + 7 trials per setting, as sampled
-# before the sampling loop moved into rng.count_outcomes (stream format 2).
+# estimate_table counts of 2 * TRIAL_BLOCK + 7 trials per setting in stream
+# format 4, where every (setting, block, column) has its own substream.
 STRING_COUNTS = {
-    ("v1", 0): [[0, 65470, 65609, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 0): [[0, 65470, 65609, 0], [65528, 0, 65551, 0], [65181, 65898, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 0): [[0, 65470, 65609, 0], [39385, 91694, 0, 0], [39344, 0, 91735, 0], [39287, 0, 0, 91792]],
-    ("v3", 0): [[0, 65657, 65422, 0], [91723, 0, 0, 39356], [91569, 0, 0, 39510], [91633, 0, 0, 39446]],
-    ("v4", 0): [[8606, 51195, 51420, 19858], [39504, 13076, 12941, 65558], [39316, 13064, 13306, 65393], [38988, 13294, 13185, 65612]],
-    ("v1", 13): [[0, 65817, 65262, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 13): [[0, 65817, 65262, 0], [65452, 0, 65627, 0], [65509, 65570, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 13): [[0, 65817, 65262, 0], [39397, 91682, 0, 0], [39291, 0, 91788, 0], [39398, 0, 0, 91681]],
-    ("v3", 13): [[0, 65484, 65595, 0], [91629, 0, 0, 39450], [91698, 0, 0, 39381], [91830, 0, 0, 39249]],
-    ("v4", 13): [[8810, 50994, 51366, 19909], [39222, 13155, 13196, 65506], [39133, 13242, 13359, 65345], [39288, 13313, 13131, 65347]],
-    ("v1", 2**64 - 1): [[0, 65505, 65574, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 2**64 - 1): [[0, 65505, 65574, 0], [65193, 0, 65886, 0], [65801, 65278, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 2**64 - 1): [[0, 65505, 65574, 0], [39406, 91673, 0, 0], [39216, 0, 91863, 0], [39410, 0, 0, 91669]],
-    ("v3", 2**64 - 1): [[0, 65517, 65562, 0], [91627, 0, 0, 39452], [91417, 0, 0, 39662], [91714, 0, 0, 39365]],
-    ("v4", 2**64 - 1): [[8869, 51273, 51341, 19596], [39457, 13066, 13301, 65255], [39122, 13140, 13307, 65510], [39244, 13308, 13356, 65171]],
+    ("v1", 0): [[0, 65628, 65451, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 0): [[0, 65628, 65451, 0], [65455, 0, 65624, 0], [65419, 65660, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 0): [[0, 65628, 65451, 0], [39260, 91819, 0, 0], [39119, 0, 91960, 0], [39373, 0, 0, 91706]],
+    ("v3", 0): [[0, 65536, 65543, 0], [91744, 0, 0, 39335], [91736, 0, 0, 39343], [92047, 0, 0, 39032]],
+    ("v4", 0): [[8823, 51212, 51126, 19918], [39386, 13035, 13336, 65322], [38981, 13345, 13296, 65457], [39438, 13224, 13222, 65195]],
+    ("v1", 13): [[0, 65395, 65684, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 13): [[0, 65395, 65684, 0], [65543, 0, 65536, 0], [65564, 65515, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 13): [[0, 65395, 65684, 0], [39229, 91850, 0, 0], [39374, 0, 91705, 0], [39183, 0, 0, 91896]],
+    ("v3", 13): [[0, 65363, 65716, 0], [91428, 0, 0, 39651], [91861, 0, 0, 39218], [91527, 0, 0, 39552]],
+    ("v4", 13): [[8938, 51171, 51213, 19757], [38949, 13338, 13337, 65455], [39304, 13212, 13256, 65307], [39309, 13103, 13147, 65520]],
+    ("v1", 2**64 - 1): [[0, 65617, 65462, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 2**64 - 1): [[0, 65617, 65462, 0], [65154, 0, 65925, 0], [65833, 65246, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 2**64 - 1): [[0, 65617, 65462, 0], [39488, 91591, 0, 0], [39400, 0, 91679, 0], [39263, 0, 0, 91816]],
+    ("v3", 2**64 - 1): [[0, 65554, 65525, 0], [92090, 0, 0, 38989], [91840, 0, 0, 39239], [91766, 0, 0, 39313]],
+    ("v4", 2**64 - 1): [[8734, 51123, 51308, 19914], [39379, 13312, 13279, 65109], [39211, 13302, 13239, 65327], [39227, 13302, 13227, 65323]],
 }
 
 
