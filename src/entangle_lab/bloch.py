@@ -133,9 +133,12 @@ class BreakDistribution:
         """
         if self.weights is None:
             return float(p_plus)
-        n = self.weights.size
-        overlap = np.clip(p_plus * n - np.arange(n), 0.0, 1.0)
-        return float(np.dot(self.weights, overlap))
+        return float(np.dot(self.weights, _cell_overlap(p_plus, self.weights.size)))
+
+
+def _cell_overlap(p_plus: float, cells: int) -> np.ndarray:
+    """Fraction of each of ``cells`` equal cells of [0, 1) that lies in [0, p_plus)."""
+    return np.clip(p_plus * cells - np.arange(cells), 0.0, 1.0)
 
 
 def sample_collapse(
@@ -214,8 +217,7 @@ def universal_average(
     p_plus, _ = outcome_probabilities(r, frame)
     raw = rng.random((n_distributions, cells))
     weights = raw / raw.sum(axis=1, keepdims=True)
-    overlap = np.clip(p_plus * cells - np.arange(cells), 0.0, 1.0)
-    averaged = float(np.mean(weights @ overlap))
+    averaged = float(np.mean(weights @ _cell_overlap(p_plus, cells)))
     return averaged, 1.0 - averaged
 
 

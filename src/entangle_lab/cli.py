@@ -11,6 +11,13 @@ Subcommands
     bloch    collapse sampling, universal averages and the 15-dimensional
              two-qubit decomposition
 
+Each subcommand is one ``_cmd_*(args, seed)`` function.  It checks its own
+flags, computes its result and returns ``(config, results, (header, rows))``:
+the configuration echo, the JSON ``results`` block and the CSV rows.
+:func:`main` renders every report.  It resolves the seed once, writes the CSV
+rows under ``--format csv``, and otherwise builds the JSON envelope, appending
+``seed_source`` to the echo and, under ``--timing``, adding ``wall_time_s``.
+
 Every run is reproducible from ``--seed`` (or ``ENTANGLE_LAB_SEED``); reports
 with the same configuration, seed and version are byte-identical regardless
 of ``--workers``.  Exit codes: 0 success, 2 configuration error, 3 numerical
@@ -163,14 +170,14 @@ def _table_sections(analytic, sampled, counts, trials):
     return results
 
 
-def _table_csv(analytic, sampled) -> str:
+def _table_csv(analytic, sampled) -> tuple[list[str], list[list]]:
     header = ["section", "row", "p_pp", "p_pm", "p_mp", "p_mm"]
     rows = []
     sections = [("analytic", analytic)] + ([("sampled", sampled)] if sampled is not None else [])
     for section, table in sections:
         for label, dist in table.rows():
             rows.append([section, _ROW_KEYS[label]] + [float(p) for p in dist.probabilities()])
-    return emit_csv(header, rows)
+    return header, rows
 
 
 def _write_traces(config, seed, trials, path, limit) -> None:
@@ -183,8 +190,7 @@ def _write_traces(config, seed, trials, path, limit) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cmd_table(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
+def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if args.p1 is not None and args.variant != Variant.V4.value:
         raise ValueError(f"--p1 applies to v4 only, not {args.variant}")
     if args.trace_limit is not None and not args.trace:
@@ -216,18 +222,19 @@ def _cmd_table(args) -> tuple[dict | None, str]:
         "p_1": float(config.p_1),
         "length_l": float(config.length_l),
         "trials_per_setting": args.trials,
-        "seed_source": seed_source,
     }
-    if args.format == "csv":
-        return None, _table_csv(analytic, sampled)
-    report = make_report("table", config_echo, seed, _table_sections(analytic, sampled, counts, args.trials))
-    return report, ""
+    return config_echo, _table_sections(analytic, sampled, counts, args.trials), _table_csv(analytic, sampled)
 
 
-def _cmd_scan(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
-    if args.parameter not in ("p_w", "p_1"):
-        raise ValueError(f"unknown scan parameter {args.parameter!r}")
+def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
+    if args.parameter == "p_1" and args.variant != Variant.V4.value:
+        raise ValueError(f"--parameter p_1 applies to v4 only, not {args.variant}")
+    if args.p1 is not None and args.variant != Variant.V4.value:
+        raise ValueError(f"--p1 applies to v4 only, not {args.variant}")
+    if args.parameter == "p_w" and args.pw is not None:
+        raise ValueError("--pw fixes p_w, which --parameter p_w scans")
+    if args.parameter == "p_1" and args.p1 is not None:
+        raise ValueError("--p1 fixes p_1, which --parameter p_1 scans")
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
@@ -251,8 +258,6 @@ def _cmd_scan(args) -> tuple[dict | None, str]:
         rows.append([value] + [float(q) for q in quantities.as_tuple()] + [float(residual)])
 
     header = [args.parameter, "a_chsh", "b_chsh", "c_chsh", "d_chsh", "max_abs_marginal_residual"]
-    if args.format == "csv":
-        return None, emit_csv(header, rows)
     config_echo = {
         "variant": variant.value,
         "parameter": args.parameter,
@@ -261,14 +266,11 @@ def _cmd_scan(args) -> tuple[dict | None, str]:
         "steps": args.steps,
         "fixed_p_w": None if args.parameter == "p_w" else float(fixed.p_w),
         "fixed_p_1": None if args.parameter == "p_1" else float(fixed.p_1),
-        "seed_source": seed_source,
     }
-    results = {"header": header, "rows": rows}
-    return make_report("scan", config_echo, seed, results), ""
+    return config_echo, {"header": header, "rows": rows}, (header, rows)
 
 
-def _cmd_quantum(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
+def _cmd_quantum(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if not 0.0 <= args.alpha <= math.pi:
         raise ValueError(f"--alpha must lie in [0, pi], got {args.alpha}")
     if args.trials < 0:
@@ -284,12 +286,8 @@ def _cmd_quantum(args) -> tuple[dict | None, str]:
         "alpha": args.alpha,
         "mixed": bool(args.mixed),
         "trials_per_setting": args.trials,
-        "seed_source": seed_source,
     }
-    if args.format == "csv":
-        return None, _table_csv(analytic, sampled)
-    report = make_report("quantum", config_echo, seed, _table_sections(analytic, sampled, counts, args.trials))
-    return report, ""
+    return config_echo, _table_sections(analytic, sampled, counts, args.trials), _table_csv(analytic, sampled)
 
 
 def _collapse_geometry(costheta: float):
@@ -300,8 +298,7 @@ def _collapse_geometry(costheta: float):
     return r, MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 
 
-def _cmd_bloch_collapse(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
+def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     r, frame = _collapse_geometry(args.costheta)
@@ -317,7 +314,6 @@ def _cmd_bloch_collapse(args) -> tuple[dict | None, str]:
         "costheta": args.costheta,
         "trials": args.trials,
         "cell_weights": args.cell_weights or None,
-        "seed_source": seed_source,
     }
     results = {
         "counts": {"plus": n_plus, "minus": n_minus},
@@ -325,18 +321,14 @@ def _cmd_bloch_collapse(args) -> tuple[dict | None, str]:
         "born": {"plus": born_plus, "minus": born_minus},
         "distribution_plus_probability": dist.plus_probability(born_plus),
     }
-    if args.format == "csv":
-        header = ["outcome", "count", "frequency", "born"]
-        rows = [
-            ["+", n_plus, n_plus / args.trials, born_plus],
-            ["-", n_minus, n_minus / args.trials, born_minus],
-        ]
-        return None, emit_csv(header, rows)
-    return make_report("bloch-collapse", config_echo, seed, results), ""
+    rows = [
+        ["+", n_plus, n_plus / args.trials, born_plus],
+        ["-", n_minus, n_minus / args.trials, born_minus],
+    ]
+    return config_echo, results, (["outcome", "count", "frequency", "born"], rows)
 
 
-def _cmd_bloch_average(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
+def _cmd_bloch_average(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     r, frame = _collapse_geometry(args.costheta)
     born_plus, born_minus = outcome_probabilities(r, frame)
     avg_plus, avg_minus = universal_average(
@@ -347,16 +339,13 @@ def _cmd_bloch_average(args) -> tuple[dict | None, str]:
         "costheta": args.costheta,
         "cells": args.cells,
         "dists": args.dists,
-        "seed_source": seed_source,
     }
     results = {
         "average": {"plus": avg_plus, "minus": avg_minus},
         "born": {"plus": born_plus, "minus": born_minus},
     }
-    if args.format == "csv":
-        header = ["p_plus_avg", "p_minus_avg", "born_plus", "born_minus"]
-        return None, emit_csv(header, [[avg_plus, avg_minus, born_plus, born_minus]])
-    return make_report("bloch-average", config_echo, seed, results), ""
+    header = ["p_plus_avg", "p_minus_avg", "born_plus", "born_minus"]
+    return config_echo, results, (header, [[avg_plus, avg_minus, born_plus, born_minus]])
 
 
 def _is_finite_number(value) -> bool:
@@ -391,8 +380,11 @@ def _load_state_file(path: str) -> np.ndarray:
     return rho
 
 
-def _cmd_bloch_decompose(args) -> tuple[dict | None, str]:
-    seed, seed_source = _parse_seed(args)
+def _cmd_bloch_decompose(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
+    flag_states = (("--a", args.a, "product"), ("--b", args.b, "product"), ("--state-file", args.state_file, "custom"))
+    for flag, value, state in flag_states:
+        if value is not None and args.state != state:
+            raise ValueError(f"{flag} applies to --state {state} only, not {args.state}")
     if args.state == "singlet":
         rho = singlet_state()
     elif args.state == "mixed":
@@ -410,22 +402,16 @@ def _cmd_bloch_decompose(args) -> tuple[dict | None, str]:
     config_echo = {
         "subcommand": "decompose",
         "state": args.state,
-        "a": args.a or None,
-        "b": args.b or None,
-        "state_file": args.state_file or None,
-        "seed_source": seed_source,
+        "a": args.a,
+        "b": args.b,
+        "state_file": args.state_file,
     }
     results = vec.to_json_dict()
     results["norm"] = vec.norm
     results["rank_one_residual"] = rank_one_residual(vec.r_conn)
-    if args.format == "csv":
-        header = ["block", "index", "value"]
-        rows = []
-        for block in ("r15", "r_alice", "r_bob", "r_conn"):
-            for index, value in enumerate(results[block]):
-                rows.append([block, index, value])
-        return None, emit_csv(header, rows)
-    return make_report("bloch-decompose", config_echo, seed, results), ""
+    blocks = ("r15", "r_alice", "r_bob", "r_conn")
+    rows = [[block, index, value] for block in blocks for index, value in enumerate(results[block])]
+    return config_echo, results, (["block", "index", "value"], rows)
 
 
 def _positive_int(text: str) -> int:
@@ -537,8 +523,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.timing and args.format == "csv":
             raise ValueError("--timing needs --format json: CSV output has no field for the wall time")
-        report, text = args.run(args)
-        if report is not None:
+        seed, seed_source = _parse_seed(args)
+        config, results, (header, rows) = args.run(args, seed)
+        if args.format == "csv":
+            text = emit_csv(header, rows)
+        else:
+            name = "bloch-" + args.subcommand if args.command == "bloch" else args.command
+            report = make_report(name, {**config, "seed_source": seed_source}, seed, results)
             if args.timing:
                 report["wall_time_s"] = time.perf_counter() - started
             text = report_to_json(report)

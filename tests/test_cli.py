@@ -10,7 +10,7 @@ import pytest
 import entangle_lab
 from entangle_lab import rng
 from entangle_lab.cli import main
-from entangle_lab.report import parse_csv
+from entangle_lab.report import emit_csv, parse_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
@@ -541,3 +541,84 @@ def test_product_state_rejects_overlong_bloch_vectors(capsys, flag, a, b):
     assert message.startswith(f"{flag} must have norm at most 1, got ")
     assert "np.float64" not in message
     float(message.rsplit(" ", 1)[1])  # a plain float
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--variant", "v2", "--parameter", "p_1"], "--parameter"),
+        (["--variant", "v3", "--parameter", "p_w", "--p1", "0.3"], "--p1"),
+        (["--variant", "v4", "--parameter", "p_w", "--pw", "0.3"], "--pw"),
+        (["--variant", "v4", "--parameter", "p_1", "--p1", "0.3"], "--p1"),
+    ],
+    ids=["p_1-outside-v4", "p1-outside-v4", "pw-while-scanning-p_w", "p1-while-scanning-p_1"],
+)
+def test_scan_refuses_flags_that_do_nothing(capsys, args, flag):
+    code, out, err = run_cli(capsys, "scan", *args, "--start", "0", "--stop", "1", "--steps", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"].startswith(flag)
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--state", "singlet", "--a", "0,0,1"], "--a"),
+        (["--state", "mixed", "--b", "0,0,1"], "--b"),
+        (["--state", "product", "--a", "0,0,1", "--b", "1,0,0", "--state-file", "state.json"], "--state-file"),
+    ],
+    ids=["a-without-product", "b-without-product", "state-file-without-custom"],
+)
+def test_decompose_refuses_flags_that_do_nothing(capsys, args, flag):
+    code, out, err = run_cli(capsys, "bloch", "decompose", *args)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"].startswith(flag)
+
+
+REPORT_NAMES = {
+    "table": "table",
+    "scan": "scan",
+    "quantum": "quantum",
+    "collapse": "bloch-collapse",
+    "average": "bloch-average",
+    "decompose": "bloch-decompose",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_every_report_names_its_command(capsys, command):
+    assert run_json(capsys, *WORKER_COMMANDS[command])["command"] == REPORT_NAMES[command]
+
+
+@pytest.mark.parametrize("source, seed", [("flag", 7), ("env", 99), ("default", 0)])
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_every_report_echoes_the_seed_source_last(capsys, monkeypatch, command, source, seed):
+    monkeypatch.delenv("ENTANGLE_LAB_SEED", raising=False)
+    if source == "env":
+        monkeypatch.setenv("ENTANGLE_LAB_SEED", str(seed))
+    extra = ["--seed", str(seed)] if source == "flag" else []
+    report = run_json(capsys, *WORKER_COMMANDS[command], *extra)
+    assert list(report["config"])[-1] == "seed_source"
+    assert report["config"]["seed_source"] == source
+    assert report["seed"] == seed
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_every_command_adds_wall_time_only_with_timing(capsys, command):
+    assert "wall_time_s" not in run_json(capsys, *WORKER_COMMANDS[command])
+    assert run_json(capsys, *WORKER_COMMANDS[command], "--timing")["wall_time_s"] > 0
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_every_command_refuses_timing_with_csv(capsys, command):
+    code, out, err = run_cli(capsys, *WORKER_COMMANDS[command], "--format", "csv", "--timing")
+    assert (code, out) == (2, "")
+    assert "--timing" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_every_command_csv_round_trips(capsys, command):
+    code, out, err = run_cli(capsys, *WORKER_COMMANDS[command], "--format", "csv")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert rows
+    assert emit_csv(header, rows) == out
