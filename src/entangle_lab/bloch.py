@@ -10,11 +10,12 @@ reproduces the Born statistics exactly; non-uniform (piecewise-constant)
 distributions span the classical-to-solipsistic spectrum, and averaging over
 random distributions recovers the Born values again.
 
-As in the string model, the outcome is one threshold test on one uniform
-draw u: + iff u < F(p+), with F = ``BreakDistribution.plus_probability``.
-``collapse_counts`` tests whole trial blocks through ``rng.count_outcomes``,
-the driver of the string and quantum tables too; ``sample_collapse`` tests
-one draw and maps it to the break position it reports.
+As in the string model, the outcome is one threshold test: + iff the
+uniform break measure lies below F(p+), with F =
+``BreakDistribution.plus_probability``.  ``collapse_counts`` tests whole
+trial blocks through ``rng.count_outcomes``, the driver of the string and
+quantum tables too, on one byte per trial; ``sample_collapse`` tests one
+float draw u < F(p+) and maps it to the break position it reports.
 
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
@@ -179,18 +180,18 @@ def collapse_counts(
 ) -> tuple[int, int]:
     """Tally of ``n_samples`` collapses: (n_plus, n_minus).
 
-    Sample i reads trial i's draw in column 0 on ``DOMAIN_BLOCH_COLLAPSE`` and
-    makes :func:`sample_collapse`'s threshold test on it; the counts are
+    Sample i is + iff trial i's threshold test at F(p+) in column 0 on
+    ``DOMAIN_BLOCH_COLLAPSE`` holds (:meth:`rng.Block.below`); the counts are
     bit-identical for any ``workers`` value.
     """
     p_plus, _ = outcome_probabilities(r, frame)
     threshold = dist.plus_probability(p_plus)
 
-    def outcome(_si, rows, draw):
-        n_minus = np.count_nonzero(draw(0) >= threshold)
-        return rows - n_minus, n_minus
+    def outcome(_si, block):
+        n_plus = np.count_nonzero(block.below(0, threshold))
+        return n_plus, block.rows - n_plus
 
-    counts = count_outcomes(master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 1, 2, outcome, workers=workers)
+    counts = count_outcomes(master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 2, outcome, workers=workers)
     return int(counts[0, 0]), int(counts[0, 1])
 
 

@@ -302,7 +302,7 @@ def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     r, frame = _collapse_geometry(args.costheta)
-    if args.cell_weights:
+    if args.cell_weights is not None:
         dist = BreakDistribution.piecewise(_parse_cell_weights(args.cell_weights))
     else:
         dist = BreakDistribution.uniform()
@@ -313,7 +313,7 @@ def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]
         "subcommand": "collapse",
         "costheta": args.costheta,
         "trials": args.trials,
-        "cell_weights": args.cell_weights or None,
+        "cell_weights": args.cell_weights,
     }
     results = {
         "counts": {"plus": n_plus, "minus": n_minus},

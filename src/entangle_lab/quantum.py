@@ -39,7 +39,7 @@ from .probability import (
     chsh,
     frequency_table,
 )
-from .rng import DOMAIN_QUANTUM_SAMPLING, count_outcomes
+from .rng import DOMAIN_QUANTUM_SAMPLING, count_outcomes, sign_counts
 
 AXIS_NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -217,20 +217,33 @@ def chsh_for_axes(rho: np.ndarray, axes: AxisQuad) -> ChshQuantities:
 def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: int, *, workers: int = 1):
     """Monte Carlo table of ``trials_per_setting`` trials per row of ``table``.
 
-    Each trial reads one draw u, in column 0 on ``DOMAIN_QUANTUM_SAMPLING``.
-    Its cell is the number of the row's first three cumulative thresholds
-    that are <= u; the thresholds are divided by the row total, so a
-    zero-probability cell is never drawn.  Returns the frequency table and the raw counts, as
+    A trial is two sequential collapses on ``DOMAIN_QUANTUM_SAMPLING``: Alice
+    gets + by a threshold test on her marginal P(A+) in column 0, then Bob
+    gets + by a test on the conditional P(B+ | Alice's outcome) in column 1.
+    The row is divided by its total first, and a conditional given an
+    outcome of probability 0 is never used, so a zero-probability cell is
+    never drawn.  Returns the frequency table and the raw counts, as
     :func:`strings.estimate_table` does.
     """
-    cumulative = np.cumsum([[float(p) for p in dist.probabilities()] for _, dist in table.rows()], axis=1)
-    thresholds = cumulative[:, :3] / cumulative[:, 3:]
-    counts = count_outcomes(
-        master_seed, DOMAIN_QUANTUM_SAMPLING, 4, trials_per_setting, 1, 4,
-        lambda si, rows, draw: np.bincount(np.searchsorted(thresholds[si], draw(0), side="right"), minlength=4),
-        workers=workers,
-    )
+    thresholds = [_collapse_thresholds(*(float(p) for p in dist.probabilities())) for _, dist in table.rows()]
+
+    def outcome(si, block):
+        alice, bob_given_minus, bob_given_plus = thresholds[si]
+        a_plus = block.below(0, alice)
+        return sign_counts(a_plus, block.below(1, (bob_given_minus, bob_given_plus), pick=a_plus))
+
+    counts = count_outcomes(master_seed, DOMAIN_QUANTUM_SAMPLING, 4, trials_per_setting, 4, outcome, workers=workers)
     return frequency_table(counts)
+
+
+def _collapse_thresholds(p_pp: float, p_pm: float, p_mp: float, p_mm: float) -> tuple[float, float, float]:
+    """(P(A+), P(B+ | A-), P(B+ | A+)) of one row; a conditional on an impossible outcome is 0."""
+    alice_plus, alice_minus = p_pp + p_pm, p_mp + p_mm
+    return (
+        alice_plus / (alice_plus + alice_minus),
+        p_mp / alice_minus if alice_minus else 0.0,
+        p_pp / alice_plus if alice_plus else 0.0,
+    )
 
 
 def coplanar_axes(alpha: float) -> AxisQuad:

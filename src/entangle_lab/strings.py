@@ -17,18 +17,21 @@ many strings there are:
 * ``V4`` - two independent strings; each observer privately selects string 1
   with probability p_1 and applies the V3 measurements to the selection.
 
-The mechanism is written once, in two layers: ``_events`` applies the
-threshold tests a setting's outcome reads to the uniform draws, and
-``_outcome_signs`` turns the boolean events into Alice's and Bob's + masks
-(``_outcome_indices`` packs them into cell indices).  ``_events`` reads its
-draws one column at a time through a ``draw(j)`` source and asks only for
-the columns it tests: the color(s) unless a plain variant has both observers
-pull, V4's selections, and the cut only where a string splits.  A threshold
-at 0 or 1 gives a constant event and draws nothing.  ``estimate_table``
-samples through ``rng.count_outcomes``, whose ``draw(j)`` fills a reused
-per-worker buffer with column j of the block's own substream on first use;
-it counts each block's four cells from the two masks.  ``iter_trials``
-replays the same columns, laid out as rows, with a ``MicroTrace`` per trial.
+The mechanism is written once, in two layers: ``_events`` asks a source for
+the threshold tests a setting's outcome reads, and ``_outcome_signs`` turns
+the boolean events into Alice's and Bob's + masks (``_outcome_indices``
+packs them into cell indices).  A source's ``below(j, p)`` gives the events
+"column j is below p"; ``_events`` asks only for the columns it tests: the
+color(s) unless a plain variant has both observers pull, V4's selections,
+and the cut (the test at p = 1/2) only where a string splits.  A threshold at
+0 or 1 gives a constant event and draws nothing.  ``estimate_table`` samples
+through ``rng.count_outcomes``, whose ``rng.Block`` source decides each test
+on one byte of the column's own substream, and counts each block's four
+cells from the two masks.  ``iter_trials`` asks the same blocks for the same
+events and adds a ``MicroTrace`` per trial; its break position is the cut
+byte plus a continuous draw made for the trace alone, so the trace agrees
+with the cut.  ``trial_from_draws`` runs the kernel on float rows, where u
+is below p iff u < p (the byte rule on U = u * 2**64).
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``analytic_table`` evaluates these cached polynomials exactly, in integers
@@ -50,7 +53,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .probability import ExperimentTable, JointDistribution, frequency_table
-from .rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms, count_outcomes
+from .rng import (
+    DOMAIN_STRING_TRACE,
+    DOMAIN_STRING_TRIALS,
+    TRIAL_BLOCK,
+    Block,
+    block_uniforms,
+    count_outcomes,
+    sign_counts,
+)
 
 
 class Variant(str, Enum):
@@ -213,32 +224,48 @@ def _splits(variant: Variant, setting: Setting) -> bool:
     return (alice_pulls and bob_pulls) or (variant is Variant.V1_PRE_BROKEN and (alice_pulls or bob_pulls))
 
 
-def _below(draw: Callable[[int], np.ndarray], column: int, p: float, rows: int) -> np.ndarray:
-    """The event u < p on one draw column; a threshold at 0 or 1 is constant and draws nothing."""
-    return draw(column) < p if 0 < p < 1 else np.full(rows, p >= 1)
+class _Rows(NamedTuple):
+    """A float row-layout source: column j is below p iff u < p.
+
+    For a float u in [0, 1) that is the byte rule's event U < ceil(p * 2**64)
+    on U = u * 2**64, so float rows and byte streams share one kernel.
+    """
+
+    u: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return len(self.u)
+
+    def below(self, column: int, p: float) -> np.ndarray:
+        return self.u[:, column] < p if 0 < p < 1 else np.full(self.rows, p >= 1)
 
 
-def _events(
-    config: StringModelConfig, setting: Setting, rows: int, draw: Callable[[int], np.ndarray], *, trace: bool = False
-) -> _Events:
-    """draws -> events: the threshold tests the setting's outcome reads, over ``rows`` trials.
+def _events(config: StringModelConfig, setting: Setting, source, *, trace: bool = False) -> _Events:
+    """source -> events: the threshold tests the setting's outcome reads, over ``source.rows`` trials.
 
-    ``draw(j)`` returns draw column j, laid out as in :func:`trial_from_draws`;
-    it is called only for the columns a test needs.  ``trace`` also builds the
-    colors the outcome does not read, which a ``MicroTrace`` records.
+    ``source.below(j, p)`` tests column j, laid out as in
+    :func:`trial_from_draws`; it is called only for the columns the outcome
+    reads.  ``trace`` also builds the colors the outcome does not read, which
+    a ``MicroTrace`` records.
     """
     variant = config.variant
     n_strings = 2 if variant is Variant.V4 else 1
     p_w = float(config.p_w)
     white = None
     if trace or variant in _PARITY_VARIANTS or not (setting.alice_pulls and setting.bob_pulls):
-        white = tuple(_below(draw, j, p_w, rows) for j in range(n_strings))
+        white = tuple(source.below(j, p_w) for j in range(n_strings))
     sel_a = sel_b = None
     if variant is Variant.V4:
         p_1 = float(config.p_1)
-        sel_a, sel_b = _below(draw, 2, p_1, rows), _below(draw, 3, p_1, rows)
-    cut = draw(draws_per_trial(variant) - 1) >= 0.5 if _splits(variant, setting) else None
+        sel_a, sel_b = source.below(2, p_1), source.below(3, p_1)
+    cut = ~source.below(_cut_column(variant), 0.5) if _splits(variant, setting) else None
     return _Events(white, sel_a, sel_b, cut)
+
+
+def _cut_column(variant: Variant) -> int:
+    """The cut is the last column of a trial's row layout."""
+    return draws_per_trial(variant) - 1
 
 
 def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple[np.ndarray, np.ndarray]:
@@ -292,21 +319,23 @@ _COLOR_NAMES = {True: "white", False: "black"}
 _STRING_NAMES = {True: "string1", False: "string2"}
 
 
-def _replay(config: StringModelConfig, setting: Setting, u: np.ndarray):
-    """Yield ``(OutcomePair, MicroTrace)`` per draw row: one kernel call, then the traces."""
-    events = _events(config, setting, len(u), lambda j: u[:, j], trace=True)
-    indices = _outcome_indices(config.variant, setting, events).tolist()
-    colors = zip(*([_COLOR_NAMES[w] for w in column.tolist()] for column in events.white))
+def _replay(config: StringModelConfig, setting: Setting, events: _Events, breaks: np.ndarray, skip: int = 0):
+    """Yield ``(OutcomePair, MicroTrace)`` per trial of ``events`` from trial ``skip`` on.
+
+    ``breaks`` holds the break fractions, read only where a string splits.
+    """
+    indices = _outcome_indices(config.variant, setting, events)[skip:].tolist()
+    colors = zip(*([_COLOR_NAMES[w] for w in column[skip:].tolist()] for column in events.white))
     if events.sel_a is None:
         selections, shared = itertools.repeat(None), itertools.repeat(True)
     else:
-        sel_a, sel_b = events.sel_a.tolist(), events.sel_b.tolist()
+        sel_a, sel_b = events.sel_a[skip:].tolist(), events.sel_b[skip:].tolist()
         selections = ((_STRING_NAMES[a], _STRING_NAMES[b]) for a, b in zip(sel_a, sel_b))
         shared = (a == b for a, b in zip(sel_a, sel_b))
     alice_pulls, bob_pulls = setting.alice_pulls, setting.bob_pulls
     splits = _splits(config.variant, setting)
     length = config.length_l
-    for index, color, selection, same, u_break in zip(indices, colors, selections, shared, u[:, -1].tolist()):
+    for index, color, selection, same, u_break in zip(indices, colors, selections, shared, breaks[skip:].tolist()):
         break_fraction = None
         if same and (alice_pulls or bob_pulls):
             break_fraction = u_break if splits else (1.0 if alice_pulls else 0.0)
@@ -330,7 +359,8 @@ def trial_from_draws(config: StringModelConfig, setting: Setting, draws: Sequenc
     k = draws_per_trial(config.variant)
     if len(draws) != k:
         raise ValueError(f"{config.variant.value} trial needs {k} draws, got {len(draws)}")
-    return next(_replay(config, setting, np.asarray(draws, dtype=float).reshape(1, k)))
+    u = np.asarray(draws, dtype=float).reshape(1, k)
+    return next(_replay(config, setting, _events(config, setting, _Rows(u), trace=True), u[:, -1]))
 
 
 def sample_trial(config: StringModelConfig, setting: Setting, rng: np.random.Generator):
@@ -350,20 +380,17 @@ def estimate_table(
     Deterministic given ``master_seed``: :func:`rng.count_outcomes` samples
     fixed blocks whose substreams depend only on (seed, setting, block,
     column), so the counts are bit-identical for any ``workers`` value.  A
-    setting draws only the columns its outcome reads.  Returns the
-    relative-frequency :class:`ExperimentTable` and the raw counts as
-    ``{row label: (n_pp, n_pm, n_mp, n_mm)}``.
+    setting draws only the columns its outcome reads, one byte per trial.
+    Returns the relative-frequency :class:`ExperimentTable` and the raw
+    counts as ``{row label: (n_pp, n_pm, n_mp, n_mm)}``.
     """
 
-    def outcome(si, rows, draw):
+    def outcome(si, block):
         setting = SETTINGS[si]
-        a_plus, b_plus = _outcome_signs(config.variant, setting, _events(config, setting, rows, draw))
-        n_a, n_b, n_ab = np.count_nonzero(a_plus), np.count_nonzero(b_plus), np.count_nonzero(a_plus & b_plus)
-        return n_ab, n_a - n_ab, n_b - n_ab, rows - n_a - n_b + n_ab
+        return sign_counts(*_outcome_signs(config.variant, setting, _events(config, setting, block)))
 
     counts = count_outcomes(
-        master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting,
-        draws_per_trial(config.variant), 4, outcome, workers=workers,
+        master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting, 4, outcome, workers=workers
     )
     return frequency_table(counts)
 
@@ -377,22 +404,32 @@ def iter_trials(
 ) -> Iterator[tuple[OutcomePair, MicroTrace]]:
     """Replay trials [start, start + n_trials) of a setting, one by one.
 
-    Reads the same substreams as :func:`estimate_table`, so trial ``t`` here
-    is exactly trial ``t`` of the vectorized estimate.  ``n_trials == 0``
-    replays nothing; a negative ``start`` or ``n_trials`` is a ``ValueError``.
+    Asks the same blocks as :func:`estimate_table` for the same events, so
+    trial ``t`` here is exactly trial ``t`` of the vectorized estimate.  Where
+    the string splits, the break fraction is ``(b + v) / 256``: b is the
+    trial's cut byte and v a continuous draw on ``DOMAIN_STRING_TRACE``, so
+    Alice holds the long side iff the fraction is at least 1/2.
+    ``n_trials == 0`` replays nothing; a negative ``start`` or ``n_trials`` is
+    a ``ValueError``.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    k = draws_per_trial(config.variant)
     si = setting_index(setting)
     end = start + n_trials
 
-    def replay_block(block: int):
-        first = block * TRIAL_BLOCK
-        u = block_uniforms(master_seed, DOMAIN_STRING_TRIALS, si, block, min(end - first, TRIAL_BLOCK), k)
-        return _replay(config, setting, u[max(start - first, 0):])
+    def replay_block(block_index: int):
+        first = block_index * TRIAL_BLOCK
+        block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, min(end - first, TRIAL_BLOCK))
+        events = _events(config, setting, block, trace=True)
+        breaks = np.zeros(block.rows)
+        if _splits(config.variant, setting):
+            b = block.column_bytes(_cut_column(config.variant))
+            v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, block.rows, 1)[:, 0]
+            # Rounding b + v may reach the next byte; the fraction stays below (b + 1) / 256.
+            breaks = np.minimum((b + v) / 256, np.nextafter((b + 1.0) / 256, 0.0))
+        return _replay(config, setting, events, breaks, max(start - first, 0))
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
     return itertools.chain.from_iterable(map(replay_block, range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK))))

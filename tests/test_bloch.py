@@ -3,13 +3,13 @@
 import cmath
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byte_streams import feeding, from_float, key
 from entangle_lab.bloch import (
     BlochVector15,
     BreakDistribution,
@@ -215,13 +215,11 @@ class TestSampleCollapse:
         scalar_plus = sum(
             1 for _ in range(n) if sample_collapse(r, Z_FRAME, dist, substream(7, 0, _))[0] == 1
         )
-        # one uniform per sample: replaying the same substream per index
-        draws = np.vstack([substream(7, 0, i).random(1) for i in range(n)])
-
-        def replay(master_seed, domain, setting_index, block_index, column, rows, out=None):
-            return draws[:rows, column]
-
-        with mock.patch("entangle_lab.rng.block_column", replay):
+        # one uniform per sample: the same draws fed to the byte streams
+        # (a float draw is a multiple of 2**-53, so its 64-bit U is exact)
+        draws = [substream(7, 0, i).random() for i in range(n)]
+        threshold = dist.plus_probability(outcome_probabilities(r, Z_FRAME)[0])
+        with feeding({0: [from_float(u) for u in draws]}, lambda si, column: key(threshold)):
             n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, n, 0)
         assert n_plus == scalar_plus
         assert n_plus + n_minus == n

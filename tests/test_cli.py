@@ -533,6 +533,19 @@ def test_collapse_cell_weight_errors_are_configuration_errors(capsys, tmp_path, 
     assert not path.exists()
 
 
+def test_empty_cell_weights_are_refused(capsys, tmp_path):
+    # An empty value is not the absent flag: it must not fall back to the uniform distribution.
+    path = tmp_path / "collapse.json"
+    code, out, err = run_cli(
+        capsys, "bloch", "collapse", "--costheta", "0.5", "--trials", "10", "--cell-weights", "", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("--cell-weights")
+    assert "weight 1 is not a number: ''" in message
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flag, a, b", [("--b", "1,0,0", "2,0,0"), ("--a", "0.8,0.8,0", "0,0,1")])
 def test_product_state_rejects_overlong_bloch_vectors(capsys, flag, a, b):
     code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "product", "--a", a, "--b", b)

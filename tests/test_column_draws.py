@@ -2,7 +2,8 @@
 
 Every (setting, block, column) has its own substream, and a setting asks for
 a column only where its outcome reads that event and the event's threshold
-lies strictly inside (0, 1).  Skipping a column must not change a count:
+lies strictly inside (0, 1).  A column's tie substream is drawn only for
+its tied trials and is not counted as a column here.  Skipping a column must not change a count:
 ``estimate_table`` still tallies exactly what ``iter_trials`` replays from
 the full row layout, for any number of workers.
 """
@@ -22,13 +23,14 @@ N_TRIALS = TRIAL_BLOCK + 17
 def drawn_columns(config, n_trials=N_TRIALS, seed=3):
     """Run ``estimate_table`` and return how often each (setting, block, column) was drawn."""
     calls = collections.Counter()
-    original = rng.block_column
+    original = rng.stream_words
 
-    def counting(master_seed, domain, si, block, column, rows, out=None):
-        calls[si, block, column] += 1
-        return original(master_seed, domain, si, block, column, rows, out=out)
+    def counting(master_seed, domain, si, block, column, *tie, n, bit_generator=None):
+        if not tie:
+            calls[si, block, column] += 1
+        return original(master_seed, domain, si, block, column, *tie, n=n, bit_generator=bit_generator)
 
-    with mock.patch.object(rng, "block_column", counting):
+    with mock.patch.object(rng, "stream_words", counting):
         estimate_table(config, n_trials, seed)
     return calls
 

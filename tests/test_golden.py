@@ -32,20 +32,20 @@ REPORT_ARGS = {
 }
 
 TRACE_DIGESTS = {
-    "v1": "004454f149228305204dd5d99a66ee9e5787ab8dfcd7dd0ef8df13bd322416af",
-    "v1pre": "26f46e1492c760202de0ccdf356635232ced4ca40f963a8d91081d2f39c9fb9c",
-    "v2": "09308e99083af3d3d5db1c7f3cc193461d518eca7b8820848ee5b80700e3368b",
-    "v3": "14140b185cab82369a05f709beda896c710559c031d5e913cb9f4674189398e0",
-    "v4": "6bf686bd138929754a1e56d533891affe5c44d642610661e53b24dda88e3bbfd",
+    "v1": "324f5f35b8160e3b18dbcc483963135ab0f13b8ac1c2063e2a41c62cb6a0f544",
+    "v1pre": "a11b974c36aee8c6d7bc0a1ad484182d4f3c1a8114844845b48fb280742cc02c",
+    "v2": "8a67f0c0febc3cd0817cb5cb043a43d7a72df95afd764d3d62cfe1b3f8b66b67",
+    "v3": "5e9fd7266b4fc5def1503e0993b48b2cc273352ab410d55d94e4d3aa2929f9c1",
+    "v4": "248e1cc827426cc1aba1b323cd14baec6b14fc5cfc5822e3f2c096676908481b",
 }
 
 REPORT_DIGESTS = {
-    "table": "32df74a1bec9d135acdb08029abd6273af81bce469c141d0bbdbb3b00d659ce4",
+    "table": "87c79f8ff86606dc8128bd69dd83025a9e3c3122f9ecc9d32c9402d4f26f3ba4",
     "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
-    "quantum": "9f364ef0e7f4e291e64a9896b37f2b3143d0eb15691b2a007fe117611775583a",
-    "collapse": "6530b7c0fac2971b8b75d2bc8cd02bd0a9e4eddff3cdf61f3b3f7ec187ce5c95",
-    "average": "4eacb3d73f169a17360f2d3f64db7eb4d6f7be9dd74a7b5b36deade55a236366",
-    "decompose": "42fb643a9a914aba3fd2e4a2ee0ec9cd1366755b5241003d4a8c4391bed3d2f5",
+    "quantum": "fed3391f8cc4c084604bf02dfa829cfd41068825ef1de08d1e5f94cdd52928e9",
+    "collapse": "3dcc3418325b30dd88d5e767d6ca5971ee4fb800004294be0a299ca77f7c5d8f",
+    "average": "4cfe736a3dc97e3e8375efe4006f9770b4f8a3e930c82814b9150da3c65ab24c",
+    "decompose": "a3e70befe9115ccd5148462d18df40b0248a91cdf637f9ef10bd3e6c39989f93",
 }
 
 
@@ -80,8 +80,8 @@ EXACT_ARGS = {
 }
 
 EXACT_DIGESTS = {
-    "table_v3": "577b8c2787d61ed48c972c2d4b43a1267185d0cc193da3825892dfd351cc84fc",
-    "scan_v2": "59f0695c9d0458eb2ac631c27cde93fd421c92a9a4d61ae6ea484e03cf2e74a5",
+    "table_v3": "4c48935bf49e8228f02a16d9ebd68362b9ab6526c110006cd942454f628ecfd0",
+    "scan_v2": "325f609ca27e2e7fe679936c5ca7e9e1b1e85bf22e60ae4487998018a239cc97",
 }
 
 
@@ -108,8 +108,8 @@ DECOMPOSE_ARGS = {
 }
 
 DECOMPOSE_DIGESTS = {
-    "product": "886989d8434343ad5a4714603319f9ee4e49185c785cb32341e9a579242c491f",
-    "custom": "9fb493893b9f211bb1f0c98b3951d2e8b5d50c2e2d6506d8a4d58e78f1d9af4e",
+    "product": "d7a287235d6f7cfa2163ef4439c7e439f0bf8bc50b3540d1a7e34d65584ccae3",
+    "custom": "01d169af6cd0682fbf66bf89108f4da06b838cdf2e612f7e101548ea687077ff",
 }
 
 

@@ -5,20 +5,25 @@ apart from the package's event/outcome layers.  Every sampling path
 (``trial_from_draws``, ``iter_trials``, ``estimate_table``) must agree with it
 row by row, including draws that sit exactly on a threshold or one float
 below it, and ``analytic_table`` must equal the closed forms and an
-enumeration of the event space exactly.
+enumeration of the event space exactly.  The byte-stream paths are fed the
+same draws through ``byte_streams``, on multiples of 2**-64, where the float
+test u < p and the byte rule agree.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_lab import rng, strings
-from entangle_lab.rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, block_uniforms
+from byte_streams import feeding, from_float, key, quantized
+from entangle_lab import strings
+from entangle_lab.rng import DOMAIN_STRING_TRACE, DOMAIN_STRING_TRIALS, TRIAL_BLOCK, Block
 from entangle_lab.strings import (
     SETTINGS,
     MicroTrace,
@@ -29,7 +34,6 @@ from entangle_lab.strings import (
     draws_per_trial,
     estimate_table,
     iter_trials,
-    setting_index,
     trial_from_draws,
 )
 
@@ -137,7 +141,10 @@ configs = st.one_of(
 
 
 def draw_rows(config, data):
-    """Draw rows mixing random uniforms with every threshold and the float just below it."""
+    """Draw rows mixing random uniforms with every threshold and the float just below it.
+
+    Every draw is a multiple of 2**-64, so the byte streams can carry it exactly.
+    """
     k = draws_per_trial(config.variant)
     thresholds = {float(config.p_w), float(config.p_1), 0.5}
     # A generator never yields 1.0, so an edge of 1.0 is dropped; the largest
@@ -146,23 +153,42 @@ def draw_rows(config, data):
     value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True))
     rows = [[edge] * k for edge in edges]
     rows += data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=40))
-    return rows
+    return [[quantized(u) for u in row] for row in rows]
+
+
+def feeding_rows(config, rows):
+    """Feed the draw rows to the byte streams, and their break draws to the trace.
+
+    Column j of a block reads column j of the rows, at the key of the
+    threshold that column is tested at; the trace's continuous draw v is
+    ``256 u - floor(256 u)`` of the break draw u, so ``(b + v) / 256 = u``.
+    """
+    k = draws_per_trial(config.variant)
+    tested = [config.p_w, config.p_w, config.p_1, config.p_1] if config.variant is Variant.V4 else [config.p_w]
+    keys = [key(float(p)) for p in tested] + [key(0.5)]
+    columns = {j: [from_float(row[j]) for row in rows] for j in range(k)}
+    breaks = np.array([row[-1] for row in rows])
+
+    def trace_draws(master_seed, domain, si, block, n_rows, n_columns):
+        assert (domain, n_columns) == (DOMAIN_STRING_TRACE, 1)
+        scaled = breaks[:n_rows] * 256
+        return (scaled - np.floor(scaled)).reshape(-1, 1)
+
+    streams = feeding(columns, lambda si, column: keys[column])
+    trace = mock.patch.object(strings, "block_uniforms", trace_draws)
+    return streams, trace
 
 
 @property_settings
 @given(config=configs, data=st.data())
 def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
     rows = draw_rows(config, data)
-    u = np.array(rows, dtype=float)
     start = data.draw(st.integers(0, len(rows) - 1))
-
-    def crafted_block_column(master_seed, domain, si, block, column, n_rows, out=None):
-        return u[:n_rows, column]
-
+    streams, trace = feeding_rows(config, rows)
     for setting in SETTINGS:
         expected = [oracle_trial(config, setting, row) for row in rows]
         assert [trial_from_draws(config, setting, row) for row in rows] == expected
-        with mock.patch.object(rng, "block_column", crafted_block_column):
+        with streams, trace:
             _, counts = estimate_table(config, len(rows), 0)
             replayed = list(iter_trials(config, setting, 0, len(rows) - start, start))
         assert replayed == expected[start:]
@@ -177,11 +203,12 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
 def test_sign_mask_counts_equal_the_index_bincount(config, data):
     # estimate_table counts each block from the two sign masks; the per-trial
     # indices of the same kernel must land in the same four cells.
-    u = np.array(draw_rows(config, data), dtype=float)
-    with mock.patch.object(rng, "block_column", lambda seed, domain, si, block, column, n, out=None: u[:n, column]):
-        _, counts = estimate_table(config, len(u), 0)
+    rows = draw_rows(config, data)
+    streams, _ = feeding_rows(config, rows)
+    with streams:
+        _, counts = estimate_table(config, len(rows), 0)
     for setting in SETTINGS:
-        events = strings._events(config, setting, len(u), lambda j: u[:, j])
+        events = strings._events(config, setting, strings._Rows(np.array(rows)))
         indices = strings._outcome_indices(config.variant, setting, events)
         assert counts[setting.label] == tuple(np.bincount(indices, minlength=4).tolist())
 
@@ -233,12 +260,51 @@ def test_analytic_table_equals_the_enumerated_event_space(config):
     assert all(type(p) is Fraction for row in got for p in row)
 
 
+ONE_BELOW_1 = math.nextafter(1.0, 0.0)
+
+
+def draws_of(config, trace):
+    """Draws the oracle resolves to ``trace``: 0 for white or string 1, else just below 1."""
+    u = [0.0 if color == "white" else ONE_BELOW_1 for color in trace.colors]
+    u += [0.0 if s == "string1" else ONE_BELOW_1 for s in trace.selections or ()]
+    bf = trace.break_fraction
+    return u + [bf if bf is not None and bf not in (0.0, 1.0) else 0.0]
+
+
 def test_replay_across_a_block_boundary_matches_the_oracle():
     config = StringModelConfig(variant=Variant.V4, p_w=0.4, p_1=0.3)
     for setting in SETTINGS:
-        si = setting_index(setting)
-        k = draws_per_trial(config.variant)
-        tail = block_uniforms(5, DOMAIN_STRING_TRIALS, si, 0, TRIAL_BLOCK, k)[-3:]
-        head = block_uniforms(5, DOMAIN_STRING_TRIALS, si, 1, 4, k)
-        expected = [oracle_trial(config, setting, row) for row in np.concatenate([tail, head])]
-        assert list(iter_trials(config, setting, 5, 7, start=TRIAL_BLOCK - 3)) == expected
+        replayed = list(iter_trials(config, setting, 5, 7, start=TRIAL_BLOCK - 3))
+        tail = list(iter_trials(config, setting, 5, 3, start=TRIAL_BLOCK - 3))
+        head = list(iter_trials(config, setting, 5, 4, start=TRIAL_BLOCK))
+        assert replayed == tail + head
+        for pair, trace in replayed:
+            assert oracle_trial(config, setting, draws_of(config, trace)) == (pair, trace)
+
+
+@pytest.mark.parametrize("v", [None, ONE_BELOW_1], ids=["drawn", "one-below-1"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_the_trace_break_agrees_with_the_sampler_cut(variant, v):
+    # With v just below 1, b + v rounds up to b + 1 for every b >= 1; the
+    # break must still stay below (b + 1) / 256.
+    white_string = variant in (Variant.V1, Variant.V1_PRE_BROKEN)
+    config = StringModelConfig(variant=variant, p_w=None if white_string else 0.3, p_1=0.7)
+    n = 3000
+    patch = contextlib.nullcontext()
+    if v is not None:
+        patch = mock.patch.object(strings, "block_uniforms", lambda *args: np.full((n, 1), v))
+    for si, setting in enumerate(SETTINGS):
+        block = Block(8, DOMAIN_STRING_TRIALS, si, 0, n)
+        events = strings._events(config, setting, block, trace=True)
+        with patch:
+            traces = [trace for _, trace in iter_trials(config, setting, 8, n)]
+        if events.cut is None:
+            continue
+        cut_bytes = block.column_bytes(draws_per_trial(variant) - 1).tolist()
+        shared = np.ones(n, bool) if events.sel_a is None else events.sel_a == events.sel_b
+        for trace, alice_long, same, b in zip(traces, events.cut.tolist(), shared.tolist(), cut_bytes):
+            if not same:
+                assert trace.break_fraction is None
+                continue
+            assert b / 256 <= trace.break_fraction < (b + 1) / 256
+            assert (trace.break_fraction >= 0.5) == alice_long

@@ -1,22 +1,26 @@
 """The three samplers on the shared trial-block driver, as threshold events.
 
 ``collapse_counts`` and ``sample_collapse`` put the break on the + side iff
-u < F(p+); ``quantum.sample_table`` picks the cell as the number of a row's
-cumulative thresholds that are <= u; ``estimate_table`` runs the string
-kernel.  Crafted draw rows (every threshold and the float just below it) are
-fed by patching ``entangle_lab.rng.block_column``, and each sampler is
-checked row by row against an independent rule written out here.  All three
-must give identical counts for any number of workers.
+the draw is below F(p+); ``quantum.sample_table`` collapses Alice on her
+marginal and then Bob on the conditional given her outcome;
+``estimate_table`` runs the string kernel.  Crafted 64-bit draws (every
+threshold and the float just below it) are fed by patching
+``entangle_lab.rng.stream_words`` (see ``byte_streams``), and each sampler is
+checked trial by trial against an independent rule written out here.  All
+three must give identical counts for any number of workers, and the string
+counts are recounted from the substreams by a rule written out apart from
+the package.
 """
 
+import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byte_streams import feeding, from_float, key, quantized
 from entangle_lab.bloch import BreakDistribution, MeasurementFrame, collapse_counts, outcome_probabilities, sample_collapse
 from entangle_lab.probability import ExperimentTable, JointDistribution
 from entangle_lab.quantum import coplanar_axes, sample_table, singlet_state, table_for_axes
@@ -29,10 +33,9 @@ Z_FRAME = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 
 
-def feeding(rows):
-    """Patch the driver's draws so that every block starts with ``rows``."""
-    u = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    return mock.patch("entangle_lab.rng.block_column", lambda seed, domain, si, block, j, n, out=None: u[:n, j])
+def feeding_one_column(draws, threshold):
+    """Column 0 of every block reads the float ``draws``, tested at ``threshold``."""
+    return feeding({0: [from_float(u) for u in draws]}, lambda si, column: key(threshold))
 
 
 class FixedDraw:
@@ -82,10 +85,12 @@ def test_collapse_is_one_threshold_event_row_by_row(weights, costheta, data):
     cells = [] if weights is None else np.cumsum(weights).tolist()
     edges = with_ulp_below([threshold, p_plus, 0.0, 1.0, *cells])
     draws = edges + data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    # On a multiple of 2**-64, the float test u < F and the byte rule agree.
+    draws = [quantized(u) for u in draws]
 
     for u in draws:
         outcome, lam = sample_collapse(r, Z_FRAME, dist, FixedDraw(u))
-        with feeding([u]):
+        with feeding_one_column([u], threshold):
             counts = collapse_counts(r, Z_FRAME, dist, 1, 0)
         assert counts == ((1, 0) if outcome == 1 else (0, 1))
         assert outcome == (1 if u < threshold else -1)
@@ -94,7 +99,7 @@ def test_collapse_is_one_threshold_event_row_by_row(weights, costheta, data):
         if abs(u - threshold) > 1e-12:
             assert outcome == (1 if m < p_plus else -1)
 
-    with feeding(draws):
+    with feeding_one_column(draws, threshold):
         n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, len(draws), 0)
     assert n_plus == sum(1 for u in draws if u < threshold)
     assert n_plus + n_minus == len(draws)
@@ -110,19 +115,28 @@ def test_eigenstates_never_collapse_the_other_way(weights):
     dist = BreakDistribution(weights=None if weights is None else np.asarray(weights))
     draws = [0.0, 0.5, ONE_BELOW_1]
     for costheta, expected in ((1.0, (3, 0)), (-1.0, (0, 3))):
-        with feeding(draws):
+        with feeding_one_column(draws, 1.0 if costheta > 0 else 0.0):
             assert collapse_counts(geometry(costheta), Z_FRAME, dist, 3, 0) == expected
 
 
-def first_cell_below(row, u):
-    """The cell a draw picks: the first whose cumulative share exceeds u."""
-    total = sum(row)
-    running = 0.0
-    for cell, p in enumerate(row[:3]):
-        running += p
-        if u < running / total:
-            return cell
-    return 3
+def two_collapses(row):
+    """(P(A+), P(B+ | A-), P(B+ | A+)) of a row, each conditional 0 where its outcome is impossible."""
+    pp, pm, mp, mm = row
+    alice = (pp + pm) / ((pp + pm) + (mp + mm))
+    return alice, (mp / (mp + mm) if mp + mm > 0 else 0.0), (pp / (pp + pm) if pp + pm > 0 else 0.0)
+
+
+def quantum_feeding(rows, u_alice, u_bob):
+    """Columns 0 and 1 read ``u_alice`` and ``u_bob``; Bob's K follows Alice's event per setting."""
+    alice_words, bob_words = [from_float(u) for u in u_alice], [from_float(u) for u in u_bob]
+
+    def keys(si, column):
+        alice, given_minus, given_plus = two_collapses(rows[si])
+        if column == 0:
+            return key(alice)
+        return [key(given_plus if u < key(alice) else given_minus) for u in alice_words]
+
+    return feeding({0: alice_words, 1: bob_words}, keys)
 
 
 probability_rows = st.lists(
@@ -132,26 +146,34 @@ probability_rows = st.lists(
 
 @property_settings
 @given(rows=st.lists(probability_rows, min_size=4, max_size=4), data=st.data())
-def test_quantum_cell_is_the_count_of_thresholds_at_or_below_the_draw(rows, data):
+def test_quantum_trial_is_two_sequential_collapses(rows, data):
     table = ExperimentTable(*(JointDistribution(*row) for row in rows))
     rows = [[float(p) for p in dist.probabilities()] for _, dist in table.rows()]
-    for si, row in enumerate(rows):
-        cumulative = np.cumsum(row)
-        edges = with_ulp_below([*(cumulative[:3] / cumulative[3]).tolist(), 0.0, 1.0])
-        draws = edges + data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
-        for u in draws:
-            with feeding([u]):
-                _, counts = sample_table(table, 1, 0)
-            cell = list(counts.values())[si].index(1)
-            assert 0 <= cell <= 3
-            assert row[cell] > 0
-            assert cell == first_cell_below(row, u)
+    edges = with_ulp_below([0.0, 1.0, *(p for row in rows for p in two_collapses(row))])
+    pairs = list(zip(edges, edges)) + list(zip(edges, edges[::-1]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    pairs += data.draw(st.lists(st.tuples(unit, unit), max_size=10))
+    pairs = [(quantized(u), quantized(v)) for u, v in pairs]
+    for u, v in pairs:
+        with quantum_feeding(rows, [u], [v]):
+            _, counts = sample_table(table, 1, 0)
+        for row, cells in zip(rows, counts.values()):
+            alice, given_minus, given_plus = two_collapses(row)
+            a_plus = u < alice
+            b_plus = v < (given_plus if a_plus else given_minus)
+            cell = (0 if a_plus else 2) + (0 if b_plus else 1)
+            assert list(cells) == [int(i == cell) for i in range(4)]
+            assert row[cell] > 0  # a zero-probability cell is never drawn
+    with quantum_feeding(rows, *zip(*pairs)):
+        _, counts = sample_table(table, len(pairs), 0)
+    assert all(sum(cells) == len(pairs) for cells in counts.values())
 
 
 def test_singlet_at_zero_angle_never_agrees():
     table = table_for_axes(singlet_state(), coplanar_axes(0.0))
-    draws = with_ulp_below([0.0, 0.25, 0.5, 0.75, 1.0])
-    with feeding(draws):
+    rows = [[float(p) for p in dist.probabilities()] for _, dist in table.rows()]
+    draws = [quantized(u) for u in with_ulp_below([0.0, 0.25, 0.5, 0.75, 1.0])]
+    with quantum_feeding(rows, draws, draws[::-1]):
         _, counts = sample_table(table, len(draws), 0)
     for label in ("AB", "A'B'"):
         assert counts[label][0] == counts[label][3] == 0
@@ -197,23 +219,24 @@ STRING_CONFIGS = {
 }
 
 # estimate_table counts of 2 * TRIAL_BLOCK + 7 trials per setting in stream
-# format 4, where every (setting, block, column) has its own substream.
+# format 5, where every threshold test reads one byte of its column's
+# substream; test_string_counts_follow_the_written_out_format recounts them.
 STRING_COUNTS = {
-    ("v1", 0): [[0, 65628, 65451, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 0): [[0, 65628, 65451, 0], [65455, 0, 65624, 0], [65419, 65660, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 0): [[0, 65628, 65451, 0], [39260, 91819, 0, 0], [39119, 0, 91960, 0], [39373, 0, 0, 91706]],
-    ("v3", 0): [[0, 65536, 65543, 0], [91744, 0, 0, 39335], [91736, 0, 0, 39343], [92047, 0, 0, 39032]],
-    ("v4", 0): [[8823, 51212, 51126, 19918], [39386, 13035, 13336, 65322], [38981, 13345, 13296, 65457], [39438, 13224, 13222, 65195]],
-    ("v1", 13): [[0, 65395, 65684, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 13): [[0, 65395, 65684, 0], [65543, 0, 65536, 0], [65564, 65515, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 13): [[0, 65395, 65684, 0], [39229, 91850, 0, 0], [39374, 0, 91705, 0], [39183, 0, 0, 91896]],
-    ("v3", 13): [[0, 65363, 65716, 0], [91428, 0, 0, 39651], [91861, 0, 0, 39218], [91527, 0, 0, 39552]],
-    ("v4", 13): [[8938, 51171, 51213, 19757], [38949, 13338, 13337, 65455], [39304, 13212, 13256, 65307], [39309, 13103, 13147, 65520]],
-    ("v1", 2**64 - 1): [[0, 65617, 65462, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 2**64 - 1): [[0, 65617, 65462, 0], [65154, 0, 65925, 0], [65833, 65246, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 2**64 - 1): [[0, 65617, 65462, 0], [39488, 91591, 0, 0], [39400, 0, 91679, 0], [39263, 0, 0, 91816]],
-    ("v3", 2**64 - 1): [[0, 65554, 65525, 0], [92090, 0, 0, 38989], [91840, 0, 0, 39239], [91766, 0, 0, 39313]],
-    ("v4", 2**64 - 1): [[8734, 51123, 51308, 19914], [39379, 13312, 13279, 65109], [39211, 13302, 13239, 65327], [39227, 13302, 13227, 65323]],
+    ("v1", 0): [[0, 65562, 65517, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 0): [[0, 65562, 65517, 0], [65274, 0, 65805, 0], [65511, 65568, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 0): [[0, 65562, 65517, 0], [39212, 91867, 0, 0], [39281, 0, 91798, 0], [39085, 0, 0, 91994]],
+    ("v3", 0): [[0, 65683, 65396, 0], [91608, 0, 0, 39471], [91579, 0, 0, 39500], [91789, 0, 0, 39290]],
+    ("v4", 0): [[8722, 50912, 51451, 19994], [39248, 13482, 13219, 65130], [39391, 13013, 13171, 65504], [39175, 13254, 13110, 65540]],
+    ("v1", 13): [[0, 65595, 65484, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 13): [[0, 65595, 65484, 0], [65564, 0, 65515, 0], [65376, 65703, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 13): [[0, 65595, 65484, 0], [39284, 91795, 0, 0], [39503, 0, 91576, 0], [39400, 0, 0, 91679]],
+    ("v3", 13): [[0, 65631, 65448, 0], [91791, 0, 0, 39288], [91940, 0, 0, 39139], [91986, 0, 0, 39093]],
+    ("v4", 13): [[8755, 51425, 51131, 19768], [39476, 13123, 13067, 65413], [39094, 13162, 13356, 65467], [39282, 13161, 13060, 65576]],
+    ("v1", 2**64 - 1): [[0, 65412, 65667, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 2**64 - 1): [[0, 65412, 65667, 0], [65449, 0, 65630, 0], [65741, 65338, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 2**64 - 1): [[0, 65412, 65667, 0], [39094, 91985, 0, 0], [39170, 0, 91909, 0], [39337, 0, 0, 91742]],
+    ("v3", 2**64 - 1): [[0, 65339, 65740, 0], [91572, 0, 0, 39507], [91780, 0, 0, 39299], [91951, 0, 0, 39128]],
+    ("v4", 2**64 - 1): [[8877, 51116, 51122, 19964], [39111, 13219, 13322, 65427], [39199, 13163, 13333, 65384], [39265, 12971, 13292, 65551]],
 }
 
 
@@ -222,3 +245,63 @@ def test_string_counts_are_unchanged_for_any_workers(variant, seed):
     for workers in (1, 2, 3):
         _, counts = estimate_table(STRING_CONFIGS[variant], 2 * TRIAL_BLOCK + 7, seed, workers=workers)
         assert [list(cells) for cells in counts.values()] == STRING_COUNTS[variant, seed]
+
+
+def written_out_events(seed, si, block, column, rows, p):
+    """Format 5 restated: SHA-256 path keys as SFC64 states, one byte per trial, tie words for ties."""
+
+    def words(*path, n):
+        payload = b"entangle-lab/1:" + seed.to_bytes(8, "little")
+        payload += b"".join(part.to_bytes(8, "little", signed=True) for part in path)
+        bit_generator = np.random.SFC64()
+        state = np.frombuffer(hashlib.sha256(payload).digest(), dtype="<u8").astype(np.uint64)
+        bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
+        return bit_generator.random_raw(n)
+
+    if p in (0, 1):
+        return np.full(rows, p == 1)
+    k = key(p)
+    column_bytes = np.frombuffer(words(1, si, block, column, n=-(-rows // 8)).astype("<u8").tobytes(), np.uint8)[:rows]
+    events = column_bytes < k >> 56
+    if k % 2**56:
+        tied = np.flatnonzero(column_bytes == k >> 56)
+        for t, w in zip(tied, words(1, si, block, column, 0, n=tied.size).tolist()):
+            events[t] = (k >> 56 << 56 | w >> 8) < k
+    return events
+
+
+def written_out_counts(config, seed, n_trials):
+    """Every setting's four cells from the events, with the outcome rule of PAPER.md written out."""
+    v4 = config.variant is Variant.V4
+    last = 4 if v4 else 1
+    rows_out = []
+    for si, (alice_pulls, bob_pulls) in enumerate(((True, True), (True, False), (False, True), (False, False))):
+        cells = np.zeros(4, dtype=np.int64)
+        for block in range(-(-n_trials // TRIAL_BLOCK)):
+            rows = min(TRIAL_BLOCK, n_trials - block * TRIAL_BLOCK)
+            event = lambda column, p: written_out_events(seed, si, block, column, rows, float(p))  # noqa: E731
+            white = [event(j, config.p_w) for j in range(2 if v4 else 1)]
+            alice_on_1 = event(2, config.p_1) if v4 else np.ones(rows, bool)
+            bob_on_1 = event(3, config.p_1) if v4 else np.ones(rows, bool)
+            alice_white = np.where(alice_on_1, white[0], white[-1])
+            bob_white = np.where(bob_on_1, white[0], white[-1])
+            alice_long_at_cut = ~event(last, 0.5)
+            shared = alice_on_1 == bob_on_1
+            if alice_pulls and bob_pulls:
+                alice_long = alice_long_at_cut | ~shared
+                bob_long = ~alice_long_at_cut | ~shared
+            elif config.variant is Variant.V1_PRE_BROKEN:
+                alice_long, bob_long = alice_long_at_cut, ~alice_long_at_cut
+            else:
+                alice_long = bob_long = np.ones(rows, bool)
+            parity = config.variant in (Variant.V3, Variant.V4)
+            a_plus = (alice_long == alice_white if parity else alice_long) if alice_pulls else alice_white
+            b_plus = (bob_long == bob_white if parity else bob_long) if bob_pulls else bob_white
+            cells += np.bincount(2 * ~a_plus + ~b_plus, minlength=4)
+        rows_out.append(cells.tolist())
+    return rows_out
+
+
+def test_string_counts_follow_the_written_out_format():
+    for variant, seed in sorted(STRING_COUNTS):
+        assert written_out_counts(STRING_CONFIGS[variant], seed, 2 * TRIAL_BLOCK + 7) == STRING_COUNTS[variant, seed]
