@@ -37,9 +37,10 @@ layout: it splits the (setting, block) tasks into one chunk per worker,
 re-keys one SFC64 bit generator per chunk for every column it draws, and
 sums the per-block counts of a caller's outcome function as integers.  The
 string table, the quantum table and the Bloch collapse all sample through
-it.  :func:`block_column` and :func:`block_uniforms` give continuous float
-draws on the same path layout, for the continuous break positions of traced
-string trials.
+it.  :func:`iter_block_slices` maps a range of trials to the blocks that
+hold them, for the driver and for the trial-by-trial replay alike.  The one
+float draw on this layout is :func:`block_uniforms`, a block's column 0 as
+continuous uniforms, which places the break of a traced string trial.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Format 1 seeded Philox with one key per block; format 2 seeded SFC64 with
@@ -190,60 +191,30 @@ class Block:
             event[tied] = (w >> np.uint64(8)) < lo
 
 
-def block_column(
-    master_seed: int,
-    domain: int,
-    setting_index: int,
-    block_index: int,
-    column: int,
-    rows: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The leading ``rows`` float draws of one column of one block, a float64 vector.
+def block_uniforms(master_seed: int, domain: int, setting_index: int, block_index: int, rows: int) -> np.ndarray:
+    """The leading ``rows`` float draws of one block, a float64 vector.
 
-    Entry ``r`` is that column's draw for trial ``block_index * TRIAL_BLOCK + r``;
-    generating fewer rows than a full block yields the same leading values.
-    With ``out``, a C-contiguous float64 vector of at least ``rows`` entries,
-    the draws fill ``out[:rows]`` and that view is returned; the values are
-    the same as without it.
+    Entry ``r`` is the draw of trial ``block_index * TRIAL_BLOCK + r``, so
+    fewer rows give the same leading values.  They are the block's column 0,
+    the substream at its path plus ``0``: every string trace's break
+    fractions depend on that trailing part, so ``STREAM_FORMAT`` fixes it.
     """
     if not 0 < rows <= TRIAL_BLOCK:
         raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
-    if out is not None:
-        if out.dtype != np.float64:
-            raise ValueError(f"out must be float64, got {out.dtype}")
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        if out.ndim != 1 or out.shape[0] < rows:
-            raise ValueError(f"out must have shape (>= {rows},), got {out.shape}")
-    gen = substream(master_seed, domain, setting_index, block_index, column)
-    if out is None:
-        return gen.random(rows)
-    return gen.random(out=out[:rows])
+    return substream(master_seed, domain, setting_index, block_index, 0).random(rows)
 
 
-def block_uniforms(
-    master_seed: int, domain: int, setting_index: int, block_index: int, rows: int, draws_per_trial: int
-) -> np.ndarray:
-    """The leading ``rows`` trials' float draws of one block in the row layout, shape (rows, draws).
+def iter_block_slices(end: int, start: int = 0):
+    """Yield (block_index, first_trial, rows) for the blocks that hold trials [start, end).
 
-    Column ``j`` is :func:`block_column` ``j`` of the block, so row ``r``
-    holds every draw of trial ``block_index * TRIAL_BLOCK + r``.
+    ``first_trial`` is the block's first trial and ``rows`` counts from it
+    to ``end`` or the end of the block, so the cost is one step per block
+    in the range, whatever ``start`` is.
     """
-    return np.column_stack(
-        [block_column(master_seed, domain, setting_index, block_index, j, rows) for j in range(draws_per_trial)]
-    )
-
-
-def iter_block_slices(n_trials: int):
-    """Yield (block_index, start_trial, rows) covering trials [0, n_trials)."""
-    block = 0
-    start = 0
-    while start < n_trials:
-        rows = min(TRIAL_BLOCK, n_trials - start)
-        yield block, start, rows
-        block += 1
-        start += rows
+    if start < end:
+        for block_index in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK)):
+            first = block_index * TRIAL_BLOCK
+            yield block_index, first, min(end - first, TRIAL_BLOCK)
 
 
 def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[int, int, int, int]:

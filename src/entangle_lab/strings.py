@@ -56,10 +56,10 @@ from .probability import ExperimentTable, JointDistribution, frequency_table
 from .rng import (
     DOMAIN_STRING_TRACE,
     DOMAIN_STRING_TRIALS,
-    TRIAL_BLOCK,
     Block,
     block_uniforms,
     count_outcomes,
+    iter_block_slices,
     sign_counts,
 )
 
@@ -417,22 +417,20 @@ def iter_trials(
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     si = setting_index(setting)
-    end = start + n_trials
 
-    def replay_block(block_index: int):
-        first = block_index * TRIAL_BLOCK
-        block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, min(end - first, TRIAL_BLOCK))
+    def replay_block(block_index: int, first: int, rows: int):
+        block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)
         events = _events(config, setting, block, trace=True)
-        breaks = np.zeros(block.rows)
+        breaks = np.zeros(rows)
         if _splits(config.variant, setting):
             b = block.column_bytes(_cut_column(config.variant))
-            v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, block.rows, 1)[:, 0]
+            v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
             # Rounding b + v may reach the next byte; the fraction stays below (b + 1) / 256.
             breaks = np.minimum((b + v) / 256, np.nextafter((b + 1.0) / 256, 0.0))
         return _replay(config, setting, events, breaks, max(start - first, 0))
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
-    return itertools.chain.from_iterable(map(replay_block, range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK))))
+    return itertools.chain.from_iterable(itertools.starmap(replay_block, iter_block_slices(start + n_trials, start)))
 
 
 class CellPolynomials(NamedTuple):

@@ -99,3 +99,21 @@ def test_counts_equal_the_replayed_tally_for_any_workers(config):
         for pair, _trace in iter_trials(config, setting, 41, N_TRIALS):
             tally[pair.index] += 1
         assert results[0][setting.label] == tuple(tally)
+
+
+def test_a_replay_draws_only_the_blocks_it_reaches():
+    # Trials 2 * TRIAL_BLOCK + 1 to + 3 lie in block 2: blocks 0 and 1 are
+    # never drawn, and each column draws the one word holding rows 0 to 3.
+    config = StringModelConfig(Variant.V4, p_w=0.4, p_1=0.3)
+    calls = collections.Counter()
+    original = rng.stream_words
+
+    def counting(master_seed, domain, si, block, column, *tie, n, bit_generator=None):
+        if not tie:
+            calls[block, n] += 1
+        return original(master_seed, domain, si, block, column, *tie, n=n, bit_generator=bit_generator)
+
+    with mock.patch.object(rng, "stream_words", counting):
+        for setting in SETTINGS:
+            assert len(list(iter_trials(config, setting, 3, 3, start=2 * TRIAL_BLOCK + 1))) == 3
+    assert set(calls) == {(2, 1)}

@@ -169,10 +169,10 @@ def feeding_rows(config, rows):
     columns = {j: [from_float(row[j]) for row in rows] for j in range(k)}
     breaks = np.array([row[-1] for row in rows])
 
-    def trace_draws(master_seed, domain, si, block, n_rows, n_columns):
-        assert (domain, n_columns) == (DOMAIN_STRING_TRACE, 1)
+    def trace_draws(master_seed, domain, si, block, n_rows):
+        assert domain == DOMAIN_STRING_TRACE
         scaled = breaks[:n_rows] * 256
-        return (scaled - np.floor(scaled)).reshape(-1, 1)
+        return scaled - np.floor(scaled)
 
     streams = feeding(columns, lambda si, column: keys[column])
     trace = mock.patch.object(strings, "block_uniforms", trace_draws)
@@ -292,7 +292,7 @@ def test_the_trace_break_agrees_with_the_sampler_cut(variant, v):
     n = 3000
     patch = contextlib.nullcontext()
     if v is not None:
-        patch = mock.patch.object(strings, "block_uniforms", lambda *args: np.full((n, 1), v))
+        patch = mock.patch.object(strings, "block_uniforms", lambda *args: np.full(n, v))
     for si, setting in enumerate(SETTINGS):
         block = Block(8, DOMAIN_STRING_TRIALS, si, 0, n)
         events = strings._events(config, setting, block, trace=True)

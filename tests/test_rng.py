@@ -19,7 +19,6 @@ from entangle_lab.rng import (
     TIE_PART,
     TRIAL_BLOCK,
     Block,
-    block_column,
     block_uniforms,
     count_outcomes,
     iter_block_slices,
@@ -64,8 +63,8 @@ def test_stream_format_is_five():
 
 
 def test_first_block_draws_are_frozen():
-    u = block_uniforms(0, DOMAIN_STRING_TRIALS, 0, 0, 2, 5)
-    assert u.shape == (2, 5)
+    # Row by row, the first two trials' draws from columns 0 to 4.
+    u = np.column_stack([substream(0, DOMAIN_STRING_TRIALS, 0, 0, column).random(2) for column in range(5)])
     assert _bits(u) == [
         "3fcc9cb61fe117e0", "3fd200b5b0f5cc70", "3fe1e98ea18b9f86", "3fe5f4eb21081a53", "3fd01afb7dcdb0c0",
         "3fc27f454af7c14c", "3fe4ae65e2c2de98", "3fdab2dd510c1486", "3fde50a1e7a476a6", "3fd11dc9084b6b96",
@@ -73,7 +72,7 @@ def test_first_block_draws_are_frozen():
 
 
 def test_top_seed_block_draws_are_frozen():
-    u = block_uniforms(2**64 - 1, DOMAIN_STRING_TRIALS, 3, 7, 2, 2)
+    u = np.column_stack([substream(2**64 - 1, DOMAIN_STRING_TRIALS, 3, 7, column).random(2) for column in range(2)])
     assert _bits(u) == ["3fe5f20b950c66b2", "3fcc846813d13250", "3fecd5a4b06150bc", "3feafd72030dd658"]
 
 
@@ -107,52 +106,25 @@ def test_seed_wraps_at_64_bits():
 
 
 def test_block_uniforms_leading_rows_are_stable():
-    full = block_uniforms(3, 1, 0, 2, 1000, 2)
-    head = block_uniforms(3, 1, 0, 2, 10, 2)
+    full = block_uniforms(3, 1, 0, 2, 1000)
+    head = block_uniforms(3, 1, 0, 2, 10)
     np.testing.assert_array_equal(full[:10], head)
 
 
 def test_block_uniforms_shape_and_bounds():
-    u = block_uniforms(3, 1, 2, 0, 17, 5)
-    assert u.shape == (17, 5)
+    u = block_uniforms(3, 1, 2, 0, 17)
+    assert u.shape == (17,)
+    assert u.dtype == np.float64
     assert np.all((u >= 0.0) & (u < 1.0))
     with pytest.raises(ValueError):
-        block_uniforms(3, 1, 2, 0, 0, 5)
+        block_uniforms(3, 1, 2, 0, 0)
     with pytest.raises(ValueError):
-        block_uniforms(3, 1, 2, 0, TRIAL_BLOCK + 1, 5)
+        block_uniforms(3, 1, 2, 0, TRIAL_BLOCK + 1)
 
 
 def test_each_column_is_the_substream_of_its_path():
-    u = block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, 5)
-    for column in range(5):
-        expected = substream(3, DOMAIN_STRING_TRIALS, 1, 2, column).random(17)
-        assert block_column(3, DOMAIN_STRING_TRIALS, 1, 2, column, 17).tobytes() == expected.tobytes()
-        assert u[:, column].tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("rows", [TRIAL_BLOCK, 17])
-def test_block_column_into_a_buffer_gives_the_same_bits(rows):
-    out = np.full(TRIAL_BLOCK, np.nan)
-    fresh = block_column(3, 1, 2, 4, 3, rows)
-    filled = block_column(3, 1, 2, 4, 3, rows, out=out)
-    assert filled.shape == (rows,)
-    assert np.shares_memory(filled, out)
-    assert filled.tobytes() == fresh.tobytes()
-
-
-@pytest.mark.parametrize(
-    "out",
-    [
-        np.empty((20, 1)),  # a column, not a vector
-        np.empty(16),  # too few rows
-        np.empty(20, dtype=np.float32),
-        np.empty(40)[::2],  # twenty entries, not C-contiguous
-    ],
-    ids=["shape", "rows", "float32", "strided"],
-)
-def test_block_column_rejects_a_malformed_buffer(out):
-    with pytest.raises(ValueError, match="out must"):
-        block_column(3, 1, 2, 0, 0, 17, out=out)
+    expected = substream(3, DOMAIN_STRING_TRIALS, 1, 2, 0).random(17)
+    assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17).tobytes() == expected.tobytes()
 
 
 def _three_cells(si, block):
@@ -193,6 +165,12 @@ def test_iter_block_slices_partitions_exactly():
     assert slices[0] == (0, 0, TRIAL_BLOCK)
     assert slices[2] == (2, 2 * TRIAL_BLOCK, 123)
     assert list(iter_block_slices(10)) == [(0, 0, 10)]
+    # A start inside block 1 skips block 0; rows count from the block's first trial.
+    assert list(iter_block_slices(2 * TRIAL_BLOCK + 123, TRIAL_BLOCK + 5)) == [
+        (1, TRIAL_BLOCK, TRIAL_BLOCK),
+        (2, 2 * TRIAL_BLOCK, 123),
+    ]
+    assert list(iter_block_slices(2 * TRIAL_BLOCK + 5, 2 * TRIAL_BLOCK + 5)) == []  # no trials, no blocks
 
 
 # --- the threshold rule ----------------------------------------------------

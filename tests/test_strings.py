@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entangle_lab.probability import InvariantViolation, chsh, correlation, marginals
-from entangle_lab.rng import substream
+from entangle_lab.rng import TRIAL_BLOCK, substream
 from entangle_lab.strings import (
     SETTINGS,
     OutcomePair,
@@ -344,7 +344,7 @@ class TestEstimateTable:
         with pytest.raises(ValueError, match=name):
             iter_trials(config, AB, 1, n_trials, start=start)
 
-    @pytest.mark.parametrize("start", [0, 7, 4096])
+    @pytest.mark.parametrize("start", [0, 7, 4096, TRIAL_BLOCK, 2 * TRIAL_BLOCK + 5])
     def test_replay_of_zero_trials_is_empty(self, start):
         config = StringModelConfig(variant=Variant.V4, p_w=0.5, p_1=0.3)
         assert list(iter_trials(config, AB, 1, 0, start=start)) == []
