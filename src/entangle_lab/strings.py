@@ -269,12 +269,14 @@ def _cut_column(variant: Variant) -> int:
 
 
 def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple[np.ndarray, np.ndarray]:
-    """events -> outcome: the boolean masks (a_plus, b_plus) of Alice's and Bob's + results.
+    """events -> outcome: the masks (a_plus, b_plus) of Alice's and Bob's + results.
 
     The one copy of the outcome rule.  A color measurement is + iff the
     observer's string is white.  A pull measurement is + iff the collected
     fragment is long (plain variants) or iff long-white / short-black
-    (parity variants).
+    (parity variants).  Every step is bitwise, so the events may be bool
+    arrays (one trial each) or packed words (64 trials each) alike; the
+    sampler's padding bits come out arbitrary and are not counted.
     """
     if events.white is None:
         alice_white = bob_white = None  # a plain variant with both observers pulling reads no color
@@ -291,18 +293,18 @@ def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple
         alice_long, bob_long = events.cut, ~events.cut
         if events.sel_a is not None:
             # ... but observers holding different strings each collect a whole one.
-            apart = events.sel_a != events.sel_b
+            apart = events.sel_a ^ events.sel_b
             alice_long, bob_long = alice_long | apart, bob_long | apart
     else:
         # A lone puller collects the whole string.
-        alice_long = bob_long = np.ones(alice_white.shape, dtype=bool)
+        alice_long = bob_long = ~np.zeros_like(alice_white)
     parity = variant in _PARITY_VARIANTS
     if setting.alice_pulls:
-        a_plus = (alice_long == alice_white) if parity else alice_long
+        a_plus = ~(alice_long ^ alice_white) if parity else alice_long
     else:
         a_plus = alice_white
     if setting.bob_pulls:
-        b_plus = (bob_long == bob_white) if parity else bob_long
+        b_plus = ~(bob_long ^ bob_white) if parity else bob_long
     else:
         b_plus = bob_white
     return a_plus, b_plus
@@ -387,7 +389,9 @@ def estimate_table(
 
     def outcome(si, block):
         setting = SETTINGS[si]
-        return sign_counts(*_outcome_signs(config.variant, setting, _events(config, setting, block)))
+        events = _events(config, setting, block)
+        packed = _Events(*(None if e is None else (tuple(map(_packed, e)) if isinstance(e, tuple) else _packed(e)) for e in events))
+        return _packed_counts(*_outcome_signs(config.variant, setting, packed), block.rows)
 
     counts = count_outcomes(
         master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting, 4, outcome, workers=workers
@@ -607,3 +611,16 @@ def random_lhv_strategy(n_lambda: int, rng: np.random.Generator):
         return int(b_table[lam, 0 if setting == "B" else 1])
 
     return alice, bob, tuple(range(n_lambda)), weights
+
+
+def _packed(events):
+    bits = np.concatenate([events, np.zeros(-events.size % 64, dtype=bool)])
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def _packed_counts(a_plus, b_plus, rows):
+    valid = np.full(a_plus.size, np.uint64(2**64 - 1))
+    valid[-1] >>= np.uint64(-rows % 64)
+    a_plus, b_plus = a_plus & valid, b_plus & valid
+    n, n_a, n_b, n_ab = (int(np.bitwise_count(x).sum()) for x in (valid, a_plus, b_plus, a_plus & b_plus))
+    return n_ab, n_a - n_ab, n_b - n_ab, n - n_a - n_b + n_ab
