@@ -1,7 +1,7 @@
 """String models of bipartite correlations, CHSH/no-signaling diagnostics,
 singlet reference predictions and the extended-Bloch collapse sampler."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .probability import (
     BellBoundReport,

@@ -14,8 +14,11 @@ As in the string model, the outcome is one threshold test: + iff the
 uniform break measure lies below F(p+), with F =
 ``BreakDistribution.plus_probability``.  ``collapse_counts`` tests whole
 trial blocks through ``rng.count_outcomes``, the driver of the string and
-quantum tables too, on one byte per trial; ``sample_collapse`` tests one
-float draw u < F(p+) and maps it to the break position it reports.
+quantum tables too, on bit planes packed 64 trials to a word;
+``sample_collapse`` tests one float draw u < F(p+) and maps it to the break
+position it reports.  ``universal_average`` draws its random distributions
+in bounded blocks through ``rng.map_blocks`` and adds the blocks' partial
+sums in block order.
 
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
@@ -36,9 +39,12 @@ import numpy as np
 
 from .probability import InvariantViolation
 from .quantum import IDENTITY_2, PAULIS, _three_vector, validate_state
-from .rng import DOMAIN_BLOCH_COLLAPSE, count_outcomes
+from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, bit_stream, count_outcomes, map_blocks
 
 WEIGHT_TOL = 1e-12
+
+#: Floats one block of :func:`universal_average` draws at most: its rows times cells.
+AVERAGE_BLOCK_FLOATS = 1 << 20
 
 #: Normalization making the 15 generators satisfy Tr(G_i G_j) = 2 delta_ij.
 _GEN_SCALE = 1.0 / math.sqrt(2.0)
@@ -188,7 +194,7 @@ def collapse_counts(
     threshold = dist.plus_probability(p_plus)
 
     def outcome(_si, block):
-        n_plus = np.count_nonzero(block.below(0, threshold))
+        n_plus = int(np.bitwise_count(block.below(0, threshold)).sum())
         return n_plus, block.rows - n_plus
 
     counts = count_outcomes(master_seed, DOMAIN_BLOCH_COLLAPSE, 1, n_samples, 2, outcome, workers=workers)
@@ -200,7 +206,9 @@ def universal_average(
     frame: MeasurementFrame,
     cells: int,
     n_distributions: int,
-    rng: np.random.Generator,
+    master_seed: int,
+    *,
+    workers: int = 1,
 ) -> tuple[float, float]:
     """Average outcome probability over random piecewise-constant distributions.
 
@@ -208,17 +216,34 @@ def universal_average(
     normalized independent uniforms; its exact + probability is computed in
     closed form and the average over ``n_distributions`` draws is returned.
     The construction is cell-permutation symmetric, so the average converges
-    to the Born probabilities; with a single cell every draw is uniform and
-    the Born values are returned exactly.
+    to the Born probabilities; with a single cell every distribution is the
+    uniform one, and the Born values are returned exactly without a draw.
+
+    The distributions are drawn in blocks of at most
+    ``AVERAGE_BLOCK_FLOATS // cells`` (and at least one) rows, block b from
+    the substream ``(master_seed, DOMAIN_BLOCH_AVERAGE, 0, b)``.  Each block
+    is reduced to the sum of its rows' + probabilities, ``raw @ overlap``
+    over the row sums, and the partial sums are added exactly with
+    ``math.fsum``, so the result is bit-identical for any ``workers``.
     """
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
     if n_distributions < 1:
         raise ValueError(f"n_distributions must be >= 1, got {n_distributions}")
     p_plus, _ = outcome_probabilities(r, frame)
-    raw = rng.random((n_distributions, cells))
-    weights = raw / raw.sum(axis=1, keepdims=True)
-    averaged = float(np.mean(weights @ _cell_overlap(p_plus, cells)))
+    if cells == 1:
+        return p_plus, 1.0 - p_plus
+    overlap = _cell_overlap(p_plus, cells)
+    rows = max(1, AVERAGE_BLOCK_FLOATS // cells)
+    tasks = [(b, min(rows, n_distributions - b * rows)) for b in range(-(-n_distributions // rows))]
+
+    def block_sum(task, bit_generator):
+        block_index, n = task
+        stream = bit_stream(master_seed, DOMAIN_BLOCH_AVERAGE, 0, block_index, bit_generator=bit_generator)
+        raw = np.random.Generator(stream).random((n, cells))
+        return float(np.sum((raw @ overlap) / raw.sum(axis=1)))
+
+    averaged = math.fsum(map_blocks(tasks, block_sum, workers=workers)) / n_distributions
     return averaged, 1.0 - averaged
 
 

@@ -20,8 +20,9 @@ rows under ``--format csv``, and otherwise builds the JSON envelope, appending
 
 Every run is reproducible from ``--seed`` (or ``ENTANGLE_LAB_SEED``); reports
 with the same configuration, seed and version are byte-identical regardless
-of ``--workers``.  Exit codes: 0 success, 2 configuration error, 3 numerical
-invariant failure.  Errors are emitted as JSON objects on stderr.
+of ``--workers``.  Exit codes: 0 success, 1 output failure (stdout closed
+by its reader), 2 configuration error, 3 numerical invariant failure.  Errors
+are emitted as JSON objects on stderr.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ from .report import (
     report_to_json,
     table_to_json,
 )
-from .rng import DOMAIN_BLOCH_AVERAGE, substream
 from .strings import SETTINGS, StringModelConfig, Variant, analytic_table, estimate_table, iter_trials
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
@@ -134,11 +135,20 @@ def _parse_cell_weights(text: str) -> list[float]:
     return weights
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device after its reader has gone.
+
+    The interpreter flushes stdout once more at shutdown; on the closed pipe
+    that flush would print an "Exception ignored" traceback.  A stdout with
+    no file descriptor is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _diagnostics(table, tolerance) -> dict:
@@ -331,9 +341,7 @@ def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]
 def _cmd_bloch_average(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     r, frame = _collapse_geometry(args.costheta)
     born_plus, born_minus = outcome_probabilities(r, frame)
-    avg_plus, avg_minus = universal_average(
-        r, frame, args.cells, args.dists, substream(seed, DOMAIN_BLOCH_AVERAGE)
-    )
+    avg_plus, avg_minus = universal_average(r, frame, args.cells, args.dists, seed, workers=args.workers)
     config_echo = {
         "subcommand": "average",
         "costheta": args.costheta,
@@ -422,7 +430,7 @@ def _positive_int(text: str) -> int:
 
 
 _WORKERS_NO_EFFECT = "accepted on every command for a uniform command line; has no effect on this command"
-_WORKERS_SAMPLING = "sampling threads for --trials; results are identical for any value"
+_WORKERS_SAMPLING = "sampling threads; results are identical for any value"
 
 
 def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
@@ -494,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     average.add_argument("--costheta", type=float, required=True)
     average.add_argument("--cells", type=int, default=64)
     average.add_argument("--dists", type=int, default=100000)
-    _add_common(average)
+    _add_common(average, workers_help=_WORKERS_SAMPLING)
     average.set_defaults(run=_cmd_bloch_average)
 
     decompose_p = bloch_sub.add_parser("decompose", help="15-dimensional Bloch decomposition of a two-qubit state")
@@ -533,7 +541,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.timing:
                 report["wall_time_s"] = time.perf_counter() - started
             text = report_to_json(report)
-        _write_output(text, args.out)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
+            except BrokenPipeError as exc:
+                _detach_stdout()
+                _emit_error(EXIT_OUTPUT, f"cannot write the report to stdout: {exc}")
+                return EXIT_OUTPUT
     except InvariantViolation as exc:
         _emit_error(EXIT_NUMERIC, str(exc))
         return EXIT_NUMERIC

@@ -21,51 +21,67 @@ only with negligible probability.  Setting the state directly costs
 about a tenth of constructing a seeded generator.
 
 Trial-indexed sampling uses one substream per (domain, setting, block,
-column), with ``TRIAL_BLOCK`` trials per block.  Every sampled outcome is a
-threshold test: for 0 < p < 1 let K = ceil(p * 2**64) (:func:`threshold_key`,
-in exact integers).  Trial ``t`` reads byte ``t % TRIAL_BLOCK`` of its
-column's substream (the bytes of its little-endian words), so the event
-U < K is decided by ``b < K >> 56`` for every byte b except
-``b == K >> 56``; when K has nonzero low 56 bits, each such tied trial takes
-the next word w of the column's tie substream (the column's path plus
-``TIE_PART``) in trial order and its event is ``(w >> 8) < K & (2**56 - 1)``.
-So P(U < K) = K / 2**64 exactly, which is p for every float p >= 2**-12.  A
-threshold of 0 or 1 is a constant and draws nothing, and a column that
-nothing tests is never drawn.  :class:`Block` makes these tests for one
-(setting, block); :func:`count_outcomes` is the one sampling driver on this
-layout: it splits the (setting, block) tasks into one chunk per worker,
-re-keys one SFC64 bit generator per chunk for every column it draws, and
-sums the per-block counts of a caller's outcome function as integers.  The
-string table, the quantum table and the Bloch collapse all sample through
-it.  :func:`iter_block_slices` maps a range of trials to the blocks that
-hold them, for the driver and for the trial-by-trial replay alike.  The one
-float draw on this layout is :func:`block_uniforms`, a block's column 0 as
-continuous uniforms, which places the break of a traced string trial.
+column), with ``TRIAL_BLOCK`` trials per block, and keeps every event packed:
+trial r of a block is bit ``r % 64`` of word ``r // 64``.  Every sampled
+outcome is a threshold test: for 0 < p < 1 let K = ceil(p * 2**64)
+(:func:`threshold_key`, in exact integers).  Trial r's uniform U is read
+most significant bit first, one bit plane at a time: bit j of U (from the
+top) is bit r of plane j, and plane j is words
+``[PLANE_WORDS * j, PLANE_WORDS * j + ceil(rows / 64))`` of the column's
+substream, so fewer rows read the same leading bits.  A test reads
+m = min(significant bits of K, ``PLANES``) planes and stops there: a
+dyadic k / 2**m (the fair cut at 1/2, or 0.75 and 0.25) is decided by m bits
+per trial.  A trial whose leading ``PLANES`` bits all equal K's while K
+has nonzero low 56 bits is tied; the k-th tied trial, in trial order, takes
+word ``PLANES * PLANE_WORDS + k`` of the same substream and its event is
+``(w >> 8) < K & (2**56 - 1)``.  So P(U < K) = K / 2**64 exactly, which is p
+for every float p >= 2**-12.  A threshold of 0 or 1 is a constant and draws
+nothing, and a column that nothing tests is never drawn.  :class:`Block`
+makes these tests for one (setting, block); :func:`count_outcomes` is the
+one counting driver on this layout: it runs the (setting, block) tasks
+through :func:`map_blocks`, which deals tasks into one chunk per worker
+with one SFC64 bit generator each, re-keyed for every substream drawn, and
+it sums the per-block counts of a caller's outcome function as integers.
+The string table, the quantum table and the Bloch collapse all sample
+through it, and the Bloch average draws its float blocks through
+:func:`map_blocks` too.  :func:`iter_block_slices` maps a range of trials to
+the blocks that hold them, for the driver and for the trial-by-trial replay
+alike.  The one float draw on the trial layout is :func:`block_uniforms`, a
+block's column 0 as continuous uniforms, which places the break of a
+traced string trial.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Format 1 seeded Philox with one key per block; format 2 seeded SFC64 with
 them; format 3 sampled the quantum table and the Bloch collapse on the
 trial-block layout too; format 4 gave every column of a block its own
 substream, so a string setting draws only the columns its outcome reads;
-format 5, the current one, sets the SFC64 state from the whole digest and
-decides each threshold test on one byte, and the quantum table samples
-Alice's outcome on her marginal and Bob's on the conditional given hers.
-Any change to the numbers a sampler yields must bump it.
+format 5 set the SFC64 state from the whole digest and decided each
+threshold test on one byte per trial, a tied byte taking a word of a
+second, tie substream, and the quantum table sampled Alice's outcome on her
+marginal and Bob's on the conditional given hers; format 6, the current
+one, reads bit planes and takes tie words from the column's own substream,
+and the Bloch average draws its distributions in bounded blocks.  Any change
+to the numbers a sampler yields must bump it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
 #: Version of the substream numbers; reports carry it as ``stream_format``.
-STREAM_FORMAT = 5
+STREAM_FORMAT = 6
 
 #: Trials per substream block for trial-indexed sampling.
 TRIAL_BLOCK = 1 << 16
+
+#: Words per bit plane: plane j of a column starts at word ``j * PLANE_WORDS``.
+PLANE_WORDS = TRIAL_BLOCK // 64
+
+#: Planes a threshold test reads at most; a trial tied after them takes a tie word.
+PLANES = 8
 
 #: Domain tags keeping unrelated commands on disjoint substreams.
 DOMAIN_STRING_TRIALS = 1
@@ -74,15 +90,14 @@ DOMAIN_BLOCH_COLLAPSE = 3
 DOMAIN_BLOCH_AVERAGE = 4
 DOMAIN_STRING_TRACE = 5
 
-#: The path part appended to a column's path to name its tie substream.
-TIE_PART = 0
-
 _KEY_PREFIX = b"entangle-lab/1:"
 
 _U64 = (1 << 64) - 1
 
-#: The weight of a threshold test's byte: K >> 56 is compared with the byte.
-_BYTE_UNIT = 1 << 56
+#: K's bits below the planes, which a tie word decides.
+_LOW_BITS = (1 << (64 - PLANES)) - 1
+
+_ALL, _NONE = np.uint64(_U64), np.uint64(0)
 
 
 def stream_key(master_seed: int, *path: int) -> int:
@@ -93,29 +108,25 @@ def stream_key(master_seed: int, *path: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest(), "little")
 
 
-def _keyed(bit_generator: np.random.SFC64, master_seed: int, *path: int) -> np.random.SFC64:
-    """Set ``bit_generator`` to the substream at ``path``: its key's four little-endian words are the state."""
+def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.random.SFC64:
+    """The substream at ``path`` as an SFC64 bit generator standing at its first word.
+
+    Its state is the four little-endian words of the path's key.
+    ``bit_generator`` is re-keyed and returned if given, so a caller drawing
+    many substreams sets up one generator; the words do not depend on it.
+    """
+    if bit_generator is None:
+        bit_generator = np.random.SFC64(0)
     words = np.frombuffer(stream_key(master_seed, *path).to_bytes(32, "little"), dtype="<u8")
     bit_generator.state = {
-        "bit_generator": "SFC64", "state": {"state": words.astype(np.uint64)}, "has_uint32": 0, "uinteger": 0,
+        "bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0,
     }
     return bit_generator
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """A fresh, independent generator for the substream at ``path``."""
-    return np.random.Generator(_keyed(np.random.SFC64(0), master_seed, *path))
-
-
-def stream_words(master_seed: int, *path: int, n: int, bit_generator: np.random.SFC64 | None = None) -> np.ndarray:
-    """The first ``n`` 64-bit words of the substream at ``path``, as little-endian uint64.
-
-    ``bit_generator`` is re-keyed and used if given, so a caller drawing many
-    columns sets up one generator; the words do not depend on it.
-    """
-    if bit_generator is None:
-        bit_generator = np.random.SFC64(0)
-    return _keyed(bit_generator, master_seed, *path).random_raw(n).astype("<u8", copy=False)
+    return np.random.Generator(bit_stream(master_seed, *path))
 
 
 def threshold_key(p: float) -> int:
@@ -128,13 +139,29 @@ def threshold_key(p: float) -> int:
     return -(-(numerator << 64) // denominator)
 
 
-class Block:
-    """The threshold events of one (setting, block) of trials, column by column.
+def _planes_read(k: int) -> int:
+    """The planes deciding U < K for 0 < K < 2**64: K's significant bits, at most ``PLANES``."""
+    return min(65 - (k & -k).bit_length(), PLANES)
 
-    Trial ``block_index * TRIAL_BLOCK + r`` reads byte ``r`` of a column's
-    substream, so drawing fewer rows gives the same leading events, tied
-    trials included.  Each column is drawn once, on its first test;
-    ``bit_generator`` is re-keyed for every column drawn.
+
+def _by_pick(flag_0: int, flag_1: int, pick: np.ndarray | None) -> np.ndarray:
+    """The word mask of the trials whose key has its flag set: ``pick`` chooses key 1's flag, else key 0's.
+
+    Where the flags agree the mask is a scalar, all ones or none.
+    """
+    if bool(flag_0) == bool(flag_1):
+        return _ALL if flag_0 else _NONE
+    return pick if flag_1 else ~pick
+
+
+class Block:
+    """The threshold events of one (setting, block) of trials, packed into words.
+
+    Trial ``block_index * TRIAL_BLOCK + r`` is bit ``r % 64`` of word
+    ``r // 64`` of every event.  ``valid`` has the bits of the ``rows`` trials
+    set, and the events :meth:`below` returns are zero beyond them.  Each
+    test draws its column's leading planes; ``bit_generator`` is re-keyed for
+    every column drawn.
     """
 
     def __init__(
@@ -145,50 +172,76 @@ class Block:
             raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
         self.path = (master_seed, domain, setting_index, block_index)
         self.rows = rows
+        self.words = -(-rows // 64)
+        self.valid = np.full(self.words, _ALL)
+        self.valid[-1] >>= np.uint64(-rows % 64)
         self._bit_generator = np.random.SFC64(0) if bit_generator is None else bit_generator
-        self._bytes: dict[int, np.ndarray] = {}
-
-    def column_bytes(self, column: int) -> np.ndarray:
-        """The ``rows`` leading bytes of the column's substream, uint8."""
-        b = self._bytes.get(column)
-        if b is None:
-            words = stream_words(*self.path, column, n=-(-self.rows // 8), bit_generator=self._bit_generator)
-            b = self._bytes[column] = words.view(np.uint8)[: self.rows]
-        return b
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
-        """The events U < K, K = :func:`threshold_key` (p), of every trial on ``column``.
+        """The events U < K, K = :func:`threshold_key` (p), of every trial on ``column``, as words.
 
-        ``p`` is one threshold, or with the boolean mask ``pick`` a pair of
-        them: trial t tests ``p[pick[t]]``.  A threshold at 0 or 1 is a
-        constant event; if every threshold is one, nothing is drawn.
+        ``p`` is one threshold, or with the word mask ``pick`` a pair of
+        them: trial t tests ``p[1]`` where its pick bit is set, else
+        ``p[0]``.  A threshold at 0 or 1 is a constant event; if every
+        threshold is one, nothing is drawn.
         """
+        keys = [threshold_key(p)] if pick is None else [threshold_key(q) for q in p]
+        always = _by_pick(keys[0] >> 64, keys[-1] >> 64, pick)  # a key of 2**64 (p = 1) holds for every U
+        inside = [k for k in keys if 0 < k < 1 << 64]
+        if not inside:
+            return always & self.valid
+        m = max(map(_planes_read, inside))
+        stream = bit_stream(*self.path, column, bit_generator=self._bit_generator)
+        planes = stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)[:, : self.words]
         if pick is None:
-            if not 0 < p < 1:
-                return np.full(self.rows, p >= 1)
-            hi, lo = divmod(threshold_key(p), _BYTE_UNIT)
-            b = self.column_bytes(column)
-            event = b < hi
-            if lo:
-                self._break_ties(column, event, np.flatnonzero(b == hi), lo)
-            return event
-        if not any(0 < q < 1 for q in p):
-            return np.where(pick, p[1] >= 1, p[0] >= 1)
-        (hi_0, lo_0), (hi_1, lo_1) = (divmod(threshold_key(q), _BYTE_UNIT) for q in p)
-        b = self.column_bytes(column)
-        hi = np.where(pick, np.uint16(hi_1), np.uint16(hi_0))
-        event = b < hi
-        if lo_0 or lo_1:
-            tied = np.flatnonzero(b == hi)
-            lo = np.where(pick[tied], np.uint64(lo_1), np.uint64(lo_0))
-            self._break_ties(column, event, tied[lo != 0], lo[lo != 0])
-        return event
+            k_bits = [_ALL if keys[0] >> 63 - j & 1 else _NONE for j in range(m)]
+        else:
+            k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[1] >> 63 - j & 1, pick) for j in range(m)]
+        below = _NONE  # below the planes read, K's bits are zero: U is not below there
+        if m == PLANES and any(k & _LOW_BITS for k in inside):
+            below = self._break_ties(stream, planes, k_bits, keys, pick)
+        # A borrow chain from the lowest plane read up: where U's bit and K's
+        # differ the event is K's bit, and where they agree it is the event
+        # below.  Where every trial's key has the bit that is an OR, where
+        # none has it an AND.
+        for u, k_bit in zip(planes[::-1], k_bits[::-1]):
+            if k_bit is _ALL:
+                below = below | ~u
+            elif k_bit is _NONE:
+                below = below & ~u
+            else:
+                below = (~u & (k_bit | below)) | (k_bit & below)
+        if always is not _NONE:
+            below = below | always
+        return below & self.valid
 
-    def _break_ties(self, column: int, event: np.ndarray, tied: np.ndarray, lo) -> None:
-        """Decide the trials whose byte equals K >> 56: the k-th takes word k of the tie substream."""
-        if tied.size:
-            w = stream_words(*self.path, column, TIE_PART, n=tied.size, bit_generator=self._bit_generator)
-            event[tied] = (w >> np.uint64(8)) < lo
+    def _break_ties(self, stream, planes, k_bits, keys, pick) -> np.ndarray:
+        """The events of the trials tied with their key on every plane, by their tie words; zero elsewhere.
+
+        A trial is tied only where its key has nonzero low bits.  The stream
+        stands at its first tie word, and the k-th tied trial, in trial
+        order, takes its next word k: its event is the word's top 56 bits
+        below its key's low bits.
+        """
+        tied = self.valid & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
+        for u, k_bit in zip(planes, k_bits):
+            tied &= u if k_bit is _ALL else ~u if k_bit is _NONE else ~(u ^ k_bit)
+        events = np.zeros(self.words, dtype=np.uint64)
+        words = tied.nonzero()[0]  # about a quarter of them: unpack only these
+        bits = np.unpackbits(tied[words].astype("<u8", copy=False).view(np.uint8), bitorder="little").view(bool)
+        positions = bits.nonzero()[0]
+        if positions.size:
+            low = np.array([k & _LOW_BITS for k in keys], dtype=np.uint64)
+            if pick is not None:
+                picked = np.unpackbits(pick[words].astype("<u8", copy=False).view(np.uint8), bitorder="little")
+                low = low[picked[positions]]
+            bits[positions] = (stream.random_raw(positions.size) >> np.uint64(PLANES)) < low
+            events[words] = np.packbits(bits, bitorder="little").view("<u8")
+        return events
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """The block's packed ``words`` as one bool per trial."""
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=self.rows, bitorder="little").view(bool)
 
 
 def block_uniforms(master_seed: int, domain: int, setting_index: int, block_index: int, rows: int) -> np.ndarray:
@@ -217,10 +270,40 @@ def iter_block_slices(end: int, start: int = 0):
             yield block_index, first, min(end - first, TRIAL_BLOCK)
 
 
-def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[int, int, int, int]:
-    """The cell counts (++, +-, -+, --) of paired + masks, from three ``count_nonzero`` calls."""
-    n_a, n_b, n_ab = np.count_nonzero(a_plus), np.count_nonzero(b_plus), np.count_nonzero(a_plus & b_plus)
-    return n_ab, n_a - n_ab, n_b - n_ab, a_plus.size - n_a - n_b + n_ab
+def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, valid: np.ndarray) -> tuple[int, int, int, int]:
+    """The cell counts (++, +-, -+, --) of paired + masks packed into words, over the bits set in ``valid``."""
+    masks = np.concatenate((valid, a_plus, b_plus, a_plus & b_plus)).reshape(4, -1) & valid
+    n, n_a, n_b, n_ab = np.add.reduce(np.bitwise_count(masks), axis=1).tolist()
+    return n_ab, n_a - n_ab, n_b - n_ab, n - n_a - n_b + n_ab
+
+
+def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
+    """``[fn(task, bit_generator) for task in tasks]``, computed in one chunk per worker.
+
+    The tasks are dealt round-robin into ``min(workers, len(tasks))`` chunks,
+    each run on its own thread with its own SFC64 bit generator, which ``fn``
+    re-keys for every substream it draws.  The results come back in task
+    order, so a caller combining them in that order gets the same result
+    for any ``workers`` value.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+    def run(chunk):
+        bit_generator = np.random.SFC64(0)
+        return [fn(task, bit_generator) for task in chunk]
+
+    n_chunks = min(workers, len(tasks))
+    if n_chunks <= 1:
+        return run(tasks)
+    # Imported here: a one-chunk run does not pay for the thread pool's imports.
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(tasks)
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        for i, part in enumerate(pool.map(run, [tasks[i::n_chunks] for i in range(n_chunks)])):
+            results[i::n_chunks] = part
+    return results
 
 
 def count_outcomes(
@@ -231,26 +314,19 @@ def count_outcomes(
 
     ``outcome(setting_index, block)`` returns the ``n_cells`` counts of the
     ``block.rows`` trials of one :class:`Block`.  The (setting, block) tasks
-    are dealt round-robin into one chunk per worker, and each chunk re-keys
-    one SFC64 bit generator for every column it draws.  The counts are
-    integer sums over blocks whose events depend only on the block layout, so
-    they are bit-identical for any ``workers`` value.
+    run through :func:`map_blocks`.  The counts are integer sums over blocks
+    whose events depend only on the block layout, so they are bit-identical
+    for any ``workers`` value.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in iter_block_slices(n_trials)]
 
-    def run(chunk):
-        bit_generator = np.random.SFC64(0)
-        counts = np.zeros((n_settings, n_cells), dtype=np.int64)
-        for si, block, rows in chunk:
-            counts[si] += outcome(si, Block(master_seed, domain, si, block, rows, bit_generator))
-        return counts
+    def run(task, bit_generator):
+        si, block, rows = task
+        return outcome(si, Block(master_seed, domain, si, block, rows, bit_generator))
 
-    n_chunks = min(workers, len(tasks))
-    if n_chunks == 1:
-        return run(tasks)
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        return sum(pool.map(run, [tasks[i::n_chunks] for i in range(n_chunks)]))
+    counts = np.zeros((n_settings, n_cells), dtype=np.int64)
+    for (si, _block, _rows), cells in zip(tasks, map_blocks(tasks, run, workers=workers)):
+        counts[si] += cells
+    return counts

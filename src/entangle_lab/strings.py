@@ -19,19 +19,23 @@ many strings there are:
 
 The mechanism is written once, in two layers: ``_events`` asks a source for
 the threshold tests a setting's outcome reads, and ``_outcome_signs`` turns
-the boolean events into Alice's and Bob's + masks (``_outcome_indices``
-packs them into cell indices).  A source's ``below(j, p)`` gives the events
-"column j is below p"; ``_events`` asks only for the columns it tests: the
-color(s) unless a plain variant has both observers pull, V4's selections,
-and the cut (the test at p = 1/2) only where a string splits.  A threshold at
-0 or 1 gives a constant event and draws nothing.  ``estimate_table`` samples
-through ``rng.count_outcomes``, whose ``rng.Block`` source decides each test
-on one byte of the column's own substream, and counts each block's four
-cells from the two masks.  ``iter_trials`` asks the same blocks for the same
-events and adds a ``MicroTrace`` per trial; its break position is the cut
-byte plus a continuous draw made for the trace alone, so the trace agrees
-with the cut.  ``trial_from_draws`` runs the kernel on float rows, where u
-is below p iff u < p (the byte rule on U = u * 2**64).
+the events into Alice's and Bob's + masks (``_outcome_indices`` packs
+boolean ones into cell indices).  A source's ``below(j, p)`` gives the
+events "column j is below p"; ``_events`` asks only for the columns it
+tests: the color(s) unless a plain variant has both observers pull, V4's
+selections, and the cut (the test at p = 1/2) only where a string splits.  A
+threshold at 0 or 1 gives a constant event and draws nothing.  The outcome
+rule is bitwise throughout, so one copy serves bool arrays and packed
+words.  ``estimate_table`` samples through ``rng.count_outcomes``, whose
+``rng.Block`` source decides each test on bit planes of the column's own
+substream (one plane per trial for the cut at 1/2) and packs 64 trials per
+word; the kernel runs on the words and ``rng.sign_counts`` counts each
+block's four cells from the two masks.  ``iter_trials`` asks the same
+blocks for the same events, unpacks them, and adds a ``MicroTrace`` per
+trial; its break position is the cut bit plus a continuous draw made for
+the trace alone, so the trace agrees with the cut.  ``trial_from_draws``
+runs the kernel on float rows, where u is below p iff u < p (the plane rule
+on U = u * 2**64).
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``analytic_table`` evaluates these cached polynomials exactly, in integers
@@ -227,8 +231,8 @@ def _splits(variant: Variant, setting: Setting) -> bool:
 class _Rows(NamedTuple):
     """A float row-layout source: column j is below p iff u < p.
 
-    For a float u in [0, 1) that is the byte rule's event U < ceil(p * 2**64)
-    on U = u * 2**64, so float rows and byte streams share one kernel.
+    For a float u in [0, 1) that is the plane rule's event U < ceil(p * 2**64)
+    on U = u * 2**64, so float rows and bit planes share one kernel.
     """
 
     u: np.ndarray
@@ -382,16 +386,15 @@ def estimate_table(
     Deterministic given ``master_seed``: :func:`rng.count_outcomes` samples
     fixed blocks whose substreams depend only on (seed, setting, block,
     column), so the counts are bit-identical for any ``workers`` value.  A
-    setting draws only the columns its outcome reads, one byte per trial.
+    setting draws only the columns its outcome reads, and only the bit
+    planes its thresholds need.
     Returns the relative-frequency :class:`ExperimentTable` and the raw
     counts as ``{row label: (n_pp, n_pm, n_mp, n_mm)}``.
     """
 
     def outcome(si, block):
         setting = SETTINGS[si]
-        events = _events(config, setting, block)
-        packed = _Events(*(None if e is None else (tuple(map(_packed, e)) if isinstance(e, tuple) else _packed(e)) for e in events))
-        return _packed_counts(*_outcome_signs(config.variant, setting, packed), block.rows)
+        return sign_counts(*_outcome_signs(config.variant, setting, _events(config, setting, block)), block.valid)
 
     counts = count_outcomes(
         master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting, 4, outcome, workers=workers
@@ -409,10 +412,12 @@ def iter_trials(
     """Replay trials [start, start + n_trials) of a setting, one by one.
 
     Asks the same blocks as :func:`estimate_table` for the same events, so
-    trial ``t`` here is exactly trial ``t`` of the vectorized estimate.  Where
-    the string splits, the break fraction is ``(b + v) / 256``: b is the
-    trial's cut byte and v a continuous draw on ``DOMAIN_STRING_TRACE``, so
-    Alice holds the long side iff the fraction is at least 1/2.
+    trial ``t`` here is exactly trial ``t`` of the vectorized estimate; the
+    packed events are unpacked to one bool per trial.  Where the string
+    splits, the break fraction is ``(b + v) / 2``: b is the trial's cut bit
+    (the top bit of its cut column's U, 1 iff Alice holds the long side) and
+    v a continuous draw on ``DOMAIN_STRING_TRACE``, so Alice holds the long
+    side iff the fraction is at least 1/2.
     ``n_trials == 0`` replays nothing; a negative ``start`` or ``n_trials`` is
     a ``ValueError``.
     """
@@ -424,13 +429,16 @@ def iter_trials(
 
     def replay_block(block_index: int, first: int, rows: int):
         block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)
-        events = _events(config, setting, block, trace=True)
+        packed = _events(config, setting, block, trace=True)
+        events = _Events(
+            tuple(map(block.unpack, packed.white)), *(None if e is None else block.unpack(e) for e in packed[1:])
+        )
         breaks = np.zeros(rows)
-        if _splits(config.variant, setting):
-            b = block.column_bytes(_cut_column(config.variant))
+        if events.cut is not None:
+            b = events.cut
             v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
-            # Rounding b + v may reach the next byte; the fraction stays below (b + 1) / 256.
-            breaks = np.minimum((b + v) / 256, np.nextafter((b + 1.0) / 256, 0.0))
+            # Rounding b + v may reach b + 1; the fraction stays below (b + 1) / 2.
+            breaks = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))
         return _replay(config, setting, events, breaks, max(start - first, 0))
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
@@ -611,16 +619,3 @@ def random_lhv_strategy(n_lambda: int, rng: np.random.Generator):
         return int(b_table[lam, 0 if setting == "B" else 1])
 
     return alice, bob, tuple(range(n_lambda)), weights
-
-
-def _packed(events):
-    bits = np.concatenate([events, np.zeros(-events.size % 64, dtype=bool)])
-    return np.packbits(bits, bitorder="little").view("<u8")
-
-
-def _packed_counts(a_plus, b_plus, rows):
-    valid = np.full(a_plus.size, np.uint64(2**64 - 1))
-    valid[-1] >>= np.uint64(-rows % 64)
-    a_plus, b_plus = a_plus & valid, b_plus & valid
-    n, n_a, n_b, n_ab = (int(np.bitwise_count(x).sum()) for x in (valid, a_plus, b_plus, a_plus & b_plus))
-    return n_ab, n_a - n_ab, n_b - n_ab, n - n_a - n_b + n_ab

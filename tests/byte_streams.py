@@ -1,11 +1,19 @@
-"""Crafted substreams for the threshold samplers, fed by patching ``rng.stream_words``.
+"""Crafted substreams for the threshold samplers, fed by patching ``rng.bit_stream``.
 
-A test fixes a 64-bit U for every trial of a column.  :func:`feeding` then
-serves the column's bytes as ``U >> 56`` and its tie words with U's low 56
-bits, so every threshold test a sampler makes on the column is the integer
-test U < K.  To hand out the tie words of exactly the tied trials, in trial
-order, the helper is told the K each trial of a column is tested at, and it
-checks that the sampler asks for that many words.
+A test fixes a 64-bit U for every trial of a column.  :func:`column_words`
+lays the Us out as stream format 6 reads them, written out here apart from
+the package: bit j (from the top) of trial r's U is bit ``r % 64`` of word
+``1024 * j + r // 64``, and the k-th tied trial, in trial order, has U's low
+56 bits in the top of word ``8192 + k``.  A trial is tied when its top byte
+equals its key's and its key has nonzero low 56 bits.  So every threshold
+test a sampler makes on the column is the integer test U < K.  The words a
+block does not read as trials (past the rows of each plane, and the padding
+bits of the last word) are all ones, which a sampler must never count.
+
+:class:`feeding` serves these words through a patched ``rng.bit_stream``.
+It fails a read past a column's words, and on leaving it checks that every
+column whose trials tie had all its tie words read.  It records the words
+each (setting, block, column) drew.
 """
 
 import math
@@ -17,6 +25,9 @@ import numpy as np
 from entangle_lab import rng
 
 LOW_BITS = (1 << 56) - 1
+PLANE_WORDS = 1024  # words per plane: a block of 65 536 trials over 64-bit words
+PLANES = 8  # planes before a tied trial takes a tie word
+TIE_START = PLANES * PLANE_WORDS
 
 
 def key(p) -> int:
@@ -34,23 +45,77 @@ def quantized(u: float) -> float:
     return from_float(u) / 2**64
 
 
-def feeding(columns: dict, keys):
+def pack(bits) -> np.ndarray:
+    """Booleans packed 64 to a word, trial r at bit ``r % 64`` of word ``r // 64``; padding bits are ones."""
+    bits = np.fromiter(bits, dtype=bool)
+    padded = np.concatenate([bits, np.ones(-bits.size % 64, dtype=bool)])
+    return np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def tied_trials(values, keys) -> list[int]:
+    """The Us of the trials that read a tie word, in trial order: top byte equal to a key with low bits."""
+    return [u for u, k in zip(values, keys) if u >> 56 == k >> 56 and k & LOW_BITS]
+
+
+def column_words(values, keys, tie_junk: int = 0xA5) -> np.ndarray:
+    """The words of a column whose trial r has ``U = values[r]``, tested at ``keys[r]``.
+
+    ``keys`` is one K for every trial or a list with one K per trial.  The
+    tie words carry ``tie_junk`` in their low byte, which the rule ignores.
+    """
+    keys = keys if isinstance(keys, list) else [keys] * len(values)
+    words = np.full(TIE_START, 2**64 - 1, dtype=np.uint64)
+    for j in range(PLANES):
+        plane = pack(u >> 63 - j & 1 == 1 for u in values)
+        words[PLANE_WORDS * j: PLANE_WORDS * j + plane.size] = plane
+    ties = [(u & LOW_BITS) << 8 | tie_junk for u in tied_trials(values, keys)]
+    return np.concatenate([words, np.array(ties, dtype=np.uint64)])
+
+
+class Served:
+    """One column's words, read in order through ``random_raw`` as an SFC64 bit generator is."""
+
+    def __init__(self, words: np.ndarray):
+        self.words, self.read = words, 0
+
+    def random_raw(self, n: int) -> np.ndarray:
+        assert self.read + n <= self.words.size, f"read of words [{self.read}, {self.read + n}) past {self.words.size}"
+        self.read += n
+        return self.words[self.read - n: self.read].copy()
+
+
+class feeding:
     """Patch the substreams so that trial t of column j has ``U = columns[j][t]``.
 
     ``keys(si, j)`` is the K column j of setting si is tested at: one int, or
     a list with one K per trial.  Every block of every setting reads the same
     rows, and a block must cover exactly ``len(columns[j])`` trials.
+    ``drawn[si, block, column]`` is the number of words read.
     """
 
-    def stream_words(master_seed, domain, si, block, column, *tie, n, bit_generator=None):
-        values = columns[column]
-        if not tie:
-            assert n == -(-len(values) // 8)
-            return np.frombuffer(bytes(u >> 56 for u in values).ljust(8 * n, b"\0"), dtype="<u8")
-        k = keys(si, column)
-        per_trial = k if isinstance(k, list) else [k] * len(values)
-        tied = [u for u, k in zip(values, per_trial) if u >> 56 == k >> 56 and k & LOW_BITS]
-        assert n == len(tied), f"column {column}: {n} tie words asked for {len(tied)} tied trials"
-        return np.array([(u & LOW_BITS) << 8 for u in tied], dtype=np.uint64)
+    def __init__(self, columns: dict, keys):
+        self.columns, self.keys = columns, keys
 
-    return mock.patch.object(rng, "stream_words", stream_words)
+    def __enter__(self):
+        self.served, self.drawn, laid_out = [], {}, {}
+
+        def bit_stream(master_seed, domain, si, block, column, bit_generator=None):
+            keys = self.keys(si, column)
+            memo = (column, tuple(keys) if isinstance(keys, list) else keys)
+            if memo not in laid_out:
+                laid_out[memo] = column_words(self.columns[column], keys)
+            served = Served(laid_out[memo])
+            self.served.append(((si, block, column), served))
+            return served
+
+        self._patch = mock.patch.object(rng, "bit_stream", bit_stream)
+        self._patch.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._patch.__exit__(*exc_info)
+        for path, served in self.served:
+            self.drawn[path] = self.drawn.get(path, 0) + served.read
+            if exc_info[0] is None and served.words.size > TIE_START:
+                assert served.read == served.words.size, f"column {path}: tie words left unread"
+        return False

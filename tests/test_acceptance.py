@@ -26,7 +26,6 @@ from entangle_lab.bloch import (
 from entangle_lab.cli import main
 from entangle_lab.probability import chsh, marginals
 from entangle_lab.quantum import AxisQuad, chsh_for_axes, coplanar_axes, product_state, singlet_state, scan_tsirelson, table_for_axes
-from entangle_lab.rng import substream
 from entangle_lab.strings import (
     StringModelConfig,
     Variant,
@@ -263,7 +262,7 @@ def test_criterion_10_universal_average():
         for case, costheta in enumerate((-0.8, -0.3, 0.0, 0.5, 0.9)):
             r = np.array([math.sqrt(1 - costheta**2), 0.0, costheta])
             born_plus, born_minus = outcome_probabilities(r, frame)
-            avg_plus, avg_minus = universal_average(r, frame, 64, 100_000, substream(1000 + case, 0))
+            avg_plus, avg_minus = universal_average(r, frame, 64, 100_000, 1000 + case)
             assert abs(avg_plus - born_plus) < 0.01
             assert abs(avg_minus - born_minus) < 0.01
 

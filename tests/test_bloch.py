@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byte_streams import feeding, from_float, key
+from entangle_lab import bloch
 from entangle_lab.bloch import (
+    AVERAGE_BLOCK_FLOATS,
     BlochVector15,
     BreakDistribution,
     MeasurementFrame,
@@ -35,7 +38,7 @@ from entangle_lab.quantum import (
     singlet_state,
     unit_axis,
 )
-from entangle_lab.rng import substream
+from entangle_lab.rng import DOMAIN_BLOCH_AVERAGE, substream
 
 Z_FRAME = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 
@@ -248,25 +251,61 @@ class TestSampleCollapse:
 class TestUniversalAverage:
     def test_single_cell_is_exactly_born(self):
         r = np.array([0.6, 0.0, 0.8])
-        avg = universal_average(r, Z_FRAME, 1, 50, substream(13, 0))
+        avg = universal_average(r, Z_FRAME, 1, 50, 13)
         assert avg == outcome_probabilities(r, Z_FRAME)
 
     def test_symmetric_state_averages_to_half(self):
         r = np.array([1.0, 0.0, 0.0])
-        avg_plus, avg_minus = universal_average(r, Z_FRAME, 8, 20_000, substream(13, 1))
+        avg_plus, avg_minus = universal_average(r, Z_FRAME, 8, 20_000, 14)
         assert abs(avg_plus - 0.5) < 4 / math.sqrt(20_000)
         assert abs(avg_plus + avg_minus - 1.0) < 1e-12
 
     def test_converges_to_born_for_many_cells(self):
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
-        avg_plus, _ = universal_average(r, Z_FRAME, 16, 20_000, substream(13, 2))
+        avg_plus, _ = universal_average(r, Z_FRAME, 16, 20_000, 15)
         assert abs(avg_plus - 0.75) < 0.01
+
+    @pytest.mark.parametrize("cells", [3, 64, 40_000])
+    def test_average_is_the_same_for_any_workers(self, cells):
+        # 40 000 cells leave 26 distributions per block: 300 of them are 12 blocks.
+        r = np.array([math.sqrt(1 - 0.09), 0.0, 0.3])
+        results = [universal_average(r, Z_FRAME, cells, 300, 21, workers=w) for w in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+    def test_average_adds_the_block_sums_in_block_order(self):
+        # Written out: block b holds rows [b * rows, ...) of its own substream,
+        # and the average is the exact sum of every row's + probability.
+        r = np.array([math.sqrt(1 - 0.36), 0.0, -0.6])
+        cells, n = 1 << 15, 70
+        rows = AVERAGE_BLOCK_FLOATS // cells
+        overlap = np.clip(outcome_probabilities(r, Z_FRAME)[0] * cells - np.arange(cells), 0.0, 1.0)
+        sums = []
+        for b in range(-(-n // rows)):
+            raw = substream(5, DOMAIN_BLOCH_AVERAGE, 0, b).random((min(rows, n - b * rows), cells))
+            sums.append(float(np.sum((raw @ overlap) / raw.sum(axis=1))))
+        expected = math.fsum(sums) / n
+        assert universal_average(r, Z_FRAME, cells, n, 5) == (expected, 1.0 - expected)
+        assert len(sums) == 3
+
+    def test_a_block_stays_within_its_float_bound(self):
+        # Blocks of 2**20 // 1000 = 1048 distributions of 1000 cells each.
+        tasks = []
+        original = bloch.map_blocks
+
+        def recording(block_tasks, fn, *, workers):
+            tasks.extend(block_tasks)
+            return original(block_tasks, fn, workers=workers)
+
+        with mock.patch.object(bloch, "map_blocks", recording):
+            universal_average(Z_FRAME.n_plus, Z_FRAME, 1000, 5000, 1)
+        assert tasks == [(0, 1048), (1, 1048), (2, 1048), (3, 1048), (4, 808)]
+        assert all(rows * 1000 <= AVERAGE_BLOCK_FLOATS for _, rows in tasks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            universal_average(Z_FRAME.n_plus, Z_FRAME, 0, 10, substream(0, 0))
+            universal_average(Z_FRAME.n_plus, Z_FRAME, 0, 10, 0)
         with pytest.raises(ValueError):
-            universal_average(Z_FRAME.n_plus, Z_FRAME, 4, 0, substream(0, 0))
+            universal_average(Z_FRAME.n_plus, Z_FRAME, 4, 0, 0)
 
 
 class TestLambdaBasis:

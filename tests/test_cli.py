@@ -1,15 +1,19 @@
 """End-to-end tests of the entangle-lab command-line interface."""
 
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import entangle_lab
 from entangle_lab import rng
-from entangle_lab.cli import main
+from entangle_lab.cli import EXIT_CONFIG, EXIT_OUTPUT, main
 from entangle_lab.report import emit_csv, parse_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -501,7 +505,7 @@ def test_workers_help_says_what_the_flag_does(capsys, command):
     code, out, _ = run_cli(capsys, *subcommand, "--help")
     assert code == 0
     workers_help = " ".join(out.split()).split("--workers WORKERS ", 1)[1]
-    if command in ("table", "quantum", "collapse"):
+    if command in ("table", "quantum", "collapse", "average"):
         assert workers_help.startswith("sampling threads")
     else:
         assert "has no effect on this command" in workers_help.split("--timing", 1)[0]
@@ -635,3 +639,49 @@ def test_every_command_csv_round_trips(capsys, command):
     header, rows = parse_csv(out)
     assert rows
     assert emit_csv(header, rows) == out
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_is_an_output_error(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["table", "--variant", "v1", "--format", fmt]) == EXIT_OUTPUT == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == EXIT_OUTPUT
+    assert "Broken pipe" in error["message"]
+
+
+def test_an_unwritable_out_path_stays_a_configuration_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "table", "--variant", "v1", "--out", str(tmp_path / "missing" / "report.json"))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert json.loads(err)["error"]["code"] == EXIT_CONFIG
+
+
+def test_a_reader_closing_the_pipe_ends_the_run_quietly():
+    # The pipe's read end is closed before the child writes its report; the
+    # child must exit 1 with the one JSON error line, and no traceback from
+    # the interpreter's last flush of stdout.
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "entangle_lab.cli", "table", "--variant", "v1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == EXIT_OUTPUT
+    finally:
+        child.kill()
+        child.stderr.close()
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"]["code"] == EXIT_OUTPUT

@@ -32,20 +32,20 @@ REPORT_ARGS = {
 }
 
 TRACE_DIGESTS = {
-    "v1": "324f5f35b8160e3b18dbcc483963135ab0f13b8ac1c2063e2a41c62cb6a0f544",
-    "v1pre": "a11b974c36aee8c6d7bc0a1ad484182d4f3c1a8114844845b48fb280742cc02c",
-    "v2": "8a67f0c0febc3cd0817cb5cb043a43d7a72df95afd764d3d62cfe1b3f8b66b67",
-    "v3": "5e9fd7266b4fc5def1503e0993b48b2cc273352ab410d55d94e4d3aa2929f9c1",
-    "v4": "248e1cc827426cc1aba1b323cd14baec6b14fc5cfc5822e3f2c096676908481b",
+    "v1": "b8cfb7f905419563b3b14acb53e25bd9c19b0a16da3b35221911606df4be428a",
+    "v1pre": "7fd3d46867a0f424845a44f629e8f94ba412da5ea2dcbf7ccc6b9185ba9921be",
+    "v2": "95ac223cb277b806dd979696a2739ce8c6062cc838262d649f554c4927809cd3",
+    "v3": "09817c0dcd668a51fb4b90d9760504202db8b9661c036ae93d50540f5b42f6f3",
+    "v4": "47cdee7b0e8f8861a9a1abe789dedc3f99bc6e1ab5fdf5c7221f82530a24239b",
 }
 
 REPORT_DIGESTS = {
-    "table": "87c79f8ff86606dc8128bd69dd83025a9e3c3122f9ecc9d32c9402d4f26f3ba4",
+    "table": "fc16429d8b5ac015ee93d993722ace5743de32b385288ad3117dd347f4e3f03d",
     "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
-    "quantum": "fed3391f8cc4c084604bf02dfa829cfd41068825ef1de08d1e5f94cdd52928e9",
-    "collapse": "3dcc3418325b30dd88d5e767d6ca5971ee4fb800004294be0a299ca77f7c5d8f",
-    "average": "4cfe736a3dc97e3e8375efe4006f9770b4f8a3e930c82814b9150da3c65ab24c",
-    "decompose": "a3e70befe9115ccd5148462d18df40b0248a91cdf637f9ef10bd3e6c39989f93",
+    "quantum": "36658f5e327f0a3692f66b012b696bfa096544a1fde780352f3da8e0f36b2b5f",
+    "collapse": "162e2ff68c305854abb89648de0c226804bed5218035daf963d81895ede24f51",
+    "average": "0a11612687c9c39cf1714083c528281d2d4354520afa099bb33ca86b04ee04bd",
+    "decompose": "8f21796aa55690dc1e3c4d7c001c19a37f0e3ddf808d7c3d64cad1d4ded77262",
 }
 
 
@@ -80,8 +80,8 @@ EXACT_ARGS = {
 }
 
 EXACT_DIGESTS = {
-    "table_v3": "4c48935bf49e8228f02a16d9ebd68362b9ab6526c110006cd942454f628ecfd0",
-    "scan_v2": "325f609ca27e2e7fe679936c5ca7e9e1b1e85bf22e60ae4487998018a239cc97",
+    "table_v3": "831b4d065a88f35276af1e18af0bd9a9d6f4a5831355fded2c8aa0441faec3da",
+    "scan_v2": "a058fcde3dfa57c2a3716d5d9cb0a4ea78e5cc73eb4206e193fbd127a332386d",
 }
 
 
@@ -108,8 +108,8 @@ DECOMPOSE_ARGS = {
 }
 
 DECOMPOSE_DIGESTS = {
-    "product": "d7a287235d6f7cfa2163ef4439c7e439f0bf8bc50b3540d1a7e34d65584ccae3",
-    "custom": "01d169af6cd0682fbf66bf89108f4da06b838cdf2e612f7e101548ea687077ff",
+    "product": "c474c95af45010d803a71fe2dc206bb0dedcfa0c4134b23b663ee17c152278a8",
+    "custom": "da68ef19e91337bc2a3011a44f67653e2c94d107e33f71bc4da75d8d75ac1d54",
 }
 
 

@@ -1,4 +1,4 @@
-"""The package imports without sympy, which it does not declare as a dependency."""
+"""The package imports without sympy, which it does not declare as a dependency, and the CLI imports lean."""
 
 import os
 import subprocess
@@ -27,3 +27,20 @@ def test_every_module_imports_with_sympy_blocked():
     assert done.returncode == 0, done.stderr
     modules = len(list(Path(entangle_lab.__file__).parent.glob("*.py"))) - 1  # all but __init__
     assert int(done.stdout) == modules
+
+
+CLI_IMPORTS = """
+import sys
+import entangle_lab.cli
+print(" ".join(name for name in ("concurrent.futures", "logging") if name in sys.modules))
+"""
+
+
+def test_the_cli_imports_no_thread_pool():
+    # The thread pool (and the logging it imports) loads only when a run
+    # samples on more than one worker.
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CLI_IMPORTS], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -7,7 +7,7 @@ row by row, including draws that sit exactly on a threshold or one float
 below it, and ``analytic_table`` must equal the closed forms and an
 enumeration of the event space exactly.  The byte-stream paths are fed the
 same draws through ``byte_streams``, on multiples of 2**-64, where the float
-test u < p and the byte rule agree.
+test u < p and the bit-plane rule agree.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byte_streams import feeding, from_float, key, quantized
-from entangle_lab import strings
+from entangle_lab import rng, strings
 from entangle_lab.rng import DOMAIN_STRING_TRACE, DOMAIN_STRING_TRIALS, TRIAL_BLOCK, Block
 from entangle_lab.strings import (
     SETTINGS,
@@ -143,7 +143,7 @@ configs = st.one_of(
 def draw_rows(config, data):
     """Draw rows mixing random uniforms with every threshold and the float just below it.
 
-    Every draw is a multiple of 2**-64, so the byte streams can carry it exactly.
+    Every draw is a multiple of 2**-64, so the bit planes can carry it exactly.
     """
     k = draws_per_trial(config.variant)
     thresholds = {float(config.p_w), float(config.p_1), 0.5}
@@ -161,7 +161,8 @@ def feeding_rows(config, rows):
 
     Column j of a block reads column j of the rows, at the key of the
     threshold that column is tested at; the trace's continuous draw v is
-    ``256 u - floor(256 u)`` of the break draw u, so ``(b + v) / 256 = u``.
+    ``2 u - floor(2 u)`` of the break draw u, whose top bit b is the cut
+    bit, so ``(b + v) / 2 = u``.
     """
     k = draws_per_trial(config.variant)
     tested = [config.p_w, config.p_w, config.p_1, config.p_1] if config.variant is Variant.V4 else [config.p_w]
@@ -171,7 +172,7 @@ def feeding_rows(config, rows):
 
     def trace_draws(master_seed, domain, si, block, n_rows):
         assert domain == DOMAIN_STRING_TRACE
-        scaled = breaks[:n_rows] * 256
+        scaled = breaks[:n_rows] * 2
         return scaled - np.floor(scaled)
 
     streams = feeding(columns, lambda si, column: keys[column])
@@ -285,8 +286,8 @@ def test_replay_across_a_block_boundary_matches_the_oracle():
 @pytest.mark.parametrize("v", [None, ONE_BELOW_1], ids=["drawn", "one-below-1"])
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_the_trace_break_agrees_with_the_sampler_cut(variant, v):
-    # With v just below 1, b + v rounds up to b + 1 for every b >= 1; the
-    # break must still stay below (b + 1) / 256.
+    # With v just below 1, 1 + v rounds up to 2; the break must still stay
+    # below (b + 1) / 2.
     white_string = variant in (Variant.V1, Variant.V1_PRE_BROKEN)
     config = StringModelConfig(variant=variant, p_w=None if white_string else 0.3, p_1=0.7)
     n = 3000
@@ -300,11 +301,13 @@ def test_the_trace_break_agrees_with_the_sampler_cut(variant, v):
             traces = [trace for _, trace in iter_trials(config, setting, 8, n)]
         if events.cut is None:
             continue
-        cut_bytes = block.column_bytes(draws_per_trial(variant) - 1).tolist()
-        shared = np.ones(n, bool) if events.sel_a is None else events.sel_a == events.sel_b
-        for trace, alice_long, same, b in zip(traces, events.cut.tolist(), shared.tolist(), cut_bytes):
+        # The cut bit is the top bit of the cut column's U: plane 0.
+        planes = rng.bit_stream(8, DOMAIN_STRING_TRIALS, si, 0, draws_per_trial(variant) - 1).random_raw(1024)
+        cut_bits = np.unpackbits(planes.astype("<u8").view(np.uint8), bitorder="little")[:n].tolist()
+        shared = np.ones(n, bool) if events.sel_a is None else ~block.unpack(events.sel_a ^ events.sel_b)
+        for trace, alice_long, same, b in zip(traces, block.unpack(events.cut).tolist(), shared.tolist(), cut_bits):
             if not same:
                 assert trace.break_fraction is None
                 continue
-            assert b / 256 <= trace.break_fraction < (b + 1) / 256
-            assert (trace.break_fraction >= 0.5) == alice_long
+            assert b / 2 <= trace.break_fraction < (b + 1) / 2
+            assert (trace.break_fraction >= 0.5) == alice_long == bool(b)

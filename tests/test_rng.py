@@ -10,21 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byte_streams import LOW_BITS, key
+import byte_streams
+from byte_streams import LOW_BITS, feeding, key, pack, tied_trials
 from entangle_lab import rng
 from entangle_lab.rng import (
     DOMAIN_BLOCH_COLLAPSE,
     DOMAIN_STRING_TRIALS,
+    PLANE_WORDS,
+    PLANES,
     STREAM_FORMAT,
-    TIE_PART,
     TRIAL_BLOCK,
     Block,
+    bit_stream,
     block_uniforms,
     count_outcomes,
     iter_block_slices,
     sign_counts,
     stream_key,
-    stream_words,
     substream,
     threshold_key,
 )
@@ -58,8 +60,10 @@ def _bits(values: np.ndarray) -> list[str]:
 # Golden draws, compared bit for bit.  Any change to these values changes every
 # sampled number in every report: it requires bumping rng.STREAM_FORMAT (and
 # the package version), never just updating the expected bits.
-def test_stream_format_is_five():
-    assert STREAM_FORMAT == 5
+def test_stream_format_is_six():
+    assert STREAM_FORMAT == 6
+    # The layout the crafted streams of byte_streams write out.
+    assert (PLANE_WORDS, PLANES) == (byte_streams.PLANE_WORDS, byte_streams.PLANES)
 
 
 def test_first_block_draws_are_frozen():
@@ -82,11 +86,20 @@ def test_bloch_collapse_draws_are_frozen():
 
 
 def test_first_block_bytes_and_tie_words_are_frozen():
+    # The little-endian bytes of the first two words of planes 0 and 1, the
+    # first two tie words, and the events of 20 trials they decide.
+    for column, plane_0, plane_1, ties in (
+        (0, "45c32fc23f6c39393b9a82ef958afe24", "134bc3cb9c6dcafa344f79db5306cca1", ["f08f140e19de8579", "b08fe716c4a2f6b7"]),
+        (4, "b702c336f7ed6b40945dae2d21247744", "b0e65893182fde6b015bc628cbc17893", ["34126f68e7c04385", "d0e67fcf1c080d7e"]),
+    ):
+        words = bit_stream(0, DOMAIN_STRING_TRIALS, 0, 0, column).random_raw(8194)
+        assert words[:2].astype("<u8").tobytes().hex() == plane_0
+        assert words[1024:1026].astype("<u8").tobytes().hex() == plane_1
+        assert [format(int(w), "016x") for w in words[8192:]] == ties
     block = Block(0, DOMAIN_STRING_TRIALS, 0, 0, 20)
-    assert block.column_bytes(0).tobytes().hex() == "45c32fc23f6c39393b9a82ef958afe24c86bc42e"
-    assert block.column_bytes(4).tobytes().hex() == "b702c336f7ed6b40945dae2d2124774449a6823f"
-    words = stream_words(0, DOMAIN_STRING_TRIALS, 0, 0, 0, TIE_PART, n=2)
-    assert [format(int(w), "016x") for w in words] == ["ddcb1ac3b98cd247", "89001380bae945e3"]
+    assert [format(int(block.below(c, p)[0]), "05x") for c, p in ((0, 0.5), (4, 0.75), (0, 0.3))] == [
+        "03cba", "ffd4f", "03cb8",
+    ]
 
 
 def test_substreams_reproduce():
@@ -128,7 +141,8 @@ def test_each_column_is_the_substream_of_its_path():
 
 
 def _three_cells(si, block):
-    return np.bincount(block.below(0, 0.3 + 0.2 * si) + block.below(1, 1 / 3), minlength=3)
+    events = block.unpack(block.below(0, 0.3 + 0.2 * si)).astype(int) + block.unpack(block.below(1, 1 / 3))
+    return np.bincount(events, minlength=3)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -142,14 +156,14 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
         for block, _start, rows in iter_block_slices(n_trials):
             expected[si] += _three_cells(si, Block(9, DOMAIN_STRING_TRIALS, si, block, rows))
     threads, generators = set(), {}
-    original = rng.stream_words
+    original = rng.bit_stream
 
-    def recording(*path, n, bit_generator=None):
+    def recording(*path, bit_generator=None):
         threads.add(threading.get_ident())
         generators[id(bit_generator)] = bit_generator  # held, so no id is reused
-        return original(*path, n=n, bit_generator=bit_generator)
+        return original(*path, bit_generator=bit_generator)
 
-    with mock.patch.object(rng, "stream_words", recording):
+    with mock.patch.object(rng, "bit_stream", recording):
         counts = count_outcomes(9, DOMAIN_STRING_TRIALS, 2, n_trials, 3, _three_cells, workers=workers)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, expected)
@@ -178,8 +192,9 @@ def test_iter_block_slices_partitions_exactly():
 BYTE_EDGES = [k / 256 for k in range(1, 256)]
 
 thresholds = st.one_of(
-    st.sampled_from(BYTE_EDGES),  # K has zero low bits: no tie path
-    st.sampled_from(BYTE_EDGES).map(lambda p: math.nextafter(p, 0.0)),
+    st.sampled_from([0.5, 0.25, 0.75, 0.375, 0.0078125]),  # 1, 2, 2, 3 and 7 significant bits
+    st.sampled_from(BYTE_EDGES),  # at most 8 significant bits: no tie path
+    st.sampled_from(BYTE_EDGES).map(lambda p: math.nextafter(p, 0.0)),  # more than 8
     st.sampled_from(BYTE_EDGES).map(lambda p: math.nextafter(p, 1.0)),
     st.floats(5e-324, 2**-12, exclude_max=True),  # rounds up to a multiple of 2**-64
     st.just(math.nextafter(1.0, 0.0)),
@@ -207,54 +222,45 @@ def test_threshold_keys_of_the_edges():
     assert threshold_key(math.nextafter(1.0, 0.0)) == 2**64 - 2**11
 
 
-def crafted_trials(data, ks):
-    """Bytes and tie-word candidates for trials tested at the per-trial keys ``ks``.
+def planes_read(k: int) -> int:
+    """The planes a test at 0 < K < 2**64 reads: K's significant bits, at most 8."""
+    return min(len(format(k, "064b").rstrip("0")), 8)
 
-    Most bytes sit on or next to the trial's K >> 56, and tie words put their
-    low 56 bits on or next to K's, with arbitrary bits below them.
+
+def crafted_us(data, ks):
+    """One 64-bit U per trial, for trials tested at the per-trial keys ``ks``.
+
+    Most top bytes sit on or next to the trial's K >> 56, and most low 56
+    bits on or next to K's, so the planes and the tie words both decide.
     """
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    b, words = [], []
+    us = []
     for k in ks:
+        k = min(k, 2**64 - 1)
         hi, lo = k >> 56, k & LOW_BITS
         byte_choices = [hi, hi, hi, max(hi - 1, 0), min(hi + 1, 255), int(gen.integers(0, 256))]
         low_choices = [lo, max(lo - 1, 0), min(lo + 1, LOW_BITS), 0, LOW_BITS, int(gen.integers(0, LOW_BITS + 1))]
-        b.append(byte_choices[gen.integers(len(byte_choices))])
-        words.append((low_choices[gen.integers(len(low_choices))] << 8) | int(gen.integers(0, 256)))
-    return b, words
+        us.append(byte_choices[gen.integers(len(byte_choices))] << 56 | low_choices[gen.integers(len(low_choices))])
+    return us
 
 
-def crafted_block(b, words, ks):
-    """A block whose column 0 has bytes ``b``; tied trials take their ``words`` entry, in trial order."""
-    tied = [w for byte, w, k in zip(b, words, ks) if byte == k >> 56 and k & LOW_BITS]
-    asked = []
-
-    def stream_words(master_seed, domain, si, block, column, *tie, n, bit_generator=None):
-        assert column == 0
-        if not tie:
-            return np.frombuffer(bytes(b).ljust(8 * n, b"\0"), dtype="<u8")
-        asked.append(n)
-        return np.array(tied, dtype=np.uint64)
-
-    return Block(0, 0, 0, 0, len(b)), mock.patch.object(rng, "stream_words", stream_words), asked, len(tied)
-
-
-def assembled(byte, word, k):
-    """The 64-bit U a trial's test decides: its byte, then the tie word's top 56 bits if it ties."""
-    return (byte << 56) | ((word >> 8) if byte == k >> 56 else 0)
+row_counts = st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 200))
 
 
 @property_settings
 @given(p=thresholds, data=st.data())
 def test_each_event_is_the_integer_test_on_the_assembled_word(p, data):
+    # U is assembled from the trial's bit on every plane and, if it ties, its tie word.
     k = key(p)
-    rows = data.draw(st.integers(1, 200))
-    b, words = crafted_trials(data, [k] * rows)
-    block, patch, asked, n_tied = crafted_block(b, words, [k] * rows)
-    with patch:
+    rows = data.draw(row_counts)
+    us = crafted_us(data, [k] * rows)
+    with feeding({0: us}, lambda si, column: k) as fed:
+        block = Block(0, 0, 0, 0, rows)
         events = block.below(0, p)
-    assert events.tolist() == [assembled(byte, w, k) < k for byte, w in zip(b, words)]
-    assert asked == ([n_tied] if n_tied else [])
+    assert block.unpack(events).tolist() == [u < k for u in us]
+    assert not (events & ~block.valid).any()  # padding bits stay clear
+    n_tied = len(tied_trials(us, [k] * rows))
+    assert fed.drawn == {(0, 0, 0): PLANE_WORDS * planes_read(k) + n_tied}
     if k & LOW_BITS == 0:
         assert n_tied == 0  # a threshold of k / 256 never reads a tie word
 
@@ -262,26 +268,55 @@ def test_each_event_is_the_integer_test_on_the_assembled_word(p, data):
 @property_settings
 @given(pair=st.tuples(*[thresholds | st.sampled_from([0.0, 1.0])] * 2), data=st.data())
 def test_a_picked_threshold_is_the_integer_test_per_trial(pair, data):
-    rows = data.draw(st.integers(1, 200))
-    pick = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(rows) < 0.5
-    ks = [key(pair[int(chosen)]) for chosen in pick]
-    b, words = crafted_trials(data, [min(k, 2**64 - 1) for k in ks])
-    block, patch, asked, n_tied = crafted_block(b, words, ks)
-    with patch:
-        events = block.below(0, pair, pick=pick)
-    assert events.tolist() == [assembled(byte, w, k) < k for byte, w, k in zip(b, words, ks)]
-    assert sum(asked) == n_tied
+    rows = data.draw(row_counts)
+    picked = (np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(rows) < 0.5).tolist()
+    ks = [key(pair[chosen]) for chosen in picked]
+    us = crafted_us(data, ks)
+    with feeding({0: us}, lambda si, column: ks) as fed:
+        block = Block(0, 0, 0, 0, rows)
+        events = block.below(0, pair, pick=pack(picked))  # the pick's padding bits are set
+    assert block.unpack(events).tolist() == [u < k for u, k in zip(us, ks)]
+    assert not (events & ~block.valid).any()
+    inside = [key(q) for q in pair if 0 < q < 1]
+    if inside:
+        planes = max(map(planes_read, inside))
+        assert fed.drawn == {(0, 0, 0): PLANE_WORDS * planes + len(tied_trials(us, ks))}
+    else:
+        assert fed.drawn == {}
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1 / 3, 2**-70, math.nextafter(1.0, 0.0)])
+def test_a_full_block_is_the_integer_test_on_every_trial(p):
+    # Half the trials share K's top byte, so a key with low bits ties some 2**15 of them.
+    k = key(p)
+    gen = np.random.default_rng(7)
+    top = np.where(gen.random(TRIAL_BLOCK) < 0.5, k >> 56, gen.integers(0, 256, TRIAL_BLOCK))
+    us = [int(t) << 56 | int(low) for t, low in zip(top, gen.integers(0, LOW_BITS + 1, TRIAL_BLOCK, dtype=np.uint64))]
+    with feeding({0: us}, lambda si, column: k) as fed:
+        block = Block(0, 0, 0, 0, TRIAL_BLOCK)
+        events = block.unpack(block.below(0, p))
+    assert events.tolist() == [u < k for u in us]
+    assert fed.drawn[0, 0, 0] == PLANE_WORDS * planes_read(k) + len(tied_trials(us, [k] * TRIAL_BLOCK))
 
 
 def test_constant_thresholds_draw_nothing():
-    with mock.patch.object(rng, "stream_words", side_effect=AssertionError("drawn")):
+    with mock.patch.object(rng, "bit_stream", side_effect=AssertionError("drawn")):
         block = Block(3, 1, 0, 0, 10)
-        assert block.below(0, 0.0).tolist() == [False] * 10
-        assert block.below(0, 0).tolist() == [False] * 10
-        assert block.below(1, 1.0).tolist() == [True] * 10
-        pick = np.array([True, False] * 5)
-        assert block.below(2, (0.0, 1.0), pick=pick).tolist() == pick.tolist()
-        assert block.below(2, (1.0, 0.0), pick=pick).tolist() == (~pick).tolist()
+        assert block.unpack(block.below(0, 0.0)).tolist() == [False] * 10
+        assert block.unpack(block.below(0, 0)).tolist() == [False] * 10
+        assert block.unpack(block.below(1, 1.0)).tolist() == [True] * 10
+        picked = [True, False] * 5
+        for pair, expected in (((0.0, 1.0), picked), ((1.0, 0.0), [not x for x in picked])):
+            events = block.below(2, pair, pick=pack(picked))
+            assert block.unpack(events).tolist() == expected
+            assert not (events & ~block.valid).any()
+
+
+def top_bytes(path, rows):
+    """Each trial's top byte, from bit r of the first 8 planes of the substream at ``path``."""
+    planes = bit_stream(*path).random_raw(8 * 1024).reshape(8, 1024)[:, : -(-rows // 64)]
+    bits = np.unpackbits(planes.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :rows]
+    return (bits.astype(np.int64) << np.arange(7, -1, -1)[:, None]).sum(axis=0)
 
 
 def test_the_frequency_at_one_third_is_its_key():
@@ -293,8 +328,8 @@ def test_the_frequency_at_one_third_is_its_key():
     n = hits = n_tied = tied_hits = 0
     for block_index in range(16):
         block = Block(2024, DOMAIN_STRING_TRIALS, 0, block_index, TRIAL_BLOCK)
-        events = block.below(0, p)
-        tied = block.column_bytes(0) == hi
+        events = block.unpack(block.below(0, p))
+        tied = top_bytes((*block.path, 0), TRIAL_BLOCK) == hi
         n += events.size
         hits += int(np.count_nonzero(events))
         n_tied += int(np.count_nonzero(tied))
@@ -306,35 +341,46 @@ def test_the_frequency_at_one_third_is_its_key():
     assert abs(tied_hits - n_tied * q_tie) / math.sqrt(n_tied * q_tie * (1 - q_tie)) < 5
 
 
-@pytest.mark.parametrize("rows", [1, 17, 4099])
+@pytest.mark.parametrize("rows", [1, 17, 63, 65, 4099])
 def test_fewer_rows_give_the_same_leading_events(rows):
-    # 0.3 and 1/3 both have tie paths; 2**-70 rounds up to K = 1.
+    # 0.3 and 1/3 both have tie paths; 2**-70 rounds up to K = 1; 0.75 reads two planes.
     full = Block(5, DOMAIN_STRING_TRIALS, 1, 2, TRIAL_BLOCK)
     head = Block(5, DOMAIN_STRING_TRIALS, 1, 2, rows)
-    for column, p in ((0, 0.3), (1, 1 / 3), (2, 2**-70)):
-        assert head.below(column, p).tolist() == full.below(column, p)[:rows].tolist()
+    for column, p in ((0, 0.3), (1, 1 / 3), (2, 2**-70), (4, 0.75)):
+        assert head.unpack(head.below(column, p)).tolist() == full.unpack(full.below(column, p))[:rows].tolist()
     pick = full.below(0, 0.3)
     assert (
-        head.below(3, (0.3, 1 / 3), pick=pick[:rows]).tolist()
-        == full.below(3, (0.3, 1 / 3), pick=pick)[:rows].tolist()
+        head.unpack(head.below(3, (0.3, 1 / 3), pick=pick[: head.words])).tolist()
+        == full.unpack(full.below(3, (0.3, 1 / 3), pick=pick))[:rows].tolist()
     )
-    tied = np.flatnonzero(full.column_bytes(1) == key(1 / 3) >> 56)
+    tied = np.flatnonzero(top_bytes((*full.path, 1), TRIAL_BLOCK) == key(1 / 3) >> 56)
     assert tied.size > 200  # the prefix cuts through the tie path
 
 
 @pytest.mark.parametrize("rows", [1, 8, 13, TRIAL_BLOCK])
 def test_bytes_are_those_of_little_endian_words(rows):
+    # Trial r reads bit r % 8 of byte r // 8 of each plane's little-endian
+    # bytes: at 1/2 its event is plane 0's bit clear, at 0.25 both of the
+    # first two planes' bits clear, at 0.75 either.
     path = (11, DOMAIN_STRING_TRIALS, 2, 3, 4)
-    words = substream(*path).bit_generator.random_raw(-(-rows // 8))
-    expected = np.frombuffer(words.astype("<u8").tobytes(), np.uint8)[:rows]
-    got = Block(*path[:4], rows).column_bytes(4)
-    assert got.dtype == np.uint8
-    assert got.tobytes() == expected.tobytes()
-    assert stream_words(*path, n=words.size).tolist() == words.tolist()
+    words = substream(*path).bit_generator.random_raw(2 * PLANE_WORDS)
+    clear = [
+        np.unpackbits(np.frombuffer(words[PLANE_WORDS * j: PLANE_WORDS * (j + 1)].astype("<u8").tobytes(), np.uint8),
+                      bitorder="little")[:rows] == 0
+        for j in (0, 1)
+    ]
+    block = Block(*path[:4], rows)
+    assert block.unpack(block.below(4, 0.5)).tolist() == clear[0].tolist()
+    assert block.unpack(block.below(4, 0.25)).tolist() == (clear[0] & clear[1]).tolist()
+    assert block.unpack(block.below(4, 0.75)).tolist() == (clear[0] | clear[1]).tolist()
 
 
 def test_sign_counts_are_the_four_cells():
+    # 1000 trials fill 15 words and 40 bits of a 16th; the padding bits of
+    # both masks are set and must not be counted.
     gen = np.random.default_rng(3)
     a_plus, b_plus = gen.random(1000) < 0.4, gen.random(1000) < 0.7
     expected = np.bincount((~a_plus) * 2 + (~b_plus), minlength=4).tolist()
-    assert list(sign_counts(a_plus, b_plus)) == expected
+    valid = Block(0, 0, 0, 0, 1000).valid
+    assert list(sign_counts(pack(a_plus), pack(b_plus), valid)) == expected
+    assert list(sign_counts(~pack(a_plus), ~pack(b_plus), valid)) == expected[::-1]

@@ -219,24 +219,24 @@ STRING_CONFIGS = {
 }
 
 # estimate_table counts of 2 * TRIAL_BLOCK + 7 trials per setting in stream
-# format 5, where every threshold test reads one byte of its column's
+# format 6, where every threshold test reads bit planes of its column's
 # substream; test_string_counts_follow_the_written_out_format recounts them.
 STRING_COUNTS = {
-    ("v1", 0): [[0, 65562, 65517, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 0): [[0, 65562, 65517, 0], [65274, 0, 65805, 0], [65511, 65568, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 0): [[0, 65562, 65517, 0], [39212, 91867, 0, 0], [39281, 0, 91798, 0], [39085, 0, 0, 91994]],
-    ("v3", 0): [[0, 65683, 65396, 0], [91608, 0, 0, 39471], [91579, 0, 0, 39500], [91789, 0, 0, 39290]],
-    ("v4", 0): [[8722, 50912, 51451, 19994], [39248, 13482, 13219, 65130], [39391, 13013, 13171, 65504], [39175, 13254, 13110, 65540]],
-    ("v1", 13): [[0, 65595, 65484, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 13): [[0, 65595, 65484, 0], [65564, 0, 65515, 0], [65376, 65703, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 13): [[0, 65595, 65484, 0], [39284, 91795, 0, 0], [39503, 0, 91576, 0], [39400, 0, 0, 91679]],
-    ("v3", 13): [[0, 65631, 65448, 0], [91791, 0, 0, 39288], [91940, 0, 0, 39139], [91986, 0, 0, 39093]],
-    ("v4", 13): [[8755, 51425, 51131, 19768], [39476, 13123, 13067, 65413], [39094, 13162, 13356, 65467], [39282, 13161, 13060, 65576]],
-    ("v1", 2**64 - 1): [[0, 65412, 65667, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
-    ("v1pre", 2**64 - 1): [[0, 65412, 65667, 0], [65449, 0, 65630, 0], [65741, 65338, 0, 0], [131079, 0, 0, 0]],
-    ("v2", 2**64 - 1): [[0, 65412, 65667, 0], [39094, 91985, 0, 0], [39170, 0, 91909, 0], [39337, 0, 0, 91742]],
-    ("v3", 2**64 - 1): [[0, 65339, 65740, 0], [91572, 0, 0, 39507], [91780, 0, 0, 39299], [91951, 0, 0, 39128]],
-    ("v4", 2**64 - 1): [[8877, 51116, 51122, 19964], [39111, 13219, 13322, 65427], [39199, 13163, 13333, 65384], [39265, 12971, 13292, 65551]],
+    ("v1", 0): [[0, 65891, 65188, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 0): [[0, 65891, 65188, 0], [65328, 0, 65751, 0], [65644, 65435, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 0): [[0, 65891, 65188, 0], [39228, 91851, 0, 0], [39229, 0, 91850, 0], [39107, 0, 0, 91972]],
+    ("v3", 0): [[0, 65679, 65400, 0], [91574, 0, 0, 39505], [91846, 0, 0, 39233], [91515, 0, 0, 39564]],
+    ("v4", 0): [[8742, 51108, 51297, 19932], [39297, 13229, 13300, 65253], [39316, 13495, 13132, 65136], [38985, 13294, 13149, 65651]],
+    ("v1", 13): [[0, 65519, 65560, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 13): [[0, 65519, 65560, 0], [65736, 0, 65343, 0], [65034, 66045, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 13): [[0, 65519, 65560, 0], [39252, 91827, 0, 0], [39367, 0, 91712, 0], [39290, 0, 0, 91789]],
+    ("v3", 13): [[0, 65741, 65338, 0], [91619, 0, 0, 39460], [91775, 0, 0, 39304], [91728, 0, 0, 39351]],
+    ("v4", 13): [[8874, 51305, 51057, 19843], [39080, 13343, 13131, 65525], [38910, 13302, 13177, 65690], [39302, 13193, 13164, 65420]],
+    ("v1", 2**64 - 1): [[0, 65528, 65551, 0], [131079, 0, 0, 0], [131079, 0, 0, 0], [131079, 0, 0, 0]],
+    ("v1pre", 2**64 - 1): [[0, 65528, 65551, 0], [65527, 0, 65552, 0], [65456, 65623, 0, 0], [131079, 0, 0, 0]],
+    ("v2", 2**64 - 1): [[0, 65528, 65551, 0], [39539, 91540, 0, 0], [39225, 0, 91854, 0], [39225, 0, 0, 91854]],
+    ("v3", 2**64 - 1): [[0, 65314, 65765, 0], [91927, 0, 0, 39152], [91661, 0, 0, 39418], [92029, 0, 0, 39050]],
+    ("v4", 2**64 - 1): [[8908, 51290, 50912, 19969], [39500, 13112, 13223, 65244], [39412, 13381, 13015, 65271], [39060, 13359, 13374, 65286]],
 }
 
 
@@ -248,25 +248,29 @@ def test_string_counts_are_unchanged_for_any_workers(variant, seed):
 
 
 def written_out_events(seed, si, block, column, rows, p):
-    """Format 5 restated: SHA-256 path keys as SFC64 states, one byte per trial, tie words for ties."""
+    """Format 6 restated: SHA-256 path keys as SFC64 states, bit planes at a stride of 1024 words, tie words after 8 planes.
 
-    def words(*path, n):
-        payload = b"entangle-lab/1:" + seed.to_bytes(8, "little")
-        payload += b"".join(part.to_bytes(8, "little", signed=True) for part in path)
-        bit_generator = np.random.SFC64()
-        state = np.frombuffer(hashlib.sha256(payload).digest(), dtype="<u8").astype(np.uint64)
-        bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
-        return bit_generator.random_raw(n)
-
+    Trial r's top byte is assembled from bit r of planes 0 to 7 (plane 0 the
+    most significant) and compared with K's; the k-th trial whose byte ties
+    with a K that has nonzero low 56 bits decides on word 8192 + k.
+    """
     if p in (0, 1):
         return np.full(rows, p == 1)
+    payload = b"entangle-lab/1:" + seed.to_bytes(8, "little")
+    payload += b"".join(part.to_bytes(8, "little", signed=True) for part in (1, si, block, column))
+    bit_generator = np.random.SFC64()
+    state = np.frombuffer(hashlib.sha256(payload).digest(), dtype="<u8").astype(np.uint64)
+    bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
+    words = bit_generator.random_raw(8192 + rows)  # more than enough tie words
+    top = np.zeros(rows, dtype=np.int64)
+    for j in range(8):
+        plane = np.frombuffer(words[1024 * j: 1024 * j + -(-rows // 64)].astype("<u8").tobytes(), np.uint8)
+        top |= np.unpackbits(plane, bitorder="little")[:rows].astype(np.int64) << (7 - j)
     k = key(p)
-    column_bytes = np.frombuffer(words(1, si, block, column, n=-(-rows // 8)).astype("<u8").tobytes(), np.uint8)[:rows]
-    events = column_bytes < k >> 56
+    events = top < k >> 56
     if k % 2**56:
-        tied = np.flatnonzero(column_bytes == k >> 56)
-        for t, w in zip(tied, words(1, si, block, column, 0, n=tied.size).tolist()):
-            events[t] = (k >> 56 << 56 | w >> 8) < k
+        for rank, t in enumerate(np.flatnonzero(top == k >> 56)):
+            events[t] = int(words[8192 + rank]) >> 8 < k % 2**56
     return events
 
 
