@@ -198,34 +198,40 @@ class Block:
         else:
             k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[1] >> 63 - j & 1, pick) for j in range(m)]
         below = _NONE  # below the planes read, K's bits are zero: U is not below there
+        # The trials whose U matches their key on every plane, where the key has low bits to tie on.
+        tied = None
         if m == PLANES and any(k & _LOW_BITS for k in inside):
-            below = self._break_ties(stream, planes, k_bits, keys, pick)
+            tied = self.valid & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
         # A borrow chain from the lowest plane read up: where U's bit and K's
         # differ the event is K's bit, and where they agree it is the event
         # below.  Where every trial's key has the bit that is an OR, where
         # none has it an AND.
         for u, k_bit in zip(planes[::-1], k_bits[::-1]):
+            u_clear = ~u
             if k_bit is _ALL:
-                below = below | ~u
+                below = below | u_clear
+                match = u
             elif k_bit is _NONE:
-                below = below & ~u
+                below = below & u_clear
+                match = u_clear
             else:
-                below = (~u & (k_bit | below)) | (k_bit & below)
+                below = (u_clear & (k_bit | below)) | (k_bit & below)
+                match = ~(u ^ k_bit)
+            if tied is not None:
+                tied &= match
+        if tied is not None:
+            # The chain leaves tied trials clear; the stream stands at its first tie word.
+            below |= self._break_ties(stream, tied, keys, pick)
         if always is not _NONE:
             below = below | always
         return below & self.valid
 
-    def _break_ties(self, stream, planes, k_bits, keys, pick) -> np.ndarray:
-        """The events of the trials tied with their key on every plane, by their tie words; zero elsewhere.
+    def _break_ties(self, stream, tied: np.ndarray, keys, pick) -> np.ndarray:
+        """The events of the ``tied`` trials, by the stream's next words; zero elsewhere.
 
-        A trial is tied only where its key has nonzero low bits.  The stream
-        stands at its first tie word, and the k-th tied trial, in trial
-        order, takes its next word k: its event is the word's top 56 bits
-        below its key's low bits.
+        The k-th tied trial, in trial order, takes word k: its event is the
+        word's top 56 bits below its key's low bits.
         """
-        tied = self.valid & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
-        for u, k_bit in zip(planes, k_bits):
-            tied &= u if k_bit is _ALL else ~u if k_bit is _NONE else ~(u ^ k_bit)
         events = np.zeros(self.words, dtype=np.uint64)
         words = tied.nonzero()[0]  # about a quarter of them: unpack only these
         bits = np.unpackbits(tied[words].astype("<u8", copy=False).view(np.uint8), bitorder="little").view(bool)
