@@ -99,6 +99,10 @@ _LOW_BITS = (1 << (64 - PLANES)) - 1
 
 _ALL, _NONE = np.uint64(_U64), np.uint64(0)
 
+#: The ``valid`` mask of a full block, shared read-only.
+_FULL_BLOCK = np.full(PLANE_WORDS, _ALL)
+_FULL_BLOCK.setflags(write=False)
+
 
 def stream_key(master_seed: int, *path: int) -> int:
     """256-bit key for the substream at ``path`` under ``master_seed``: the SHA-256 digest, little-endian."""
@@ -173,8 +177,10 @@ class Block:
         self.path = (master_seed, domain, setting_index, block_index)
         self.rows = rows
         self.words = -(-rows // 64)
-        self.valid = np.full(self.words, _ALL)
-        self.valid[-1] >>= np.uint64(-rows % 64)
+        self.valid = _FULL_BLOCK
+        if rows < TRIAL_BLOCK:
+            self.valid = np.full(self.words, _ALL)
+            self.valid[-1] >>= np.uint64(-rows % 64)
         self._bit_generator = np.random.SFC64(0) if bit_generator is None else bit_generator
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
@@ -197,34 +203,33 @@ class Block:
             k_bits = [_ALL if keys[0] >> 63 - j & 1 else _NONE for j in range(m)]
         else:
             k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[1] >> 63 - j & 1, pick) for j in range(m)]
-        below = _NONE  # below the planes read, K's bits are zero: U is not below there
-        # The trials whose U matches their key on every plane, where the key has low bits to tie on.
-        tied = None
-        if m == PLANES and any(k & _LOW_BITS for k in inside):
-            tied = self.valid & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
-        # A borrow chain from the lowest plane read up: where U's bit and K's
-        # differ the event is K's bit, and where they agree it is the event
-        # below.  Where every trial's key has the bit that is an OR, where
-        # none has it an AND.
-        for u, k_bit in zip(planes[::-1], k_bits[::-1]):
-            u_clear = ~u
-            if k_bit is _ALL:
-                below = below | u_clear
-                match = u
-            elif k_bit is _NONE:
-                below = below & u_clear
-                match = u_clear
+        # MSB first: ``agree`` holds the trials whose U has matched their key
+        # on every plane so far, and the first plane where they differ
+        # decides: U < K where the key has the bit there.  Both stay within
+        # the valid bits.
+        clear = ~planes  # U's zero bits
+        below, agree = None, self.valid
+        tie_path = m == PLANES and any(k & _LOW_BITS for k in inside)
+        for j, k_bit in enumerate(k_bits):
+            if k_bit is _NONE:
+                decided, match = None, clear[j]
+            elif k_bit is _ALL:
+                decided, match = agree & clear[j], planes[j]
             else:
-                below = (u_clear & (k_bit | below)) | (k_bit & below)
-                match = ~(u ^ k_bit)
-            if tied is not None:
-                tied &= match
-        if tied is not None:
-            # The chain leaves tied trials clear; the stream stands at its first tie word.
+                decided, match = agree & clear[j] & k_bit, ~(planes[j] ^ k_bit)
+            if decided is not None:
+                below = decided if below is None else below | decided
+            if tie_path or j < m - 1:
+                agree = agree & match
+        if below is None:
+            below = np.zeros(self.words, dtype=np.uint64)
+        if tie_path:
+            # The stream stands at its first tie word.
+            tied = agree & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
             below |= self._break_ties(stream, tied, keys, pick)
         if always is not _NONE:
-            below = below | always
-        return below & self.valid
+            below |= always & self.valid
+        return below
 
     def _break_ties(self, stream, tied: np.ndarray, keys, pick) -> np.ndarray:
         """The events of the ``tied`` trials, by the stream's next words; zero elsewhere.
