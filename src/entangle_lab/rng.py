@@ -67,6 +67,7 @@ to the numbers a sampler yields must bump it.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,9 +107,7 @@ _FULL_BLOCK.setflags(write=False)
 
 def stream_key(master_seed: int, *path: int) -> int:
     """256-bit key for the substream at ``path`` under ``master_seed``: the SHA-256 digest, little-endian."""
-    payload = _KEY_PREFIX + (master_seed & _U64).to_bytes(8, "little")
-    for part in path:
-        payload += int(part).to_bytes(8, "little", signed=True)
+    payload = _KEY_PREFIX + struct.pack(f"<Q{len(path)}q", master_seed & _U64, *path)
     return int.from_bytes(hashlib.sha256(payload).digest(), "little")
 
 
