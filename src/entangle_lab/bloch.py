@@ -18,7 +18,7 @@ quantum tables too, on bit planes packed 64 trials to a word;
 ``sample_collapse`` tests one float draw u < F(p+) and maps it to the break
 position it reports.  ``universal_average`` draws its random distributions
 in bounded blocks through ``rng.map_blocks`` and adds the blocks' partial
-sums in block order.
+sums exactly.
 
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block

@@ -198,10 +198,7 @@ class Block:
         m = max(map(_planes_read, inside))
         stream = bit_stream(*self.path, column, bit_generator=self._bit_generator)
         planes = stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)[:, : self.words]
-        if pick is None:
-            k_bits = [_ALL if keys[0] >> 63 - j & 1 else _NONE for j in range(m)]
-        else:
-            k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[1] >> 63 - j & 1, pick) for j in range(m)]
+        k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[-1] >> 63 - j & 1, pick) for j in range(m)]
         # MSB first: ``agree`` holds the trials whose U has matched their key
         # on every plane so far, and the first plane where they differ
         # decides: U < K where the key has the bit there.  Both stay within
@@ -237,7 +234,7 @@ class Block:
         word's top 56 bits below its key's low bits.
         """
         events = np.zeros(self.words, dtype=np.uint64)
-        words = tied.nonzero()[0]  # about a quarter of them: unpack only these
+        words = tied.nonzero()[0]  # about a quarter of the words hold a tied trial: unpack only those
         bits = np.unpackbits(tied[words].astype("<u8", copy=False).view(np.uint8), bitorder="little").view(bool)
         positions = bits.nonzero()[0]
         if positions.size:

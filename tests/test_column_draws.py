@@ -91,9 +91,7 @@ def test_a_dyadic_threshold_draws_one_plane_per_bit(params, per_block):
     for (_si, _block, column), n in words.items():
         p = 0.5 if column == cut else p_w if column < 2 else p_1
         assert n == 1024 * PLANES_AT[p], (column, p)
-    assert sum(words.values()) == 2 * 1024 * sum(
-        PLANES_AT[0.5 if column == cut else p_w if column < 2 else p_1] for _si, b, column in words if b == 0
-    )
+    assert {(si, column) for si, b, column in words if b == 0} == {(si, column) for si, b, column in words if b == 1}
 
 
 def tied_count(seed, si, block, column, rows, k):
