@@ -218,7 +218,7 @@ class TestSampleCollapse:
         scalar_plus = sum(
             1 for _ in range(n) if sample_collapse(r, Z_FRAME, dist, substream(7, 0, _))[0] == 1
         )
-        # one uniform per sample: the same draws fed to the byte streams
+        # one uniform per sample: the same draws fed to the bit planes
         # (a float draw is a multiple of 2**-53, so its 64-bit U is exact)
         draws = [substream(7, 0, i).random() for i in range(n)]
         threshold = dist.plus_probability(outcome_probabilities(r, Z_FRAME)[0])
@@ -272,9 +272,9 @@ class TestUniversalAverage:
         results = [universal_average(r, Z_FRAME, cells, 300, 21, workers=w) for w in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
 
-    def test_average_adds_the_block_sums_in_block_order(self):
-        # Written out: block b holds rows [b * rows, ...) of its own substream,
-        # and the average is the exact sum of every row's + probability.
+    def test_average_is_the_exact_sum_of_the_block_sums(self):
+        # Written out: block b holds the next rows from its own substream, and
+        # the average is the exact sum of the blocks' + probability sums.
         r = np.array([math.sqrt(1 - 0.36), 0.0, -0.6])
         cells, n = 1 << 15, 70
         rows = AVERAGE_BLOCK_FLOATS // cells

@@ -5,7 +5,7 @@ the draw is below F(p+); ``quantum.sample_table`` collapses Alice on her
 marginal and then Bob on the conditional given her outcome;
 ``estimate_table`` runs the string kernel.  Crafted 64-bit draws (every
 threshold and the float just below it) are fed by patching
-``entangle_lab.rng.stream_words`` (see ``byte_streams``), and each sampler is
+``entangle_lab.rng.bit_stream`` (see ``byte_streams``), and each sampler is
 checked trial by trial against an independent rule written out here.  All
 three must give identical counts for any number of workers, and the string
 counts are recounted from the substreams by a rule written out apart from
@@ -85,7 +85,7 @@ def test_collapse_is_one_threshold_event_row_by_row(weights, costheta, data):
     cells = [] if weights is None else np.cumsum(weights).tolist()
     edges = with_ulp_below([threshold, p_plus, 0.0, 1.0, *cells])
     draws = edges + data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-    # On a multiple of 2**-64, the float test u < F and the byte rule agree.
+    # On a multiple of 2**-64, the float test u < F and the plane rule agree.
     draws = [quantized(u) for u in draws]
 
     for u in draws:
