@@ -230,7 +230,7 @@ def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: i
     def outcome(si, block):
         alice, bob_given_minus, bob_given_plus = thresholds[si]
         a_plus = block.below(0, alice)
-        return sign_counts(a_plus, block.below(1, (bob_given_minus, bob_given_plus), pick=a_plus), block.valid)
+        return sign_counts(a_plus, block.below(1, (bob_given_minus, bob_given_plus), pick=a_plus), block.rows)
 
     counts = count_outcomes(master_seed, DOMAIN_QUANTUM_SAMPLING, 4, trials_per_setting, 4, outcome, workers=workers)
     return frequency_table(counts)

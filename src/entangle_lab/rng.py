@@ -277,11 +277,18 @@ def iter_block_slices(end: int, start: int = 0):
             yield block_index, first, min(end - first, TRIAL_BLOCK)
 
 
-def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, valid: np.ndarray) -> tuple[int, int, int, int]:
-    """The cell counts (++, +-, -+, --) of paired + masks packed into words, over the bits set in ``valid``."""
-    masks = np.concatenate((valid, a_plus, b_plus, a_plus & b_plus)).reshape(4, -1) & valid
-    n, n_a, n_b, n_ab = np.add.reduce(np.bitwise_count(masks), axis=1).tolist()
-    return n_ab, n_a - n_ab, n_b - n_ab, n - n_a - n_b + n_ab
+def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, rows: int) -> tuple[int, int, int, int]:
+    """The cell counts (++, +-, -+, --) of paired + masks packed into words, over their first ``rows`` bits.
+
+    Trial r is bit ``r % 64`` of word ``r // 64``; the bits past ``rows`` in
+    the last word are padding, whatever they hold.
+    """
+    n_a, n_b, n_ab = np.add.reduce(np.bitwise_count(np.concatenate((a_plus, b_plus, a_plus & b_plus)).reshape(3, -1)), axis=1).tolist()
+    if rows % 64:
+        padding = _U64 << rows % 64 & _U64
+        a, b = int(a_plus[-1]) & padding, int(b_plus[-1]) & padding
+        n_a, n_b, n_ab = n_a - a.bit_count(), n_b - b.bit_count(), n_ab - (a & b).bit_count()
+    return n_ab, n_a - n_ab, n_b - n_ab, rows - n_a - n_b + n_ab
 
 
 def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:

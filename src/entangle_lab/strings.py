@@ -394,7 +394,7 @@ def estimate_table(
 
     def outcome(si, block):
         setting = SETTINGS[si]
-        return sign_counts(*_outcome_signs(config.variant, setting, _events(config, setting, block)), block.valid)
+        return sign_counts(*_outcome_signs(config.variant, setting, _events(config, setting, block)), block.rows)
 
     counts = count_outcomes(
         master_seed, DOMAIN_STRING_TRIALS, len(SETTINGS), trials_per_setting, 4, outcome, workers=workers

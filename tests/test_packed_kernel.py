@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from byte_streams import pack
 from entangle_lab import strings
-from entangle_lab.rng import Block, sign_counts
+from entangle_lab.rng import sign_counts
 from entangle_lab.strings import SETTINGS, Variant, cell_polynomials
 
 property_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -52,11 +52,10 @@ def test_packed_counts_equal_the_boolean_kernel_and_the_polynomials(variant, dat
     columns = [np.array(column)[order] for column in zip(*trials)]
     boolean = events_of(columns, n_strings, variant)
     packed = events_of([pack(column) for column in columns], n_strings, variant)
-    valid = Block(0, 0, 0, 0, len(trials)).valid
     polynomials = cell_polynomials(variant)
     for si, setting in enumerate(SETTINGS):
         a_plus, b_plus = strings._outcome_signs(variant, setting, boolean)
         from_bools = np.bincount((~a_plus) * 2 + (~b_plus), minlength=4).tolist()
-        from_words = list(sign_counts(*strings._outcome_signs(variant, setting, packed), valid))
+        from_words = list(sign_counts(*strings._outcome_signs(variant, setting, packed), len(trials)))
         from_polynomials = [sum(weight[m] * n for m, n in cell) for cell in polynomials.cells[si]]
         assert from_words == from_bools == from_polynomials

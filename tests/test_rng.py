@@ -381,6 +381,7 @@ def test_sign_counts_are_the_four_cells():
     gen = np.random.default_rng(3)
     a_plus, b_plus = gen.random(1000) < 0.4, gen.random(1000) < 0.7
     expected = np.bincount((~a_plus) * 2 + (~b_plus), minlength=4).tolist()
-    valid = Block(0, 0, 0, 0, 1000).valid
-    assert list(sign_counts(pack(a_plus), pack(b_plus), valid)) == expected
-    assert list(sign_counts(~pack(a_plus), ~pack(b_plus), valid)) == expected[::-1]
+    assert list(sign_counts(pack(a_plus), pack(b_plus), 1000)) == expected
+    assert list(sign_counts(~pack(a_plus), ~pack(b_plus), 1000)) == expected[::-1]
+    full = gen.random(1024) < 0.5  # no padding
+    assert list(sign_counts(pack(full), pack(~full), 1024)) == [0, int(full.sum()), int((~full).sum()), 0]
