@@ -29,7 +29,6 @@ from .strings import (
     lhv_table,
     pre_broken_lhv_strategy,
     random_lhv_strategy,
-    sample_trial,
 )
 from .quantum import (
     AxisQuad,
@@ -55,6 +54,5 @@ from .bloch import (
     outcome_probabilities,
     rank_one_residual,
     reconstruct,
-    sample_collapse,
     universal_average,
 )

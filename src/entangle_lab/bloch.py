@@ -12,13 +12,11 @@ random distributions recovers the Born values again.
 
 As in the string model, the outcome is one threshold test: + iff the
 uniform break measure lies below F(p+), with F =
-``BreakDistribution.plus_probability``.  ``collapse_counts`` tests whole
-trial blocks through ``rng.count_outcomes``, the driver of the string and
-quantum tables too, on bit planes packed 64 trials to a word;
-``sample_collapse`` tests one float draw u < F(p+) and maps it to the break
-position it reports.  ``universal_average`` draws its random distributions
-in bounded blocks through ``rng.map_blocks`` and adds the blocks' partial
-sums exactly.
+``BreakDistribution.plus_probability``.  ``collapse_counts`` makes that
+test on whole trial blocks through ``rng.count_outcomes``, the driver of the
+string and quantum tables too, on bit planes packed 64 trials to a word.
+``universal_average`` draws its random distributions in bounded blocks
+through ``rng.map_blocks`` and adds the blocks' partial sums exactly.
 
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
@@ -148,33 +146,6 @@ def _cell_overlap(p_plus: float, cells: int) -> np.ndarray:
     return np.clip(p_plus * cells - np.arange(cells), 0.0, 1.0)
 
 
-def sample_collapse(
-    r: Sequence[float],
-    frame: MeasurementFrame,
-    dist: BreakDistribution,
-    rng: np.random.Generator,
-) -> tuple[int, float]:
-    """One collapse: draw the break point, return (outcome, lambda).
-
-    The outcome is +1 iff the break lies in the segment reaching from n-
-    to the decohered state, i.e. iff the draw is below F(p+); a break
-    exactly at the split point counts as -1.  lambda is the break position
-    in diameter coordinates ([-1, 1], n- to n+).
-    """
-    p_plus, _ = outcome_probabilities(r, frame)
-    u = rng.random()
-    m = u  # the break position in measure coordinates, [0, 1)
-    if dist.weights is not None:
-        # Cell k is the first whose cumulative weight passes u; the position
-        # inside it is the rescaled remainder.
-        cum = np.cumsum(dist.weights)
-        k = min(int(np.searchsorted(cum, u, side="right")), dist.n_cells - 1)
-        lower = float(cum[k - 1]) if k > 0 else 0.0
-        width = float(dist.weights[k])
-        m = (k + ((u - lower) / width if width > 0 else 0.0)) / dist.n_cells
-    return (1 if u < dist.plus_probability(p_plus) else -1), 2.0 * m - 1.0
-
-
 def collapse_counts(
     r: Sequence[float],
     frame: MeasurementFrame,
@@ -219,22 +190,23 @@ def universal_average(
     to the Born probabilities; with a single cell every distribution is the
     uniform one, and the Born values are returned exactly without a draw.
 
-    The distributions are drawn in blocks of at most
-    ``AVERAGE_BLOCK_FLOATS // cells`` (and at least one) rows, block b from
-    the substream ``(master_seed, DOMAIN_BLOCH_AVERAGE, 0, b)``.  Each block
-    is reduced to the sum of its rows' + probabilities, ``raw @ overlap``
-    over the row sums, and the partial sums are added exactly with
-    ``math.fsum``, so the result is bit-identical for any ``workers``.
+    ``cells`` lies in [1, ``AVERAGE_BLOCK_FLOATS``], so one block holds at
+    least one distribution.  The distributions are drawn in blocks of at most
+    ``AVERAGE_BLOCK_FLOATS // cells`` rows, block b from the substream
+    ``(master_seed, DOMAIN_BLOCH_AVERAGE, 0, b)``.  Each block is reduced to
+    the sum of its rows' + probabilities, ``raw @ overlap`` over the row
+    sums, and the partial sums are added exactly with ``math.fsum``, so the
+    result is bit-identical for any ``workers``.
     """
-    if cells < 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
+    if not 1 <= cells <= AVERAGE_BLOCK_FLOATS:
+        raise ValueError(f"cells must lie in [1, {AVERAGE_BLOCK_FLOATS}], got {cells}")
     if n_distributions < 1:
         raise ValueError(f"n_distributions must be >= 1, got {n_distributions}")
     p_plus, _ = outcome_probabilities(r, frame)
     if cells == 1:
         return p_plus, 1.0 - p_plus
     overlap = _cell_overlap(p_plus, cells)
-    rows = max(1, AVERAGE_BLOCK_FLOATS // cells)
+    rows = AVERAGE_BLOCK_FLOATS // cells
     tasks = [(b, min(rows, n_distributions - b * rows)) for b in range(-(-n_distributions // rows))]
 
     def block_sum(task, bit_generator):

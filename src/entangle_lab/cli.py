@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
+    AVERAGE_BLOCK_FLOATS,
     WEIGHT_TOL,
     BreakDistribution,
     MeasurementFrame,
@@ -76,6 +77,7 @@ ANALYTIC_MARGINAL_TOL = 1e-9
 TRACE_LIMIT = 100
 
 _VARIANT_CHOICES = [v.value for v in Variant]
+_VARIANT_HELP = "string-model variant: v1 white, v1pre pre-broken, v2 unstable color, v3 parity, v4 two strings"
 
 
 def _sampled_marginal_tol(trials: int) -> float:
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="analytic and sampled tables of a string-model variant")
-    table.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
+    table.add_argument("--variant", required=True, choices=_VARIANT_CHOICES, help=_VARIANT_HELP)
     table.add_argument("--pw", type=float, default=None, help="white-color probability (v2/v3/v4)")
     table.add_argument("--p1", type=float, default=None, help="string-1 selection probability (v4 only)")
     table.add_argument("--length", type=float, default=1.0, help="string length (cancels from probabilities)")
@@ -471,11 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(run=_cmd_table)
 
     scan = sub.add_parser("scan", help="sweep p_w or p_1 over a grid")
-    scan.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
-    scan.add_argument("--parameter", required=True, choices=["p_w", "p_1"])
-    scan.add_argument("--start", type=float, required=True)
-    scan.add_argument("--stop", type=float, required=True)
-    scan.add_argument("--steps", type=int, required=True)
+    scan.add_argument("--variant", required=True, choices=_VARIANT_CHOICES, help=_VARIANT_HELP)
+    scan.add_argument("--parameter", required=True, choices=["p_w", "p_1"], help="the scanned parameter (p_1: v4 only)")
+    scan.add_argument("--start", type=float, required=True, help="first grid value, in [0, 1]")
+    scan.add_argument("--stop", type=float, required=True, help="last grid value, in [0, 1] and above --start")
+    scan.add_argument("--steps", type=int, required=True, help="grid points, at least 2")
     scan.add_argument("--pw", type=float, default=None, help="fixed p_w when scanning p_1")
     scan.add_argument("--p1", type=float, default=None, help="fixed p_1 when scanning p_w")
     _add_common(scan)
@@ -492,21 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
     bloch_sub = bloch.add_subparsers(dest="subcommand", required=True)
 
     collapse = bloch_sub.add_parser("collapse", help="sample the break-point collapse mechanism")
-    collapse.add_argument("--costheta", type=float, required=True, help="r.n+ of the measured state")
-    collapse.add_argument("--trials", type=int, default=10000)
+    costheta_help = "r.n+ of the measured state, in [-1, 1]"
+    collapse.add_argument("--costheta", type=float, required=True, help=costheta_help)
+    collapse.add_argument("--trials", type=int, default=10000, help="sampled collapses, at least 1 (default 10000)")
     collapse.add_argument("--cell-weights", default=None, help="comma-separated piecewise cell weights (default: uniform)")
     _add_common(collapse, workers_help=_WORKERS_SAMPLING)
     collapse.set_defaults(run=_cmd_bloch_collapse)
 
     average = bloch_sub.add_parser("average", help="universal average over random break distributions")
-    average.add_argument("--costheta", type=float, required=True)
-    average.add_argument("--cells", type=int, default=64)
-    average.add_argument("--dists", type=int, default=100000)
+    average.add_argument("--costheta", type=float, required=True, help=costheta_help)
+    cells_help = f"equal cells per break distribution, in [1, {AVERAGE_BLOCK_FLOATS}] (default 64)"
+    average.add_argument("--cells", type=int, default=64, help=cells_help)
+    average.add_argument("--dists", type=int, default=100000, help="distributions averaged, at least 1 (default 100000)")
     _add_common(average, workers_help=_WORKERS_SAMPLING)
     average.set_defaults(run=_cmd_bloch_average)
 
     decompose_p = bloch_sub.add_parser("decompose", help="15-dimensional Bloch decomposition of a two-qubit state")
-    decompose_p.add_argument("--state", required=True, choices=["singlet", "mixed", "product", "custom"])
+    states = ["singlet", "mixed", "product", "custom"]
+    decompose_p.add_argument("--state", required=True, choices=states, help="the two-qubit state to decompose")
     decompose_p.add_argument("--a", default=None, help="Alice Bloch vector x,y,z (product state)")
     decompose_p.add_argument("--b", default=None, help="Bob Bloch vector x,y,z (product state)")
     decompose_p.add_argument("--state-file", default=None, help="JSON file with a 4x4 matrix (custom state)")

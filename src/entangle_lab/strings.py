@@ -17,25 +17,22 @@ many strings there are:
 * ``V4`` - two independent strings; each observer privately selects string 1
   with probability p_1 and applies the V3 measurements to the selection.
 
-The mechanism is written once, in two layers: ``_events`` asks a source for
+The mechanism is written once, in two layers: ``_events`` asks a block for
 the threshold tests a setting's outcome reads, and ``_outcome_signs`` turns
 the events into Alice's and Bob's + masks (``_outcome_indices`` packs
-boolean ones into cell indices).  A source's ``below(j, p)`` gives the
-events "column j is below p"; ``_events`` asks only for the columns it
+boolean ones into cell indices).  A block's ``below(j, p)``
+(:meth:`rng.Block.below`) gives the events "column j is below p", one bit
+per trial packed 64 to a word; ``_events`` asks only for the columns it
 tests: the color(s) unless a plain variant has both observers pull, V4's
 selections, and the cut (the test at p = 1/2) only where a string splits.  A
 threshold at 0 or 1 gives a constant event and draws nothing.  The outcome
-rule is bitwise throughout, so one copy serves bool arrays and packed
-words.  ``estimate_table`` samples through ``rng.count_outcomes``, whose
-``rng.Block`` source decides each test on bit planes of the column's own
-substream (one plane per trial for the cut at 1/2) and packs 64 trials per
-word; the kernel runs on the words and ``rng.sign_counts`` counts each
+rule is bitwise throughout, so one copy serves packed words and bool
+arrays.  ``estimate_table`` samples through ``rng.count_outcomes``: the
+kernel runs on each block's words and ``rng.sign_counts`` counts the
 block's four cells from the two masks.  ``iter_trials`` asks the same
-blocks for the same events, unpacks them, and adds a ``MicroTrace`` per
-trial; its break position is the cut bit plus a continuous draw made for
-the trace alone, so the trace agrees with the cut.  ``trial_from_draws``
-runs the kernel on float rows, where u is below p iff u < p (the plane rule
-on U = u * 2**64).
+blocks for the same events, unpacks them to one bool per trial, and adds a
+``MicroTrace`` per trial; its break position is the cut bit plus a
+continuous draw made for the trace alone, so the trace agrees with the cut.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``analytic_table`` evaluates these cached polynomials exactly, in integers
@@ -83,7 +80,7 @@ _SINGLE_WHITE = frozenset({Variant.V1, Variant.V1_PRE_BROKEN})
 
 
 def draws_per_trial(variant: Variant) -> int:
-    """Draw columns of one trial's row layout: fixed per variant, setting-independent."""
+    """A variant's block columns: the color(s), V4's two selections, then the cut; setting-independent."""
     return 5 if variant is Variant.V4 else 2
 
 
@@ -207,7 +204,7 @@ class MicroTrace:
 
 
 class _Events(NamedTuple):
-    """The boolean events of a batch of trials, one entry per trial.
+    """The events of a batch of trials: a block's packed words, or one bool per trial.
 
     ``white`` has one column per string; it is None where the outcome reads
     no color (a plain variant with both observers pulling).  ``sel_a``/``sel_b``
@@ -228,28 +225,11 @@ def _splits(variant: Variant, setting: Setting) -> bool:
     return (alice_pulls and bob_pulls) or (variant is Variant.V1_PRE_BROKEN and (alice_pulls or bob_pulls))
 
 
-class _Rows(NamedTuple):
-    """A float row-layout source: column j is below p iff u < p.
+def _events(config: StringModelConfig, setting: Setting, block: Block, *, trace: bool = False) -> _Events:
+    """block -> events: the threshold tests the setting's outcome reads, over the block's trials.
 
-    For a float u in [0, 1) that is the plane rule's event U < ceil(p * 2**64)
-    on U = u * 2**64, so float rows and bit planes share one kernel.
-    """
-
-    u: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return len(self.u)
-
-    def below(self, column: int, p: float) -> np.ndarray:
-        return self.u[:, column] < p if 0 < p < 1 else np.full(self.rows, p >= 1)
-
-
-def _events(config: StringModelConfig, setting: Setting, source, *, trace: bool = False) -> _Events:
-    """source -> events: the threshold tests the setting's outcome reads, over ``source.rows`` trials.
-
-    ``source.below(j, p)`` tests column j, laid out as in
-    :func:`trial_from_draws`; it is called only for the columns the outcome
+    ``block.below(j, p)`` tests the block's column j (see
+    :func:`draws_per_trial`); it is called only for the columns the outcome
     reads.  ``trace`` also builds the colors the outcome does not read, which
     a ``MicroTrace`` records.
     """
@@ -258,17 +238,17 @@ def _events(config: StringModelConfig, setting: Setting, source, *, trace: bool 
     p_w = float(config.p_w)
     white = None
     if trace or variant in _PARITY_VARIANTS or not (setting.alice_pulls and setting.bob_pulls):
-        white = tuple(source.below(j, p_w) for j in range(n_strings))
+        white = tuple(block.below(j, p_w) for j in range(n_strings))
     sel_a = sel_b = None
     if variant is Variant.V4:
         p_1 = float(config.p_1)
-        sel_a, sel_b = source.below(2, p_1), source.below(3, p_1)
-    cut = ~source.below(_cut_column(variant), 0.5) if _splits(variant, setting) else None
+        sel_a, sel_b = block.below(2, p_1), block.below(3, p_1)
+    cut = ~block.below(_cut_column(variant), 0.5) if _splits(variant, setting) else None
     return _Events(white, sel_a, sel_b, cut)
 
 
 def _cut_column(variant: Variant) -> int:
-    """The cut is the last column of a trial's row layout."""
+    """The cut is a variant's last block column."""
     return draws_per_trial(variant) - 1
 
 
@@ -351,27 +331,6 @@ def _replay(config: StringModelConfig, setting: Setting, events: _Events, breaks
             length_alice = break_fraction * length
             length_bob = length - length_alice
         yield _PAIRS[index], MicroTrace(break_fraction, color, selection, length_alice, length_bob)
-
-
-def trial_from_draws(config: StringModelConfig, setting: Setting, draws: Sequence[float]):
-    """Resolve one trial from its uniform draws; returns ``(OutcomePair, MicroTrace)``.
-
-    ``draws`` layout: single-string variants use (color, break); V4 uses
-    (color string 1, color string 2, Alice selection, Bob selection, break).
-    In this scalar row layout, draws a setting does not read are consumed but
-    ignored, keeping it setting-independent; the block samplers draw only the
-    columns a setting reads.
-    """
-    k = draws_per_trial(config.variant)
-    if len(draws) != k:
-        raise ValueError(f"{config.variant.value} trial needs {k} draws, got {len(draws)}")
-    u = np.asarray(draws, dtype=float).reshape(1, k)
-    return next(_replay(config, setting, _events(config, setting, _Rows(u), trace=True), u[:, -1]))
-
-
-def sample_trial(config: StringModelConfig, setting: Setting, rng: np.random.Generator):
-    """Simulate one trial of the physical mechanism with a caller-owned stream."""
-    return trial_from_draws(config, setting, rng.random(draws_per_trial(config.variant)))
 
 
 def estimate_table(
@@ -518,17 +477,13 @@ def lhv_table(
     bob: OutcomeFn,
     lam_values: Sequence,
     weights: Sequence[Real] | None = None,
-    *,
-    trials: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> ExperimentTable:
     """Table of a deterministic local-hidden-variable strategy.
 
     ``alice(lam, "A"|"A'")`` and ``bob(lam, "B"|"B'")`` fix every outcome from
     the shared variable alone, so all correlations pre-exist the joint
-    measurement.  With ``trials=None`` the finite lambda space is enumerated
-    exactly (Fraction weights stay exact); otherwise ``trials`` trials per
-    setting are sampled from the lambda distribution using ``rng``.
+    measurement.  The finite lambda space is enumerated exactly, so Fraction
+    weights give Fraction cells.
     """
     n_lam = len(lam_values)
     if n_lam == 0:
@@ -543,36 +498,13 @@ def lhv_table(
     total = sum(weights)
     if any(w < 0 for w in weights) or abs(total - 1) > 1e-12:
         raise ValueError("weights must be non-negative and sum to 1")
-
-    def outcome_index(lam, setting: Setting) -> int:
-        a = alice(lam, setting.alice)
-        b = bob(lam, setting.bob)
-        if a not in (1, -1) or b not in (1, -1):
-            raise ValueError(f"strategy outcomes must be +1 or -1, got ({a!r}, {b!r})")
-        return (0 if a > 0 else 2) + (0 if b > 0 else 1)
-
-    if trials is None:
-        dists = []
-        for setting in SETTINGS:
-            probs = [0 * total] * 4  # zero of the weights' numeric type
-            for lam, w in zip(lam_values, weights):
-                probs[outcome_index(lam, setting)] += w
-            dists.append(JointDistribution(*probs))
-        return ExperimentTable(*dists)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if rng is None:
-        raise ValueError("sampled enumeration needs an rng")
-    p = np.asarray([float(w) for w in weights])
-    p = p / p.sum()
-    counts = []
+    dists = []
     for setting in SETTINGS:
-        picks = rng.choice(n_lam, size=trials, p=p)
-        # One strategy call per distinct picked lambda, then count the trials.
-        picked, trial_lam = np.unique(picks, return_inverse=True)
-        cell = np.array([outcome_index(lam_values[int(lam)], setting) for lam in picked])
-        counts.append(np.bincount(cell[trial_lam], minlength=4))
-    return frequency_table(counts)[0]
+        probs = [0 * total] * 4  # zero of the weights' numeric type
+        for lam, w in zip(lam_values, weights):
+            probs[OutcomePair(alice(lam, setting.alice), bob(lam, setting.bob)).index] += w
+        dists.append(JointDistribution(*probs))
+    return ExperimentTable(*dists)
 
 
 def pre_broken_lhv_strategy():

@@ -13,7 +13,9 @@ bits of the last word) are all ones, which a sampler must never count.
 :class:`feeding` serves these words through a patched ``rng.bit_stream``.
 It fails a read past a column's words, and on leaving it checks that every
 column whose trials tie had all its tie words read.  It records the words
-each (setting, block, column) drew.
+each (setting, block, column) drew.  :func:`feeding_rows` feeds rows of
+string-trial draws to every column a string variant tests, and their break
+draws to the trace.
 """
 
 import math
@@ -22,7 +24,9 @@ from unittest import mock
 
 import numpy as np
 
-from entangle_lab import rng
+from entangle_lab import rng, strings
+from entangle_lab.rng import DOMAIN_STRING_TRACE
+from entangle_lab.strings import Variant
 
 LOW_BITS = (1 << 56) - 1
 PLANE_WORDS = 1024  # words per plane: a block of 65 536 trials over 64-bit words
@@ -119,3 +123,28 @@ class feeding:
             if exc_info[0] is None and served.words.size > TIE_START:
                 assert served.read == served.words.size, f"column {path}: tie words left unread"
         return False
+
+
+def feeding_rows(config, rows):
+    """Feed rows of string-trial draws to the bit planes, and their break draws to the trace.
+
+    Row r holds trial r's draws in block-column order: the color(s), V4's
+    two selections, then the cut, each a float in [0, 1) on a multiple of
+    2**-64.  Column j of a block reads column j of the rows, at the key of
+    the threshold that column is tested at.  The trace's continuous draw v
+    is ``2 u - floor(2 u)`` of the break draw u, whose top bit b is the cut
+    bit, so ``(b + v) / 2 = u``.  Returns the two patches, to enter together.
+    """
+    tested = [config.p_w, config.p_w, config.p_1, config.p_1] if config.variant is Variant.V4 else [config.p_w]
+    keys = [key(float(p)) for p in tested] + [key(0.5)]
+    columns = {j: [from_float(row[j]) for row in rows] for j in range(len(keys))}
+    breaks = np.array([row[-1] for row in rows])
+
+    def trace_draws(master_seed, domain, si, block, n_rows):
+        assert domain == DOMAIN_STRING_TRACE
+        scaled = breaks[:n_rows] * 2
+        return scaled - np.floor(scaled)
+
+    streams = feeding(columns, lambda si, column: keys[column])
+    trace = mock.patch.object(strings, "block_uniforms", trace_draws)
+    return streams, trace

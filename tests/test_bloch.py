@@ -25,7 +25,6 @@ from entangle_lab.bloch import (
     outcome_probabilities,
     rank_one_residual,
     reconstruct,
-    sample_collapse,
     universal_average,
 )
 from entangle_lab.probability import InvariantViolation
@@ -183,49 +182,25 @@ class TestBreakDistribution:
 
 
 class TestSampleCollapse:
+    """Collapses sampled by ``collapse_counts``, some on crafted draws fed as bit planes."""
+
     def test_eigenstate_always_collapses_up(self):
-        rng = substream(1, 0)
         weird = BreakDistribution.piecewise([0.0, 0.0, 0.9, 0.1])
         for dist in (BreakDistribution.uniform(), weird):
-            for _ in range(50):
-                outcome, lam = sample_collapse(Z_FRAME.n_plus, Z_FRAME, dist, rng)
-                assert outcome == 1
-                assert -1.0 <= lam <= 1.0
+            assert collapse_counts(Z_FRAME.n_plus, Z_FRAME, dist, 3 * 64 + 5, 1) == (3 * 64 + 5, 0)
 
     def test_point_mass_inside_the_plus_segment(self):
         # p_plus = 0.75; cell [0.25, 0.5) of 4 lies wholly inside [0, 0.75)
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
         dist = BreakDistribution.piecewise([0.0, 1.0, 0.0, 0.0])
-        rng = substream(2, 0)
-        for _ in range(200):
-            outcome, _ = sample_collapse(r, Z_FRAME, dist, rng)
-            assert outcome == 1
+        assert collapse_counts(r, Z_FRAME, dist, 200, 2) == (200, 0)
 
     def test_break_at_the_split_point_goes_minus(self):
-        # engineered: p_plus = 0.5 and a draw exactly at measure 0.5
-        class Fixed:
-            def random(self):
-                return 0.5
-
-        outcome, lam = sample_collapse(np.array([1.0, 0.0, 0.0]), Z_FRAME, BreakDistribution.uniform(), Fixed())
-        assert outcome == -1
-        assert lam == 0.0
-
-    def test_vectorized_counts_match_scalar_loop(self):
-        r = np.array([0.6, 0.0, 0.8])
-        dist = BreakDistribution.piecewise([0.25, 0.25, 0.25, 0.25])
-        n = 500
-        scalar_plus = sum(
-            1 for _ in range(n) if sample_collapse(r, Z_FRAME, dist, substream(7, 0, _))[0] == 1
-        )
-        # one uniform per sample: the same draws fed to the bit planes
-        # (a float draw is a multiple of 2**-53, so its 64-bit U is exact)
-        draws = [substream(7, 0, i).random() for i in range(n)]
-        threshold = dist.plus_probability(outcome_probabilities(r, Z_FRAME)[0])
-        with feeding({0: [from_float(u) for u in draws]}, lambda si, column: key(threshold)):
-            n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, n, 0)
-        assert n_plus == scalar_plus
-        assert n_plus + n_minus == n
+        # engineered: p_plus = 0.5 and a draw exactly at measure 0.5; the float below it goes plus
+        r = np.array([1.0, 0.0, 0.0])
+        for u, expected in ((0.5, (0, 1)), (math.nextafter(0.5, 0.0), (1, 0))):
+            with feeding({0: [from_float(u)]}, lambda si, column: key(0.5)):
+                assert collapse_counts(r, Z_FRAME, BreakDistribution.uniform(), 1, 0) == expected
 
     def test_uniform_frequencies_converge_to_born(self):
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
@@ -306,6 +281,9 @@ class TestUniversalAverage:
             universal_average(Z_FRAME.n_plus, Z_FRAME, 0, 10, 0)
         with pytest.raises(ValueError):
             universal_average(Z_FRAME.n_plus, Z_FRAME, 4, 0, 0)
+        # A distribution of more cells than a block holds floats does not fit in one block.
+        with pytest.raises(ValueError, match=r"cells must lie in \[1, 1048576\], got 1048577"):
+            universal_average(Z_FRAME.n_plus, Z_FRAME, AVERAGE_BLOCK_FLOATS + 1, 1, 0)
 
 
 class TestLambdaBasis:

@@ -1,5 +1,6 @@
 """End-to-end tests of the entangle-lab command-line interface."""
 
+import argparse
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 import entangle_lab
 from entangle_lab import rng
-from entangle_lab.cli import EXIT_CONFIG, EXIT_OUTPUT, main
+from entangle_lab.cli import EXIT_CONFIG, EXIT_OUTPUT, build_parser, main
 from entangle_lab.report import emit_csv, parse_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -316,6 +317,15 @@ class TestBloch:
         )
         assert abs(report["results"]["average"]["plus"] - 0.75) < 0.01
 
+    def test_average_cells_are_bounded_by_one_block(self, capsys):
+        # One distribution of 2**20 cells fills one block; one cell more is refused.
+        report = run_json(capsys, "bloch", "average", "--costheta", "0.5", "--cells", str(2**20), "--dists", "1")
+        assert report["config"]["cells"] == 2**20
+        refused = ("bloch", "average", "--costheta", "0.5", "--cells", str(2**20 + 1), "--dists", "1")
+        code, out, err = run_cli(capsys, *refused)
+        assert (code, out) == (2, "")
+        assert "cells must lie in [1, 1048576], got 1048577" in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
     def test_collapse_rejects_non_finite_weights(self, capsys, tmp_path, weights):
         path = tmp_path / "collapse.json"
@@ -496,6 +506,24 @@ def test_help_and_version_stay_plain_text(capsys):
     assert (code, out.strip(), err) == (0, f"entangle-lab {entangle_lab.__version__}", "")
     code, out, err = run_cli(capsys, "table", "--help")
     assert code == 0 and out.startswith("usage:") and err == ""
+
+
+def leaf_parsers(parser, name="entangle-lab"):
+    """(command line, parser) of every subcommand that takes no further subcommand."""
+    subparsers = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        return [(name, parser)]
+    return [leaf for sub, child in subparsers[0].choices.items() for leaf in leaf_parsers(child, f"{name} {sub}")]
+
+
+def test_every_flag_of_every_subcommand_has_help():
+    leaves = leaf_parsers(build_parser())
+    commands = ("table", "scan", "quantum", "bloch collapse", "bloch average", "bloch decompose")
+    assert sorted(name for name, _ in leaves) == sorted(f"entangle-lab {command}" for command in commands)
+    for name, parser in leaves:
+        for action in parser._actions:
+            if action.option_strings:
+                assert action.help and action.help != argparse.SUPPRESS, f"{name} {action.option_strings[0]}"
 
 
 @pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))

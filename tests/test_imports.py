@@ -1,6 +1,13 @@
-"""The package imports without sympy, which it does not declare as a dependency, and the CLI imports lean."""
+"""The package imports without sympy, which it does not declare as a dependency, and the CLI imports lean.
 
+Every sampled number comes from the package's keyed substreams, so no
+public callable samples from a caller's generator.
+"""
+
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +51,30 @@ def test_the_cli_imports_no_thread_pool():
     done = subprocess.run([sys.executable, "-c", CLI_IMPORTS], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def public_callables():
+    """(qualified name, callable) of every public function, class and method defined in the package."""
+    for info in pkgutil.iter_modules(entangle_lab.__path__, "entangle_lab."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if name.startswith("_") or not callable(value) or getattr(value, "__module__", None) != info.name:
+                continue
+            yield f"{info.name}.{name}", value
+            if inspect.isclass(value):
+                for attribute, method in vars(value).items():
+                    if not attribute.startswith("_") and callable(method):
+                        yield f"{info.name}.{name}.{attribute}", method
+
+
+def parameters(fn) -> list[str]:
+    try:
+        return list(inspect.signature(fn).parameters)
+    except (TypeError, ValueError):  # a callable without a signature
+        return []
+
+
+def test_no_public_callable_samples_from_a_callers_generator():
+    # random_lhv_strategy builds a strategy from the caller's generator; it samples no trials.
+    takers = {name for name, fn in public_callables() if "rng" in parameters(fn)}
+    assert takers == {"entangle_lab.strings.random_lhv_strategy"}
+    assert len(dict(public_callables())) > 50

@@ -1,12 +1,12 @@
 """Property tests of the string mechanism against independent per-row oracles.
 
 ``oracle_trial`` is a branchy scalar resolution of one trial, written out
-apart from the package's event/outcome layers.  Every sampling path
-(``trial_from_draws``, ``iter_trials``, ``estimate_table``) must agree with it
-row by row, including draws that sit exactly on a threshold or one float
-below it, and ``analytic_table`` must equal the closed forms and an
-enumeration of the event space exactly.  The byte-stream paths are fed the
-same draws through ``byte_streams``, on multiples of 2**-64, where the float
+apart from the package's event/outcome layers.  Both sampling paths
+(``iter_trials`` and ``estimate_table``) must agree with it row by row,
+including draws that sit exactly on a threshold or one float below it, and
+``analytic_table`` must equal the closed forms and an enumeration of the
+event space exactly.  The sampling paths are fed the oracle's draws as bit
+planes through ``byte_streams``, on multiples of 2**-64, where the float
 test u < p and the bit-plane rule agree.
 """
 
@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byte_streams import feeding, from_float, key, quantized
+from byte_streams import feeding_rows, quantized
 from entangle_lab import rng, strings
-from entangle_lab.rng import DOMAIN_STRING_TRACE, DOMAIN_STRING_TRIALS, TRIAL_BLOCK, Block
+from entangle_lab.rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, Block
 from entangle_lab.strings import (
     SETTINGS,
     MicroTrace,
@@ -34,7 +34,6 @@ from entangle_lab.strings import (
     draws_per_trial,
     estimate_table,
     iter_trials,
-    trial_from_draws,
 )
 
 property_settings = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -156,30 +155,6 @@ def draw_rows(config, data):
     return [[quantized(u) for u in row] for row in rows]
 
 
-def feeding_rows(config, rows):
-    """Feed the draw rows to the byte streams, and their break draws to the trace.
-
-    Column j of a block reads column j of the rows, at the key of the
-    threshold that column is tested at; the trace's continuous draw v is
-    ``2 u - floor(2 u)`` of the break draw u, whose top bit b is the cut
-    bit, so ``(b + v) / 2 = u``.
-    """
-    k = draws_per_trial(config.variant)
-    tested = [config.p_w, config.p_w, config.p_1, config.p_1] if config.variant is Variant.V4 else [config.p_w]
-    keys = [key(float(p)) for p in tested] + [key(0.5)]
-    columns = {j: [from_float(row[j]) for row in rows] for j in range(k)}
-    breaks = np.array([row[-1] for row in rows])
-
-    def trace_draws(master_seed, domain, si, block, n_rows):
-        assert domain == DOMAIN_STRING_TRACE
-        scaled = breaks[:n_rows] * 2
-        return scaled - np.floor(scaled)
-
-    streams = feeding(columns, lambda si, column: keys[column])
-    trace = mock.patch.object(strings, "block_uniforms", trace_draws)
-    return streams, trace
-
-
 @property_settings
 @given(config=configs, data=st.data())
 def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
@@ -188,7 +163,6 @@ def test_every_sampling_path_matches_the_oracle_row_by_row(config, data):
     streams, trace = feeding_rows(config, rows)
     for setting in SETTINGS:
         expected = [oracle_trial(config, setting, row) for row in rows]
-        assert [trial_from_draws(config, setting, row) for row in rows] == expected
         with streams, trace:
             _, counts = estimate_table(config, len(rows), 0)
             replayed = list(iter_trials(config, setting, 0, len(rows) - start, start))
@@ -208,8 +182,16 @@ def test_sign_mask_counts_equal_the_index_bincount(config, data):
     streams, _ = feeding_rows(config, rows)
     with streams:
         _, counts = estimate_table(config, len(rows), 0)
+    # One bool event column per tested column, u < p, as the oracle tests it.
+    u = np.array(rows)
+    tested = [config.p_w, config.p_w, config.p_1, config.p_1] if config.variant is Variant.V4 else [config.p_w]
+    columns = [u[:, j] < float(p) for j, p in enumerate(tested)]
+    cut = u[:, -1] >= 0.5
+    if config.variant is Variant.V4:
+        events = strings._Events(tuple(columns[:2]), *columns[2:], cut)
+    else:
+        events = strings._Events((columns[0],), None, None, cut)
     for setting in SETTINGS:
-        events = strings._events(config, setting, strings._Rows(np.array(rows)))
         indices = strings._outcome_indices(config.variant, setting, events)
         assert counts[setting.label] == tuple(np.bincount(indices, minlength=4).tolist())
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from byte_streams import feeding_rows, quantized
 from entangle_lab.probability import InvariantViolation, chsh, correlation, marginals
-from entangle_lab.rng import TRIAL_BLOCK, substream
+from entangle_lab.rng import TRIAL_BLOCK
 from entangle_lab.strings import (
     SETTINGS,
     OutcomePair,
@@ -21,8 +22,6 @@ from entangle_lab.strings import (
     lhv_table,
     pre_broken_lhv_strategy,
     random_lhv_strategy,
-    sample_trial,
-    trial_from_draws,
 )
 
 HALF = Fraction(1, 2)
@@ -226,24 +225,33 @@ class TestConfig:
         assert OutcomePair(alice=1, bob=-1).index == 1
 
 
+def replay_one(config, setting, draws):
+    """Trial 0 of ``setting`` as ``iter_trials`` replays it from crafted draws, fed as bit planes."""
+    streams, breaks = feeding_rows(config, [draws])
+    with streams, breaks:
+        return next(iter_trials(config, setting, 0, 1))
+
+
 class TestSampleTrial:
+    """Hand-picked trials: each draw row is fed to ``iter_trials`` as the planes of its block columns."""
+
     def test_joint_pull_splits_at_the_break(self):
         config = StringModelConfig(variant=Variant.V1)
-        pair, trace = trial_from_draws(config, AB, [0.0, 0.75])
+        pair, trace = replay_one(config, AB, [0.0, 0.75])
         assert (pair.alice, pair.bob) == (1, -1)
         assert trace.break_fraction == 0.75
         assert trace.colors == ("white",)
 
     def test_parity_solo_pull_with_white_string(self):
         config = StringModelConfig(variant=Variant.V3, p_w=0.4)
-        pair, trace = trial_from_draws(config, AB_PRIME, [0.0, 0.9])
+        pair, trace = replay_one(config, AB_PRIME, [0.0, 0.9])
         assert (pair.alice, pair.bob) == (1, 1)  # long-white and white
         assert trace.break_fraction == 1.0  # Alice collected the whole string
 
     def test_two_string_different_selection_never_breaks(self):
         config = StringModelConfig(variant=Variant.V4, p_w=0.6, p_1=0.5)
         draws = [0.0, 0.0, 0.0, 0.9, 0.123]  # both white; Alice string1, Bob string2
-        pair, trace = trial_from_draws(config, AB, draws)
+        pair, trace = replay_one(config, AB, draws)
         assert (pair.alice, pair.bob) == (1, 1)
         assert trace.break_fraction is None
         assert trace.selections == ("string1", "string2")
@@ -251,32 +259,20 @@ class TestSampleTrial:
 
     def test_tie_break_goes_to_alice(self):
         config = StringModelConfig(variant=Variant.V1)
-        pair, _ = trial_from_draws(config, AB, [0.0, 0.5])
+        pair, trace = replay_one(config, AB, [0.0, 0.5])
         assert (pair.alice, pair.bob) == (1, -1)
+        assert trace.break_fraction == 0.5
 
     def test_color_only_setting_draws_no_break(self):
         config = StringModelConfig(variant=Variant.V1_PRE_BROKEN)
-        _, trace = trial_from_draws(config, A_PRIME_B_PRIME, [0.0, 0.3])
+        _, trace = replay_one(config, A_PRIME_B_PRIME, [0.0, 0.3])
         assert trace.break_fraction is None
 
     def test_pre_broken_solo_pull_discovers_fragment(self):
         config = StringModelConfig(variant=Variant.V1_PRE_BROKEN)
-        pair, trace = trial_from_draws(config, AB_PRIME, [0.0, 0.2])
+        pair, trace = replay_one(config, AB_PRIME, [0.0, 0.2])
         assert pair.alice == -1  # fragment of 0.2 L is short
         assert trace.break_fraction == 0.2
-
-    def test_wrong_draw_count_rejected(self):
-        config = StringModelConfig(variant=Variant.V4)
-        with pytest.raises(ValueError):
-            trial_from_draws(config, AB, [0.1, 0.2])
-
-    def test_matches_generator_stream(self):
-        config = StringModelConfig(variant=Variant.V4, p_w=0.3, p_1=0.7)
-        pair1, trace1 = sample_trial(config, AB, substream(9, 1))
-        draws = substream(9, 1).random(draws_per_trial(config.variant))
-        pair2, trace2 = trial_from_draws(config, AB, draws)
-        assert pair1 == pair2
-        assert trace1 == trace2
 
     def test_matter_conservation_on_every_break(self):
         rng = np.random.default_rng(123)
@@ -284,9 +280,13 @@ class TestSampleTrial:
             config = StringModelConfig(
                 variant=variant, p_w=1 if variant in (Variant.V1, Variant.V1_PRE_BROKEN) else 0.5
             )
+            rows = [[quantized(u) for u in row] for row in rng.random((50, draws_per_trial(variant)))]
             for setting in SETTINGS:
-                for _ in range(50):
-                    _, trace = sample_trial(config, setting, rng)
+                streams, breaks = feeding_rows(config, rows)
+                with streams, breaks:
+                    traces = [trace for _, trace in iter_trials(config, setting, 0, len(rows))]
+                assert len(traces) == len(rows)
+                for trace in traces:
                     if trace.break_fraction is not None:
                         assert trace.length_alice + trace.length_bob == config.length_l
                     else:
@@ -386,59 +386,6 @@ class TestLhvBaseline:
             q = chsh(lhv_table(alice, bob, lams, weights))
             assert all(abs(value) <= 2 for value in q.as_tuple())
 
-    def test_sampled_mode_matches_enumeration_roughly(self):
-        alice, bob, lams, weights = pre_broken_lhv_strategy()
-        exact = lhv_table(alice, bob, lams, weights)
-        sampled = lhv_table(alice, bob, lams, weights, trials=20_000, rng=substream(1, 2))
-        for (_, sd), (_, ed) in zip(sampled.rows(), exact.rows()):
-            for s, e in zip(sd.probabilities(), ed.probabilities()):
-                assert abs(s - float(e)) < 4 / math.sqrt(20_000)
-
-    def test_sampled_mode_equals_a_per_trial_loop(self):
-        # Oracle: one strategy call per sampled trial, from an identical stream.
-        def loop_rows(alice, bob, lams, weights, trials, rng):
-            p = np.asarray([float(w) for w in weights])
-            p = p / p.sum()
-            rows = []
-            for setting in SETTINGS:
-                counts = [0, 0, 0, 0]
-                for pick in rng.choice(len(lams), size=trials, p=p):
-                    lam = lams[int(pick)]
-                    a, b = alice(lam, setting.alice), bob(lam, setting.bob)
-                    counts[(0 if a > 0 else 2) + (0 if b > 0 else 1)] += 1
-                rows.append(tuple(c / trials for c in counts))
-            return rows
-
-        rng = np.random.default_rng(4242)
-        for case in range(40):
-            n_lambda = int(rng.integers(1, 40))
-            trials = int(rng.integers(1, 3000))
-            alice, bob, lams, weights = random_lhv_strategy(n_lambda, rng)
-            table = lhv_table(alice, bob, lams, weights, trials=trials, rng=substream(77, case))
-            expected = loop_rows(alice, bob, lams, weights, trials, substream(77, case))
-            assert [dist.probabilities() for _, dist in table.rows()] == expected
-
-    def test_sampled_mode_calls_the_strategy_once_per_distinct_lambda(self):
-        calls = []
-
-        def alice(lam, setting):
-            calls.append(lam)
-            return 1 if lam % 2 else -1
-
-        lhv_table(alice, lambda lam, s: 1, tuple(range(5)), trials=10_000, rng=substream(3, 0))
-        assert len(calls) == 4 * 5
-        assert sorted(set(calls)) == list(range(5))
-
-    def test_sampled_mode_validates_only_picked_lambdas(self):
-        def alice(lam, setting):
-            return 0 if lam == "never" else 1
-
-        lams = ("often", "never")
-        table = lhv_table(alice, lambda lam, s: 1, lams, (1, 0), trials=100, rng=substream(3, 1))
-        assert all(dist.probabilities() == (1.0, 0.0, 0.0, 0.0) for _, dist in table.rows())
-        with pytest.raises(ValueError):
-            lhv_table(alice, lambda lam, s: 1, lams, (0.5, 0.5), trials=100, rng=substream(3, 1))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, ())
@@ -446,8 +393,6 @@ class TestLhvBaseline:
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0,), weights=(0.5,))
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 0, lambda lam, s: 1, (0,))
-        with pytest.raises(ValueError):
-            lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0,), trials=10)  # missing rng
 
 
 def test_estimated_correlations_track_analytic_for_the_two_string_model():

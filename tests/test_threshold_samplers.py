@@ -1,9 +1,9 @@
 """The three samplers on the shared trial-block driver, as threshold events.
 
-``collapse_counts`` and ``sample_collapse`` put the break on the + side iff
-the draw is below F(p+); ``quantum.sample_table`` collapses Alice on her
-marginal and then Bob on the conditional given her outcome;
-``estimate_table`` runs the string kernel.  Crafted 64-bit draws (every
+``collapse_counts`` puts the break on the + side iff the draw is below
+F(p+); ``quantum.sample_table`` collapses Alice on her marginal and then
+Bob on the conditional given her outcome; ``estimate_table`` runs the
+string kernel.  Crafted 64-bit draws (every
 threshold and the float just below it) are fed by patching
 ``entangle_lab.rng.bit_stream`` (see ``byte_streams``), and each sampler is
 checked trial by trial against an independent rule written out here.  All
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byte_streams import feeding, from_float, key, quantized
-from entangle_lab.bloch import BreakDistribution, MeasurementFrame, collapse_counts, outcome_probabilities, sample_collapse
+from entangle_lab.bloch import BreakDistribution, MeasurementFrame, collapse_counts, outcome_probabilities
 from entangle_lab.probability import ExperimentTable, JointDistribution
 from entangle_lab.quantum import coplanar_axes, sample_table, singlet_state, table_for_axes
 from entangle_lab.rng import TRIAL_BLOCK
@@ -38,16 +38,8 @@ def feeding_one_column(draws, threshold):
     return feeding({0: [from_float(u) for u in draws]}, lambda si, column: key(threshold))
 
 
-class FixedDraw:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def parent_measure_from_uniform(weights, u):
-    """The break position of the previous sampler: cumsum, searchsorted, rescale."""
+def break_measure(weights, u):
+    """The break position, in uniform measure, that a draw u gives under the cell weights: the inverse CDF."""
     if weights is None:
         return u
     cum = np.cumsum(weights)
@@ -89,25 +81,17 @@ def test_collapse_is_one_threshold_event_row_by_row(weights, costheta, data):
     draws = [quantized(u) for u in draws]
 
     for u in draws:
-        outcome, lam = sample_collapse(r, Z_FRAME, dist, FixedDraw(u))
         with feeding_one_column([u], threshold):
             counts = collapse_counts(r, Z_FRAME, dist, 1, 0)
-        assert counts == ((1, 0) if outcome == 1 else (0, 1))
-        assert outcome == (1 if u < threshold else -1)
-        m = parent_measure_from_uniform(weights, u)
-        assert lam == 2.0 * m - 1.0
+        assert counts == ((1, 0) if u < threshold else (0, 1))
+        m = break_measure(weights, u)
         if abs(u - threshold) > 1e-12:
-            assert outcome == (1 if m < p_plus else -1)
+            assert counts == ((1, 0) if m < p_plus else (0, 1))
 
     with feeding_one_column(draws, threshold):
         n_plus, n_minus = collapse_counts(r, Z_FRAME, dist, len(draws), 0)
     assert n_plus == sum(1 for u in draws if u < threshold)
     assert n_plus + n_minus == len(draws)
-
-    if threshold < 1.0:
-        assert sample_collapse(r, Z_FRAME, dist, FixedDraw(threshold))[0] == -1
-    if threshold > 0.0:
-        assert sample_collapse(r, Z_FRAME, dist, FixedDraw(math.nextafter(threshold, 0.0)))[0] == 1
 
 
 @pytest.mark.parametrize("weights", [None, [0.5, 0.0, 0.5], [0.0, 0.0, 0.9, 0.1]])
