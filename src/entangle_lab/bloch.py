@@ -114,8 +114,10 @@ class BreakDistribution:
             raise ValueError(f"cell weights must be finite, got {w.tolist()!r}")
         if np.any(w < 0):
             raise InvariantViolation("cell weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            raise InvariantViolation(f"cell weights sum to {float(w.sum())!r}, not 1")
+        with np.errstate(over="ignore"):  # huge weights sum to inf, which the check refuses
+            total = float(w.sum())
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise InvariantViolation(f"cell weights sum to {total!r}, not 1")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -125,10 +127,6 @@ class BreakDistribution:
     @classmethod
     def piecewise(cls, weights: Sequence[float]) -> "BreakDistribution":
         return cls(weights=np.asarray(weights, dtype=float))
-
-    @property
-    def n_cells(self) -> int:
-        return 1 if self.weights is None else int(self.weights.size)
 
     def plus_probability(self, p_plus: float) -> float:
         """Exact probability that the break lands on the + side of the split.

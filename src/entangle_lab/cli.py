@@ -131,7 +131,8 @@ def _parse_cell_weights(text: str) -> list[float]:
         if not (math.isfinite(weight) and weight >= 0):
             raise ValueError(f"--cell-weights: weight {position} must be finite and non-negative, got {part!r}")
         weights.append(weight)
-    total = float(np.sum(weights))  # summed as BreakDistribution sums them
+    with np.errstate(over="ignore"):  # summed as BreakDistribution sums them; huge weights give inf
+        total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"--cell-weights must sum to 1, got {total!r}")
     return weights

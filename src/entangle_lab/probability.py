@@ -6,11 +6,11 @@ measurements (AB, AB', A'B, A'B') form an experiment table, from which
 correlation functions, the four CHSH combinations, Bell-bound verdicts and
 no-signaling (marginal-law) residuals are derived.
 
-Probabilities may be floats or ``fractions.Fraction``; every operation runs one
-expression tree for both.  Exact cells (ints and Fractions, at least one a
-Fraction) enter it as integer numerators over one common denominator ``d``, and
-a ``Fraction(n, d)`` is built only for a returned value (an int where no Fraction
-went into it, as ``Fraction`` arithmetic gives); floats enter it unchanged.
+Probabilities may be floats or exact (ints and ``fractions.Fraction``); every
+operation runs one expression tree for both.  All-exact inputs enter it as
+integer numerators over one common denominator ``d``, and every value computed
+from them is returned as a ``Fraction(n, d)``; with a float among the inputs,
+they enter it unchanged and the result carries Python's float bits.
 """
 
 from __future__ import annotations
@@ -31,30 +31,20 @@ class InvariantViolation(ValueError):
     """A numerical invariant failed (normalization, hermiticity, positivity)."""
 
 
-def _scaled(values: tuple) -> tuple[tuple, int | None, int]:
-    """``(numerators, d, fractions)``: ints and Fractions, at least one a Fraction,
-    as integers over their least common denominator ``d``, with bit ``i`` of
-    ``fractions`` set for a Fraction at ``i``; any other values unchanged, ``d = None``.
-    """
-    fractions = 0
-    for i, value in enumerate(values):
-        if isinstance(value, Fraction):
-            fractions |= 1 << i
-        elif not isinstance(value, int):
-            return values, None, 0
-    if not fractions:
-        return values, None, 0
+def _scaled(values: tuple) -> tuple[tuple, int | None]:
+    """``(numerators, d)``: exact values (ints and Fractions) as integers over their
+    least common denominator ``d``; with any other value among them, ``(values, None)``."""
+    for value in values:
+        if not isinstance(value, (Fraction, int)):
+            return values, None
     denominators = [v.denominator for v in values]
     d = math.lcm(*denominators)
-    return tuple([v.numerator * (d // q) for v, q in zip(values, denominators)]), d, fractions
+    return tuple([v.numerator * (d // q) for v, q in zip(values, denominators)]), d
 
 
-def _unscaled(n, fractions: int, d: int | None):
-    """The value ``n`` stands for: ``n`` unscaled, else ``n / d``, a Fraction if a
-    Fraction (a set bit of ``fractions``) went into it and an int otherwise."""
-    if d is None:
-        return n
-    return Fraction(n, d) if fractions else n // d
+def _unscaled(n, d: int | None):
+    """The value ``n`` stands for: ``n`` unscaled, else the Fraction ``n / d``."""
+    return n if d is None else Fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -72,7 +62,7 @@ class JointDistribution:
     p_mm: Real
 
     def __post_init__(self):
-        scaled, d, _ = _scaled(self.probabilities())
+        scaled, d = _scaled(self.probabilities())
         one = 1 if d is None else d
         checked = []
         for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
@@ -91,7 +81,7 @@ class JointDistribution:
         total = checked[0] + checked[1] + checked[2] + checked[3]
         # Exact first: only a row that misses 1 builds its total (a Fraction if scaled).
         if total != one:
-            total = _unscaled(total, 1, d)
+            total = _unscaled(total, d)
             if abs(total - 1) > NORMALIZATION_TOL:
                 raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
 
@@ -99,8 +89,8 @@ class JointDistribution:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
     def _marginal(self, i: int, j: int) -> Real:
-        cells, d, fractions = _scaled(self.probabilities())
-        return _unscaled(cells[i] + cells[j], fractions & (1 << i | 1 << j), d)
+        cells, d = _scaled(self.probabilities())
+        return _unscaled(cells[i] + cells[j], d)
 
     def marginal_alice_plus(self) -> Real:
         return self._marginal(0, 1)
@@ -126,15 +116,10 @@ class ExperimentTable:
 
     def rows(self) -> tuple[tuple[str, JointDistribution], ...]:
         """Rows with their canonical labels, in canonical order."""
-        return (
-            ("AB", self.ab),
-            ("AB'", self.ab_prime),
-            ("A'B", self.a_prime_b),
-            ("A'B'", self.a_prime_b_prime),
-        )
+        return tuple(zip(ROW_LABELS, (self.ab, self.ab_prime, self.a_prime_b, self.a_prime_b_prime)))
 
     @cached_property
-    def _scaled_cells(self) -> tuple[tuple, int | None, int]:
+    def _scaled_cells(self) -> tuple[tuple, int | None]:
         """The 16 cells, row by row, through :func:`_scaled` (once per table)."""
         return _scaled(tuple(p for _, row in self.rows() for p in row.probabilities()))
 
@@ -159,8 +144,8 @@ def correlation(dist: JointDistribution) -> Real:
 
     E = (P++ + P--) - (P+- + P-+), always in [-1, 1].
     """
-    cells, d, fractions = _scaled(dist.probabilities())
-    return _unscaled(_correlation(*cells), fractions, d)
+    cells, d = _scaled(dist.probabilities())
+    return _unscaled(_correlation(*cells), d)
 
 
 CHSH_RANGE_TOL = 1e-9
@@ -211,9 +196,9 @@ def _chsh_combinations(e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
 
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
-    cells, d, fractions = table._scaled_cells
+    cells, d = table._scaled_cells
     combinations = _chsh_combinations(*(_correlation(*cells[i : i + 4]) for i in range(0, 16, 4)))
-    return ChshQuantities(*(_unscaled(q, fractions, d) for q in combinations))
+    return ChshQuantities(*(_unscaled(q, d) for q in combinations))
 
 
 @dataclass(frozen=True)
@@ -248,12 +233,11 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     """
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
-    (*values, scaled_bound), d, fractions = _scaled((*quantities.as_tuple(), bound))  # the bound is bit 4
+    (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
     checks = []
-    for i, (name, value) in enumerate(quantities.as_dict().items()):
-        margin = abs(values[i]) - scaled_bound
-        margin_value = _unscaled(margin, fractions & (1 << i | 1 << 4), d)
-        checks.append(BoundCheck(quantity=name, value=value, margin=margin_value, violated=margin > 0))
+    for (name, value), n in zip(quantities.as_dict().items(), values):
+        margin = abs(n) - scaled_bound
+        checks.append(BoundCheck(quantity=name, value=value, margin=_unscaled(margin, d), violated=margin > 0))
     return BellBoundReport(bound=bound, checks=tuple(checks))
 
 
@@ -308,15 +292,13 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     """
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    cells, d, fractions = table._scaled_cells
+    cells, d = table._scaled_cells
     comparisons, residuals = [], []
     for side, setting, outcome, partners, (i, j), (k, m) in _MARGINAL_COMPARISONS:
         first, second = cells[i] + cells[j], cells[k] + cells[m]
-        first_bits, second_bits = fractions & (1 << i | 1 << j), fractions & (1 << k | 1 << m)
         residual = first - second
-        values = (_unscaled(first, first_bits, d), _unscaled(second, second_bits, d))
-        residual_value = _unscaled(residual, first_bits | second_bits, d)
-        comparisons.append(MarginalComparison(side, setting, outcome, partners, *values, residual_value))
+        values = (_unscaled(v, d) for v in (first, second, residual))
+        comparisons.append(MarginalComparison(side, setting, outcome, partners, *values))
         residuals.append(abs(residual))
     # The first largest |residual|, as max() over the returned residuals picks it.
     max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)

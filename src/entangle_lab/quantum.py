@@ -111,10 +111,12 @@ def validate_state(rho: np.ndarray, *, check_psd: bool = True) -> np.ndarray:
         raise ValueError(f"state must be 4x4, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvariantViolation("state has a non-finite entry")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    with np.errstate(over="ignore"):  # huge finite entries overflow to inf, which the checks refuse
+        asymmetry, trace = np.max(np.abs(rho - rho.conj().T)), complex(np.trace(rho))
+    if asymmetry > HERMITICITY_TOL:
         raise InvariantViolation("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise InvariantViolation(f"state trace {np.trace(rho)!r} deviates from 1")
+    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+        raise InvariantViolation(f"state trace {trace!r} deviates from 1")
     if check_psd:
         min_eig = float(np.linalg.eigvalsh(rho).min())
         if min_eig < -PSD_TOL:

@@ -174,6 +174,10 @@ class TestBreakDistribution:
             BreakDistribution.piecewise([bad, 1.0])
         assert not isinstance(info.value, InvariantViolation)
 
+    def test_weights_whose_sum_overflows_are_refused_without_a_warning(self):
+        with pytest.raises(InvariantViolation, match="cell weights sum to inf, not 1"):
+            BreakDistribution.piecewise([1e308, 1e308])
+
     def test_rejects_non_finite_vectors(self):
         with pytest.raises(ValueError):
             bloch_vector([math.nan, 0.0, 0.0])

@@ -713,3 +713,38 @@ def test_a_reader_closing_the_pipe_ends_the_run_quietly():
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert json.loads(lines[0])["error"]["code"] == EXIT_OUTPUT
+
+
+#: A finite state whose Hermiticity residual overflows (1.7e308 - -1.7e308).
+OVERFLOWING_ASYMMETRY = [[0.25, 1.7e308, 0, 0], [-1.7e308, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
+
+
+@pytest.mark.parametrize(
+    "args, state, code, message",
+    [
+        (
+            ["collapse", "--costheta", "0.5", "--cell-weights", "1e308,1e308"],
+            None, 2, "--cell-weights must sum to 1, got inf",
+        ),
+        (["decompose", "--state", "custom"], OVERFLOWING_ASYMMETRY, 3, "state is not Hermitian"),
+        (["decompose", "--state", "custom"], [[0] * 4] * 4, 3, "state trace 0j deviates from 1"),
+    ],
+    ids=["overflowing-weight-sum", "overflowing-asymmetry", "zero-trace"],
+)
+def test_numeric_refusals_are_one_json_line_even_with_warnings_as_errors(tmp_path, args, state, code, message):
+    # numpy's overflow warnings must not reach stderr, and under -W error they
+    # must not turn the refusal into a traceback.
+    if state is not None:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        args = [*args, "--state-file", str(path)]
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entangle_lab.cli", "bloch", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (code, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0]) == {"error": {"code": code, "message": message}}

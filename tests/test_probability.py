@@ -339,11 +339,18 @@ def test_huge_exact_thresholds_are_finite():
 # --- equivalence with plain Fraction/float arithmetic ---
 #
 # The functions below restate the evaluation without a common denominator:
-# every check, sum and difference on the cell values themselves, so ints,
-# Fractions and floats combine by Python's own rules.  The package must return
-# equal values of the same type, floats with the same bits.
+# every check, sum and difference on the cell values themselves, so Fractions
+# and floats combine by Python's own rules, with an int cell taken as the
+# Fraction it stands for (a value computed from exact cells is a Fraction).
+# The package must return equal values of the same type, floats with the same
+# bits; cells come back as given.
 
 FIELDS = ("p_pp", "p_pm", "p_mp", "p_mm")
+
+
+def exact(values):
+    """``values`` with each int as a Fraction; any other value unchanged."""
+    return tuple(Fraction(v) if isinstance(v, int) else v for v in values)
 
 
 def plain_checked_row(row):
@@ -361,17 +368,20 @@ def plain_checked_row(row):
         return value
 
     values = tuple(checked(name, value) for name, value in zip(FIELDS, row))
-    total = values[0] + values[1] + values[2] + values[3]
+    cells = exact(values)
+    total = cells[0] + cells[1] + cells[2] + cells[3]
     if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
         raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
     return values
 
 
 def plain_correlation(row):
+    row = exact(row)
     return (row[0] + row[3]) - (row[1] + row[2])
 
 
 def plain_row_marginals(row):
+    row = exact(row)
     return (row[0] + row[1], row[2] + row[3], row[0] + row[2], row[1] + row[3])
 
 
@@ -383,7 +393,7 @@ def plain_chsh(rows):
 def plain_marginals(rows, tolerance):
     alice_plus, alice_minus = (lambda r: r[0] + r[1]), (lambda r: r[2] + r[3])
     bob_plus, bob_minus = (lambda r: r[0] + r[2]), (lambda r: r[1] + r[3])
-    ab, ab_prime, a_prime_b, a_prime_b_prime = rows
+    ab, ab_prime, a_prime_b, a_prime_b_prime = map(exact, rows)
     comparisons = []
     for first_row, second_row, pick in (
         (ab, ab_prime, alice_plus),
@@ -402,6 +412,7 @@ def plain_marginals(rows, tolerance):
 
 
 def plain_bell_bounds(values, bound):
+    *values, bound = exact((*values, bound))
     return [(abs(v) - bound, abs(v) - bound > 0) for v in values]
 
 
@@ -494,6 +505,26 @@ def test_table_results_equal_plain_arithmetic(kind, data):
     bell = check_bell_bounds(quantities, bound)
     assert_same([(c.margin, c.violated) for c in bell.checks], plain_bell_bounds(quantities.as_tuple(), bound))
     assert [c.value for c in bell.checks] == list(quantities.as_tuple())
+
+
+def test_all_int_cells_give_fractions():
+    row = JointDistribution(1, 0, 0, 0)
+    table = ExperimentTable(row, row, row, row)
+    quantities = chsh(table)
+    report = marginals(table, 0)
+    values = [
+        correlation(row),
+        *(row.marginal_alice_plus(), row.marginal_alice_minus(), row.marginal_bob_plus(), row.marginal_bob_minus()),
+        *quantities.as_tuple(),
+        *(c.margin for c in check_bell_bounds(quantities).checks),
+        *(v for c in report.comparisons for v in (c.first, c.second, c.residual)),
+        report.max_abs_residual,
+    ]
+    assert [type(v) for v in values] == [Fraction] * len(values)
+    assert quantities.as_tuple() == (2, 2, 2, 2)
+    assert [type(p) for p in row.probabilities()] == [int] * 4  # cells are stored as given
+    with pytest.raises(InvariantViolation, match=r"sum to Fraction\(2, 1\), not 1"):
+        JointDistribution(1, 1, 0, 0)
 
 
 # Cells that may break a check: out of range, NaN, wrong type, or a row sum
