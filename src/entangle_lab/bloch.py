@@ -24,7 +24,8 @@ describing their connection, which for product states is fixed by the local
 vectors and for entangled states is an independent piece of the description.
 The 15 generators are one read-only (15, 4, 4) stack, so ``decompose`` is one
 batched trace and ``reconstruct`` one contraction over it.  Bloch vectors and
-measurement directions are checked by ``quantum``'s one 3-vector check.
+measurement directions are checked by ``quantum``'s one 3-vector check, and
+states by its one density-matrix check, ``validate_state``.
 """
 
 from __future__ import annotations
@@ -96,18 +97,17 @@ def decohere(r: Sequence[float], frame: MeasurementFrame, tau: float) -> np.ndar
 class BreakDistribution:
     """Break-point distribution over the diameter, in uniform-measure coordinates.
 
-    ``weights`` is None for the uniform distribution, else one weight per
-    equal-size cell of the diameter (non-negative, summing to one).  A point
-    of the diameter is addressed by its uniform measure m in [0, 1), with
-    lambda = 2m - 1 the usual coordinate from n- to n+.
+    ``weights`` holds one weight per equal-size cell of the diameter
+    (non-negative, summing to one); None, the default, stands for the one
+    cell ``(1.0,)``, the uniform distribution.  A point of the diameter is
+    addressed by its uniform measure m in [0, 1), with lambda = 2m - 1 the
+    usual coordinate from n- to n+.
     """
 
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.weights is None:
-            return
-        w = np.asarray(self.weights, dtype=float)
+        w = np.asarray((1.0,) if self.weights is None else self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.isfinite(w).all():
@@ -122,7 +122,7 @@ class BreakDistribution:
 
     @classmethod
     def uniform(cls) -> "BreakDistribution":
-        return cls(weights=None)
+        return cls()
 
     @classmethod
     def piecewise(cls, weights: Sequence[float]) -> "BreakDistribution":
@@ -132,10 +132,9 @@ class BreakDistribution:
         """Exact probability that the break lands on the + side of the split.
 
         The + segment covers uniform measure [0, p_plus); each cell
-        contributes its weight times the clipped overlap.
+        contributes its weight times the clipped overlap; the one uniform
+        cell gives p_plus itself for every p_plus in [0, 1].
         """
-        if self.weights is None:
-            return float(p_plus)
         return float(np.dot(self.weights, _cell_overlap(p_plus, self.weights.size)))
 
 
@@ -286,15 +285,13 @@ class BlochVector15:
 
 def decompose(rho: np.ndarray) -> BlochVector15:
     """Generalized Bloch vector of a two-qubit state: r_i = (2/sqrt(6)) Tr(rho G_i)."""
-    rho = validate_state(rho, check_psd=False)
+    rho = validate_state(rho)
     return BlochVector15(r15=_DECOMP_SCALE * np.trace(rho @ _LAMBDA_BASIS, axis1=1, axis2=2).real)
 
 
 def reconstruct(vec: BlochVector15 | Sequence[float]) -> np.ndarray:
     """Density matrix from a generalized Bloch vector: (I + sqrt(6) r.G)/4."""
-    r15 = vec.r15 if isinstance(vec, BlochVector15) else np.asarray(vec, dtype=float)
-    if r15.shape != (15,):
-        raise ValueError(f"expected 15 components, got shape {r15.shape}")
+    r15 = (vec if isinstance(vec, BlochVector15) else BlochVector15(vec)).r15
     return (np.eye(4) + math.sqrt(6.0) * np.tensordot(r15, _LAMBDA_BASIS, axes=1)) / 4.0
 
 

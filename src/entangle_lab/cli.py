@@ -195,7 +195,7 @@ def _table_csv(analytic, sampled) -> tuple[list[str], list[list]]:
 
 def _write_traces(config, seed, trials, path, limit) -> None:
     lines = []
-    for si, setting in enumerate(SETTINGS):
+    for setting in SETTINGS:
         for t, (pair, trace) in enumerate(iter_trials(config, setting, seed, min(limit, trials))):
             record = {"setting": setting.label, "trial": t, "outcome": pair.label}
             record.update(trace.to_json_dict())
@@ -258,13 +258,11 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     grid = np.linspace(args.start, args.stop, args.steps)
 
     rows = []
-    fixed = None
     for value in grid:
         value = float(value)
         p_w = value if args.parameter == "p_w" else args.pw
         p_1 = value if args.parameter == "p_1" else args.p1
         config = StringModelConfig(variant=variant, p_w=p_w, p_1=p_1)
-        fixed = config
         table = analytic_table(config)
         quantities = chsh(table)
         residual = marginals(table, ANALYTIC_MARGINAL_TOL).max_abs_residual
@@ -277,8 +275,8 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         "start": args.start,
         "stop": args.stop,
         "steps": args.steps,
-        "fixed_p_w": None if args.parameter == "p_w" else float(fixed.p_w),
-        "fixed_p_1": None if args.parameter == "p_1" else float(fixed.p_1),
+        "fixed_p_w": None if args.parameter == "p_w" else float(config.p_w),
+        "fixed_p_1": None if args.parameter == "p_1" else float(config.p_1),
     }
     return config_echo, {"header": header, "rows": rows}, (header, rows)
 
@@ -360,8 +358,8 @@ def _cmd_bloch_average(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
 
 
 def _is_finite_number(value) -> bool:
-    # json.loads accepts NaN and Infinity literals.
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # json.loads accepts NaN and Infinity literals, and ints past the float range.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _load_state_file(path: str) -> np.ndarray:

@@ -99,12 +99,11 @@ class AxisQuad:
             object.__setattr__(self, name, unit_axis(getattr(self, name)))
 
 
-def validate_state(rho: np.ndarray, *, check_psd: bool = True) -> np.ndarray:
-    """Check the density-matrix invariants of a 4x4 state.
+def validate_state(rho: np.ndarray) -> np.ndarray:
+    """Check that a 4x4 matrix is a density matrix, the one check of every state.
 
-    Finite entries, Hermitian within 1e-12, unit trace within 1e-12 and, when
-    ``check_psd``, smallest eigenvalue >= -1e-10.  Raises InvariantViolation
-    otherwise.
+    Finite entries, Hermitian within 1e-12, unit trace within 1e-12 and
+    smallest eigenvalue >= -1e-10.  Raises InvariantViolation otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -117,10 +116,9 @@ def validate_state(rho: np.ndarray, *, check_psd: bool = True) -> np.ndarray:
         raise InvariantViolation("state is not Hermitian")
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         raise InvariantViolation(f"state trace {trace!r} deviates from 1")
-    if check_psd:
-        min_eig = float(np.linalg.eigvalsh(rho).min())
-        if min_eig < -PSD_TOL:
-            raise InvariantViolation(f"state is not positive semidefinite (min eigenvalue {min_eig})")
+    min_eig = float(np.linalg.eigvalsh(rho).min())
+    if min_eig < -PSD_TOL:
+        raise InvariantViolation(f"state is not positive semidefinite (min eigenvalue {min_eig})")
     return rho
 
 

@@ -51,17 +51,7 @@ block's column 0 as continuous uniforms, which places the break of a
 traced string trial.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
-Format 1 seeded Philox with one key per block; format 2 seeded SFC64 with
-them; format 3 sampled the quantum table and the Bloch collapse on the
-trial-block layout too; format 4 gave every column of a block its own
-substream, so a string setting draws only the columns its outcome reads;
-format 5 set the SFC64 state from the whole digest and decided each
-threshold test on one byte per trial, a tied byte taking a word of a
-second, tie substream, and the quantum table sampled Alice's outcome on her
-marginal and Bob's on the conditional given hers; format 6, the current
-one, reads bit planes and takes tie words from the column's own substream,
-and the Bloch average draws its distributions in bounded blocks.  Any change
-to the numbers a sampler yields must bump it.
+Any change to the numbers a sampler yields must bump it.
 """
 
 from __future__ import annotations

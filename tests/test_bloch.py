@@ -139,6 +139,10 @@ class TestBreakDistribution:
         for p in (0.0, 0.25, 0.6180339887, 1.0):
             assert dist.plus_probability(p) == p
 
+    def test_the_uniform_distribution_is_one_cell(self):
+        for dist in (BreakDistribution(), BreakDistribution(weights=None), BreakDistribution.uniform()):
+            assert dist.weights.tolist() == [1.0]
+
     def test_single_cell_equals_uniform(self):
         dist = BreakDistribution.piecewise([1.0])
         for p in (0.1, 0.5, 0.9):
@@ -401,6 +405,15 @@ class TestDecompose:
             decompose(np.eye(2))
         with pytest.raises(InvariantViolation):
             decompose(np.full((4, 4), math.nan, dtype=complex))
+
+    @pytest.mark.parametrize("diagonal", [(1.5, -0.5, 0.0, 0.0), (1.7e308, -1.7e308, 0.5, 0.5)], ids=["small", "huge"])
+    def test_rejects_hermitian_unit_trace_matrices_that_are_not_states(self, diagonal):
+        with pytest.raises(InvariantViolation, match="not positive semidefinite"):
+            decompose(np.diag(np.array(diagonal, dtype=complex)))
+
+    def test_reconstruct_checks_its_input_as_a_bloch_vector15(self):
+        with pytest.raises(ValueError, match="r15 must have 15 components, got shape"):
+            reconstruct(np.zeros(14))
 
     def test_vector_views_and_serialization(self):
         vec = decompose(singlet_state())

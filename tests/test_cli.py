@@ -408,6 +408,17 @@ class TestCustomStateFile:
         assert code == 2
         assert "matrix[1][2]" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("entry", [10**400, [0.0, -(10**400)]], ids=["bare", "pair"])
+    def test_an_integer_past_the_float_range_names_the_position(self, capsys, tmp_path, entry):
+        bad = self.singlet_matrix()
+        bad[2][1] = entry
+        path = self.write_state(tmp_path, {"matrix": bad})
+        code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "custom", "--state-file", path)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0])["error"]["message"] == f"{path}: matrix[2][1]: expected a finite number or [re, im] pair"
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "bloch", "decompose", "--state", "custom", "--state-file", "/nope.json")
         assert code == 2
@@ -748,3 +759,29 @@ def test_numeric_refusals_are_one_json_line_even_with_warnings_as_errors(tmp_pat
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert json.loads(lines[0]) == {"error": {"code": code, "message": message}}
+
+
+#: Finite, Hermitian and of unit trace, but no state: one eigenvalue is -1.7e308.
+HUGE_NON_PSD = [[1.7e308, 0, 0, 0], [0, -1.7e308, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_custom_matrix_that_is_no_state_is_refused_with_exit_three(tmp_path, fmt):
+    # Run under -W error: the refusal comes before any arithmetic on the huge
+    # entries, so no overflow warning can turn it into a traceback.
+    state, out = tmp_path / "state.json", tmp_path / f"report.{fmt}"
+    state.write_text(json.dumps(HUGE_NON_PSD))
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["bloch", "decompose", "--state", "custom", "--state-file", str(state), "--format", fmt, "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entangle_lab.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 3
+    assert error["message"].startswith("state is not positive semidefinite (min eigenvalue -1.7e+308")
+    assert not out.exists()

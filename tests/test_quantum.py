@@ -376,7 +376,7 @@ class TestBatchedKernel:
         with pytest.raises(InvariantViolation):
             scan_tsirelson(rho, [0.0, math.pi / 4])
         with pytest.raises(InvariantViolation):
-            validate_state(rho, check_psd=False)
+            validate_state(rho)
 
     def test_non_finite_axis_is_a_value_error(self):
         with pytest.raises(ValueError):
