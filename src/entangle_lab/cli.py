@@ -17,6 +17,10 @@ the configuration echo, the JSON ``results`` block and the CSV rows.
 :func:`main` renders every report.  It resolves the seed once, writes the CSV
 rows under ``--format csv``, and otherwise builds the JSON envelope, appending
 ``seed_source`` to the echo and, under ``--timing``, adding ``wall_time_s``.
+:func:`main` builds its argparse tree on its first call and reuses it for
+every later call in the process.  ``scan`` evaluates the integer cell
+polynomials at each grid point (:func:`strings.cell_numerators`) and divides
+each CHSH and residual numerator once, building no ``Fraction`` per point.
 
 Every run is reproducible from ``--seed`` (or ``ENTANGLE_LAB_SEED``); reports
 with the same configuration, seed and version are byte-identical regardless
@@ -28,6 +32,7 @@ are emitted as JSON objects on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,7 +55,7 @@ from .bloch import (
     rank_one_residual,
     universal_average,
 )
-from .probability import InvariantViolation, check_bell_bounds, chsh, marginals
+from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
 from .report import (
@@ -64,7 +69,7 @@ from .report import (
     report_to_json,
     table_to_json,
 )
-from .strings import SETTINGS, StringModelConfig, Variant, analytic_table, estimate_table, iter_trials
+from .strings import SETTINGS, StringModelConfig, Variant, analytic_table, cell_numerators, estimate_table, iter_trials
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1
@@ -75,6 +80,8 @@ SEED_ENV_VAR = "ENTANGLE_LAB_SEED"
 ANALYTIC_MARGINAL_TOL = 1e-9
 #: Traced trials per setting when ``--trace`` is given without ``--trace-limit``.
 TRACE_LIMIT = 100
+#: Most ``scan --steps``: a larger grid is refused before it is allocated.
+SCAN_MAX_STEPS = 10**6
 
 _VARIANT_CHOICES = [v.value for v in Variant]
 _VARIANT_HELP = "string-model variant: v1 white, v1pre pre-broken, v2 unstable color, v3 parity, v4 two strings"
@@ -248,8 +255,8 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         raise ValueError("--pw fixes p_w, which --parameter p_w scans")
     if args.parameter == "p_1" and args.p1 is not None:
         raise ValueError("--p1 fixes p_1, which --parameter p_1 scans")
-    if args.steps < 2:
-        raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= SCAN_MAX_STEPS:
+        raise ValueError(f"--steps must lie in [2, {SCAN_MAX_STEPS}], got {args.steps}")
     if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
         raise ValueError("--start and --stop must lie in [0, 1]")
     if not args.start < args.stop:
@@ -258,15 +265,14 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     grid = np.linspace(args.start, args.stop, args.steps)
 
     rows = []
-    for value in grid:
-        value = float(value)
+    for value in grid.tolist():
         p_w = value if args.parameter == "p_w" else args.pw
         p_1 = value if args.parameter == "p_1" else args.p1
-        config = StringModelConfig(variant=variant, p_w=p_w, p_1=p_1)
-        table = analytic_table(config)
-        quantities = chsh(table)
-        residual = marginals(table, ANALYTIC_MARGINAL_TOL).max_abs_residual
-        rows.append([value] + [float(q) for q in quantities.as_tuple()] + [float(residual)])
+        config = StringModelConfig(variant=variant, p_w=p_w, p_1=p_1)  # every p_w and p_1 here is a float
+        cells, d = cell_numerators(variant, config.p_w.as_integer_ratio(), config.p_1.as_integer_ratio())
+        combinations, residual = exact_diagnostics([n for row in cells for n in row], d)
+        # Int true division rounds correctly, so n / d is float(Fraction(n, d)).
+        rows.append([value] + [q / d for q in combinations] + [residual / d])
 
     header = [args.parameter, "a_chsh", "b_chsh", "c_chsh", "d_chsh", "max_abs_marginal_residual"]
     config_echo = {
@@ -476,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--parameter", required=True, choices=["p_w", "p_1"], help="the scanned parameter (p_1: v4 only)")
     scan.add_argument("--start", type=float, required=True, help="first grid value, in [0, 1]")
     scan.add_argument("--stop", type=float, required=True, help="last grid value, in [0, 1] and above --start")
-    scan.add_argument("--steps", type=int, required=True, help="grid points, at least 2")
+    scan.add_argument("--steps", type=int, required=True, help=f"grid points, in [2, {SCAN_MAX_STEPS}]")
     scan.add_argument("--pw", type=float, default=None, help="fixed p_w when scanning p_1")
     scan.add_argument("--p1", type=float, default=None, help="fixed p_1 when scanning p_w")
     _add_common(scan)
@@ -520,14 +526,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first :func:`main` call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _emit_error(code: int, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handled it: 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)
 

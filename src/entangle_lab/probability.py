@@ -194,11 +194,15 @@ def _chsh_combinations(e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
     )
 
 
+def _cell_chsh(cells) -> tuple:
+    """The four CHSH combinations of the 16 cells, row by row, in the cells' own scale."""
+    return _chsh_combinations(*(_correlation(*cells[i : i + 4]) for i in range(0, 16, 4)))
+
+
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
     cells, d = table._scaled_cells
-    combinations = _chsh_combinations(*(_correlation(*cells[i : i + 4]) for i in range(0, 16, 4)))
-    return ChshQuantities(*(_unscaled(q, d) for q in combinations))
+    return ChshQuantities(*(_unscaled(q, d) for q in _cell_chsh(cells)))
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,11 @@ _MARGINAL_COMPARISONS = (
 )
 
 
+def _cell_marginals(cells) -> list[tuple]:
+    """``(first, second)`` of each of ``_MARGINAL_COMPARISONS``, in the cells' own scale."""
+    return [(cells[i] + cells[j], cells[k] + cells[m]) for _, _, _, _, (i, j), (k, m) in _MARGINAL_COMPARISONS]
+
+
 @dataclass(frozen=True)
 class MarginalReport:
     tolerance: Real
@@ -294,8 +303,7 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, d = table._scaled_cells
     comparisons, residuals = [], []
-    for side, setting, outcome, partners, (i, j), (k, m) in _MARGINAL_COMPARISONS:
-        first, second = cells[i] + cells[j], cells[k] + cells[m]
+    for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second
         values = (_unscaled(v, d) for v in (first, second, residual))
         comparisons.append(MarginalComparison(side, setting, outcome, partners, *values))
@@ -308,6 +316,24 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
         max_abs_residual=max_abs,
         violated=max_abs > tolerance,
     )
+
+
+def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
+    """:func:`chsh` and the largest |:func:`marginals` residual| of 16 integer cells over ``d``, row by row.
+
+    No ``Fraction`` is built: each result is a numerator over ``d``.  As in
+    :class:`JointDistribution` and :class:`ChshQuantities`, a negative cell, a
+    row not summing to ``d`` or a combination outside [-4, 4] is an :class:`InvariantViolation`.
+    """
+    for label, i in zip(ROW_LABELS, range(0, 16, 4)):
+        row = cells[i : i + 4]
+        if min(row) < 0 or sum(row) != d:
+            raise InvariantViolation(f"{label}: cell numerators {tuple(row)} over {d} are not a distribution")
+    combinations = _cell_chsh(cells)
+    for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
+        if abs(q) > 4 * d:
+            raise InvariantViolation(f"{name} = {Fraction(q, d)!r} outside [-4, 4]")
+    return combinations, max(abs(first - second) for first, second in _cell_marginals(cells))
 
 
 #: Largest denominator :func:`exact_rational` renders.

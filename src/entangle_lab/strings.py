@@ -35,8 +35,9 @@ blocks for the same events, unpacks them to one bool per trial, and adds a
 continuous draw made for the trace alone, so the trace agrees with the cut.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
-``analytic_table`` evaluates these cached polynomials exactly, in integers
-over one denominator, into ``fractions.Fraction`` cells.
+``cell_numerators`` evaluates these cached polynomials exactly, as integer
+numerators over one denominator, and ``analytic_table`` reduces them into
+``fractions.Fraction`` cells.
 """
 
 from __future__ import annotations
@@ -446,27 +447,29 @@ def cell_polynomials(variant: Variant) -> CellPolynomials:
     return CellPolynomials((k_w, n_selections), tuple(cells))
 
 
-def _scaled_bernstein(p: Fraction, k: int) -> list[int]:
-    """``p**a * (1 - p)**(k - a) * denominator**k`` for a = 0..k, in integers."""
-    n, m = p.numerator, p.denominator - p.numerator
+def _scaled_bernstein(n: int, q: int, k: int) -> list[int]:
+    """``p**a * (1 - p)**(k - a) * q**k`` for a = 0..k and p = n / q, in integers."""
+    m = q - n
     return [n**a * m ** (k - a) for a in range(k + 1)]
 
 
-def analytic_table(config: StringModelConfig) -> ExperimentTable:
-    """Closed-form experiment table: the cell polynomials evaluated exactly.
+def cell_numerators(variant: Variant, p_w: tuple[int, int], p_1: tuple[int, int]) -> tuple[list[tuple], int]:
+    """``(rows, d)``: the cell polynomials at exact ``(numerator, denominator)`` pairs in [0, 1].
 
-    Every cell is an integer numerator over one denominator,
-    ``2 * d_w**k_w * d_1**k_1``, reduced by ``Fraction``.
+    Each row (AB, AB', A'B, A'B') holds its cells' integer numerators over
+    ``d = 2 * d_w**k_w * d_1**k_1``.
     """
-    (k_w, k_1), cells = cell_polynomials(config.variant)
-    p_w, p_1 = Fraction(config.p_w), Fraction(config.p_1)
-    w, s = _scaled_bernstein(p_w, k_w), _scaled_bernstein(p_1, k_1)
-    denominator = 2 * p_w.denominator**k_w * p_1.denominator**k_1
-    dists = []
-    for row in cells:
-        numerators = (sum(n * w[a] * s[c] for (a, c), n in cell) for cell in row)
-        dists.append(JointDistribution(*(Fraction(x, denominator) for x in numerators)))
-    return ExperimentTable(*dists)
+    (k_w, k_1), cells = cell_polynomials(variant)
+    w, s = _scaled_bernstein(*p_w, k_w), _scaled_bernstein(*p_1, k_1)
+    rows = [tuple([sum(n * w[a] * s[c] for (a, c), n in cell) for cell in row]) for row in cells]
+    return rows, 2 * p_w[1] ** k_w * p_1[1] ** k_1
+
+
+def analytic_table(config: StringModelConfig) -> ExperimentTable:
+    """Closed-form experiment table: :func:`cell_numerators` reduced by ``Fraction``."""
+    p_w, p_1 = Fraction(config.p_w).as_integer_ratio(), Fraction(config.p_1).as_integer_ratio()
+    rows, d = cell_numerators(config.variant, p_w, p_1)
+    return ExperimentTable(*(JointDistribution(*(Fraction(n, d) for n in row)) for row in rows))
 
 
 OutcomeFn = Callable[[object, str], int]

@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entangle_lab
-from entangle_lab import rng
-from entangle_lab.cli import EXIT_CONFIG, EXIT_OUTPUT, build_parser, main
+from entangle_lab import cli, rng, strings
+from entangle_lab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OUTPUT, SCAN_MAX_STEPS, build_parser, main
 from entangle_lab.report import emit_csv, parse_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -785,3 +786,89 @@ def test_a_custom_matrix_that_is_no_state_is_refused_with_exit_three(tmp_path, f
     assert error["code"] == 3
     assert error["message"].startswith("state is not positive semidefinite (min eigenvalue -1.7e+308")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [SCAN_MAX_STEPS + 1, 10**12])
+def test_scan_refuses_steps_past_the_maximum_before_allocating(capsys, monkeypatch, steps):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    args = ("scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", str(steps))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert json.loads(err)["error"]["message"] == f"--steps must lie in [2, {SCAN_MAX_STEPS}], got {steps}"
+
+
+def test_scan_help_states_the_steps_range(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--help")
+    assert code == 0
+    assert f"grid points, in [2, {SCAN_MAX_STEPS}]" in " ".join(out.split())
+
+
+@pytest.mark.parametrize(
+    "pp_extra, pm_extra, fragment",
+    [((((1, 0), -1),), (((1, 0), 1),), "AB: cell numerators (-1, "), ((((0, 0), 3),), (), "AB: cell numerators (3, ")],
+    ids=["negative-cell", "row-sum-off"],
+)
+def test_scan_refuses_a_corrupted_numerator_row_with_exit_three(capsys, monkeypatch, pp_extra, pm_extra, fragment):
+    # Terms added to v2's AB ++ and AB +- cells: a cell below 0 with the row
+    # still summing to d, or a row that misses d.
+    real = strings.cell_polynomials(strings.Variant.V2)
+    (pp, pm, *rest), *rows = real.cells
+    corrupted = strings.CellPolynomials(real.degrees, ((pp + pp_extra, pm + pm_extra, *rest), *rows))
+    monkeypatch.setattr(strings, "cell_polynomials", lambda variant: corrupted)
+    args = ("scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", "3")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == EXIT_NUMERIC
+    assert error["message"].startswith(fragment) and error["message"].endswith("are not a distribution")
+
+
+def fresh_process_output(*args) -> str:
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "entangle_lab.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "table", "--variant", "v1")[0] == 0
+        assert run_cli(capsys, "quantum", "--alpha", "0.5")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_a_trace_flag_does_not_carry_into_the_next_call(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "table", "--variant", "v2", "--trials", "10", "--trace", "trace.jsonl")[0] == 0
+    (tmp_path / "trace.jsonl").unlink()
+    code, out, _ = run_cli(capsys, "table", "--variant", "v2", "--trials", "10")
+    assert code == 0
+    assert json.loads(out)["command"] == "table"
+    assert list(tmp_path.iterdir()) == []
+
+
+SAMPLED_ARGS = ("table", "--variant", "v4", "--pw", "0.4", "--p1", "0.3", "--trials", "100", "--seed", "3")
+
+
+@pytest.mark.parametrize("first, first_code", [(("table", "--variant", "v9"), 2), (("table", "--help"), 0)])
+def test_a_call_after_a_usage_error_or_help_gives_a_fresh_process_bytes(capsys, first, first_code):
+    assert run_cli(capsys, *first)[0] == first_code
+    code, out, _ = run_cli(capsys, *SAMPLED_ARGS)
+    assert code == 0
+    assert out == fresh_process_output(*SAMPLED_ARGS)

@@ -77,11 +77,21 @@ def test_report_bytes_are_golden(tmp_path, name):
 EXACT_ARGS = {
     "table_v3": ["table", "--variant", "v3", "--pw", "0.7"],
     "scan_v2": ["scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", "101"],
+    "scan_v4_pw": ["scan", "--variant", "v4", "--parameter", "p_w", "--p1", "0.25", "--start", "0", "--stop", "1", "--steps", "101"],
+    "scan_v3_csv": ["scan", "--variant", "v3", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", "101", "--format", "csv"],
+    # An odd fixed p_w and grid: long denominators in every cell.
+    "scan_v4_p1_csv": [
+        "scan", "--variant", "v4", "--parameter", "p_1", "--pw", "0.123456789",
+        "--start", "0", "--stop", "1", "--steps", "333", "--format", "csv",
+    ],
 }
 
 EXACT_DIGESTS = {
     "table_v3": "831b4d065a88f35276af1e18af0bd9a9d6f4a5831355fded2c8aa0441faec3da",
     "scan_v2": "a058fcde3dfa57c2a3716d5d9cb0a4ea78e5cc73eb4206e193fbd127a332386d",
+    "scan_v4_pw": "4881059fd35889b96ede7632b4f17fc0d0637981ec822061ab8d0a298948ced4",
+    "scan_v3_csv": "3fa86fc551c6e59f9d1c22b453b80fb22989196bc6f55b8f543a1a9b02b1eef9",
+    "scan_v4_p1_csv": "8b491dc418dc7d661025014fc656719bbdd6dd568aa534c602d95fb5cbf90eb9",
 }
 
 

@@ -53,6 +53,16 @@ def test_the_cli_imports_no_thread_pool():
     assert done.stdout.split() == []
 
 
+def test_the_cli_builds_no_parser_at_import():
+    # main builds the parser on its first call, so the import stays as cheap as before.
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import entangle_lab.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
 def public_callables():
     """(qualified name, callable) of every public function, class and method defined in the package."""
     for info in pkgutil.iter_modules(entangle_lab.__path__, "entangle_lab."):

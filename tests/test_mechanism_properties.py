@@ -11,18 +11,22 @@ test u < p and the bit-plane rule agree.
 """
 
 import contextlib
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from byte_streams import feeding_rows, quantized
 from entangle_lab import rng, strings
+from entangle_lab.cli import main
+from entangle_lab.probability import chsh, exact_diagnostics, marginals
 from entangle_lab.rng import DOMAIN_STRING_TRIALS, TRIAL_BLOCK, Block
 from entangle_lab.strings import (
     SETTINGS,
@@ -31,6 +35,7 @@ from entangle_lab.strings import (
     StringModelConfig,
     Variant,
     analytic_table,
+    cell_numerators,
     draws_per_trial,
     estimate_table,
     iter_trials,
@@ -241,6 +246,55 @@ def test_analytic_table_equals_the_enumerated_event_space(config):
     got = [dist.probabilities() for _, dist in analytic_table(config).rows()]
     assert got == enumerated_table_rows(config)
     assert all(type(p) is Fraction for row in got for p in row)
+
+
+def fraction_path_values(config):
+    """The four CHSH values and the largest |marginal residual| of ``analytic_table``, as Fractions."""
+    table = analytic_table(config)
+    return [*chsh(table).as_tuple(), marginals(table, 1e-9).max_abs_residual]
+
+
+odd_fractions = st.fractions(0, 1, max_denominator=10**9)
+
+
+@property_settings
+@given(
+    config=st.one_of(
+        configs,
+        st.builds(
+            lambda variant, p_w, p_1: StringModelConfig(variant=variant, p_w=p_w, p_1=p_1),
+            st.sampled_from([Variant.V2, Variant.V3, Variant.V4]),
+            odd_fractions,
+            odd_fractions,
+        ),
+    )
+)
+def test_integer_diagnostics_equal_the_fraction_path(config):
+    ratios = (Fraction(config.p_w).as_integer_ratio(), Fraction(config.p_1).as_integer_ratio())
+    cells, d = cell_numerators(config.variant, *ratios)
+    combinations, residual = exact_diagnostics([n for row in cells for n in row], d)
+    expected = fraction_path_values(config)
+    assert [Fraction(n, d) for n in (*combinations, residual)] == expected
+    assert [n / d for n in (*combinations, residual)] == [float(v) for v in expected]
+
+
+@property_settings
+@given(variant=st.sampled_from([Variant.V2, Variant.V3, Variant.V4]), data=st.data())
+def test_every_scan_row_equals_the_fraction_path(variant, data):
+    parameter = data.draw(st.sampled_from(["p_w", "p_1"] if variant is Variant.V4 else ["p_w"]))
+    start, stop, fixed = (data.draw(probabilities.map(float)) for _ in range(3))
+    assume(start < stop)
+    argv = ["scan", "--variant", variant.value, "--parameter", parameter, "--start", repr(start), "--stop", repr(stop)]
+    argv += ["--steps", str(data.draw(st.integers(2, 6)))]
+    if variant is Variant.V4:
+        argv += ["--pw" if parameter == "p_1" else "--p1", repr(fixed)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    for value, *row in json.loads(out.getvalue())["results"]["rows"]:
+        p_w, p_1 = (value, fixed) if parameter == "p_w" else (fixed, value)
+        config = StringModelConfig(variant=variant, p_w=p_w, p_1=p_1 if variant is Variant.V4 else None)
+        assert row == [float(v) for v in fraction_path_values(config)]
 
 
 ONE_BELOW_1 = math.nextafter(1.0, 0.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entangle_lab import probability
 from entangle_lab.probability import (
     NORMALIZATION_TOL,
     ChshQuantities,
@@ -18,6 +19,7 @@ from entangle_lab.probability import (
     check_bell_bounds,
     chsh,
     correlation,
+    exact_diagnostics,
     exact_rational,
     marginals,
 )
@@ -559,3 +561,19 @@ def test_row_checks_equal_plain_arithmetic(data):
     expected = outcome(plain_checked_row, row)
     got = outcome(lambda r: JointDistribution(*r).probabilities(), row)
     assert_same(got, expected)
+
+
+def test_exact_diagnostics_refuse_what_joint_distribution_and_chsh_quantities_refuse(monkeypatch):
+    d = 7
+    assert exact_diagnostics([0, d, 0, 0] + [d, 0, 0, 0] * 3, d) == ((4 * d, 0, 0, 0), d)  # the CHSH boundary passes
+    with pytest.raises(InvariantViolation, match=r"^AB': cell numerators \(-1, 8, 0, 0\) over 7 are not a distribution$"):
+        exact_diagnostics([0, d, 0, 0, -1, d + 1, 0, 0] + [d, 0, 0, 0] * 2, d)
+    with pytest.raises(InvariantViolation, match=r"^A'B: cell numerators \(7, 0, 0, 1\) over 7 are not a distribution$"):
+        exact_diagnostics([d, 0, 0, 0] * 2 + [d, 0, 0, 1, d, 0, 0, 0], d)
+    # Valid rows keep every combination within [-4, 4], so force one past it.
+    monkeypatch.setattr(probability, "_cell_chsh", lambda cells: (6 * d, 0, 0, 0))
+    with pytest.raises(InvariantViolation) as expected:
+        ChshQuantities(Fraction(6), 0, 0, 0)
+    with pytest.raises(InvariantViolation) as got:
+        exact_diagnostics([d, 0, 0, 0] * 4, d)
+    assert str(got.value) == str(expected.value) == "a_chsh = Fraction(6, 1) outside [-4, 4]"
