@@ -32,7 +32,6 @@ from .strings import (
 )
 from .quantum import (
     AxisQuad,
-    chsh_for_axes,
     coplanar_axes,
     joint_distribution,
     joint_probabilities,

@@ -16,7 +16,8 @@ uniform break measure lies below F(p+), with F =
 test on whole trial blocks through ``rng.count_outcomes``, the driver of the
 string and quantum tables too, on bit planes packed 64 trials to a word.
 ``universal_average`` draws its random distributions in bounded blocks
-through ``rng.map_blocks`` and adds the blocks' partial sums exactly.
+through ``rng.map_blocks``, each block one ``rng.uniforms`` draw, and adds
+the blocks' partial sums exactly.
 
 For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
@@ -38,7 +39,7 @@ import numpy as np
 
 from .probability import InvariantViolation
 from .quantum import IDENTITY_2, PAULIS, _three_vector, validate_state
-from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, bit_stream, count_outcomes, map_blocks
+from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, MAX_BLOCKS, count_outcomes, map_blocks, uniforms
 
 WEIGHT_TOL = 1e-12
 
@@ -120,14 +121,6 @@ class BreakDistribution:
             raise InvariantViolation(f"cell weights sum to {total!r}, not 1")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls) -> "BreakDistribution":
-        return cls()
-
-    @classmethod
-    def piecewise(cls, weights: Sequence[float]) -> "BreakDistribution":
-        return cls(weights=np.asarray(weights, dtype=float))
-
     def plus_probability(self, p_plus: float) -> float:
         """Exact probability that the break lands on the + side of the split.
 
@@ -190,26 +183,26 @@ def universal_average(
     ``cells`` lies in [1, ``AVERAGE_BLOCK_FLOATS``], so one block holds at
     least one distribution.  The distributions are drawn in blocks of at most
     ``AVERAGE_BLOCK_FLOATS // cells`` rows, block b from the substream
-    ``(master_seed, DOMAIN_BLOCH_AVERAGE, 0, b)``.  Each block is reduced to
+    ``(master_seed, DOMAIN_BLOCH_AVERAGE, 0, b)``, and ``n_distributions``
+    fills at most ``rng.MAX_BLOCKS`` blocks.  Each block is reduced to
     the sum of its rows' + probabilities, ``raw @ overlap`` over the row
     sums, and the partial sums are added exactly with ``math.fsum``, so the
     result is bit-identical for any ``workers``.
     """
     if not 1 <= cells <= AVERAGE_BLOCK_FLOATS:
         raise ValueError(f"cells must lie in [1, {AVERAGE_BLOCK_FLOATS}], got {cells}")
-    if n_distributions < 1:
-        raise ValueError(f"n_distributions must be >= 1, got {n_distributions}")
+    rows = AVERAGE_BLOCK_FLOATS // cells
+    if not 1 <= n_distributions <= MAX_BLOCKS * rows:
+        raise ValueError(f"n_distributions must lie in [1, {MAX_BLOCKS * rows}] for {cells} cells, got {n_distributions}")
     p_plus, _ = outcome_probabilities(r, frame)
     if cells == 1:
         return p_plus, 1.0 - p_plus
     overlap = _cell_overlap(p_plus, cells)
-    rows = AVERAGE_BLOCK_FLOATS // cells
     tasks = [(b, min(rows, n_distributions - b * rows)) for b in range(-(-n_distributions // rows))]
 
     def block_sum(task, bit_generator):
         block_index, n = task
-        stream = bit_stream(master_seed, DOMAIN_BLOCH_AVERAGE, 0, block_index, bit_generator=bit_generator)
-        raw = np.random.Generator(stream).random((n, cells))
+        raw = uniforms((n, cells), master_seed, DOMAIN_BLOCH_AVERAGE, 0, block_index, bit_generator=bit_generator)
         return float(np.sum((raw @ overlap) / raw.sum(axis=1)))
 
     averaged = math.fsum(map_blocks(tasks, block_sum, workers=workers)) / n_distributions

@@ -58,6 +58,7 @@ from .bloch import (
 from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
+from .rng import MAX_BLOCKS, TRIAL_BLOCK
 from .report import (
     _ROW_KEYS,
     bell_bounds_to_json,
@@ -82,6 +83,8 @@ ANALYTIC_MARGINAL_TOL = 1e-9
 TRACE_LIMIT = 100
 #: Most ``scan --steps``: a larger grid is refused before it is allocated.
 SCAN_MAX_STEPS = 10**6
+#: Most sampled trials per setting, ``rng.MAX_BLOCKS`` full blocks; the samplers refuse more too.
+MAX_TRIALS = MAX_BLOCKS * TRIAL_BLOCK
 
 _VARIANT_CHOICES = [v.value for v in Variant]
 _VARIANT_HELP = "string-model variant: v1 white, v1pre pre-broken, v2 unstable color, v3 parity, v4 two strings"
@@ -222,8 +225,8 @@ def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         p_1=args.p1,
         length_l=args.length,
     )
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
     if args.trace and args.trials == 0:
         raise ValueError("--trace needs --trials >= 1")
     if trace_limit < 1:
@@ -290,8 +293,8 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
 def _cmd_quantum(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if not 0.0 <= args.alpha <= math.pi:
         raise ValueError(f"--alpha must lie in [0, pi], got {args.alpha}")
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
     state = maximally_mixed_state() if args.mixed else singlet_state()
     analytic = table_for_axes(state, coplanar_axes(args.alpha))
 
@@ -316,13 +319,10 @@ def _collapse_geometry(costheta: float):
 
 
 def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     r, frame = _collapse_geometry(args.costheta)
-    if args.cell_weights is not None:
-        dist = BreakDistribution.piecewise(_parse_cell_weights(args.cell_weights))
-    else:
-        dist = BreakDistribution.uniform()
+    dist = BreakDistribution(None if args.cell_weights is None else _parse_cell_weights(args.cell_weights))
     born_plus, born_minus = outcome_probabilities(r, frame)
     n_plus, n_minus = collapse_counts(r, frame, dist, args.trials, seed, workers=args.workers)
 
@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--pw", type=float, default=None, help="white-color probability (v2/v3/v4)")
     table.add_argument("--p1", type=float, default=None, help="string-1 selection probability (v4 only)")
     table.add_argument("--length", type=float, default=1.0, help="string length (cancels from probabilities)")
-    table.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per setting (0: analytic only)")
+    trials_help = f"Monte Carlo trials per setting, in [0, {MAX_TRIALS}] (0: analytic only)"
+    table.add_argument("--trials", type=int, default=0, help=trials_help)
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
     trace_limit_help = f"traced trials per setting (needs --trace; default {TRACE_LIMIT})"
     table.add_argument("--trace-limit", type=int, default=None, help=trace_limit_help)
@@ -491,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     quantum = sub.add_parser("quantum", help="singlet reference values on the coplanar axis family")
     quantum.add_argument("--alpha", type=float, required=True, help="angle between the A and B axes, in [0, pi]")
     quantum.add_argument("--mixed", action="store_true", help="use the maximally mixed state instead of the singlet")
-    quantum.add_argument("--trials", type=int, default=0, help="sampled trials per setting (0: analytic only)")
+    quantum_trials_help = f"sampled trials per setting, in [0, {MAX_TRIALS}] (0: analytic only)"
+    quantum.add_argument("--trials", type=int, default=0, help=quantum_trials_help)
     _add_common(quantum, workers_help=_WORKERS_SAMPLING)
     quantum.set_defaults(run=_cmd_quantum)
 
@@ -501,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     collapse = bloch_sub.add_parser("collapse", help="sample the break-point collapse mechanism")
     costheta_help = "r.n+ of the measured state, in [-1, 1]"
     collapse.add_argument("--costheta", type=float, required=True, help=costheta_help)
-    collapse.add_argument("--trials", type=int, default=10000, help="sampled collapses, at least 1 (default 10000)")
+    collapse_trials_help = f"sampled collapses, in [1, {MAX_TRIALS}] (default 10000)"
+    collapse.add_argument("--trials", type=int, default=10000, help=collapse_trials_help)
     collapse.add_argument("--cell-weights", default=None, help="comma-separated piecewise cell weights (default: uniform)")
     _add_common(collapse, workers_help=_WORKERS_SAMPLING)
     collapse.set_defaults(run=_cmd_bloch_collapse)
@@ -510,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     average.add_argument("--costheta", type=float, required=True, help=costheta_help)
     cells_help = f"equal cells per break distribution, in [1, {AVERAGE_BLOCK_FLOATS}] (default 64)"
     average.add_argument("--cells", type=int, default=64, help=cells_help)
-    average.add_argument("--dists", type=int, default=100000, help="distributions averaged, at least 1 (default 100000)")
+    dists_help = f"distributions averaged, in [1, {MAX_BLOCKS} * ({AVERAGE_BLOCK_FLOATS} // cells)] (default 100000)"
+    average.add_argument("--dists", type=int, default=100000, help=dists_help)
     _add_common(average, workers_help=_WORKERS_SAMPLING)
     average.set_defaults(run=_cmd_bloch_average)
 

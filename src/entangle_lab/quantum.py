@@ -30,13 +30,11 @@ import numpy as np
 from .probability import (
     CHSH_RANGE_TOL,
     NORMALIZATION_TOL,
-    ChshQuantities,
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
     _chsh_combinations,
     _correlation,
-    chsh,
     frequency_table,
 )
 from .rng import DOMAIN_QUANTUM_SAMPLING, count_outcomes, sign_counts
@@ -208,10 +206,6 @@ def table_for_axes(rho: np.ndarray, axes: AxisQuad) -> ExperimentTable:
     alice = [axes.a, axes.a, axes.a_prime, axes.a_prime]
     bob = [axes.b, axes.b_prime, axes.b, axes.b_prime]
     return ExperimentTable(*(JointDistribution(*row) for row in joint_probabilities(rho, alice, bob).tolist()))
-
-
-def chsh_for_axes(rho: np.ndarray, axes: AxisQuad) -> ChshQuantities:
-    return chsh(table_for_axes(rho, axes))
 
 
 def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: int, *, workers: int = 1):

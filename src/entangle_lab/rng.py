@@ -44,11 +44,12 @@ with one SFC64 bit generator each, re-keyed for every substream drawn, and
 it sums the per-block counts of a caller's outcome function as integers.
 The string table, the quantum table and the Bloch collapse all sample
 through it, and the Bloch average draws its float blocks through
-:func:`map_blocks` too.  :func:`iter_block_slices` maps a range of trials to
-the blocks that hold them, for the driver and for the trial-by-trial replay
-alike.  The one float draw on the trial layout is :func:`block_uniforms`, a
-block's column 0 as continuous uniforms, which places the break of a
-traced string trial.
+:func:`map_blocks` too, each at most ``MAX_BLOCKS`` blocks per setting.
+:func:`iter_block_slices` maps a range of trials to the blocks that hold
+them, for the driver and for the trial-by-trial replay alike.  The one float
+draw is :func:`uniforms`, numpy's ``Generator.random`` on a substream;
+:func:`block_uniforms` draws a block's column 0 through it, which places the
+break of a traced string trial.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -67,6 +68,9 @@ STREAM_FORMAT = 6
 
 #: Trials per substream block for trial-indexed sampling.
 TRIAL_BLOCK = 1 << 16
+
+#: Most blocks per setting that one count takes: 2**32 trials.
+MAX_BLOCKS = 1 << 16
 
 #: Words per bit plane: plane j of a column starts at word ``j * PLANE_WORDS``.
 PLANE_WORDS = TRIAL_BLOCK // 64
@@ -117,9 +121,9 @@ def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | No
     return bit_generator
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """A fresh, independent generator for the substream at ``path``."""
-    return np.random.Generator(bit_stream(master_seed, *path))
+def uniforms(shape, master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.ndarray:
+    """``Generator.random(shape)`` on the substream at ``path``; ``bit_generator`` as in :func:`bit_stream`."""
+    return np.random.Generator(bit_stream(master_seed, *path, bit_generator=bit_generator)).random(shape)
 
 
 def threshold_key(p: float) -> int:
@@ -251,7 +255,7 @@ def block_uniforms(master_seed: int, domain: int, setting_index: int, block_inde
     """
     if not 0 < rows <= TRIAL_BLOCK:
         raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
-    return substream(master_seed, domain, setting_index, block_index, 0).random(rows)
+    return uniforms(rows, master_seed, domain, setting_index, block_index, 0)
 
 
 def iter_block_slices(end: int, start: int = 0):
@@ -322,8 +326,8 @@ def count_outcomes(
     whose events depend only on the block layout, so they are bit-identical
     for any ``workers`` value.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_BLOCKS * TRIAL_BLOCK:
+        raise ValueError(f"n_trials must lie in [1, {MAX_BLOCKS * TRIAL_BLOCK}], got {n_trials}")
     tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in iter_block_slices(n_trials)]
 
     def run(task, bit_generator):

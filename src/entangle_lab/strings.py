@@ -26,13 +26,14 @@ per trial packed 64 to a word; ``_events`` asks only for the columns it
 tests: the color(s) unless a plain variant has both observers pull, V4's
 selections, and the cut (the test at p = 1/2) only where a string splits.  A
 threshold at 0 or 1 gives a constant event and draws nothing.  The outcome
-rule is bitwise throughout, so one copy serves packed words and bool
-arrays.  ``estimate_table`` samples through ``rng.count_outcomes``: the
-kernel runs on each block's words and ``rng.sign_counts`` counts the
-block's four cells from the two masks.  ``iter_trials`` asks the same
-blocks for the same events, unpacks them to one bool per trial, and adds a
-``MicroTrace`` per trial; its break position is the cut bit plus a
-continuous draw made for the trace alone, so the trace agrees with the cut.
+rule is bitwise throughout, so one copy serves packed words, bool arrays
+and Python int bitsets.  ``estimate_table`` samples through
+``rng.count_outcomes``: the kernel runs on each block's words and
+``rng.sign_counts`` counts the block's four cells from the two masks.
+``iter_trials`` asks the same blocks for the same events, unpacks them to
+one bool per trial, and adds a ``MicroTrace`` per trial; its break position
+is the cut bit plus a continuous draw made for the trace alone, so the
+trace agrees with the cut.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``cell_numerators`` evaluates these cached polynomials exactly, as integer
@@ -150,10 +151,6 @@ class Setting:
 SETTINGS = (Setting("A", "B"), Setting("A", "B'"), Setting("A'", "B"), Setting("A'", "B'"))
 
 
-def setting_index(setting: Setting) -> int:
-    return SETTINGS.index(setting)
-
-
 @dataclass(frozen=True)
 class OutcomePair:
     """The +/-1 outcomes of one joint trial."""
@@ -260,8 +257,9 @@ def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple
     observer's string is white.  A pull measurement is + iff the collected
     fragment is long (plain variants) or iff long-white / short-black
     (parity variants).  Every step is bitwise, so the events may be bool
-    arrays (one trial each) or packed words (64 trials each) alike; the
-    sampler's padding bits come out arbitrary and are not counted.
+    arrays (one trial each), packed words (64 trials each) or Python int
+    bitsets alike; the sampler's padding bits come out arbitrary and are not
+    counted.
     """
     if events.white is None:
         alice_white = bob_white = None  # a plain variant with both observers pulling reads no color
@@ -282,7 +280,7 @@ def _outcome_signs(variant: Variant, setting: Setting, events: _Events) -> tuple
             alice_long, bob_long = alice_long | apart, bob_long | apart
     else:
         # A lone puller collects the whole string.
-        alice_long = bob_long = ~np.zeros_like(alice_white)
+        alice_long = bob_long = alice_white | ~alice_white
     parity = variant in _PARITY_VARIANTS
     if setting.alice_pulls:
         a_plus = ~(alice_long ^ alice_white) if parity else alice_long
@@ -385,7 +383,7 @@ def iter_trials(
         raise ValueError(f"start must be >= 0, got {start}")
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    si = setting_index(setting)
+    si = SETTINGS.index(setting)
 
     def replay_block(block_index: int, first: int, rows: int):
         block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)

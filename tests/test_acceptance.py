@@ -25,7 +25,7 @@ from entangle_lab.bloch import (
 )
 from entangle_lab.cli import main
 from entangle_lab.probability import chsh, marginals
-from entangle_lab.quantum import AxisQuad, chsh_for_axes, coplanar_axes, product_state, singlet_state, scan_tsirelson, table_for_axes
+from entangle_lab.quantum import AxisQuad, coplanar_axes, product_state, singlet_state, scan_tsirelson, table_for_axes
 from entangle_lab.strings import (
     StringModelConfig,
     Variant,
@@ -165,7 +165,7 @@ def test_criterion_04_marginal_laws():
 
 def test_criterion_05_quantum_reference():
     with criterion(5, "quantum-reference", 10.0):
-        q = chsh_for_axes(singlet_state(), coplanar_axes(math.pi / 4))
+        q = chsh(table_for_axes(singlet_state(), coplanar_axes(math.pi / 4)))
         assert abs(abs(q.b_chsh) - TWO_SQRT_TWO) < 1e-12
         results = scan_tsirelson(singlet_state(), np.linspace(0.0, math.pi, 10_000))
         assert max(value for _, value in results) <= TWO_SQRT_TWO + 1e-9
@@ -221,7 +221,7 @@ def test_criterion_08_born_oracle_equivalence():
             r = np.array([math.sqrt(1 - costheta**2), 0.0, costheta])
             frame = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
             n_plus, _ = collapse_counts(
-                r, frame, BreakDistribution.uniform(), n_samples, 880 + case
+                r, frame, BreakDistribution(), n_samples, 880 + case
             )
             born_plus, _ = outcome_probabilities(r, frame)
             assert abs(n_plus / n_samples - born_plus) < 4.0 / math.sqrt(n_samples)

@@ -37,7 +37,7 @@ from entangle_lab.quantum import (
     singlet_state,
     unit_axis,
 )
-from entangle_lab.rng import DOMAIN_BLOCH_AVERAGE, substream
+from entangle_lab.rng import DOMAIN_BLOCH_AVERAGE, MAX_BLOCKS, bit_stream
 
 Z_FRAME = MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 
@@ -135,21 +135,21 @@ class TestOutcomeProbabilities:
 
 class TestBreakDistribution:
     def test_uniform_plus_probability_is_exact(self):
-        dist = BreakDistribution.uniform()
+        dist = BreakDistribution()
         for p in (0.0, 0.25, 0.6180339887, 1.0):
             assert dist.plus_probability(p) == p
 
     def test_the_uniform_distribution_is_one_cell(self):
-        for dist in (BreakDistribution(), BreakDistribution(weights=None), BreakDistribution.uniform()):
+        for dist in (BreakDistribution(), BreakDistribution(weights=None)):
             assert dist.weights.tolist() == [1.0]
 
     def test_single_cell_equals_uniform(self):
-        dist = BreakDistribution.piecewise([1.0])
+        dist = BreakDistribution([1.0])
         for p in (0.1, 0.5, 0.9):
             assert dist.plus_probability(p) == p
 
     def test_clipped_overlap_hand_case(self):
-        dist = BreakDistribution.piecewise([0.1, 0.2, 0.3, 0.4])
+        dist = BreakDistribution([0.1, 0.2, 0.3, 0.4])
         # split at measure 0.6: cells 0,1 inside, cell 2 covered 40%, cell 3 outside
         assert abs(dist.plus_probability(0.6) - 0.42) < 1e-15
 
@@ -157,7 +157,7 @@ class TestBreakDistribution:
         rng = np.random.default_rng(9)
         for _ in range(5):
             raw = rng.random(8)
-            dist = BreakDistribution.piecewise(raw / raw.sum())
+            dist = BreakDistribution(raw / raw.sum())
             p_plus = 0.65
             r = np.array([math.sqrt(1 - (2 * p_plus - 1) ** 2), 0.0, 2 * p_plus - 1])
             n = 200_000
@@ -166,21 +166,21 @@ class TestBreakDistribution:
 
     def test_validation(self):
         with pytest.raises(InvariantViolation):
-            BreakDistribution.piecewise([0.5, 0.4])
+            BreakDistribution([0.5, 0.4])
         with pytest.raises(InvariantViolation):
-            BreakDistribution.piecewise([1.5, -0.5])
+            BreakDistribution([1.5, -0.5])
         with pytest.raises(ValueError):
-            BreakDistribution.piecewise([])
+            BreakDistribution([])
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError) as info:
-            BreakDistribution.piecewise([bad, 1.0])
+            BreakDistribution([bad, 1.0])
         assert not isinstance(info.value, InvariantViolation)
 
     def test_weights_whose_sum_overflows_are_refused_without_a_warning(self):
         with pytest.raises(InvariantViolation, match="cell weights sum to inf, not 1"):
-            BreakDistribution.piecewise([1e308, 1e308])
+            BreakDistribution([1e308, 1e308])
 
     def test_rejects_non_finite_vectors(self):
         with pytest.raises(ValueError):
@@ -193,14 +193,14 @@ class TestSampleCollapse:
     """Collapses sampled by ``collapse_counts``, some on crafted draws fed as bit planes."""
 
     def test_eigenstate_always_collapses_up(self):
-        weird = BreakDistribution.piecewise([0.0, 0.0, 0.9, 0.1])
-        for dist in (BreakDistribution.uniform(), weird):
+        weird = BreakDistribution([0.0, 0.0, 0.9, 0.1])
+        for dist in (BreakDistribution(), weird):
             assert collapse_counts(Z_FRAME.n_plus, Z_FRAME, dist, 3 * 64 + 5, 1) == (3 * 64 + 5, 0)
 
     def test_point_mass_inside_the_plus_segment(self):
         # p_plus = 0.75; cell [0.25, 0.5) of 4 lies wholly inside [0, 0.75)
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
-        dist = BreakDistribution.piecewise([0.0, 1.0, 0.0, 0.0])
+        dist = BreakDistribution([0.0, 1.0, 0.0, 0.0])
         assert collapse_counts(r, Z_FRAME, dist, 200, 2) == (200, 0)
 
     def test_break_at_the_split_point_goes_minus(self):
@@ -208,12 +208,12 @@ class TestSampleCollapse:
         r = np.array([1.0, 0.0, 0.0])
         for u, expected in ((0.5, (0, 1)), (math.nextafter(0.5, 0.0), (1, 0))):
             with feeding({0: [from_float(u)]}, lambda si, column: key(0.5)):
-                assert collapse_counts(r, Z_FRAME, BreakDistribution.uniform(), 1, 0) == expected
+                assert collapse_counts(r, Z_FRAME, BreakDistribution(), 1, 0) == expected
 
     def test_uniform_frequencies_converge_to_born(self):
         r = np.array([math.sqrt(1 - 0.25), 0.0, 0.5])
         n = 200_000
-        n_plus, _ = collapse_counts(r, Z_FRAME, BreakDistribution.uniform(), n, 11)
+        n_plus, _ = collapse_counts(r, Z_FRAME, BreakDistribution(), n, 11)
         assert abs(n_plus / n - 0.75) < 4 / math.sqrt(n)
 
     def test_uniform_frequencies_track_born_over_many_geometries(self):
@@ -223,12 +223,12 @@ class TestSampleCollapse:
             r = random_unit(rng)
             frame = MeasurementFrame(n_plus=random_unit(rng))
             born_plus, _ = outcome_probabilities(r, frame)
-            n_plus, _ = collapse_counts(r, frame, BreakDistribution.uniform(), n, 400 + case)
+            n_plus, _ = collapse_counts(r, frame, BreakDistribution(), n, 400 + case)
             assert abs(n_plus / n - born_plus) < 4 / math.sqrt(n)
 
     def test_rejects_non_positive_sample_count(self):
         with pytest.raises(ValueError):
-            collapse_counts(Z_FRAME.n_plus, Z_FRAME, BreakDistribution.uniform(), 0, 0)
+            collapse_counts(Z_FRAME.n_plus, Z_FRAME, BreakDistribution(), 0, 0)
 
 
 class TestUniversalAverage:
@@ -264,7 +264,7 @@ class TestUniversalAverage:
         overlap = np.clip(outcome_probabilities(r, Z_FRAME)[0] * cells - np.arange(cells), 0.0, 1.0)
         sums = []
         for b in range(-(-n // rows)):
-            raw = substream(5, DOMAIN_BLOCH_AVERAGE, 0, b).random((min(rows, n - b * rows), cells))
+            raw = np.random.Generator(bit_stream(5, DOMAIN_BLOCH_AVERAGE, 0, b)).random((min(rows, n - b * rows), cells))
             sums.append(float(np.sum((raw @ overlap) / raw.sum(axis=1))))
         expected = math.fsum(sums) / n
         assert universal_average(r, Z_FRAME, cells, n, 5) == (expected, 1.0 - expected)
@@ -292,6 +292,17 @@ class TestUniversalAverage:
         # A distribution of more cells than a block holds floats does not fit in one block.
         with pytest.raises(ValueError, match=r"cells must lie in \[1, 1048576\], got 1048577"):
             universal_average(Z_FRAME.n_plus, Z_FRAME, AVERAGE_BLOCK_FLOATS + 1, 1, 0)
+
+    @pytest.mark.parametrize("cells", [1, 1000, AVERAGE_BLOCK_FLOATS])
+    def test_refuses_more_than_max_blocks_before_any_task(self, cells):
+        most = MAX_BLOCKS * (AVERAGE_BLOCK_FLOATS // cells)
+
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("blocks were mapped")
+
+        with mock.patch.object(bloch, "map_blocks", no_tasks):
+            with pytest.raises(ValueError, match=rf"^n_distributions must lie in \[1, {most}\] for {cells} cells"):
+                universal_average(Z_FRAME.n_plus, Z_FRAME, cells, most + 1, 0)
 
 
 class TestLambdaBasis:

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +13,8 @@ import numpy as np
 import pytest
 
 import entangle_lab
-from entangle_lab import cli, rng, strings
-from entangle_lab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OUTPUT, SCAN_MAX_STEPS, build_parser, main
+from entangle_lab import bloch, cli, rng, strings
+from entangle_lab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OUTPUT, MAX_TRIALS, SCAN_MAX_STEPS, build_parser, main
 from entangle_lab.report import emit_csv, parse_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -487,11 +486,14 @@ def test_sampled_reports_carry_the_stream_format(capsys, args):
     assert run_json(capsys, *args)["stream_format"] == rng.STREAM_FORMAT
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools marks [tool.setuptools] as beta
 def test_package_version_matches_pyproject():
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
-    assert match is not None
-    assert entangle_lab.__version__ == match.group(1)
+    # The version is stated once, in __version__; the build reads it from there.
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    config = read_configuration(str(Path(__file__).resolve().parents[1] / "pyproject.toml"), expand=True)
+    assert "version" in config["project"]["dynamic"]
+    assert entangle_lab.__version__ == config["project"]["version"]
 
 
 @pytest.mark.parametrize(
@@ -798,6 +800,39 @@ def test_scan_refuses_steps_past_the_maximum_before_allocating(capsys, monkeypat
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (EXIT_CONFIG, "")
     assert json.loads(err)["error"]["message"] == f"--steps must lie in [2, {SCAN_MAX_STEPS}], got {steps}"
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        (("table", "--variant", "v1"), "--trials", "--trials must lie in [0, 4294967296]"),
+        (("quantum", "--alpha", "0.5"), "--trials", "--trials must lie in [0, 4294967296]"),
+        (("bloch", "collapse", "--costheta", "0.5"), "--trials", "--trials must lie in [1, 4294967296]"),
+        (("bloch", "average", "--costheta", "0.5"), "--dists", "n_distributions must lie in [1, 1073741824] for 64 cells"),
+    ],
+)
+def test_a_sample_count_past_the_cap_exits_2_before_any_block(capsys, monkeypatch, command, flag, message):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("blocks were mapped")
+
+    monkeypatch.setattr(rng, "map_blocks", no_blocks)
+    monkeypatch.setattr(bloch, "map_blocks", no_blocks)
+    code, out, err = run_cli(capsys, *command, flag, "1000000000000")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert json.loads(err)["error"]["message"].startswith(message)
+
+
+def test_sampling_help_states_the_count_ranges(capsys):
+    assert MAX_TRIALS == 2**32
+    for command, text in (
+        (("table",), f"Monte Carlo trials per setting, in [0, {MAX_TRIALS}]"),
+        (("quantum",), f"sampled trials per setting, in [0, {MAX_TRIALS}]"),
+        (("bloch", "collapse"), f"sampled collapses, in [1, {MAX_TRIALS}]"),
+        (("bloch", "average"), "distributions averaged, in [1, 65536 * (1048576 // cells)]"),
+    ):
+        code, out, _ = run_cli(capsys, *command, "--help")
+        assert code == 0
+        assert text in " ".join(out.split())
 
 
 def test_scan_help_states_the_steps_range(capsys):

@@ -1,9 +1,11 @@
 """The package imports without sympy, which it does not declare as a dependency, and the CLI imports lean.
 
 Every sampled number comes from the package's keyed substreams, so no
-public callable samples from a caller's generator.
+public callable samples from a caller's generator, and only ``rng`` turns a
+substream key into numbers.  Each operation has one public name.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -11,6 +13,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import entangle_lab
 
@@ -88,3 +92,46 @@ def test_no_public_callable_samples_from_a_callers_generator():
     takers = {name for name, fn in public_callables() if "rng" in parameters(fn)}
     assert takers == {"entangle_lab.strings.random_lhv_strategy"}
     assert len(dict(public_callables())) > 50
+
+
+KEYING_CALLS = {"bit_stream", "np.random.Generator", "np.random.SFC64", "np.random.default_rng"}
+
+
+def dotted(node) -> str:
+    """``a.b.c`` of a Name or Attribute chain, else the empty string."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_only_rng_turns_a_key_into_numbers():
+    package = Path(entangle_lab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and dotted(node.func).removeprefix("rng.") in KEYING_CALLS:
+                found.append(f"{path.name}:{node.lineno} {dotted(node.func)}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("bloch", "BreakDistribution.uniform"),
+        ("bloch", "BreakDistribution.piecewise"),
+        ("quantum", "chsh_for_axes"),
+        ("strings", "setting_index"),
+        ("rng", "substream"),
+    ],
+)
+def test_a_removed_alias_is_gone(module, name):
+    # Each re-spelled another public call: BreakDistribution(), BreakDistribution(w),
+    # chsh(table_for_axes(rho, axes)), SETTINGS.index(s) and rng.uniforms.
+    owner = importlib.import_module(f"entangle_lab.{module}")
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
+    assert not hasattr(entangle_lab, last)

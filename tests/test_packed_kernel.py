@@ -8,6 +8,8 @@ cell polynomials' coefficients, weighted by those counts, say.  The rows are
 shuffled and packed with every padding bit set, at row counts that are not
 multiples of 64, and counted with ``rng.sign_counts``: the counts must equal
 the boolean kernel's and the polynomials', and the padding must never count.
+The kernel also runs on Python int bitsets (trial r at bit r), with the same
+signs trial by trial.
 """
 
 import itertools
@@ -59,3 +61,30 @@ def test_packed_counts_equal_the_boolean_kernel_and_the_polynomials(variant, dat
         from_words = list(sign_counts(*strings._outcome_signs(variant, setting, packed), len(trials)))
         from_polynomials = [sum(weight[m] * n for m, n in cell) for cell in polynomials.cells[si]]
         assert from_words == from_bools == from_polynomials
+
+
+def bitset(column) -> int:
+    """A bool column as one Python int, trial r at bit r."""
+    return int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+
+
+@property_settings
+@given(variant=st.sampled_from(list(Variant)), data=st.data())
+def test_the_kernel_on_int_bitsets_equals_bool_arrays_and_packed_words(variant, data):
+    rows, _, n_strings = event_space(variant)
+    trials = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=150))
+    n = len(trials)
+    columns = [np.array(column) for column in zip(*trials)]
+    boolean = events_of(columns, n_strings, variant)
+    packed = events_of([pack(column) for column in columns], n_strings, variant)
+    ints = events_of([bitset(column) for column in columns], n_strings, variant)
+    for setting in SETTINGS:
+        from_bools = [mask.tolist() for mask in strings._outcome_signs(variant, setting, boolean)]
+        from_words = [
+            np.unpackbits(mask.astype("<u8").view(np.uint8), count=n, bitorder="little").astype(bool).tolist()
+            for mask in strings._outcome_signs(variant, setting, packed)
+        ]
+        int_masks = strings._outcome_signs(variant, setting, ints)
+        assert all(type(mask) is int for mask in int_masks)  # no numpy call turns a bitset into an array
+        from_ints = [[bool(mask >> r & 1) for r in range(n)] for mask in int_masks]
+        assert from_ints == from_words == from_bools

@@ -14,7 +14,6 @@ from entangle_lab.quantum import (
     PAULI_Z,
     AxisQuad,
     axis_in_xz_plane,
-    chsh_for_axes,
     coplanar_axes,
     joint_distribution,
     joint_probabilities,
@@ -121,7 +120,7 @@ class TestJointDistribution:
 
 class TestChshForAxes:
     def test_reference_angles_reach_minus_tsirelson(self):
-        q = chsh_for_axes(singlet_state(), coplanar_axes(math.pi / 4))
+        q = chsh(table_for_axes(singlet_state(), coplanar_axes(math.pi / 4)))
         assert abs(q.b_chsh + TWO_SQRT_TWO) < 1e-12
         for other in (q.a_chsh, q.c_chsh, q.d_chsh):
             assert abs(other) < 1e-12
@@ -141,12 +140,12 @@ class TestChshForAxes:
             axis = random_axis(rng)
             quad = AxisQuad(a=axis, a_prime=axis, b=axis, b_prime=axis)
             e = correlation(joint_distribution(rho, axis, axis))
-            q = chsh_for_axes(rho, quad)
+            q = chsh(table_for_axes(rho, quad))
             for value in q.as_tuple():
                 assert abs(value - 2 * e) < 1e-12
 
     def test_maximally_mixed_state_has_no_correlations(self):
-        q = chsh_for_axes(maximally_mixed_state(), coplanar_axes(math.pi / 4))
+        q = chsh(table_for_axes(maximally_mixed_state(), coplanar_axes(math.pi / 4)))
         assert all(abs(v) < 1e-14 for v in q.as_tuple())
 
     def test_rotational_invariance_of_the_singlet(self):

@@ -14,8 +14,10 @@ import byte_streams
 from byte_streams import LOW_BITS, feeding, key, pack, tied_trials
 from entangle_lab import rng
 from entangle_lab.rng import (
+    DOMAIN_BLOCH_AVERAGE,
     DOMAIN_BLOCH_COLLAPSE,
     DOMAIN_STRING_TRIALS,
+    MAX_BLOCKS,
     PLANE_WORDS,
     PLANES,
     STREAM_FORMAT,
@@ -27,11 +29,16 @@ from entangle_lab.rng import (
     iter_block_slices,
     sign_counts,
     stream_key,
-    substream,
     threshold_key,
+    uniforms,
 )
 
 property_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def substream(master_seed: int, *path: int) -> np.random.Generator:
+    """The reference generator of a path, built on ``bit_stream`` apart from ``rng.uniforms``."""
+    return np.random.Generator(bit_stream(master_seed, *path))
 
 
 def test_keys_are_frozen():
@@ -135,6 +142,14 @@ def test_block_uniforms_shape_and_bounds():
         block_uniforms(3, 1, 2, 0, TRIAL_BLOCK + 1)
 
 
+def test_uniforms_are_the_generator_floats_of_the_substream():
+    expected = substream(3, DOMAIN_BLOCH_AVERAGE, 0, 2).random((5, 7))
+    assert uniforms((5, 7), 3, DOMAIN_BLOCH_AVERAGE, 0, 2).tobytes() == expected.tobytes()
+    reused = np.random.SFC64(0)
+    uniforms(3, 8, 1, bit_generator=reused)  # a reused bit generator's earlier keys do not matter
+    assert uniforms((5, 7), 3, DOMAIN_BLOCH_AVERAGE, 0, 2, bit_generator=reused).tobytes() == expected.tobytes()
+
+
 def test_each_column_is_the_substream_of_its_path():
     expected = substream(3, DOMAIN_STRING_TRIALS, 1, 2, 0).random(17)
     assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17).tobytes() == expected.tobytes()
@@ -169,6 +184,22 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
     np.testing.assert_array_equal(counts, expected)
     assert len(threads) <= min(workers, 6)
     assert len(generators) == min(workers, 6)  # one reused bit generator per chunk
+
+
+@pytest.mark.parametrize("n_trials", [MAX_BLOCKS * TRIAL_BLOCK + 1, 10**12])
+def test_count_outcomes_refuses_a_count_past_the_cap_before_any_block(monkeypatch, n_trials):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a Block was built")
+
+    monkeypatch.setattr(rng, "Block", no_block)
+    with pytest.raises(ValueError, match=rf"^n_trials must lie in \[1, {2**32}\], got {n_trials}$"):
+        count_outcomes(0, DOMAIN_STRING_TRIALS, 4, n_trials, 4, _three_cells)
+
+
+def test_count_outcomes_takes_max_blocks_per_setting():
+    assert MAX_BLOCKS * TRIAL_BLOCK == 2**32
+    counts = count_outcomes(0, DOMAIN_STRING_TRIALS, 1, 2**32, 1, lambda si, block: (block.rows,))
+    assert counts.tolist() == [[2**32]]
 
 
 def test_iter_block_slices_partitions_exactly():
