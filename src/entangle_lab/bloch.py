@@ -178,7 +178,8 @@ def universal_average(
     closed form and the average over ``n_distributions`` draws is returned.
     The construction is cell-permutation symmetric, so the average converges
     to the Born probabilities; with a single cell every distribution is the
-    uniform one, and the Born values are returned exactly without a draw.
+    uniform one, and :func:`outcome_probabilities` is returned as it is,
+    without a draw: both values are the Born ones bit for bit.
 
     ``cells`` lies in [1, ``AVERAGE_BLOCK_FLOATS``], so one block holds at
     least one distribution.  The distributions are drawn in blocks of at most
@@ -187,17 +188,17 @@ def universal_average(
     fills at most ``rng.MAX_BLOCKS`` blocks.  Each block is reduced to
     the sum of its rows' + probabilities, ``raw @ overlap`` over the row
     sums, and the partial sums are added exactly with ``math.fsum``, so the
-    result is bit-identical for any ``workers``.
+    result is bit-identical for any ``workers`` in [1, ``rng.MAX_WORKERS``].
     """
     if not 1 <= cells <= AVERAGE_BLOCK_FLOATS:
         raise ValueError(f"cells must lie in [1, {AVERAGE_BLOCK_FLOATS}], got {cells}")
     rows = AVERAGE_BLOCK_FLOATS // cells
     if not 1 <= n_distributions <= MAX_BLOCKS * rows:
         raise ValueError(f"n_distributions must lie in [1, {MAX_BLOCKS * rows}] for {cells} cells, got {n_distributions}")
-    p_plus, _ = outcome_probabilities(r, frame)
+    born = outcome_probabilities(r, frame)
     if cells == 1:
-        return p_plus, 1.0 - p_plus
-    overlap = _cell_overlap(p_plus, cells)
+        return born
+    overlap = _cell_overlap(born[0], cells)
     tasks = [(b, min(rows, n_distributions - b * rows)) for b in range(-(-n_distributions // rows))]
 
     def block_sum(task, bit_generator):

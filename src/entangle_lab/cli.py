@@ -58,7 +58,7 @@ from .bloch import (
 from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
-from .rng import MAX_BLOCKS, TRIAL_BLOCK
+from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK
 from .report import (
     _ROW_KEYS,
     bell_bounds_to_json,
@@ -204,12 +204,11 @@ def _table_csv(analytic, sampled) -> tuple[list[str], list[list]]:
 
 
 def _write_traces(config, seed, trials, path, limit) -> None:
-    lines = []
-    for setting in SETTINGS:
-        for t, (pair, trace) in enumerate(iter_trials(config, setting, seed, min(limit, trials))):
-            record = {"setting": setting.label, "trial": t, "outcome": pair.label}
-            record.update(trace.to_json_dict())
-            lines.append(json.dumps(record))
+    lines = [
+        json.dumps({"setting": setting.label, "trial": t, "outcome": pair.label, **trace._asdict()})
+        for setting in SETTINGS
+        for t, (pair, trace) in enumerate(iter_trials(config, setting, seed, min(limit, trials)))
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -429,22 +428,24 @@ def _cmd_bloch_decompose(args, seed: int) -> tuple[dict, dict, tuple[list, list]
     return config_echo, results, (["block", "index", "value"], rows)
 
 
-def _positive_int(text: str) -> int:
+def _workers(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}], got {value}")
     return value
 
 
-_WORKERS_NO_EFFECT = "accepted on every command for a uniform command line; has no effect on this command"
-_WORKERS_SAMPLING = "sampling threads; results are identical for any value"
+_WORKERS_NO_EFFECT = (
+    f"accepted in [1, {MAX_WORKERS}] on every command for a uniform command line; has no effect on this command"
+)
+_WORKERS_SAMPLING = f"sampling threads, in [1, {MAX_WORKERS}]; results are identical for any value"
 
 
 def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $ENTANGLE_LAB_SEED or 0)")
     parser.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+    parser.add_argument("--workers", type=_workers, default=1, help=workers_help)
     parser.add_argument("--timing", action="store_true", help="include wall time in the JSON report (json only)")
 
 

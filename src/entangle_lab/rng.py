@@ -72,6 +72,9 @@ TRIAL_BLOCK = 1 << 16
 #: Most blocks per setting that one count takes: 2**32 trials.
 MAX_BLOCKS = 1 << 16
 
+#: Most threads :func:`map_blocks` runs; a larger ``workers`` is refused.
+MAX_WORKERS = 64
+
 #: Words per bit plane: plane j of a column starts at word ``j * PLANE_WORDS``.
 PLANE_WORDS = TRIAL_BLOCK // 64
 
@@ -292,10 +295,10 @@ def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
     each run on its own thread with its own SFC64 bit generator, which ``fn``
     re-keys for every substream it draws.  The results come back in task
     order, so a caller combining them in that order gets the same result
-    for any ``workers`` value.
+    for any ``workers`` value.  ``workers`` lies in [1, ``MAX_WORKERS``].
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
     def run(chunk):
         bit_generator = np.random.SFC64(0)

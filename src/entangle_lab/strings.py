@@ -31,7 +31,8 @@ and Python int bitsets.  ``estimate_table`` samples through
 ``rng.count_outcomes``: the kernel runs on each block's words and
 ``rng.sign_counts`` counts the block's four cells from the two masks.
 ``iter_trials`` asks the same blocks for the same events, unpacks them to
-one bool per trial, and adds a ``MicroTrace`` per trial; its break position
+one bool per trial, and adds a ``MicroTrace``, the record of a trace line,
+per trial; its break position
 is the cut bit plus a continuous draw made for the trace alone, so the
 trace agrees with the cut.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
@@ -172,9 +173,8 @@ class OutcomePair:
         return ("+" if self.alice > 0 else "-") + ("+" if self.bob > 0 else "-")
 
 
-@dataclass(frozen=True)
-class MicroTrace:
-    """What physically happened inside one trial.
+class MicroTrace(NamedTuple):
+    """What physically happened inside one trial: a trace line's record, in field order.
 
     ``break_fraction`` is the Alice-side fraction of the jointly held string
     and is present iff such a string existed and at least one observer pulled
@@ -190,15 +190,6 @@ class MicroTrace:
     selections: tuple[str, str] | None
     length_alice: float | None
     length_bob: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "break_fraction": self.break_fraction,
-            "colors": list(self.colors),
-            "selections": list(self.selections) if self.selections is not None else None,
-            "length_alice": self.length_alice,
-            "length_bob": self.length_bob,
-        }
 
 
 class _Events(NamedTuple):
@@ -304,34 +295,6 @@ _COLOR_NAMES = {True: "white", False: "black"}
 _STRING_NAMES = {True: "string1", False: "string2"}
 
 
-def _replay(config: StringModelConfig, setting: Setting, events: _Events, breaks: np.ndarray, skip: int = 0):
-    """Yield ``(OutcomePair, MicroTrace)`` per trial of ``events`` from trial ``skip`` on.
-
-    ``breaks`` holds the break fractions, read only where a string splits.
-    """
-    indices = _outcome_indices(config.variant, setting, events)[skip:].tolist()
-    colors = zip(*([_COLOR_NAMES[w] for w in column[skip:].tolist()] for column in events.white))
-    if events.sel_a is None:
-        selections, shared = itertools.repeat(None), itertools.repeat(True)
-    else:
-        sel_a, sel_b = events.sel_a[skip:].tolist(), events.sel_b[skip:].tolist()
-        selections = ((_STRING_NAMES[a], _STRING_NAMES[b]) for a, b in zip(sel_a, sel_b))
-        shared = (a == b for a, b in zip(sel_a, sel_b))
-    alice_pulls, bob_pulls = setting.alice_pulls, setting.bob_pulls
-    splits = _splits(config.variant, setting)
-    length = config.length_l
-    for index, color, selection, same, u_break in zip(indices, colors, selections, shared, breaks[skip:].tolist()):
-        break_fraction = None
-        if same and (alice_pulls or bob_pulls):
-            break_fraction = u_break if splits else (1.0 if alice_pulls else 0.0)
-        if break_fraction is None:
-            length_alice = length_bob = None
-        else:
-            length_alice = break_fraction * length
-            length_bob = length - length_alice
-        yield _PAIRS[index], MicroTrace(break_fraction, color, selection, length_alice, length_bob)
-
-
 def estimate_table(
     config: StringModelConfig,
     trials_per_setting: int,
@@ -384,6 +347,10 @@ def iter_trials(
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     si = SETTINGS.index(setting)
+    variant, length = config.variant, config.length_l
+    splits = _splits(variant, setting)
+    pulled = setting.alice_pulls or setting.bob_pulls
+    lone_break = 1.0 if setting.alice_pulls else 0.0
 
     def replay_block(block_index: int, first: int, rows: int):
         block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)
@@ -391,13 +358,28 @@ def iter_trials(
         events = _Events(
             tuple(map(block.unpack, packed.white)), *(None if e is None else block.unpack(e) for e in packed[1:])
         )
-        breaks = np.zeros(rows)
-        if events.cut is not None:
+        skip = max(start - first, 0)
+        breaks = itertools.repeat(None)
+        if splits:
             b = events.cut
             v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
             # Rounding b + v may reach b + 1; the fraction stays below (b + 1) / 2.
-            breaks = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))
-        return _replay(config, setting, events, breaks, max(start - first, 0))
+            breaks = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))[skip:].tolist()
+        indices = _outcome_indices(variant, setting, events)[skip:].tolist()
+        colors = zip(*([_COLOR_NAMES[w] for w in column[skip:].tolist()] for column in events.white))
+        if events.sel_a is None:
+            selections, shared = itertools.repeat(None), itertools.repeat(True)
+        else:
+            sel_a, sel_b = events.sel_a[skip:].tolist(), events.sel_b[skip:].tolist()
+            selections = ((_STRING_NAMES[a], _STRING_NAMES[b]) for a, b in zip(sel_a, sel_b))
+            shared = (a == b for a, b in zip(sel_a, sel_b))
+        for index, color, selection, same, u_break in zip(indices, colors, selections, shared, breaks):
+            break_fraction = length_alice = length_bob = None
+            if same and pulled:
+                break_fraction = u_break if splits else lone_break
+                length_alice = break_fraction * length
+                length_bob = length - length_alice
+            yield _PAIRS[index], MicroTrace(break_fraction, color, selection, length_alice, length_bob)
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
     return itertools.chain.from_iterable(itertools.starmap(replay_block, iter_block_slices(start + n_trials, start)))

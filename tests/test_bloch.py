@@ -233,9 +233,11 @@ class TestSampleCollapse:
 
 class TestUniversalAverage:
     def test_single_cell_is_exactly_born(self):
-        r = np.array([0.6, 0.0, 0.8])
-        avg = universal_average(r, Z_FRAME, 1, 50, 13)
-        assert avg == outcome_probabilities(r, Z_FRAME)
+        # Besides cos 0.8, the tenths where 1 - p+ is not p- in floats.
+        tenths = ([math.sqrt(1.0 - c * c), 0.0, c] for c in (0.1, 0.4, 0.6, 0.9))
+        for r in map(np.array, ([0.6, 0.0, 0.8], *tenths)):
+            avg = universal_average(r, Z_FRAME, 1, 50, 13)
+            assert avg == outcome_probabilities(r, Z_FRAME)
 
     def test_symmetric_state_averages_to_half(self):
         r = np.array([1.0, 0.0, 0.0])

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,28 @@ class TestTable:
         assert record["setting"] == "AB"
         assert record["outcome"] in ("++", "+-", "-+", "--")
         assert set(record) >= {"break_fraction", "colors", "selections", "trial"}
+
+    @pytest.mark.parametrize("variant", [v.value for v in strings.Variant])
+    def test_a_trace_line_is_the_labels_then_the_micro_trace_fields(self, capsys, tmp_path, variant):
+        path, seed, limit = tmp_path / "trace.jsonl", 9, 30
+        args = ("table", "--variant", variant, "--trials", "40", "--seed", str(seed))
+        assert run_cli(capsys, *args, "--trace", str(path), "--trace-limit", str(limit))[0] == 0
+        config = strings.StringModelConfig(variant=strings.Variant(variant))
+        expected = [
+            json.dumps({"setting": setting.label, "trial": t, "outcome": pair.label, **trace._asdict()})
+            for setting in strings.SETTINGS
+            for t, (pair, trace) in enumerate(strings.iter_trials(config, setting, seed, limit))
+        ]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == expected
+        records = [json.loads(line) for line in lines]
+        assert all(list(record) == ["setting", "trial", "outcome", *strings.MicroTrace._fields] for record in records)
+        breaks = {record["break_fraction"] for record in records}
+        if variant != "v1pre":
+            assert {0.0, 1.0} <= breaks  # one-sided pulls: Bob, then Alice, collects the whole string
+        if variant == "v4":
+            apart = [record for record in records if record["selections"][0] != record["selections"][1]]
+            assert apart and all(record["break_fraction"] is None for record in apart)
 
     def test_trace_needs_trials(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table", "--variant", "v1", "--trace", str(tmp_path / "t.jsonl"))
@@ -472,6 +495,29 @@ def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     code, out, _ = run_cli(capsys, *WORKER_COMMANDS[command], "--workers", workers)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_workers_past_the_bound_is_a_usage_error_that_starts_no_thread(capsys, monkeypatch, command):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    argv = WORKER_COMMANDS[command]
+    subcommand = argv[:2] if argv[0] == "bloch" else argv[:1]
+    help_text = " ".join(run_cli(capsys, *subcommand, "--help")[1].split())
+    assert "[1, 64]" in help_text.split("--workers WORKERS ", 1)[1].split("--timing", 1)[0]
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    code, out, err = run_cli(capsys, *argv, "--workers", "65")
+    assert (code, out) == (EXIT_CONFIG, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == "argument --workers: must lie in [1, 64], got 65"
+
+
+def test_the_most_workers_give_the_one_worker_table(capsys):
+    assert rng.MAX_WORKERS == 64
+    args = ("table", "--variant", "v2", "--trials", "10", "--seed", "4")
+    assert run_json(capsys, *args, "--workers", "64") == run_json(capsys, *args, "--workers", "1")
 
 
 @pytest.mark.parametrize(

@@ -124,11 +124,13 @@ def test_only_rng_turns_a_key_into_numbers():
         ("quantum", "chsh_for_axes"),
         ("strings", "setting_index"),
         ("rng", "substream"),
+        ("strings", "MicroTrace.to_json_dict"),
     ],
 )
 def test_a_removed_alias_is_gone(module, name):
     # Each re-spelled another public call: BreakDistribution(), BreakDistribution(w),
-    # chsh(table_for_axes(rho, axes)), SETTINGS.index(s) and rng.uniforms.
+    # chsh(table_for_axes(rho, axes)), SETTINGS.index(s), rng.uniforms and
+    # MicroTrace._asdict().
     owner = importlib.import_module(f"entangle_lab.{module}")
     *path, last = name.split(".")
     for part in path:

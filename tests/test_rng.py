@@ -196,6 +196,20 @@ def test_count_outcomes_refuses_a_count_past_the_cap_before_any_block(monkeypatc
         count_outcomes(0, DOMAIN_STRING_TRIALS, 4, n_trials, 4, _three_cells)
 
 
+@pytest.mark.parametrize("workers", [0, 65, 100_000])
+def test_map_blocks_refuses_workers_outside_the_range_before_any_chunk(monkeypatch, workers):
+    def never(task, bit_generator):
+        raise AssertionError("a chunk ran")
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert rng.MAX_WORKERS == 64
+    with pytest.raises(ValueError, match=r"workers must lie in \[1, 64\], got"):
+        rng.map_blocks(list(range(8)), never, workers=workers)
+
+
 def test_count_outcomes_takes_max_blocks_per_setting():
     assert MAX_BLOCKS * TRIAL_BLOCK == 2**32
     counts = count_outcomes(0, DOMAIN_STRING_TRIALS, 1, 2**32, 1, lambda si, block: (block.rows,))
