@@ -39,7 +39,7 @@ import numpy as np
 
 from .probability import InvariantViolation
 from .quantum import IDENTITY_2, PAULIS, _three_vector, validate_state
-from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, MAX_BLOCKS, count_outcomes, map_blocks, uniforms
+from .rng import DOMAIN_BLOCH_AVERAGE, DOMAIN_BLOCH_COLLAPSE, MAX_BLOCKS, check_workers, count_outcomes, map_blocks, uniforms
 
 WEIGHT_TOL = 1e-12
 
@@ -195,6 +195,7 @@ def universal_average(
     rows = AVERAGE_BLOCK_FLOATS // cells
     if not 1 <= n_distributions <= MAX_BLOCKS * rows:
         raise ValueError(f"n_distributions must lie in [1, {MAX_BLOCKS * rows}] for {cells} cells, got {n_distributions}")
+    check_workers(workers)  # here too: one cell returns before map_blocks
     born = outcome_probabilities(r, frame)
     if cells == 1:
         return born

@@ -58,7 +58,7 @@ from .bloch import (
 from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
-from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK
+from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK, iter_block_slices
 from .report import (
     _ROW_KEYS,
     bell_bounds_to_json,
@@ -70,7 +70,9 @@ from .report import (
     report_to_json,
     table_to_json,
 )
-from .strings import SETTINGS, StringModelConfig, Variant, analytic_table, cell_numerators, estimate_table, iter_trials
+from .strings import SETTINGS, MicroTrace, StringModelConfig, Variant, _trace_columns, _trace_parts
+from .strings import analytic_table, cell_numerators, estimate_table
+from .strings import iter_trials  # noqa: F401  unused here, but perfbench/tracing.py patches cli.iter_trials
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1
@@ -203,13 +205,36 @@ def _table_csv(analytic, sampled) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+@functools.cache
+def _trace_templates(variant: Variant, setting) -> tuple[str, ...]:
+    """A setting's trace lines as ``%`` templates, one per trace code of ``strings._trace_columns``.
+
+    Each is ``json.dumps`` of the line with NaN at the trial and the three
+    float fields, each NaN then made a ``%s`` slot.
+    """
+    nan = math.nan
+    records = (
+        {"setting": setting.label, "trial": nan, "outcome": pair.label, **MicroTrace(nan, colors, sel, nan, nan)._asdict()}
+        for pair, colors, sel in _trace_parts(variant)
+    )
+    return tuple(json.dumps(record).replace("NaN", "%s") + "\n" for record in records)
+
+
 def _write_traces(config, seed, trials, path, limit) -> None:
-    lines = [
-        json.dumps({"setting": setting.label, "trial": t, "outcome": pair.label, **trace._asdict()})
-        for setting in SETTINGS
-        for t, (pair, trace) in enumerate(iter_trials(config, setting, seed, min(limit, trials)))
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Trials [0, min(limit, trials)) of each setting as JSON lines, one write per block.
+
+    A line's bytes are those of ``json.dumps`` of its fields: the templates
+    hold the rest, and a float slot gets ``repr`` of its value (``json``'s
+    spelling too) or ``null``.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        for setting in SETTINGS:
+            templates = _trace_templates(config.variant, setting)
+            for block_index, first, rows in iter_block_slices(min(limit, trials)):
+                codes, *floats = _trace_columns(config, setting, seed, block_index, rows)
+                texts = (["null" if x is None else repr(x) for x in column] for column in floats)
+                slots = zip(range(first, first + rows), *texts)
+                out.write("".join([templates[code] % slot for code, slot in zip(codes, slots)]))
 
 
 def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:

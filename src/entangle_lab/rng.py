@@ -288,6 +288,12 @@ def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, rows: int) -> tuple[int,
     return n_ab, n_a - n_ab, n_b - n_ab, rows - n_a - n_b + n_ab
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a ``workers`` value outside [1, ``MAX_WORKERS``] with ``ValueError``."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+
+
 def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
     """``[fn(task, bit_generator) for task in tasks]``, computed in one chunk per worker.
 
@@ -297,8 +303,7 @@ def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
     order, so a caller combining them in that order gets the same result
     for any ``workers`` value.  ``workers`` lies in [1, ``MAX_WORKERS``].
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    check_workers(workers)
 
     def run(chunk):
         bit_generator = np.random.SFC64(0)

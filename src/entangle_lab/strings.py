@@ -30,11 +30,13 @@ rule is bitwise throughout, so one copy serves packed words, bool arrays
 and Python int bitsets.  ``estimate_table`` samples through
 ``rng.count_outcomes``: the kernel runs on each block's words and
 ``rng.sign_counts`` counts the block's four cells from the two masks.
-``iter_trials`` asks the same blocks for the same events, unpacks them to
-one bool per trial, and adds a ``MicroTrace``, the record of a trace line,
-per trial; its break position
-is the cut bit plus a continuous draw made for the trace alone, so the
-trace agrees with the cut.
+``_trace_columns``, the trace's one replay, asks the same blocks for the
+same events, unpacks them to one bool per trial and returns one block's
+traced trials as columns; its break position is the cut bit plus a
+continuous draw made for the trace alone, so the trace agrees with the
+cut.  ``table --trace`` writes its lines from these columns, and
+``iter_trials`` zips them into one ``MicroTrace``, the record of a trace
+line, per trial.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``cell_numerators`` evaluates these cached polynomials exactly, as integer
@@ -175,6 +177,10 @@ class OutcomePair:
 
 class MicroTrace(NamedTuple):
     """What physically happened inside one trial: a trace line's record, in field order.
+
+    :func:`iter_trials` builds one per trial from the columns of
+    :func:`_trace_columns`; ``table --trace`` writes the same fields from
+    those columns into line templates built once from this record.
 
     ``break_fraction`` is the Alice-side fraction of the jointly held string
     and is present iff such a string existed and at least one observer pulled
@@ -323,6 +329,80 @@ def estimate_table(
     return frequency_table(counts)
 
 
+class _TraceColumns(NamedTuple):
+    """The traced trials of one block slice, column by column.
+
+    ``codes`` packs each trial's outcome index (bits 0-1) with its white
+    column(s) and, in V4, its two string-1 selections (one bit each, from
+    bit 2 up); ``_trace_parts(variant)[code]`` decodes it.  The three float
+    columns hold the ``MicroTrace`` fields of the same names, ``None`` where
+    no break is recorded.
+    """
+
+    codes: list[int]
+    break_fraction: list[float | None]
+    length_alice: list[float | None]
+    length_bob: list[float | None]
+
+
+@functools.cache
+def _trace_parts(variant: Variant) -> tuple[tuple[OutcomePair, tuple[str, ...], tuple[str, str] | None], ...]:
+    """A variant's trace codes decoded: ``(OutcomePair, colors, selections)`` per code."""
+    n_strings, n_flags = (2, 4) if variant is Variant.V4 else (1, 1)
+    parts = []
+    for code in range(4 << n_flags):
+        flags = [bool(code >> bit & 1) for bit in range(2, 2 + n_flags)]
+        selections = tuple(_STRING_NAMES[s] for s in flags[n_strings:]) or None
+        parts.append((_PAIRS[code & 3], tuple(_COLOR_NAMES[w] for w in flags[:n_strings]), selections))
+    return tuple(parts)
+
+
+def _trace_columns(
+    config: StringModelConfig, setting: Setting, master_seed: int, block_index: int, rows: int, skip: int = 0
+) -> _TraceColumns:
+    """Trials [skip, rows) of a setting's block ``block_index``, as :class:`_TraceColumns`.
+
+    Asks the block for the same events as :func:`estimate_table`, unpacked to
+    one bool per trial, so trial ``t`` here is exactly trial ``t`` of the
+    vectorized estimate.  Where the string splits, the break fraction is
+    ``(b + v) / 2``: b is the trial's cut bit (the top bit of its cut
+    column's U, 1 iff Alice holds the long side) and v a continuous draw on
+    ``DOMAIN_STRING_TRACE``, so Alice holds the long side iff the fraction is
+    at least 1/2.
+    """
+    si = SETTINGS.index(setting)
+    variant, length = config.variant, float(config.length_l)
+    block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)
+    packed = _events(config, setting, block, trace=True)
+    events = _Events(
+        tuple(map(block.unpack, packed.white)), *(None if e is None else block.unpack(e) for e in packed[1:])
+    )
+    flags = events.white if events.sel_a is None else (*events.white, events.sel_a, events.sel_b)
+    codes = _outcome_indices(variant, setting, events)
+    for bit, flag in enumerate(flags, 2):
+        codes += flag * (1 << bit)
+    n = rows - skip
+    if not (setting.alice_pulls or setting.bob_pulls):
+        floats = [[None] * n] * 3
+    else:
+        if _splits(variant, setting):
+            b = events.cut
+            v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
+            # Rounding b + v may reach b + 1; the fraction stays below (b + 1) / 2.
+            fractions = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))[skip:]
+        else:
+            # A lone puller collects the whole string: Alice everything, or Bob.
+            fractions = np.full(n, 1.0 if setting.alice_pulls else 0.0)
+        length_alice = fractions * length
+        floats = [fractions, length_alice, length - length_alice]
+        if events.sel_a is not None:
+            # Observers holding different strings share no string to break.
+            apart = (events.sel_a ^ events.sel_b)[skip:]
+            floats = [np.where(apart, None, column) for column in floats]
+        floats = [column.tolist() for column in floats]
+    return _TraceColumns(codes[skip:].tolist(), *floats)
+
+
 def iter_trials(
     config: StringModelConfig,
     setting: Setting,
@@ -332,13 +412,9 @@ def iter_trials(
 ) -> Iterator[tuple[OutcomePair, MicroTrace]]:
     """Replay trials [start, start + n_trials) of a setting, one by one.
 
-    Asks the same blocks as :func:`estimate_table` for the same events, so
-    trial ``t`` here is exactly trial ``t`` of the vectorized estimate; the
-    packed events are unpacked to one bool per trial.  Where the string
-    splits, the break fraction is ``(b + v) / 2``: b is the trial's cut bit
-    (the top bit of its cut column's U, 1 iff Alice holds the long side) and
-    v a continuous draw on ``DOMAIN_STRING_TRACE``, so Alice holds the long
-    side iff the fraction is at least 1/2.
+    Zips each block's :func:`_trace_columns`, the replay ``table --trace``
+    writes from, into ``(OutcomePair, MicroTrace)`` items, so trial ``t``
+    here is exactly trial ``t`` of the vectorized :func:`estimate_table`.
     ``n_trials == 0`` replays nothing; a negative ``start`` or ``n_trials`` is
     a ``ValueError``.
     """
@@ -346,40 +422,14 @@ def iter_trials(
         raise ValueError(f"start must be >= 0, got {start}")
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    si = SETTINGS.index(setting)
-    variant, length = config.variant, config.length_l
-    splits = _splits(variant, setting)
-    pulled = setting.alice_pulls or setting.bob_pulls
-    lone_break = 1.0 if setting.alice_pulls else 0.0
 
     def replay_block(block_index: int, first: int, rows: int):
-        block = Block(master_seed, DOMAIN_STRING_TRIALS, si, block_index, rows)
-        packed = _events(config, setting, block, trace=True)
-        events = _Events(
-            tuple(map(block.unpack, packed.white)), *(None if e is None else block.unpack(e) for e in packed[1:])
+        codes, *floats = _trace_columns(config, setting, master_seed, block_index, rows, max(start - first, 0))
+        parts = map(_trace_parts(config.variant).__getitem__, codes)
+        return (
+            (pair, MicroTrace(fraction, colors, selections, length_alice, length_bob))
+            for (pair, colors, selections), fraction, length_alice, length_bob in zip(parts, *floats)
         )
-        skip = max(start - first, 0)
-        breaks = itertools.repeat(None)
-        if splits:
-            b = events.cut
-            v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
-            # Rounding b + v may reach b + 1; the fraction stays below (b + 1) / 2.
-            breaks = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))[skip:].tolist()
-        indices = _outcome_indices(variant, setting, events)[skip:].tolist()
-        colors = zip(*([_COLOR_NAMES[w] for w in column[skip:].tolist()] for column in events.white))
-        if events.sel_a is None:
-            selections, shared = itertools.repeat(None), itertools.repeat(True)
-        else:
-            sel_a, sel_b = events.sel_a[skip:].tolist(), events.sel_b[skip:].tolist()
-            selections = ((_STRING_NAMES[a], _STRING_NAMES[b]) for a, b in zip(sel_a, sel_b))
-            shared = (a == b for a, b in zip(sel_a, sel_b))
-        for index, color, selection, same, u_break in zip(indices, colors, selections, shared, breaks):
-            break_fraction = length_alice = length_bob = None
-            if same and pulled:
-                break_fraction = u_break if splits else lone_break
-                length_alice = break_fraction * length
-                length_bob = length - length_alice
-            yield _PAIRS[index], MicroTrace(break_fraction, color, selection, length_alice, length_bob)
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
     return itertools.chain.from_iterable(itertools.starmap(replay_block, iter_block_slices(start + n_trials, start)))

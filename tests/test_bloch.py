@@ -239,6 +239,12 @@ class TestUniversalAverage:
             avg = universal_average(r, Z_FRAME, 1, 50, 13)
             assert avg == outcome_probabilities(r, Z_FRAME)
 
+    @pytest.mark.parametrize("workers", [0, 65, 1000])
+    def test_single_cell_refuses_workers_outside_the_range(self, workers):
+        r = np.array([0.6, 0.0, 0.8])
+        with pytest.raises(ValueError, match=r"workers must lie in \[1, 64\], got"):
+            universal_average(r, Z_FRAME, 1, 10, 0, workers=workers)
+
     def test_symmetric_state_averages_to_half(self):
         r = np.array([1.0, 0.0, 0.0])
         avg_plus, avg_minus = universal_average(r, Z_FRAME, 8, 20_000, 14)

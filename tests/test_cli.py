@@ -156,6 +156,56 @@ class TestTable:
             apart = [record for record in records if record["selections"][0] != record["selections"][1]]
             assert apart and all(record["break_fraction"] is None for record in apart)
 
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [
+            ("v1", []),
+            ("v1pre", ["--length", "2.5"]),
+            ("v2", ["--pw", "0.3"]),
+            ("v3", ["--pw", "0.3", "--length", "0.1"]),
+            ("v4", ["--pw", "0.3", "--p1", "0.7", "--length", "3"]),
+        ],
+    )
+    def test_a_trace_across_blocks_is_the_json_of_the_replayed_trials(self, capsys, tmp_path, variant, extra):
+        # 65 600 traced trials per setting run past the first block.
+        path, seed, n = tmp_path / "trace.jsonl", 4, rng.TRIAL_BLOCK + 64
+        args = ("table", "--variant", variant, *extra, "--trials", str(n), "--seed", str(seed))
+        assert run_cli(capsys, *args, "--trace", str(path), "--trace-limit", str(n))[0] == 0
+        options = dict(zip(extra[::2], map(float, extra[1::2])))
+        config = strings.StringModelConfig(
+            strings.Variant(variant), options.get("--pw"), options.get("--p1"), options.get("--length", 1.0)
+        )
+        expected = [
+            json.dumps({"setting": setting.label, "trial": t, "outcome": pair.label, **trace._asdict()})
+            for setting in strings.SETTINGS
+            for t, (pair, trace) in enumerate(strings.iter_trials(config, setting, seed, n))
+        ]
+        assert path.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_a_long_trace_is_written_one_block_at_a_time(self, capsys, monkeypatch, tmp_path):
+        path, n = tmp_path / "trace.jsonl", rng.TRIAL_BLOCK + 64
+        writes = []
+
+        class Recorder:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return self.handle.write(text)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recorder(open(*args, **kwargs)), raising=False)
+        args = ("table", "--variant", "v2", "--trials", str(n), "--trace", str(path), "--trace-limit", str(n))
+        assert run_cli(capsys, *args)[0] == 0
+        assert sum(writes) == len(path.read_text(encoding="utf-8").splitlines()) == 4 * n
+        assert max(writes) <= rng.TRIAL_BLOCK
+
     def test_trace_needs_trials(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table", "--variant", "v1", "--trace", str(tmp_path / "t.jsonl"))
         assert code == 2

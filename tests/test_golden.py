@@ -67,6 +67,20 @@ def test_trace_bytes_are_golden(tmp_path, variant):
     assert trace_digest(tmp_path, variant) == TRACE_DIGESTS[variant]
 
 
+# 65 600 traced trials per setting reach the second block, at a length other
+# than 1 and at thresholds that take the tie path.  The digest was recorded
+# from the writer that encoded each line with its own ``json.dumps``.
+LONG_TRACE_ARGS = ["--variant", "v4", "--pw", "0.4", "--p1", "0.3", "--length", "2.5", "--trials", "65600"]
+LONG_TRACE_DIGEST = "4df2b8e31314ffbd40b67b1ab6d6637d2abd4be933e748f9edf4af659942183e"
+
+
+def test_a_trace_across_blocks_is_golden(tmp_path):
+    path = tmp_path / "long.jsonl"
+    args = ["table", *LONG_TRACE_ARGS, "--seed", "21", "--trace", str(path), "--trace-limit", "65600"]
+    assert main(args + ["--out", str(tmp_path / "long.json")]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_TRACE_DIGEST
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_ARGS))
 def test_report_bytes_are_golden(tmp_path, name):
     assert report_digest(tmp_path, name) == REPORT_DIGESTS[name]
