@@ -251,6 +251,8 @@ class BlochVector15:
         r = np.asarray(self.r15, dtype=float)
         if r.shape != (15,):
             raise ValueError(f"r15 must have 15 components, got shape {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError(f"r15 components must be finite, got {r.tolist()!r}")
         object.__setattr__(self, "r15", r)
 
     @property

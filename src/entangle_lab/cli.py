@@ -21,6 +21,8 @@ rows under ``--format csv``, and otherwise builds the JSON envelope, appending
 every later call in the process.  ``scan`` evaluates the integer cell
 polynomials at each grid point (:func:`strings.cell_numerators`) and divides
 each CHSH and residual numerator once, building no ``Fraction`` per point.
+``table --trace`` fills its file with :func:`strings.write_trace`, which
+alone decides the line format, before it samples the table.
 
 Every run is reproducible from ``--seed`` (or ``ENTANGLE_LAB_SEED``); reports
 with the same configuration, seed and version are byte-identical regardless
@@ -58,7 +60,7 @@ from .bloch import (
 from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
-from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK, iter_block_slices
+from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK
 from .report import (
     _ROW_KEYS,
     bell_bounds_to_json,
@@ -70,8 +72,7 @@ from .report import (
     report_to_json,
     table_to_json,
 )
-from .strings import SETTINGS, MicroTrace, StringModelConfig, Variant, _trace_columns, _trace_parts
-from .strings import analytic_table, cell_numerators, estimate_table
+from .strings import StringModelConfig, Variant, analytic_table, cell_numerators, estimate_table, write_trace
 from .strings import iter_trials  # noqa: F401  unused here, but perfbench/tracing.py patches cli.iter_trials
 
 EXIT_OK = 0
@@ -205,38 +206,6 @@ def _table_csv(analytic, sampled) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-@functools.cache
-def _trace_templates(variant: Variant, setting) -> tuple[str, ...]:
-    """A setting's trace lines as ``%`` templates, one per trace code of ``strings._trace_columns``.
-
-    Each is ``json.dumps`` of the line with NaN at the trial and the three
-    float fields, each NaN then made a ``%s`` slot.
-    """
-    nan = math.nan
-    records = (
-        {"setting": setting.label, "trial": nan, "outcome": pair.label, **MicroTrace(nan, colors, sel, nan, nan)._asdict()}
-        for pair, colors, sel in _trace_parts(variant)
-    )
-    return tuple(json.dumps(record).replace("NaN", "%s") + "\n" for record in records)
-
-
-def _write_traces(config, seed, trials, path, limit) -> None:
-    """Trials [0, min(limit, trials)) of each setting as JSON lines, one write per block.
-
-    A line's bytes are those of ``json.dumps`` of its fields: the templates
-    hold the rest, and a float slot gets ``repr`` of its value (``json``'s
-    spelling too) or ``null``.
-    """
-    with open(path, "w", encoding="utf-8") as out:
-        for setting in SETTINGS:
-            templates = _trace_templates(config.variant, setting)
-            for block_index, first, rows in iter_block_slices(min(limit, trials)):
-                codes, *floats = _trace_columns(config, setting, seed, block_index, rows)
-                texts = (["null" if x is None else repr(x) for x in column] for column in floats)
-                slots = zip(range(first, first + rows), *texts)
-                out.write("".join([templates[code] % slot for code, slot in zip(codes, slots)]))
-
-
 def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if args.p1 is not None and args.variant != Variant.V4.value:
         raise ValueError(f"--p1 applies to v4 only, not {args.variant}")
@@ -256,12 +225,14 @@ def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     if trace_limit < 1:
         raise ValueError(f"--trace-limit must be >= 1, got {trace_limit}")
 
+    if args.trace:
+        # Written first, so a trace path that cannot be opened is refused before any sampling.
+        with open(args.trace, "w", encoding="utf-8") as out:
+            write_trace(out, config, seed, min(trace_limit, args.trials))
     analytic = analytic_table(config)
     sampled = counts = None
     if args.trials:
         sampled, counts = estimate_table(config, args.trials, seed, workers=args.workers)
-    if args.trace:
-        _write_traces(config, seed, args.trials, args.trace, trace_limit)
 
     config_echo = {
         "variant": config.variant.value,

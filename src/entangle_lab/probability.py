@@ -166,7 +166,7 @@ class ChshQuantities:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if abs(value) > 4 and abs(value) > 4 + CHSH_RANGE_TOL:
+            if not (abs(value) <= 4 or abs(value) <= 4 + CHSH_RANGE_TOL):  # also rejects NaN
                 raise InvariantViolation(f"{name} = {value!r} outside [-4, 4]")
 
     def as_dict(self) -> dict[str, Real]:

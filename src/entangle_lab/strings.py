@@ -34,9 +34,9 @@ and Python int bitsets.  ``estimate_table`` samples through
 same events, unpacks them to one bool per trial and returns one block's
 traced trials as columns; its break position is the cut bit plus a
 continuous draw made for the trace alone, so the trace agrees with the
-cut.  ``table --trace`` writes its lines from these columns, and
-``iter_trials`` zips them into one ``MicroTrace``, the record of a trace
-line, per trial.
+cut.  ``write_trace`` writes ``table --trace``'s JSON lines from these
+columns, and ``iter_trials`` zips them into one ``MicroTrace``, the record
+of a trace line, per trial.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``cell_numerators`` evaluates these cached polynomials exactly, as integer
@@ -49,12 +49,13 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -102,7 +103,7 @@ class StringModelConfig:
     variant: Variant
     p_w: Real | None = None
     p_1: Real | None = None
-    length_l: float = 1.0
+    length_l: Real = 1.0
 
     def __post_init__(self):
         variant = Variant(self.variant)
@@ -116,12 +117,16 @@ class StringModelConfig:
         elif p_w is None:
             p_w = 0.5
         p_1 = 0.5 if self.p_1 is None else self.p_1
-        for name, value in (("p_w", p_w), ("p_1", p_1)):
+        for name, value in (("p_w", p_w), ("p_1", p_1), ("length_l", self.length_l)):
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
-            if not 0 <= value <= 1:  # also rejects NaN
+            if name != "length_l" and not 0 <= value <= 1:  # also rejects NaN
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if not 0 < self.length_l < math.inf:
+        try:
+            length = float(self.length_l)  # the trace computes in floats
+        except OverflowError:  # an int or Fraction past the float range
+            length = math.inf
+        if not 0 < length < math.inf:
             raise ValueError(f"length_l must be positive and finite, got {self.length_l!r}")
         object.__setattr__(self, "p_w", p_w)
         object.__setattr__(self, "p_1", p_1)
@@ -179,7 +184,7 @@ class MicroTrace(NamedTuple):
     """What physically happened inside one trial: a trace line's record, in field order.
 
     :func:`iter_trials` builds one per trial from the columns of
-    :func:`_trace_columns`; ``table --trace`` writes the same fields from
+    :func:`_trace_columns`; :func:`write_trace` writes the same fields from
     those columns into line templates built once from this record.
 
     ``break_fraction`` is the Alice-side fraction of the jointly held string
@@ -329,22 +334,6 @@ def estimate_table(
     return frequency_table(counts)
 
 
-class _TraceColumns(NamedTuple):
-    """The traced trials of one block slice, column by column.
-
-    ``codes`` packs each trial's outcome index (bits 0-1) with its white
-    column(s) and, in V4, its two string-1 selections (one bit each, from
-    bit 2 up); ``_trace_parts(variant)[code]`` decodes it.  The three float
-    columns hold the ``MicroTrace`` fields of the same names, ``None`` where
-    no break is recorded.
-    """
-
-    codes: list[int]
-    break_fraction: list[float | None]
-    length_alice: list[float | None]
-    length_bob: list[float | None]
-
-
 @functools.cache
 def _trace_parts(variant: Variant) -> tuple[tuple[OutcomePair, tuple[str, ...], tuple[str, str] | None], ...]:
     """A variant's trace codes decoded: ``(OutcomePair, colors, selections)`` per code."""
@@ -358,9 +347,16 @@ def _trace_parts(variant: Variant) -> tuple[tuple[OutcomePair, tuple[str, ...], 
 
 
 def _trace_columns(
-    config: StringModelConfig, setting: Setting, master_seed: int, block_index: int, rows: int, skip: int = 0
-) -> _TraceColumns:
-    """Trials [skip, rows) of a setting's block ``block_index``, as :class:`_TraceColumns`.
+    config: StringModelConfig, setting: Setting, master_seed: int, block_index: int, rows: int
+) -> tuple[list[int], list[float | None], list[float | None], list[float | None]]:
+    """The first ``rows`` trials of a setting's block ``block_index``, column by column.
+
+    Returns ``(codes, break_fraction, length_alice, length_bob)``.  A code
+    packs a trial's outcome index (bits 0-1) with its white column(s) and, in
+    V4, its two string-1 selections (one bit each, from bit 2 up);
+    ``_trace_parts(variant)[code]`` decodes it.  The three float columns hold
+    the ``MicroTrace`` fields of the same names, ``None`` where no break is
+    recorded.
 
     Asks the block for the same events as :func:`estimate_table`, unpacked to
     one bool per trial, so trial ``t`` here is exactly trial ``t`` of the
@@ -381,26 +377,25 @@ def _trace_columns(
     codes = _outcome_indices(variant, setting, events)
     for bit, flag in enumerate(flags, 2):
         codes += flag * (1 << bit)
-    n = rows - skip
     if not (setting.alice_pulls or setting.bob_pulls):
-        floats = [[None] * n] * 3
+        floats = [[None] * rows] * 3
     else:
         if _splits(variant, setting):
             b = events.cut
             v = block_uniforms(master_seed, DOMAIN_STRING_TRACE, si, block_index, rows)
             # Rounding b + v may reach b + 1; the fraction stays below (b + 1) / 2.
-            fractions = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))[skip:]
+            fractions = np.minimum((b + v) / 2, np.nextafter((b + 1.0) / 2, 0.0))
         else:
             # A lone puller collects the whole string: Alice everything, or Bob.
-            fractions = np.full(n, 1.0 if setting.alice_pulls else 0.0)
+            fractions = np.full(rows, 1.0 if setting.alice_pulls else 0.0)
         length_alice = fractions * length
         floats = [fractions, length_alice, length - length_alice]
         if events.sel_a is not None:
             # Observers holding different strings share no string to break.
-            apart = (events.sel_a ^ events.sel_b)[skip:]
+            apart = events.sel_a ^ events.sel_b
             floats = [np.where(apart, None, column) for column in floats]
         floats = [column.tolist() for column in floats]
-    return _TraceColumns(codes[skip:].tolist(), *floats)
+    return codes.tolist(), *floats
 
 
 def iter_trials(
@@ -412,7 +407,7 @@ def iter_trials(
 ) -> Iterator[tuple[OutcomePair, MicroTrace]]:
     """Replay trials [start, start + n_trials) of a setting, one by one.
 
-    Zips each block's :func:`_trace_columns`, the replay ``table --trace``
+    Zips each block's :func:`_trace_columns`, the replay :func:`write_trace`
     writes from, into ``(OutcomePair, MicroTrace)`` items, so trial ``t``
     here is exactly trial ``t`` of the vectorized :func:`estimate_table`.
     ``n_trials == 0`` replays nothing; a negative ``start`` or ``n_trials`` is
@@ -424,15 +419,47 @@ def iter_trials(
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
 
     def replay_block(block_index: int, first: int, rows: int):
-        codes, *floats = _trace_columns(config, setting, master_seed, block_index, rows, max(start - first, 0))
+        codes, *floats = _trace_columns(config, setting, master_seed, block_index, rows)
         parts = map(_trace_parts(config.variant).__getitem__, codes)
-        return (
+        items = (
             (pair, MicroTrace(fraction, colors, selections, length_alice, length_bob))
             for (pair, colors, selections), fraction, length_alice, length_bob in zip(parts, *floats)
         )
+        return itertools.islice(items, max(start - first, 0), None)
 
     # A plain function returning a lazy chain, so bad arguments raise at the call.
     return itertools.chain.from_iterable(itertools.starmap(replay_block, iter_block_slices(start + n_trials, start)))
+
+
+@functools.cache
+def _trace_templates(variant: Variant, setting: Setting) -> tuple[str, ...]:
+    """A setting's trace lines as ``%`` templates, one per trace code of :func:`_trace_columns`.
+
+    Each is ``json.dumps`` of the line with NaN at the trial and the three
+    float fields, each NaN then made a ``%s`` slot.
+    """
+    nan = math.nan
+    records = (
+        {"setting": setting.label, "trial": nan, "outcome": pair.label, **MicroTrace(nan, colors, sel, nan, nan)._asdict()}
+        for pair, colors, sel in _trace_parts(variant)
+    )
+    return tuple(json.dumps(record).replace("NaN", "%s") + "\n" for record in records)
+
+
+def write_trace(out: TextIO, config: StringModelConfig, master_seed: int, n_trials: int) -> None:
+    """Trials [0, n_trials) of each setting as JSON lines on the text file ``out``, one write per block.
+
+    A line's bytes are those of ``json.dumps`` of its fields, the labels then
+    :class:`MicroTrace`'s: the templates hold the rest, and a float slot gets
+    ``repr`` of its value (``json``'s spelling too) or ``null``.
+    """
+    for setting in SETTINGS:
+        templates = _trace_templates(config.variant, setting)
+        for block_index, first, rows in iter_block_slices(n_trials):
+            codes, *floats = _trace_columns(config, setting, master_seed, block_index, rows)
+            texts = (["null" if x is None else repr(x) for x in column] for column in floats)
+            slots = zip(range(first, first + rows), *texts)
+            out.write("".join([templates[code] % slot for code, slot in zip(codes, slots)]))
 
 
 class CellPolynomials(NamedTuple):

@@ -434,6 +434,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match="r15 must have 15 components, got shape"):
             reconstruct(np.zeros(14))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [1, 4, 12], ids=["alice", "bob", "connection"])
+    def test_rejects_non_finite_components(self, index, bad):
+        r15 = [0.0] * 15
+        r15[index] = bad
+        with pytest.raises(ValueError, match="r15 components must be finite"):
+            BlochVector15(r15)
+        with pytest.raises(ValueError, match="r15 components must be finite"):
+            reconstruct(r15)
+
     def test_vector_views_and_serialization(self):
         vec = decompose(singlet_state())
         data = vec.to_json_dict()

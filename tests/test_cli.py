@@ -206,6 +206,16 @@ class TestTable:
         assert sum(writes) == len(path.read_text(encoding="utf-8").splitlines()) == 4 * n
         assert max(writes) <= rng.TRIAL_BLOCK
 
+    def test_an_unwritable_trace_path_is_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the trace file was opened")
+
+        monkeypatch.setattr(cli, "estimate_table", no_sampling)
+        path = tmp_path / "missing" / "t.jsonl"
+        code, out, err = run_cli(capsys, "table", "--variant", "v1", "--trials", "10", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert "No such file or directory" in json.loads(err)["error"]["message"]
+
     def test_trace_needs_trials(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table", "--variant", "v1", "--trace", str(tmp_path / "t.jsonl"))
         assert code == 2

@@ -137,3 +137,17 @@ def test_a_removed_alias_is_gone(module, name):
         owner = getattr(owner, part)
     assert not hasattr(owner, last)
     assert not hasattr(entangle_lab, last)
+
+
+def test_the_cli_imports_no_private_name_and_no_trace_record_from_strings():
+    # The trace's line format is decided in strings alone; the CLI calls strings.write_trace.
+    # (iter_trials stays imported because perfbench/tracing.py patches cli.iter_trials.)
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "strings" and node.level == 1
+        for alias in node.names
+    ]
+    assert "write_trace" in names
+    assert [name for name in names if name.startswith("_") or name == "MicroTrace"] == []

@@ -288,9 +288,13 @@ def test_chsh_range_verdicts_at_the_tolerance(kind, sign):
         ChshQuantities(0, sign * (kind(4) + large), 0, 0)
 
 
-def test_nan_chsh_value_is_accepted_and_kept():
-    q = ChshQuantities(float("nan"), 0.0, 0.0, 0.0)
-    assert math.isnan(q.a_chsh)
+@pytest.mark.parametrize("position", range(4))
+def test_a_nan_chsh_value_is_refused(position):
+    # abs(nan) > 4 is false, so only a range test that must pass to accept catches a NaN.
+    values = [0.0] * 4
+    values[position] = math.nan
+    with pytest.raises(InvariantViolation, match="nan outside"):
+        ChshQuantities(*values)
 
 
 # --- JointDistribution invariants over random rows ---

@@ -211,6 +211,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             StringModelConfig(variant=Variant.V1, length_l=bad)
 
+    @pytest.mark.parametrize("name", ["p_w", "p_1", "length_l"])
+    def test_rejects_a_bool_parameter(self, name):
+        with pytest.raises(TypeError, match=name):
+            StringModelConfig(variant=Variant.V4, **{name: True})
+
+    @pytest.mark.parametrize("bad", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+    def test_rejects_a_length_whose_float_is_not_positive_and_finite(self, bad):
+        # 10**400 lies in (0, inf) but overflows float(); 1/10**400 rounds to 0.0.
+        with pytest.raises(ValueError, match="length_l must be positive and finite"):
+            StringModelConfig(variant=Variant.V1, length_l=bad)
+
+    def test_accepts_an_exact_length(self):
+        config = StringModelConfig(variant=Variant.V1, length_l=Fraction(5, 2))
+        _pair, trace = next(iter_trials(config, AB, 0, 1))
+        assert trace.length_alice + trace.length_bob == 2.5
+
     def test_accepts_variant_by_value(self):
         assert StringModelConfig(variant="v3").variant is Variant.V3
 
