@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 NORMALIZATION_TOL = 1e-12
 
@@ -75,7 +75,7 @@ class JointDistribution:
                 object.__setattr__(self, name, n)
             elif not isinstance(n, Real):
                 raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
-            elif n < 0 or n > one:
+            elif not 0 <= n <= one:  # also rejects a NaN that is not a float, e.g. np.float32
                 raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
             checked.append(n)
         total = checked[0] + checked[1] + checked[2] + checked[3]
@@ -87,22 +87,6 @@ class JointDistribution:
 
     def probabilities(self) -> tuple[Real, Real, Real, Real]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-    def _marginal(self, i: int, j: int) -> Real:
-        cells, d = _scaled(self.probabilities())
-        return _unscaled(cells[i] + cells[j], d)
-
-    def marginal_alice_plus(self) -> Real:
-        return self._marginal(0, 1)
-
-    def marginal_alice_minus(self) -> Real:
-        return self._marginal(2, 3)
-
-    def marginal_bob_plus(self) -> Real:
-        return self._marginal(0, 2)
-
-    def marginal_bob_minus(self) -> Real:
-        return self._marginal(1, 3)
 
 
 @dataclass(frozen=True)
@@ -128,9 +112,14 @@ def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]
     """Relative-frequency table of sampled counts, and the counts by row label.
 
     ``counts`` holds one (n_pp, n_pm, n_mp, n_mm) row per setting in canonical
-    row order; each row is divided by its own total.
+    row order; each row is divided by its own total.  A count that is not an
+    integer >= 0, or a row whose total is 0, is a ``ValueError``.
     """
-    rows = [tuple(int(c) for c in row) for row in counts]
+    rows = [tuple(row) for row in counts]
+    for label, row in zip(ROW_LABELS, rows):
+        if not all(isinstance(c, Integral) and c >= 0 for c in row) or sum(row) == 0:
+            raise ValueError(f"{label}: counts {row!r} are not integers >= 0 with a positive total")
+    rows = [tuple(int(c) for c in row) for row in rows]
     table = ExperimentTable(*(JointDistribution(*(c / sum(row) for c in row)) for row in rows))
     return table, dict(zip(ROW_LABELS, rows))
 
@@ -348,6 +337,8 @@ def exact_rational(value) -> str | None:
     floats via their exact binary value), else None.
     """
     if not isinstance(value, (Fraction, int, float)):
+        return None
+    if isinstance(value, float) and not math.isfinite(value):  # NaN and +-inf have no rational
         return None
     frac = Fraction(value)
     if frac.denominator > EXACT_RATIONAL_MAX_DENOMINATOR:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import entangle_lab
-from entangle_lab import bloch, cli, rng, strings
+from entangle_lab import bloch, cli, quantum, rng, strings
 from entangle_lab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OUTPUT, MAX_TRIALS, SCAN_MAX_STEPS, build_parser, main
 from entangle_lab.report import emit_csv, parse_csv
 
@@ -225,6 +227,14 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", "--variant", "v1", "--trials", "10", "--trace-limit", "5")
         assert (code, out) == (2, "")
         assert "--trace-limit" in json.loads(err)["error"]["message"]
+
+    def test_a_trace_limit_below_one_is_refused_before_the_trace_is_opened(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        args = ("table", "--variant", "v1", "--trials", "10", "--trace", str(path), "--trace-limit", "0")
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "--trace-limit must be >= 1, got 0"
+        assert not path.exists()
 
     @pytest.mark.parametrize("variant", ["v1", "v1pre", "v2", "v3"])
     def test_p1_outside_v4_is_refused(self, capsys, variant):
@@ -471,6 +481,18 @@ class TestCustomStateFile:
         assert code == 2
         assert "matrix[2]" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_a_matrix_without_four_rows_is_refused(self, capsys, tmp_path, rows):
+        path = self.write_state(tmp_path, {"matrix": [[0.25, 0, 0, 0]] * rows})
+        code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "custom", "--state-file", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == f"{path}: matrix: expected 4 rows"
+
+    def test_custom_needs_a_state_file(self, capsys):
+        code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "custom")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "--state custom needs --state-file"
+
     def test_bad_cell_names_the_position(self, capsys, tmp_path):
         bad = self.singlet_matrix()
         bad[1][3] = "oops"
@@ -528,6 +550,27 @@ class TestSeedHandling:
     def test_seed_range(self, capsys):
         assert run_cli(capsys, "table", "--variant", "v1", "--seed", "-1")[0] == 2
         assert run_cli(capsys, "table", "--variant", "v1", "--seed", str(2**64))[0] == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """Every ``entangle-lab`` command line in README's ``sh`` blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("entangle-lab ")]
+
+
+def test_every_readme_cli_example_runs(capsys, monkeypatch, tmp_path):
+    lines = readme_cli_lines()
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(json.dumps(quantum.singlet_state().real.tolist()), encoding="utf-8")
+    for i, line in enumerate(lines):
+        out = tmp_path / f"{i}.out"
+        code, stdout, err = run_cli(capsys, *shlex.split(line)[1:], "--out", str(out))
+        assert (code, stdout, err) == (0, "", ""), line
+        assert out.stat().st_size > 0, line
 
 
 def test_version_flag(capsys):
@@ -696,6 +739,17 @@ def test_empty_cell_weights_are_refused(capsys, tmp_path):
     assert message.startswith("--cell-weights")
     assert "weight 1 is not a number: ''" in message
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [("1,0", "--a expects three comma-separated numbers, got '1,0'"), ("x,0,0", "--a expects numbers, got 'x,0,0'")],
+    ids=["two-numbers", "not-a-number"],
+)
+def test_product_state_rejects_malformed_bloch_vectors(capsys, a, message):
+    code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "product", "--a", a, "--b", "0,0,1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == message
 
 
 @pytest.mark.parametrize("flag, a, b", [("--b", "1,0,0", "2,0,0"), ("--a", "0.8,0.8,0", "0,0,1")])

@@ -125,12 +125,17 @@ def test_only_rng_turns_a_key_into_numbers():
         ("strings", "setting_index"),
         ("rng", "substream"),
         ("strings", "MicroTrace.to_json_dict"),
+        ("probability", "JointDistribution.marginal_alice_plus"),
+        ("probability", "JointDistribution.marginal_alice_minus"),
+        ("probability", "JointDistribution.marginal_bob_plus"),
+        ("probability", "JointDistribution.marginal_bob_minus"),
     ],
 )
 def test_a_removed_alias_is_gone(module, name):
     # Each re-spelled another public call: BreakDistribution(), BreakDistribution(w),
-    # chsh(table_for_axes(rho, axes)), SETTINGS.index(s), rng.uniforms and
-    # MicroTrace._asdict().
+    # chsh(table_for_axes(rho, axes)), SETTINGS.index(s), rng.uniforms,
+    # MicroTrace._asdict() and, for a row's marginal, the cell sums that
+    # probability.marginals compares.
     owner = importlib.import_module(f"entangle_lab.{module}")
     *path, last = name.split(".")
     for part in path:

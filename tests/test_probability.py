@@ -21,6 +21,7 @@ from entangle_lab.probability import (
     correlation,
     exact_diagnostics,
     exact_rational,
+    frequency_table,
     marginals,
 )
 
@@ -114,6 +115,19 @@ class TestJointDistributionInvariants:
     def test_rejects_nan(self):
         with pytest.raises(InvariantViolation):
             JointDistribution(float("nan"), 0.5, 0.25, 0.25)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.longdouble])
+    def test_rejects_a_nan_numpy_cell(self, kind):
+        # Not a float, so only a range test that must pass to accept catches the NaN.
+        with pytest.raises(InvariantViolation, match="p_pp = .*nan.* outside"):
+            JointDistribution(kind("nan"), 1, 0, 0)
+        with pytest.raises(InvariantViolation, match="p_pm = .*nan.* outside"):
+            JointDistribution(0, kind("nan"), 0.5, 0.5)
+
+    def test_accepts_numpy_cells_as_given(self):
+        d = JointDistribution(np.float32(0.5), np.float32(0.5), 0, 0)
+        assert d.probabilities() == (0.5, 0.5, 0, 0)
+        assert [type(p) for p in d.probabilities()] == [np.float32, np.float32, int, int]
 
     def test_clamps_float_roundoff(self):
         d = JointDistribution(-1e-17, 0.5, 0.5, 1e-17)
@@ -266,6 +280,24 @@ def test_exact_rational_rendering():
     assert exact_rational(math.sqrt(2) / 2) is None
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_rational_of_a_non_finite_float_is_none(value):
+    assert exact_rational(value) is None
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [(1.7, 0.3, 0, 0), (0, 0, 0, 0), (2, -1, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0, 0), ("1", 0, 0, 0)],
+)
+@pytest.mark.parametrize("position", [0, 3])
+def test_frequency_table_refuses_bad_counts(bad_row, position):
+    counts = [(1, 0, 0, 0)] * 4
+    counts[position] = bad_row
+    label = probability.ROW_LABELS[position]
+    with pytest.raises(ValueError, match=rf"^{label}: counts .* are not integers >= 0 with a positive total"):
+        frequency_table(counts)
+
+
 # --- exact-first tolerance checks: the verdicts at the tolerance edges ---
 
 
@@ -307,18 +339,11 @@ rows = st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any)
 def test_joint_distribution_invariants_for_exact_and_float_rows(weights):
     exact = JointDistribution(*(Fraction(w, sum(weights)) for w in weights))
     approx = JointDistribution(*(w / sum(weights) for w in weights))
-    assert exact.marginal_alice_plus() + exact.marginal_alice_minus() == 1
-    assert exact.marginal_bob_plus() + exact.marginal_bob_minus() == 1
     assert -1 <= correlation(exact) <= 1
-    assert math.isclose(approx.marginal_alice_plus() + approx.marginal_alice_minus(), 1, abs_tol=1e-12)
-    assert math.isclose(approx.marginal_bob_plus() + approx.marginal_bob_minus(), 1, abs_tol=1e-12)
     assert -1 <= correlation(approx) <= 1
     for p, q in zip(exact.probabilities(), approx.probabilities()):
         assert math.isclose(p, q, abs_tol=1e-15)
     assert math.isclose(correlation(exact), correlation(approx), abs_tol=1e-12)
-    for side in ("alice_plus", "bob_plus"):
-        pick = getattr(JointDistribution, f"marginal_{side}")
-        assert math.isclose(pick(exact), pick(approx), abs_tol=1e-12)
 
 
 # --- non-finite verdict thresholds ---
@@ -384,11 +409,6 @@ def plain_checked_row(row):
 def plain_correlation(row):
     row = exact(row)
     return (row[0] + row[3]) - (row[1] + row[2])
-
-
-def plain_row_marginals(row):
-    row = exact(row)
-    return (row[0] + row[1], row[2] + row[3], row[0] + row[2], row[1] + row[3])
 
 
 def plain_chsh(rows):
@@ -494,8 +514,6 @@ def test_table_results_equal_plain_arithmetic(kind, data):
     for (_, dist), row in zip(table.rows(), checked):
         assert_same(dist.probabilities(), row)
         assert_same(correlation(dist), plain_correlation(row))
-        picks = (dist.marginal_alice_plus(), dist.marginal_alice_minus(), dist.marginal_bob_plus(), dist.marginal_bob_minus())
-        assert_same(picks, plain_row_marginals(row))
     quantities = chsh(table)
     assert_same(quantities.as_tuple(), plain_chsh(checked))
 
@@ -520,7 +538,6 @@ def test_all_int_cells_give_fractions():
     report = marginals(table, 0)
     values = [
         correlation(row),
-        *(row.marginal_alice_plus(), row.marginal_alice_minus(), row.marginal_bob_plus(), row.marginal_bob_minus()),
         *quantities.as_tuple(),
         *(c.margin for c in check_bell_bounds(quantities).checks),
         *(v for c in report.comparisons for v in (c.first, c.second, c.residual)),

@@ -206,6 +206,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             unit_axis([1.0, 0.0])
 
+    @pytest.mark.parametrize("sign", [0, 2, 1.5])
+    def test_projector_sign_must_be_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match=rf"sign must be \+1 or -1, got {sign}"):
+            projector(Z, sign)
+
     def test_projector_completeness(self):
         rng = np.random.default_rng(4)
         n = random_axis(rng)
@@ -357,6 +362,13 @@ class TestBatchedKernel:
         bob[3, 1] = math.nan
         with pytest.raises(InvariantViolation):
             joint_probabilities(singlet_state(), alice, bob)
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_axes_that_are_not_n_by_3_are_rejected(self, side):
+        good, bad = np.tile([0.0, 0.0, 1.0], (2, 1)), np.tile([0.0, 0.0, 1.0, 0.0], (2, 1))
+        axes = (bad, good) if side == "alice" else (good, bad)
+        with pytest.raises(ValueError, match=r"axes must have shape \(n, 3\), got \(2, 4\)"):
+            joint_probabilities(singlet_state(), *axes)
 
     def test_mismatched_batches_are_rejected(self):
         rng = np.random.default_rng(7)

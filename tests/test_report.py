@@ -31,6 +31,10 @@ class TestCsv:
         assert format_csv_value(0.5) == "0.5"
         assert format_csv_value(3) == "3"
 
+    def test_a_bool_is_refused(self):
+        with pytest.raises(TypeError, match="booleans have no CSV representation"):
+            format_csv_value(True)
+
     def test_negative_zero_is_normalized(self):
         assert format_csv_value(-0.0) == "0"
 

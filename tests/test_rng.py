@@ -357,6 +357,12 @@ def test_constant_thresholds_draw_nothing():
             assert not (events & ~block.valid).any()
 
 
+@pytest.mark.parametrize("rows", [0, -1, TRIAL_BLOCK + 1])
+def test_a_block_holds_one_to_trial_block_rows(rows):
+    with pytest.raises(ValueError, match=rf"rows must be in \[1, {TRIAL_BLOCK}\], got {rows}"):
+        Block(0, DOMAIN_STRING_TRIALS, 0, 0, rows)
+
+
 def top_bytes(path, rows):
     """Each trial's top byte, from bit r of the first 8 planes of the substream at ``path``."""
     planes = bit_stream(*path).random_raw(8 * 1024).reshape(8, 1024)[:, : -(-rows // 64)]

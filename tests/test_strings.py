@@ -402,9 +402,16 @@ class TestLhvBaseline:
             q = chsh(lhv_table(alice, bob, lams, weights))
             assert all(abs(value) <= 2 for value in q.as_tuple())
 
+    @pytest.mark.parametrize("n_lambda", [0, -1])
+    def test_a_random_strategy_needs_a_lambda(self, n_lambda):
+        with pytest.raises(ValueError, match=f"n_lambda must be >= 1, got {n_lambda}"):
+            random_lhv_strategy(n_lambda, np.random.default_rng(0))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, ())
+        with pytest.raises(ValueError, match="weights and lam_values must have equal length"):
+            lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0, 1), weights=(1,))
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0,), weights=(0.5,))
         with pytest.raises(ValueError):
