@@ -9,8 +9,11 @@ no-signaling (marginal-law) residuals are derived.
 Probabilities may be floats or exact (ints and ``fractions.Fraction``); every
 operation runs one expression tree for both.  All-exact inputs enter it as
 integer numerators over one common denominator ``d``, and every value computed
-from them is returned as a ``Fraction(n, d)``; with a float among the inputs,
-they enter it unchanged and the result carries Python's float bits.
+from them is returned as a ``Fraction(n, d)``, built once per distinct ``n``;
+with a float among the inputs, they enter it unchanged and the result carries
+Python's float bits.  An exact table built by :meth:`ExperimentTable.from_numerators`
+carries the integer numerators it was made from, so :func:`chsh` and
+:func:`marginals` read them without rebuilding their common denominator.
 """
 
 from __future__ import annotations
@@ -37,14 +40,27 @@ def _scaled(values: tuple) -> tuple[tuple, int | None]:
     for value in values:
         if not isinstance(value, (Fraction, int)):
             return values, None
-    denominators = [v.denominator for v in values]
-    d = math.lcm(*denominators)
-    return tuple([v.numerator * (d // q) for v, q in zip(values, denominators)]), d
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return tuple([n * (d // q) for n, q in ratios]), d
 
 
-def _unscaled(n, d: int | None):
-    """The value ``n`` stands for: ``n`` unscaled, else the Fraction ``n / d``."""
-    return n if d is None else Fraction(n, d)
+def _unscaler(d: int | None):
+    """The value each numerator over ``d`` stands for: itself if ``d`` is None, else a
+    ``Fraction(n, d)`` built once per distinct ``n`` (never keyed by floats: ``1.0 == 1``)."""
+    if d is None:
+        return lambda n: n
+    memo = {}
+    return lambda n: memo[n] if n in memo else memo.setdefault(n, Fraction(n, d))
+
+
+def _check_numerators(cells, d: int) -> None:
+    """Refuse 16 integer cells over ``d``, row by row, unless each row is a distribution:
+    every numerator >= 0 and the row summing to ``d`` > 0."""
+    for label, i in zip(ROW_LABELS, range(0, 16, 4)):
+        row = cells[i : i + 4]
+        if min(row) < 0 or not sum(row) == d > 0:
+            raise InvariantViolation(f"{label}: cell numerators {tuple(row)} over {d} are not a distribution")
 
 
 @dataclass(frozen=True)
@@ -63,25 +79,29 @@ class JointDistribution:
 
     def __post_init__(self):
         scaled, d = _scaled(self.probabilities())
-        one = 1 if d is None else d
-        checked = []
-        for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
-            if isinstance(n, float):
-                if not n == n:  # NaN
-                    raise InvariantViolation(f"{name} is NaN")
-                if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
+        names = ("p_pp", "p_pm", "p_mp", "p_mm")
+        if d is not None:  # integer numerators over d: range and sum tests in ints
+            for name, n in zip(names, scaled):
+                if not 0 <= n <= d:
+                    raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
+            total, one = sum(scaled), d
+        else:
+            for name, n in zip(names, scaled):
+                if isinstance(n, float):
+                    if not n == n:  # NaN
+                        raise InvariantViolation(f"{name} is NaN")
+                    if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
+                        raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
+                    object.__setattr__(self, name, min(max(n, 0.0), 1.0))  # absorb float round-off at the edges
+                elif not isinstance(n, Real):
+                    raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
+                elif not 0 <= n <= 1:  # also rejects a NaN that is not a float, e.g. np.float32
                     raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
-                n = min(max(n, 0.0), 1.0)  # absorb float round-off at the edges
-                object.__setattr__(self, name, n)
-            elif not isinstance(n, Real):
-                raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
-            elif not 0 <= n <= one:  # also rejects a NaN that is not a float, e.g. np.float32
-                raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
-            checked.append(n)
-        total = checked[0] + checked[1] + checked[2] + checked[3]
+            p_pp, p_pm, p_mp, p_mm = self.probabilities()  # the clamped cells
+            total, one = p_pp + p_pm + p_mp + p_mm, 1
         # Exact first: only a row that misses 1 builds its total (a Fraction if scaled).
         if total != one:
-            total = _unscaled(total, d)
+            total = _unscaler(d)(total)
             if abs(total - 1) > NORMALIZATION_TOL:
                 raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
 
@@ -101,6 +121,21 @@ class ExperimentTable:
     def rows(self) -> tuple[tuple[str, JointDistribution], ...]:
         """Rows with their canonical labels, in canonical order."""
         return tuple(zip(ROW_LABELS, (self.ab, self.ab_prime, self.a_prime_b, self.a_prime_b_prime)))
+
+    @classmethod
+    def from_numerators(cls, rows, d: int) -> ExperimentTable:
+        """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``.
+
+        Each row must be a distribution over ``d`` (an :class:`InvariantViolation`
+        otherwise); its cells are the reduced ``Fraction(n, d)``, one per distinct
+        numerator, and the table keeps ``(numerators, d)`` as its :attr:`_scaled_cells`.
+        """
+        cells = tuple(n for row in rows for n in row)
+        _check_numerators(cells, d)
+        fraction = _unscaler(d)
+        table = cls(*(JointDistribution(*map(fraction, cells[i : i + 4])) for i in range(0, 16, 4)))
+        object.__setattr__(table, "_scaled_cells", (cells, d))
+        return table
 
     @cached_property
     def _scaled_cells(self) -> tuple[tuple, int | None]:
@@ -134,7 +169,7 @@ def correlation(dist: JointDistribution) -> Real:
     E = (P++ + P--) - (P+- + P-+), always in [-1, 1].
     """
     cells, d = _scaled(dist.probabilities())
-    return _unscaled(_correlation(*cells), d)
+    return _unscaler(d)(_correlation(*cells))
 
 
 CHSH_RANGE_TOL = 1e-9
@@ -191,7 +226,7 @@ def _cell_chsh(cells) -> tuple:
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
     cells, d = table._scaled_cells
-    return ChshQuantities(*(_unscaled(q, d) for q in _cell_chsh(cells)))
+    return ChshQuantities(*map(_unscaler(d), _cell_chsh(cells)))
 
 
 @dataclass(frozen=True)
@@ -227,10 +262,11 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
     (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
+    unscaled = _unscaler(d)
     checks = []
     for (name, value), n in zip(quantities.as_dict().items(), values):
         margin = abs(n) - scaled_bound
-        checks.append(BoundCheck(quantity=name, value=value, margin=_unscaled(margin, d), violated=margin > 0))
+        checks.append(BoundCheck(quantity=name, value=value, margin=unscaled(margin), violated=margin > 0))
     return BellBoundReport(bound=bound, checks=tuple(checks))
 
 
@@ -291,10 +327,11 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, d = table._scaled_cells
+    unscaled = _unscaler(d)
     comparisons, residuals = [], []
     for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second
-        values = (_unscaled(v, d) for v in (first, second, residual))
+        values = map(unscaled, (first, second, residual))
         comparisons.append(MarginalComparison(side, setting, outcome, partners, *values))
         residuals.append(abs(residual))
     # The first largest |residual|, as max() over the returned residuals picks it.
@@ -311,13 +348,11 @@ def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
     """:func:`chsh` and the largest |:func:`marginals` residual| of 16 integer cells over ``d``, row by row.
 
     No ``Fraction`` is built: each result is a numerator over ``d``.  As in
-    :class:`JointDistribution` and :class:`ChshQuantities`, a negative cell, a
-    row not summing to ``d`` or a combination outside [-4, 4] is an :class:`InvariantViolation`.
+    :meth:`ExperimentTable.from_numerators` and :class:`ChshQuantities`, a negative
+    cell, a row not summing to ``d`` > 0 or a combination outside [-4, 4] is an
+    :class:`InvariantViolation`.
     """
-    for label, i in zip(ROW_LABELS, range(0, 16, 4)):
-        row = cells[i : i + 4]
-        if min(row) < 0 or sum(row) != d:
-            raise InvariantViolation(f"{label}: cell numerators {tuple(row)} over {d} are not a distribution")
+    _check_numerators(cells, d)
     combinations = _cell_chsh(cells)
     for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
         if abs(q) > 4 * d:

@@ -40,8 +40,8 @@ of a trace line, per trial.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
 space and keeps every cell as an integer polynomial in (p_w, p_1);
 ``cell_numerators`` evaluates these cached polynomials exactly, as integer
-numerators over one denominator, and ``analytic_table`` reduces them into
-``fractions.Fraction`` cells.
+numerators over one denominator, and ``analytic_table`` builds from them the
+exact table that carries them (``ExperimentTable.from_numerators``).
 """
 
 from __future__ import annotations
@@ -523,10 +523,9 @@ def cell_numerators(variant: Variant, p_w: tuple[int, int], p_1: tuple[int, int]
 
 
 def analytic_table(config: StringModelConfig) -> ExperimentTable:
-    """Closed-form experiment table: :func:`cell_numerators` reduced by ``Fraction``."""
+    """Closed-form experiment table: :func:`cell_numerators` as an exact table that carries them."""
     p_w, p_1 = Fraction(config.p_w).as_integer_ratio(), Fraction(config.p_1).as_integer_ratio()
-    rows, d = cell_numerators(config.variant, p_w, p_1)
-    return ExperimentTable(*(JointDistribution(*(Fraction(n, d) for n in row)) for row in rows))
+    return ExperimentTable.from_numerators(*cell_numerators(config.variant, p_w, p_1))
 
 
 OutcomeFn = Callable[[object, str], int]

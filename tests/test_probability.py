@@ -24,6 +24,7 @@ from entangle_lab.probability import (
     frequency_table,
     marginals,
 )
+from entangle_lab.strings import StringModelConfig, Variant, analytic_table, cell_numerators
 
 HALF = Fraction(1, 2)
 
@@ -598,3 +599,77 @@ def test_exact_diagnostics_refuse_what_joint_distribution_and_chsh_quantities_re
     with pytest.raises(InvariantViolation) as got:
         exact_diagnostics([d, 0, 0, 0] * 4, d)
     assert str(got.value) == str(expected.value) == "a_chsh = Fraction(6, 1) outside [-4, 4]"
+
+
+# --- exact tables built from integer numerators ---
+
+exact_parameters = st.one_of(
+    st.sampled_from([0, HALF, 1, 0.0, 0.5, 1.0, 0.3, 1 - 2**-53]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.floats(0, 1),  # 2**54-sized denominators in every cell
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(list(Variant)), p_w=exact_parameters, p_1=exact_parameters)
+def test_numerator_tables_equal_the_generic_constructor(variant, p_w, p_1):
+    white = variant in (Variant.V1, Variant.V1_PRE_BROKEN)
+    config = StringModelConfig(variant=variant, p_w=None if white else p_w, p_1=p_1)
+    ratios = (Fraction(config.p_w).as_integer_ratio(), Fraction(config.p_1).as_integer_ratio())
+    rows, d = cell_numerators(variant, *ratios)
+    got = analytic_table(config)
+    plain = table_from_rows(*(tuple(Fraction(n, d) for n in row) for row in rows))
+    assert_same([dist.probabilities() for _, dist in got.rows()], [dist.probabilities() for _, dist in plain.rows()])
+    assert got == plain
+
+    quantities = chsh(got)
+    assert_same(quantities.as_tuple(), chsh(plain).as_tuple())
+    for tolerance in (0, 1e-9):
+        report, expected = marginals(got, tolerance), marginals(plain, tolerance)
+        assert_same([(c.first, c.second, c.residual) for c in report.comparisons], [(c.first, c.second, c.residual) for c in expected.comparisons])
+        assert_same(report.max_abs_residual, expected.max_abs_residual)
+        assert report == expected
+    bell = check_bell_bounds(quantities)
+    assert_same([c.margin for c in bell.checks], [c.margin for c in check_bell_bounds(chsh(plain)).checks])
+    assert bell == check_bell_bounds(chsh(plain))
+
+    combinations, residual = exact_diagnostics([n for row in rows for n in row], d)
+    expected = [Fraction(n, d) for n in (*combinations, residual)]
+    assert_same([*quantities.as_tuple(), marginals(got, 0).max_abs_residual], expected)
+
+
+def test_a_mixed_float_table_keeps_float_results():
+    # 1.0 and Fraction(1) are equal and hash alike; each result keeps its own type.
+    zero = Fraction(0)
+    rows = [(1.0, 0.0, 0.0, 0.0), (Fraction(1), zero, zero, zero), (HALF, HALF, zero, zero), (0.5, 0.5, 0.0, 0.0)]
+    table = table_from_rows(*rows)
+    quantities = chsh(table)
+    assert_same(quantities.as_tuple(), plain_chsh(rows))
+    report = marginals(table, 0)
+    comparisons, max_abs, violated = plain_marginals(rows, 0)
+    assert_same([(c.first, c.second, c.residual) for c in report.comparisons], comparisons)
+    assert_same(report.max_abs_residual, max_abs)
+    assert report.violated is violated
+    alice_a_plus = report.comparisons[0]
+    assert_same((alice_a_plus.first, alice_a_plus.second, alice_a_plus.residual), (1.0, Fraction(1), 0.0))
+    assert_same([c.margin for c in check_bell_bounds(quantities).checks], [m for m, _ in plain_bell_bounds(quantities.as_tuple(), 2)])
+
+
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([(-1, 8, 0, 0)] + [(7, 0, 0, 0)] * 3, 7),  # a negative numerator
+        ([(7, 0, 0, 0)] * 3 + [(7, 0, 0, 1)], 7),  # a row over d
+        ([(10**15 - 1, 0, 0, 0)] + [(10**15, 0, 0, 0)] * 3, 10**15),  # short of d by less than the float tolerance
+        ([(0, 0, 0, 0)] * 4, 0),
+        ([(-7, 0, 0, 0)] * 4, -7),  # each cell would be Fraction(1)
+    ],
+    ids=["negative", "over", "short", "d=0", "d<0"],
+)
+def test_numerator_tables_refuse_what_is_not_a_distribution(rows, d):
+    label = next(label for label, row in zip(probability.ROW_LABELS, rows) if min(row) < 0 or not sum(row) == d > 0)
+    message = rf"^{label}: cell numerators \(.*\) over {d} are not a distribution$"
+    with pytest.raises(InvariantViolation, match=message):
+        ExperimentTable.from_numerators(rows, d)
+    with pytest.raises(InvariantViolation, match=message):  # the one integer row check
+        exact_diagnostics([n for row in rows for n in row], d)
