@@ -81,6 +81,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ENTANGLE_LAB_SEED"
+#: Marginal-law tolerance of the quantum analytic table, whose cells are floats; an exact table's is 0.
 ANALYTIC_MARGINAL_TOL = 1e-9
 #: Traced trials per setting when ``--trace`` is given without ``--trace-limit``.
 TRACE_LIMIT = 100
@@ -177,12 +178,12 @@ def _diagnostics(table, tolerance) -> dict:
     }
 
 
-def _table_sections(analytic, sampled, counts, trials):
+def _table_sections(analytic, analytic_tol, sampled, counts, trials):
     """JSON result sections shared by the table and quantum commands."""
     results = {
         "analytic": {
             "table": table_to_json(analytic, rationals=True),
-            **_diagnostics(analytic, ANALYTIC_MARGINAL_TOL),
+            **_diagnostics(analytic, analytic_tol),
         },
         "sampled": None,
     }
@@ -241,7 +242,7 @@ def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         "length_l": float(config.length_l),
         "trials_per_setting": args.trials,
     }
-    return config_echo, _table_sections(analytic, sampled, counts, args.trials), _table_csv(analytic, sampled)
+    return config_echo, _table_sections(analytic, 0, sampled, counts, args.trials), _table_csv(analytic, sampled)
 
 
 def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
@@ -302,7 +303,7 @@ def _cmd_quantum(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         "mixed": bool(args.mixed),
         "trials_per_setting": args.trials,
     }
-    return config_echo, _table_sections(analytic, sampled, counts, args.trials), _table_csv(analytic, sampled)
+    return config_echo, _table_sections(analytic, ANALYTIC_MARGINAL_TOL, sampled, counts, args.trials), _table_csv(analytic, sampled)
 
 
 def _collapse_geometry(costheta: float):

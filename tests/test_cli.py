@@ -67,6 +67,19 @@ class TestTable:
         assert sampled["marginals"]["tolerance"] == pytest.approx(4 / math.sqrt(20000))
         assert abs(sampled["chsh"]["a_chsh"] - 4.0) < 0.1
 
+    @pytest.mark.parametrize("pw", ["0.5000000001", "0.500000001"])
+    def test_an_exact_table_gets_an_exact_marginal_verdict(self, capsys, pw):
+        # Residuals of 1e-10 and 1e-9 were once forgiven by a float tolerance of 1e-9.
+        marginal = run_json(capsys, "table", "--variant", "v3", "--pw", pw)["results"]["analytic"]["marginals"]
+        assert 0 < marginal["max_abs_residual"] <= 1e-9
+        assert marginal["tolerance"] == 0
+        assert marginal["violated"] is True
+
+    def test_the_quantum_analytic_table_keeps_its_float_tolerance(self, capsys):
+        marginal = run_json(capsys, "quantum", "--alpha", "0.785")["results"]["analytic"]["marginals"]
+        assert marginal["tolerance"] == cli.ANALYTIC_MARGINAL_TOL
+        assert marginal["violated"] is False
+
     def test_rational_echo(self, capsys):
         report = run_json(capsys, "table", "--variant", "v1")
         assert report["results"]["analytic"]["table"]["ab"]["exact"]["pm"] == "1/2"

@@ -40,7 +40,7 @@ TRACE_DIGESTS = {
 }
 
 REPORT_DIGESTS = {
-    "table": "fc16429d8b5ac015ee93d993722ace5743de32b385288ad3117dd347f4e3f03d",
+    "table": "04df0dc938b96b6df291247586487da94f3481d8fcfd9e9362e2cb63a6640cbe",
     "scan": "f758bfb63e17583f9a4416014970a349b8aa32c6f8599099c285fcd586cec5f3",
     "quantum": "36658f5e327f0a3692f66b012b696bfa096544a1fde780352f3da8e0f36b2b5f",
     "collapse": "162e2ff68c305854abb89648de0c226804bed5218035daf963d81895ede24f51",
@@ -101,7 +101,7 @@ EXACT_ARGS = {
 }
 
 EXACT_DIGESTS = {
-    "table_v3": "831b4d065a88f35276af1e18af0bd9a9d6f4a5831355fded2c8aa0441faec3da",
+    "table_v3": "d8dcfdfe40f92976bac83ad58e12a59a4005461e173feeeab519c025d222b9c4",
     "scan_v2": "a058fcde3dfa57c2a3716d5d9cb0a4ea78e5cc73eb4206e193fbd127a332386d",
     "scan_v4_pw": "4881059fd35889b96ede7632b4f17fc0d0637981ec822061ab8d0a298948ced4",
     "scan_v3_csv": "3fa86fc551c6e59f9d1c22b453b80fb22989196bc6f55b8f543a1a9b02b1eef9",

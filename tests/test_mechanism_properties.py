@@ -297,6 +297,26 @@ def test_every_scan_row_equals_the_fraction_path(variant, data):
         assert row == [float(v) for v in fraction_path_values(config)]
 
 
+near_half = st.one_of(
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    st.floats(0.5 - 1e-8, 0.5 + 1e-8),
+)
+
+
+@property_settings
+@given(variant=st.sampled_from([Variant.V3, Variant.V4]), p_w=near_half, p_1=probabilities.map(float))
+def test_the_table_marginal_verdict_is_exact_near_half(variant, p_w, p_1):
+    argv = ["table", "--variant", variant.value, "--pw", repr(p_w)] + (["--p1", repr(p_1)] if variant is Variant.V4 else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    verdict = json.loads(out.getvalue())["results"]["analytic"]["marginals"]
+    config = StringModelConfig(variant=variant, p_w=p_w, p_1=p_1 if variant is Variant.V4 else None)
+    residual = marginals(analytic_table(config), 0).max_abs_residual
+    assert verdict["violated"] is (residual != 0)
+    assert verdict["max_abs_residual"] == float(residual)
+
+
 ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 
 
