@@ -17,6 +17,16 @@ four and ``scan_tsirelson`` a batch of four pairs per angle, with
 ``probability``'s CHSH expressions applied to arrays.  The arithmetic per cell
 is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched values are
 bit-identical to a one-cell-at-a-time loop.
+
+One tolerance rule: a state that passes :func:`validate_state`, measured along
+axes that pass the axis check, is never refused by :func:`joint_probabilities`,
+whose probabilities are checked against ``NORMALIZATION_TOL`` (1e-12).  For a
+rank-one projector P, Tr[rho P] >= lambda_min(rho), and an axis of norm 1 + e
+moves a projector's eigenvalues by e/2.  So with ``PSD_TOL``, ``TRACE_TOL`` and
+``AXIS_NORM_TOL`` each 1e-13, every probability lies within 5e-13 of [0, 1] and
+every clamped row sums to 1 within 6e-13, with room left for rounding.  The
+eigenvalue test reads the Hermitian part (rho + rho^H)/2, the part whose traces
+the probabilities are.
 """
 
 from __future__ import annotations
@@ -39,10 +49,10 @@ from .probability import (
 )
 from .rng import DOMAIN_QUANTUM_SAMPLING, count_outcomes, sign_counts
 
-AXIS_NORM_TOL = 1e-12
+AXIS_NORM_TOL = 1e-13
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
+TRACE_TOL = 1e-13
+PSD_TOL = 1e-13
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,8 +110,9 @@ class AxisQuad:
 def validate_state(rho: np.ndarray) -> np.ndarray:
     """Check that a 4x4 matrix is a density matrix, the one check of every state.
 
-    Finite entries, Hermitian within 1e-12, unit trace within 1e-12 and
-    smallest eigenvalue >= -1e-10.  Raises InvariantViolation otherwise.
+    Finite entries, Hermitian within 1e-12, unit trace within 1e-13 and the
+    smallest eigenvalue of the Hermitian part >= -1e-13 (the module's tolerance
+    rule).  Raises InvariantViolation otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -114,7 +125,7 @@ def validate_state(rho: np.ndarray) -> np.ndarray:
         raise InvariantViolation("state is not Hermitian")
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         raise InvariantViolation(f"state trace {trace!r} deviates from 1")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    min_eig = float(np.linalg.eigvalsh(rho / 2 + rho.conj().T / 2).min())
     if min_eig < -PSD_TOL:
         raise InvariantViolation(f"state is not positive semidefinite (min eigenvalue {min_eig})")
     return rho

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entangle_lab.probability import ExperimentTable, InvariantViolation, JointDistribution, chsh, correlation, marginals
+from entangle_lab.probability import (
+    NORMALIZATION_TOL,
+    ExperimentTable,
+    InvariantViolation,
+    JointDistribution,
+    chsh,
+    correlation,
+    marginals,
+)
 from entangle_lab.quantum import (
+    AXIS_NORM_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -394,3 +405,55 @@ class TestBatchedKernel:
             unit_axis([math.nan, 0.0, 1.0])
         with pytest.raises(ValueError):
             product_state([math.inf, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
+# --- one tolerance rule: a validated state is never refused ---
+
+
+def test_a_state_the_probabilities_would_refuse_is_refused_by_validation():
+    # lambda_min = -5e-11 once passed validate_state, and joint_probabilities then refused P = -5e-11.
+    rho = np.diag([0.5, -5e-11, 0.5 + 5e-11, 0.0]).astype(complex)
+    with pytest.raises(InvariantViolation, match=r"not positive semidefinite \(min eigenvalue -5e-11\)"):
+        validate_state(rho)
+    # Trace and axis norm at their old 1e-12 tolerances once gave P++ = 1 + 1.8e-12.
+    with pytest.raises(InvariantViolation, match="trace"):
+        validate_state(np.diag([1 + 0.9e-12, 0.0, 0.0, 0.0]).astype(complex))
+    with pytest.raises(InvariantViolation, match="deviates from 1"):
+        unit_axis([0.0, 0.0, 1 + 0.9e-12])
+
+
+def test_the_eigenvalue_test_reads_the_hermitian_part():
+    # A lower triangle alone would read lambda_min = 0; (rho + rho^H)/2 has -5e-13.
+    rho = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+    rho[1, 3] = 1e-12
+    with pytest.raises(InvariantViolation, match="positive semidefinite"):
+        validate_state(rho)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), edge=st.sampled_from(["low", "high"]), stretch=st.sampled_from([-1, 0, 1]))
+def test_a_validated_state_is_never_refused_by_the_probabilities(seed, edge, stretch):
+    rng = np.random.default_rng(seed)
+    a, b = random_axes(rng, 2)
+    # The product eigenvector of P+(a) x P+(b) carries the extreme eigenvalue, so P++ reaches it.
+    plus_a, plus_b = (np.linalg.eigh(projector(n, 1))[1][:, -1] for n in (a, b))
+    basis = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    basis[:, 0] = np.kron(plus_a, plus_b)
+    basis = np.linalg.qr(basis)[0]
+    eps, excess = PSD_TOL * 0.99, TRACE_TOL * 0.99  # 0.99: room for the rounding of the construction
+    if edge == "low":  # lambda_min = -PSD_TOL on the measured product state
+        rest = rng.dirichlet(np.ones(3)) * (1 + eps)
+        eigenvalues = [-eps, *rest]
+    else:  # the largest P the tolerances allow: trace 1 + TRACE_TOL, three eigenvalues -PSD_TOL
+        eigenvalues = [1 + excess + 3 * eps, -eps, -eps, -eps]
+    rho = basis @ np.diag(eigenvalues) @ basis.conj().T
+    rho = validate_state((rho + rho.conj().T) / 2)
+    # Axes as long or short as the axis check allows, then random unit ones.
+    scale = 1 + stretch * AXIS_NORM_TOL * 0.99
+    alice = np.vstack([a * scale, random_axes(rng, 3)])
+    bob = np.vstack([b * scale, random_axes(rng, 3)])
+    probs = joint_probabilities(rho, alice, bob)
+    assert ((0 <= probs) & (probs <= 1)).all()
+    assert np.abs(probs.sum(axis=1) - 1).max() <= NORMALIZATION_TOL
+    assert probs[0, 0] == (0.0 if edge == "low" else 1.0)
+    table_for_axes(rho, AxisQuad(a * scale, alice[1], b * scale, bob[1]))
