@@ -9,11 +9,10 @@ no-signaling (marginal-law) residuals are derived.
 Probabilities may be floats or exact (ints and ``fractions.Fraction``); every
 operation runs one expression tree for both.  All-exact inputs enter it as
 integer numerators over one common denominator ``d``, and every value computed
-from them is returned as a ``Fraction(n, d)``, built once per distinct ``n``;
-with a float among the inputs, they enter it unchanged and the result carries
-Python's float bits.  An exact table built by :meth:`ExperimentTable.from_numerators`
-carries the integer numerators it was made from, so :func:`chsh` and
-:func:`marginals` read them without rebuilding their common denominator.
+from them is returned as a ``Fraction(n, d)``, one per distinct ``n``; with a
+float among the inputs, they enter it unchanged and the result carries Python's
+float bits.  An exact table carries the numerators it was built from
+(:meth:`ExperimentTable.from_numerators`), so no common denominator is rebuilt.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ def _unscaler(d: int | None):
 
 
 def _check_numerators(cells, d: int) -> None:
-    """Refuse 16 integer cells over ``d``, row by row, unless each row is a distribution:
-    every numerator >= 0 and the row summing to ``d`` > 0."""
+    """Refuse 16 integer cells over ``d`` unless each row is >= 0 and sums to ``d`` > 0."""
     for label, i in zip(ROW_LABELS, range(0, 16, 4)):
         row = cells[i : i + 4]
         if min(row) < 0 or not sum(row) == d > 0:
@@ -79,28 +77,24 @@ class JointDistribution:
 
     def __post_init__(self):
         scaled, d = _scaled(self.probabilities())
-        names = ("p_pp", "p_pm", "p_mp", "p_mm")
-        if d is not None:  # integer numerators over d: range and sum tests in ints
-            for name, n in zip(names, scaled):
+        for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
+            if d is not None:  # an integer numerator over d
                 if not 0 <= n <= d:
                     raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
-            total, one = sum(scaled), d
-        else:
-            for name, n in zip(names, scaled):
-                if isinstance(n, float):
-                    if not n == n:  # NaN
-                        raise InvariantViolation(f"{name} is NaN")
-                    if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
-                        raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
-                    object.__setattr__(self, name, min(max(n, 0.0), 1.0))  # absorb float round-off at the edges
-                elif not isinstance(n, Real):
-                    raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
-                elif not 0 <= n <= 1:  # also rejects a NaN that is not a float, e.g. np.float32
+            elif isinstance(n, float):
+                if not n == n:  # NaN
+                    raise InvariantViolation(f"{name} is NaN")
+                if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
                     raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
-            p_pp, p_pm, p_mp, p_mm = self.probabilities()  # the clamped cells
-            total, one = p_pp + p_pm + p_mp + p_mm, 1
+                object.__setattr__(self, name, min(max(n, 0.0), 1.0))  # absorb float round-off at the edges
+            elif not isinstance(n, Real):
+                raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
+            elif not 0 <= n <= 1:  # also rejects a NaN that is not a float, e.g. np.float32
+                raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
+        p = scaled if d is not None else self.probabilities()  # floats as clamped
+        total = p[0] + p[1] + p[2] + p[3]
         # Exact first: only a row that misses 1 builds its total (a Fraction if scaled).
-        if total != one:
+        if total != (d or 1):
             total = _unscaler(d)(total)
             if abs(total - 1) > NORMALIZATION_TOL:
                 raise InvariantViolation(f"outcome probabilities sum to {total!r}, not 1")
@@ -124,12 +118,8 @@ class ExperimentTable:
 
     @classmethod
     def from_numerators(cls, rows, d: int) -> ExperimentTable:
-        """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``.
-
-        Each row must be a distribution over ``d`` (an :class:`InvariantViolation`
-        otherwise); its cells are the reduced ``Fraction(n, d)``, one per distinct
-        numerator, and the table keeps ``(numerators, d)`` as its :attr:`_scaled_cells`.
-        """
+        """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``, each a
+        distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as :attr:`_scaled_cells`."""
         cells = tuple(n for row in rows for n in row)
         _check_numerators(cells, d)
         fraction = _unscaler(d)
@@ -331,8 +321,7 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     comparisons, residuals = [], []
     for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second
-        values = map(unscaled, (first, second, residual))
-        comparisons.append(MarginalComparison(side, setting, outcome, partners, *values))
+        comparisons.append(MarginalComparison(side, setting, outcome, partners, *map(unscaled, (first, second, residual))))
         residuals.append(abs(residual))
     # The first largest |residual|, as max() over the returned residuals picks it.
     max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)
@@ -347,10 +336,8 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
 def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
     """:func:`chsh` and the largest |:func:`marginals` residual| of 16 integer cells over ``d``, row by row.
 
-    No ``Fraction`` is built: each result is a numerator over ``d``.  As in
-    :meth:`ExperimentTable.from_numerators` and :class:`ChshQuantities`, a negative
-    cell, a row not summing to ``d`` > 0 or a combination outside [-4, 4] is an
-    :class:`InvariantViolation`.
+    No ``Fraction`` is built: each result is a numerator over ``d``.  As in :meth:`ExperimentTable.from_numerators` and
+    :class:`ChshQuantities`, a row that is not a distribution or a combination outside [-4, 4] is an :class:`InvariantViolation`.
     """
     _check_numerators(cells, d)
     combinations = _cell_chsh(cells)

@@ -19,14 +19,12 @@ is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched values are
 bit-identical to a one-cell-at-a-time loop.
 
 One tolerance rule: a state that passes :func:`validate_state`, measured along
-axes that pass the axis check, is never refused by :func:`joint_probabilities`,
-whose probabilities are checked against ``NORMALIZATION_TOL`` (1e-12).  For a
-rank-one projector P, Tr[rho P] >= lambda_min(rho), and an axis of norm 1 + e
-moves a projector's eigenvalues by e/2.  So with ``PSD_TOL``, ``TRACE_TOL`` and
-``AXIS_NORM_TOL`` each 1e-13, every probability lies within 5e-13 of [0, 1] and
-every clamped row sums to 1 within 6e-13, with room left for rounding.  The
-eigenvalue test reads the Hermitian part (rho + rho^H)/2, the part whose traces
-the probabilities are.
+axes that pass the axis check, is never refused by :func:`joint_probabilities`'s
+``NORMALIZATION_TOL`` (1e-12).  As Tr[rho P] >= lambda_min(rho) for a rank-one
+projector P, and an axis of norm 1 + e moves its projectors' eigenvalues by e/2,
+``PSD_TOL``, ``TRACE_TOL`` and ``AXIS_NORM_TOL`` of 1e-13 keep each probability
+within 5e-13 of [0, 1] and each clamped row sum within 6e-13 of 1.  The
+eigenvalue test reads the Hermitian part, whose traces the probabilities are.
 """
 
 from __future__ import annotations
@@ -110,9 +108,8 @@ class AxisQuad:
 def validate_state(rho: np.ndarray) -> np.ndarray:
     """Check that a 4x4 matrix is a density matrix, the one check of every state.
 
-    Finite entries, Hermitian within 1e-12, unit trace within 1e-13 and the
-    smallest eigenvalue of the Hermitian part >= -1e-13 (the module's tolerance
-    rule).  Raises InvariantViolation otherwise.
+    Finite entries, Hermitian within 1e-12, unit trace within 1e-13 and the Hermitian
+    part's smallest eigenvalue >= -1e-13.  Raises InvariantViolation otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
