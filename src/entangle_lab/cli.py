@@ -81,8 +81,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ENTANGLE_LAB_SEED"
-#: Marginal-law tolerance of the quantum analytic table, whose cells are floats; an exact table's is 0.
-ANALYTIC_MARGINAL_TOL = 1e-9
+ANALYTIC_MARGINAL_TOL = 1e-9  # the quantum analytic table's, whose cells are floats; an exact table's is 0
 #: Traced trials per setting when ``--trace`` is given without ``--trace-limit``.
 TRACE_LIMIT = 100
 #: Most ``scan --steps``: a larger grid is refused before it is allocated.

@@ -18,6 +18,7 @@ float bits.  An exact table carries the numerators it was built from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,7 +121,7 @@ class ExperimentTable:
     def from_numerators(cls, rows, d: int) -> ExperimentTable:
         """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``, each a
         distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as :attr:`_scaled_cells`."""
-        cells = tuple(n for row in rows for n in row)
+        cells, d = tuple(operator.index(n) for row in rows for n in row), operator.index(d)  # numpy ints as ints
         _check_numerators(cells, d)
         fraction = _unscaler(d)
         table = cls(*(JointDistribution(*map(fraction, cells[i : i + 4])) for i in range(0, 16, 4)))

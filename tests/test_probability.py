@@ -673,3 +673,13 @@ def test_numerator_tables_refuse_what_is_not_a_distribution(rows, d):
         ExperimentTable.from_numerators(rows, d)
     with pytest.raises(InvariantViolation, match=message):  # the one integer row check
         exact_diagnostics([n for row in rows for n in row], d)
+
+
+def test_numerator_tables_take_integers_only():
+    rows = np.array([[0, 7, 0, 0]] + [[7, 0, 0, 0]] * 3)
+    table = ExperimentTable.from_numerators(rows, np.int64(7))
+    cells, d = table._scaled_cells
+    assert {type(n) for n in (*cells, d)} == {int}
+    assert {type(p.numerator) for _, row in table.rows() for p in row.probabilities()} == {int}
+    with pytest.raises(TypeError):
+        ExperimentTable.from_numerators([(3.5, 3.5, 0, 0)] * 4, 7)
