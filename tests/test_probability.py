@@ -656,18 +656,17 @@ def test_a_mixed_float_table_keeps_float_results():
 
 
 @pytest.mark.parametrize(
-    "rows, d",
+    "rows, d, label",
     [
-        ([(-1, 8, 0, 0)] + [(7, 0, 0, 0)] * 3, 7),  # a negative numerator
-        ([(7, 0, 0, 0)] * 3 + [(7, 0, 0, 1)], 7),  # a row over d
-        ([(10**15 - 1, 0, 0, 0)] + [(10**15, 0, 0, 0)] * 3, 10**15),  # short of d by less than the float tolerance
-        ([(0, 0, 0, 0)] * 4, 0),
-        ([(-7, 0, 0, 0)] * 4, -7),  # each cell would be Fraction(1)
+        ([(-1, 8, 0, 0)] + [(7, 0, 0, 0)] * 3, 7, "AB"),  # a negative numerator
+        ([(7, 0, 0, 0)] * 3 + [(7, 0, 0, 1)], 7, "A'B'"),  # a row over d
+        ([(10**15 - 1, 0, 0, 0)] + [(10**15, 0, 0, 0)] * 3, 10**15, "AB"),  # short of d by less than the float tolerance
+        ([(0, 0, 0, 0)] * 4, 0, "AB"),
+        ([(-7, 0, 0, 0)] * 4, -7, "AB"),  # each cell would be Fraction(1)
     ],
     ids=["negative", "over", "short", "d=0", "d<0"],
 )
-def test_numerator_tables_refuse_what_is_not_a_distribution(rows, d):
-    label = next(label for label, row in zip(probability.ROW_LABELS, rows) if min(row) < 0 or not sum(row) == d > 0)
+def test_numerator_tables_refuse_what_is_not_a_distribution(rows, d, label):
     message = rf"^{label}: cell numerators \(.*\) over {d} are not a distribution$"
     with pytest.raises(InvariantViolation, match=message):
         ExperimentTable.from_numerators(rows, d)
