@@ -37,11 +37,15 @@ word ``PLANES * PLANE_WORDS + k`` of the same substream and its event is
 ``(w >> 8) < K & (2**56 - 1)``.  So P(U < K) = K / 2**64 exactly, which is p
 for every float p >= 2**-12.  A threshold of 0 or 1 is a constant and draws
 nothing, and a column that nothing tests is never drawn.  :class:`Block`
-makes these tests for one (setting, block); :func:`count_outcomes` is the
-one counting driver on this layout: it runs the (setting, block) tasks
-through :func:`map_blocks`, which deals tasks into one chunk per worker
-with one SFC64 bit generator each, re-keyed for every substream drawn, and
-it sums the per-block counts of a caller's outcome function as integers.
+makes these tests for a run of consecutive blocks of one setting, whose
+words are its blocks' words one after another, so that one pass of the
+plane chain, and of a caller's outcome function, covers the whole run; a
+tie path still runs block by block, as each block's tie words follow its
+own planes.  :func:`count_outcomes` is the one counting driver on this
+layout: it runs one task per (setting, run) through :func:`map_blocks`,
+which deals tasks into one chunk per worker with one SFC64 bit generator
+each, re-keyed for every substream drawn, and it sums the per-run counts of
+a caller's outcome function as integers.
 The string table, the quantum table and the Bloch collapse all sample
 through it, and the Bloch average draws its float blocks through
 :func:`map_blocks` too, each at most ``MAX_BLOCKS`` blocks per setting.
@@ -97,9 +101,10 @@ _LOW_BITS = (1 << (64 - PLANES)) - 1
 
 _ALL, _NONE = np.uint64(_U64), np.uint64(0)
 
-#: The ``valid`` mask of a full block, shared read-only.
-_FULL_BLOCK = np.full(PLANE_WORDS, _ALL)
-_FULL_BLOCK.setflags(write=False)
+#: Most blocks in one :class:`Block` of :func:`count_outcomes`: 2**18 trials,
+#: whose events are 32 KiB arrays.  Longer runs were slower: their larger
+#: temporaries made the allocator hand pages back and re-fault them per task.
+_RUN_BLOCKS = 4
 
 
 def stream_key(master_seed: int, *path: int) -> int:
@@ -155,28 +160,31 @@ def _by_pick(flag_0: int, flag_1: int, pick: np.ndarray | None) -> np.ndarray:
 
 
 class Block:
-    """The threshold events of one (setting, block) of trials, packed into words.
+    """The threshold events of a run of consecutive blocks of one setting, packed into words.
 
-    Trial ``block_index * TRIAL_BLOCK + r`` is bit ``r % 64`` of word
-    ``r // 64`` of every event.  ``valid`` has the bits of the ``rows`` trials
-    set, and the events :meth:`below` returns are zero beyond them.  Each
-    test draws its column's leading planes; ``bit_generator`` is re-keyed for
-    every column drawn.
+    The run starts at block ``block_index`` and its ``rows`` trials, at most
+    ``max_blocks * TRIAL_BLOCK``, fill ``ceil(rows / TRIAL_BLOCK)`` blocks,
+    all but the last whole.  Its words
+    are the row-major stack of its blocks' words, ``PLANE_WORDS`` to a block;
+    a block fills whole words, so trial ``block_index * TRIAL_BLOCK + r`` is
+    bit ``r % 64`` of word ``r // 64`` of every event, for a run as for one
+    block.  ``valid`` has the bits of the ``rows`` trials set, and the events
+    :meth:`below` returns are zero beyond them.  Each test draws its column's
+    leading planes from every block's own substream; ``bit_generator`` is
+    re-keyed for every (block, column) drawn.
     """
 
     def __init__(
         self, master_seed: int, domain: int, setting_index: int, block_index: int, rows: int,
-        bit_generator: np.random.SFC64 | None = None,
+        bit_generator: np.random.SFC64 | None = None, *, max_blocks: int = 1,
     ):
-        if not 0 < rows <= TRIAL_BLOCK:
-            raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
+        if not 0 < rows <= max_blocks * TRIAL_BLOCK:
+            raise ValueError(f"rows must be in [1, {max_blocks * TRIAL_BLOCK}], got {rows}")
         self.path = (master_seed, domain, setting_index, block_index)
         self.rows = rows
         self.words = -(-rows // 64)
-        self.valid = _FULL_BLOCK
-        if rows < TRIAL_BLOCK:
-            self.valid = np.full(self.words, _ALL)
-            self.valid[-1] >>= np.uint64(-rows % 64)
+        self.valid = np.full(self.words, _ALL)
+        self.valid[-1] >>= np.uint64(-rows % 64)
         self._bit_generator = np.random.SFC64(0) if bit_generator is None else bit_generator
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
@@ -193,59 +201,88 @@ class Block:
         if not inside:
             return always & self.valid
         m = max(map(_planes_read, inside))
-        stream = bit_stream(*self.path, column, bit_generator=self._bit_generator)
-        planes = stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)[:, : self.words]
-        k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[-1] >> 63 - j & 1, pick) for j in range(m)]
-        # MSB first: ``agree`` holds the trials whose U has matched their key
-        # on every plane so far, and the first plane where they differ
-        # decides: U < K where the key has the bit there.  Both stay within
-        # the valid bits.
-        clear = ~planes  # U's zero bits
-        below, agree = None, self.valid
-        tie_path = m == PLANES and any(k & _LOW_BITS for k in inside)
-        for j, k_bit in enumerate(k_bits):
-            if k_bit is _NONE:
-                decided, match = None, clear[j]
-            elif k_bit is _ALL:
-                decided, match = agree & clear[j], planes[j]
-            else:
-                decided, match = agree & clear[j] & k_bit, ~(planes[j] ^ k_bit)
-            if decided is not None:
-                below = decided if below is None else below | decided
-            if tie_path or j < m - 1:
-                agree = agree & match
-        if below is None:
-            below = np.zeros(self.words, dtype=np.uint64)
-        if tie_path:
-            # The stream stands at its first tie word.
-            tied = agree & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
-            below |= self._break_ties(stream, tied, keys, pick)
+        if m == PLANES and any(k & _LOW_BITS for k in inside):
+            # A block's tie words follow its planes on its own stream, which
+            # the next block re-keys: the chain runs one block at a time.
+            below = np.empty(self.words, dtype=np.uint64)
+            for words, stream, planes in self._draws(column, m):
+                below[words] = _chain(planes, keys, None if pick is None else pick[words], self.valid[words], stream)
+        else:
+            planes = np.empty((m, self.words), dtype=np.uint64)
+            for words, _stream, drawn in self._draws(column, m):
+                planes[:, words] = drawn
+            below = _chain(planes, keys, pick, self.valid)
         if always is not _NONE:
             below |= always & self.valid
         return below
 
-    def _break_ties(self, stream, tied: np.ndarray, keys, pick) -> np.ndarray:
-        """The events of the ``tied`` trials, by the stream's next words; zero elsewhere.
+    def _draws(self, column: int, m: int):
+        """Yield each block's slice of the words, its stream and the stream's first ``m`` planes over that slice.
 
-        The k-th tied trial, in trial order, takes word k: its event is the
-        word's top 56 bits below its key's low bits.
+        A block's stream is yielded standing at its first tie word, and is
+        re-keyed for the next block.
         """
-        events = np.zeros(self.words, dtype=np.uint64)
-        words = tied.nonzero()[0]  # about a quarter of the words hold a tied trial: unpack only those
-        bits = np.unpackbits(tied[words].astype("<u8", copy=False).view(np.uint8), bitorder="little").view(bool)
-        positions = bits.nonzero()[0]
-        if positions.size:
-            low = np.array([k & _LOW_BITS for k in keys], dtype=np.uint64)
-            if pick is not None:
-                picked = np.unpackbits(pick[words].astype("<u8", copy=False).view(np.uint8), bitorder="little")
-                low = low[picked[positions]]
-            bits[positions] = (stream.random_raw(positions.size) >> np.uint64(PLANES)) < low
-            events[words] = np.packbits(bits, bitorder="little").view("<u8")
-        return events
+        seed, domain, si, first = self.path
+        for start in range(0, self.words, PLANE_WORDS):
+            words = slice(start, min(start + PLANE_WORDS, self.words))
+            stream = bit_stream(seed, domain, si, first + start // PLANE_WORDS, column, bit_generator=self._bit_generator)
+            yield words, stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)[:, : words.stop - start]
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
         """The block's packed ``words`` as one bool per trial."""
         return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=self.rows, bitorder="little").view(bool)
+
+
+def _chain(planes: np.ndarray, keys, pick, valid: np.ndarray, tie_stream=None) -> np.ndarray:
+    """The events U < K decided by ``planes`` (MSB first) within ``valid``; ``pick`` as in :meth:`Block.below`.
+
+    With ``tie_stream``, the stream standing at the first tie word of these
+    planes, the trials still tied after them take their tie words.
+    """
+    k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[-1] >> 63 - j & 1, pick) for j in range(len(planes))]
+    # MSB first: ``agree`` holds the trials whose U has matched their key
+    # on every plane so far, and the first plane where they differ
+    # decides: U < K where the key has the bit there.  Both stay within
+    # the valid bits.
+    clear = ~planes  # U's zero bits
+    below, agree = None, valid
+    for j, k_bit in enumerate(k_bits):
+        if k_bit is _NONE:
+            decided, match = None, clear[j]
+        elif k_bit is _ALL:
+            decided, match = agree & clear[j], planes[j]
+        else:
+            decided, match = agree & clear[j] & k_bit, ~(planes[j] ^ k_bit)
+        if decided is not None:
+            below = decided if below is None else below | decided
+        if tie_stream is not None or j < len(planes) - 1:
+            agree = agree & match
+    if below is None:
+        below = np.zeros_like(valid)
+    if tie_stream is not None:
+        tied = agree & _by_pick(keys[0] & _LOW_BITS, keys[-1] & _LOW_BITS, pick)
+        below |= _break_ties(tie_stream, tied, keys, pick)
+    return below
+
+
+def _break_ties(stream, tied: np.ndarray, keys, pick) -> np.ndarray:
+    """The events of the ``tied`` trials, by the stream's next words; zero elsewhere.
+
+    The k-th tied trial, in trial order, takes word k: its event is the
+    word's top 56 bits below its key's low bits.
+    """
+    events = np.zeros_like(tied)
+    words = tied.nonzero()[0]  # about a quarter of the words hold a tied trial: unpack only those
+    bits = np.unpackbits(tied[words].astype("<u8", copy=False).view(np.uint8), bitorder="little").view(bool)
+    positions = bits.nonzero()[0]
+    if positions.size:
+        low = np.array([k & _LOW_BITS for k in keys], dtype=np.uint64)
+        if pick is not None:
+            picked = np.unpackbits(pick[words].astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            low = low[picked[positions]]
+        bits[positions] = (stream.random_raw(positions.size) >> np.uint64(PLANES)) < low
+        events[words] = np.packbits(bits, bitorder="little").view("<u8")
+    return events
 
 
 def block_uniforms(master_seed: int, domain: int, setting_index: int, block_index: int, rows: int) -> np.ndarray:
@@ -261,17 +298,18 @@ def block_uniforms(master_seed: int, domain: int, setting_index: int, block_inde
     return uniforms(rows, master_seed, domain, setting_index, block_index, 0)
 
 
-def iter_block_slices(end: int, start: int = 0):
-    """Yield (block_index, first_trial, rows) for the blocks that hold trials [start, end).
+def iter_block_slices(end: int, start: int = 0, *, blocks: int = 1):
+    """Yield (block_index, first_trial, rows) for the runs of ``blocks`` blocks that hold trials [start, end).
 
-    ``first_trial`` is the block's first trial and ``rows`` counts from it
-    to ``end`` or the end of the block, so the cost is one step per block
-    in the range, whatever ``start`` is.
+    A run starts at block ``block_index``, ``first_trial`` is its first
+    trial, and ``rows`` counts from it to ``end`` or the end of the run, so
+    the cost is one step per run in the range, whatever ``start`` is.  The
+    first run starts at the block holding ``start``.
     """
     if start < end:
-        for block_index in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK)):
+        for block_index in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK), blocks):
             first = block_index * TRIAL_BLOCK
-            yield block_index, first, min(end - first, TRIAL_BLOCK)
+            yield block_index, first, min(end - first, blocks * TRIAL_BLOCK)
 
 
 def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, rows: int) -> tuple[int, int, int, int]:
@@ -329,18 +367,20 @@ def count_outcomes(
     """Outcome counts of ``n_trials`` trials per setting, shape (n_settings, n_cells).
 
     ``outcome(setting_index, block)`` returns the ``n_cells`` counts of the
-    ``block.rows`` trials of one :class:`Block`.  The (setting, block) tasks
-    run through :func:`map_blocks`.  The counts are integer sums over blocks
-    whose events depend only on the block layout, so they are bit-identical
-    for any ``workers`` value.
+    ``block.rows`` trials of one :class:`Block`, a run of at most
+    ``_RUN_BLOCKS`` blocks.  The (setting, run) tasks run through
+    :func:`map_blocks`.  The counts are integer sums over runs whose events
+    depend only on the block layout, so they are bit-identical for any
+    ``workers`` value.
     """
     if not 1 <= n_trials <= MAX_BLOCKS * TRIAL_BLOCK:
         raise ValueError(f"n_trials must lie in [1, {MAX_BLOCKS * TRIAL_BLOCK}], got {n_trials}")
-    tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in iter_block_slices(n_trials)]
+    runs = list(iter_block_slices(n_trials, blocks=_RUN_BLOCKS))
+    tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in runs]
 
     def run(task, bit_generator):
         si, block, rows = task
-        return outcome(si, Block(master_seed, domain, si, block, rows, bit_generator))
+        return outcome(si, Block(master_seed, domain, si, block, rows, bit_generator, max_blocks=_RUN_BLOCKS))
 
     counts = np.zeros((n_settings, n_cells), dtype=np.int64)
     for (si, _block, _rows), cells in zip(tasks, map_blocks(tasks, run, workers=workers)):

@@ -28,8 +28,8 @@ selections, and the cut (the test at p = 1/2) only where a string splits.  A
 threshold at 0 or 1 gives a constant event and draws nothing.  The outcome
 rule is bitwise throughout, so one copy serves packed words, bool arrays
 and Python int bitsets.  ``estimate_table`` samples through
-``rng.count_outcomes``: the kernel runs on each block's words and
-``rng.sign_counts`` counts the block's four cells from the two masks.
+``rng.count_outcomes``: the kernel runs once on each run of blocks' words
+and ``rng.sign_counts`` counts the run's four cells from the two masks.
 ``_trace_columns``, the trace's one replay, asks the same blocks for the
 same events, unpacks them to one bool per trial and returns one block's
 traced trials as columns; its break position is the cut bit plus a
@@ -59,7 +59,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .probability import ExperimentTable, JointDistribution, frequency_table
+from .probability import NORMALIZATION_TOL, ExperimentTable, JointDistribution, frequency_table
 from .rng import (
     DOMAIN_STRING_TRACE,
     DOMAIN_STRING_TRIALS,
@@ -555,7 +555,7 @@ def lhv_table(
     if any(w != w or abs(w) == math.inf for w in weights):
         raise ValueError("weights must be finite, not NaN or infinite")
     total = sum(weights)
-    if any(w < 0 for w in weights) or abs(total - 1) > 1e-12:
+    if any(w < 0 for w in weights) or abs(total - 1) > NORMALIZATION_TOL:
         raise ValueError("weights must be non-negative and sum to 1")
     dists = []
     for setting in SETTINGS:

@@ -162,9 +162,10 @@ def _three_cells(si, block):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
-    # Three blocks per setting, the last one partial; two settings give six
-    # tasks, so seven workers start six threads.  Column 1 tests 1/3, whose
-    # key has nonzero low bits, so tied trials draw tie words too.
+    # Three blocks per setting, the last one partial, make one run per
+    # setting; two settings give two tasks, so seven workers start two
+    # threads.  Column 1 tests 1/3, whose key has nonzero low bits, so tied
+    # trials draw tie words too.
     n_trials = 2 * TRIAL_BLOCK + 17
     expected = np.zeros((2, 3), dtype=np.int64)
     for si in range(2):
@@ -182,8 +183,8 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
         counts = count_outcomes(9, DOMAIN_STRING_TRIALS, 2, n_trials, 3, _three_cells, workers=workers)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, expected)
-    assert len(threads) <= min(workers, 6)
-    assert len(generators) == min(workers, 6)  # one reused bit generator per chunk
+    assert len(threads) <= min(workers, 2)
+    assert len(generators) == min(workers, 2)  # one reused bit generator per chunk
 
 
 @pytest.mark.parametrize("n_trials", [MAX_BLOCKS * TRIAL_BLOCK + 1, 10**12])
@@ -214,6 +215,38 @@ def test_count_outcomes_takes_max_blocks_per_setting():
     assert MAX_BLOCKS * TRIAL_BLOCK == 2**32
     counts = count_outcomes(0, DOMAIN_STRING_TRIALS, 1, 2**32, 1, lambda si, block: (block.rows,))
     assert counts.tolist() == [[2**32]]
+
+
+dyadic = st.integers(1, 255).map(lambda k: k / 256)  # at most 8 planes, no tie word
+tie_path = st.floats(2**-12, 1.0, exclude_max=True).filter(lambda p: key(p) & LOW_BITS)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_blocks=st.integers(rng._RUN_BLOCKS, 2 * rng._RUN_BLOCKS + 1),
+    tail=st.integers(1, TRIAL_BLOCK - 1),
+    p_dyadic=dyadic,
+    p_tie=tie_path,
+    pair=st.tuples(dyadic | tie_path | st.sampled_from([0.0, 1.0]), dyadic | tie_path),
+)
+def test_count_outcomes_over_runs_sums_single_block_counts(n_blocks, tail, p_dyadic, p_tie, pair):
+    # More than one run, the last block partial; column 2 tests the pair,
+    # picked per trial by column 0's event.
+    n_trials = n_blocks * TRIAL_BLOCK + tail
+    assert len(list(iter_block_slices(n_trials, blocks=rng._RUN_BLOCKS))) > 1
+
+    def eight_cells(si, block):
+        first = block.below(0, p_dyadic)
+        events = [first, block.below(1, p_tie), block.below(2, pair, pick=first)]
+        return np.bincount(sum(block.unpack(e).astype(int) << i for i, e in enumerate(events)), minlength=8)
+
+    expected = np.zeros((2, 8), dtype=np.int64)
+    for si in range(2):
+        for block, _start, rows in iter_block_slices(n_trials):
+            expected[si] += eight_cells(si, Block(4, DOMAIN_STRING_TRIALS, si, block, rows))
+    for workers in (1, 2):
+        counts = count_outcomes(4, DOMAIN_STRING_TRIALS, 2, n_trials, 8, eight_cells, workers=workers)
+        np.testing.assert_array_equal(counts, expected)
 
 
 def test_iter_block_slices_partitions_exactly():

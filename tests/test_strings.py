@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from byte_streams import feeding_rows, quantized
-from entangle_lab.probability import InvariantViolation, chsh, correlation, marginals
+from entangle_lab.probability import NORMALIZATION_TOL, InvariantViolation, chsh, correlation, marginals
 from entangle_lab.rng import TRIAL_BLOCK
 from entangle_lab.strings import (
     SETTINGS,
@@ -416,6 +416,23 @@ class TestLhvBaseline:
             lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0,), weights=(0.5,))
         with pytest.raises(ValueError):
             lhv_table(lambda lam, s: 0, lambda lam, s: 1, (0,))
+
+    @pytest.mark.parametrize("miss, accepted", [(Fraction(1, 2), True), (2, False)], ids=["half-tol", "twice-tol"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weights_may_miss_one_by_the_normalization_tolerance(self, miss, accepted, sign):
+        # Exact weights, so the miss is exactly miss * NORMALIZATION_TOL; Alice's
+        # outcome is lambda's, so each weight lands in a cell of its own.
+        weights = (Fraction(1, 2), Fraction(1, 2) + sign * miss * Fraction(NORMALIZATION_TOL))
+
+        def alice(lam, setting):
+            return 1 - 2 * lam
+
+        if accepted:
+            table = lhv_table(alice, lambda lam, s: 1, (0, 1), weights)
+            assert all(dist.probabilities() == (weights[0], 0, weights[1], 0) for _, dist in table.rows())
+        else:
+            with pytest.raises(ValueError, match="weights must be non-negative and sum to 1"):
+                lhv_table(alice, lambda lam, s: 1, (0, 1), weights)
 
 
 def test_estimated_correlations_track_analytic_for_the_two_string_model():
