@@ -299,12 +299,12 @@ def block_uniforms(master_seed: int, domain: int, setting_index: int, block_inde
 
 
 def iter_block_slices(end: int, start: int = 0, *, blocks: int = 1):
-    """Yield (block_index, first_trial, rows) for the runs of ``blocks`` blocks that hold trials [start, end).
+    """Yield (block_index, first_trial, rows) for the runs of at most ``blocks`` blocks that hold trials [start, end).
 
-    A run starts at block ``block_index``, ``first_trial`` is its first
-    trial, and ``rows`` counts from it to ``end`` or the end of the run, so
-    the cost is one step per run in the range, whatever ``start`` is.  The
-    first run starts at the block holding ``start``.
+    A run starts at block ``block_index``, the first at the block holding
+    ``start``; ``first_trial`` is its first trial, and ``rows`` counts from
+    it to ``end`` or the end of the run, so the cost is one step per run in
+    the range, whatever ``start`` is.
     """
     if start < end:
         for block_index in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK), blocks):
