@@ -17,8 +17,15 @@ state; a SHA-256 digest is already uniform over all 2**256 states and
 unrelated between paths, which is what that mixing approximates.  SFC64's
 counter word guarantees a period of at least 2**64 from any state, and a
 substream here yields far fewer words than that, so two substreams overlap
-only with negligible probability.  Setting the state directly costs
-about a tenth of constructing a seeded generator.
+only with negligible probability.  :func:`bit_stream` writes the key into
+the generator's state in place, through its public ``ctypes.state_address``,
+in numpy's ``sfc64_state`` layout: the four words in native order, then
+``has_uint32 = 0`` and ``uinteger = 0``.  Before it first keys a
+generator, it writes one key that way and compares it with what the
+``state`` setter makes; a mismatch raises ``RuntimeError``, so a numpy with
+another layout is refused, never silently mis-keyed.  The check waits for
+the first keying, not the import, because it needs ``numpy.random``, which
+an exact command never loads.
 
 Trial-indexed sampling uses one substream per (domain, setting, block,
 column), with ``TRIAL_BLOCK`` trials per block, and keeps every event packed:
@@ -61,6 +68,8 @@ Any change to the numbers a sampler yields must bump it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import struct
 from typing import Callable, Sequence
@@ -101,6 +110,16 @@ _LOW_BITS = (1 << (64 - PLANES)) - 1
 
 _ALL, _NONE = np.uint64(_U64), np.uint64(0)
 
+#: numpy's ``sfc64_state``: the four state words in native order, ``has_uint32``, ``uinteger``.
+_SFC64_STATE = struct.Struct("@4QiI")
+
+#: Most generators :func:`bit_stream` keeps a state view for; past it the views are dropped.
+_MAX_STATE_VIEWS = 64
+
+# Each SFC64's state bytes, keyed by the generator itself (it hashes by
+# identity), so an entry holds its generator alive along with the view.
+_state_views: dict = {}
+
 #: Most blocks in one :class:`Block` of :func:`count_outcomes`: 2**18 trials,
 #: whose events are 32 KiB arrays.  Longer runs were slower: their larger
 #: temporaries made the allocator hand pages back and re-fault them per task.
@@ -122,11 +141,47 @@ def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | No
     """
     if bit_generator is None:
         bit_generator = np.random.SFC64(0)
-    words = np.frombuffer(stream_key(master_seed, *path).to_bytes(32, "little"), dtype="<u8")
-    bit_generator.state = {
-        "bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0,
-    }
+    view = _state_views.get(bit_generator)
+    if view is None:
+        _check_state_layout()
+        view = _state_view(bit_generator)
+    key = stream_key(master_seed, *path)
+    _SFC64_STATE.pack_into(view, 0, key & _U64, key >> 64 & _U64, key >> 128 & _U64, key >> 192, 0, 0)
     return bit_generator
+
+
+def _state_view(bit_generator: np.random.SFC64) -> ctypes.Array:
+    """A writable view of the generator's ``sfc64_state``, kept in ``_state_views``."""
+    if not isinstance(bit_generator, np.random.SFC64):
+        raise TypeError(f"bit_generator must be an np.random.SFC64, got {type(bit_generator).__name__}")
+    if len(_state_views) >= _MAX_STATE_VIEWS:
+        _state_views.clear()
+    view = (ctypes.c_char * _SFC64_STATE.size).from_address(bit_generator.ctypes.state_address)
+    _state_views[bit_generator] = view
+    return view
+
+
+@functools.cache
+def _check_state_layout() -> None:
+    """Raise ``RuntimeError`` unless :func:`bit_stream` keys an SFC64 exactly as its ``state`` setter does.
+
+    It runs before the first generator is keyed, and again before each
+    keying of a new generator until it passes.
+    """
+    key = stream_key(0)
+    direct, by_setter = np.random.SFC64(0), np.random.SFC64(0)
+    np.random.Generator(direct).integers(1 << 32, dtype=np.uint32)  # has_uint32 and uinteger for the write to clear
+    _state_view(direct)  # made here, so that keying ``direct`` does not come back to this check
+    bit_stream(0, bit_generator=direct)
+    words = np.array([key >> 64 * i & _U64 for i in range(4)], dtype=np.uint64)
+    by_setter.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+    written, expected = direct.state, by_setter.state
+    if not (
+        np.array_equal(written["state"]["state"], expected["state"]["state"])
+        and (written["has_uint32"], written["uinteger"]) == (expected["has_uint32"], expected["uinteger"])
+        and np.array_equal(direct.random_raw(4), by_setter.random_raw(4))
+    ):
+        raise RuntimeError(f"numpy {np.__version__}: SFC64's state is not laid out as {_SFC64_STATE.format!r}")
 
 
 def uniforms(shape, master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.ndarray:
@@ -169,7 +224,8 @@ class Block:
     a block fills whole words, so trial ``block_index * TRIAL_BLOCK + r`` is
     bit ``r % 64`` of word ``r // 64`` of every event, for a run as for one
     block.  ``valid`` has the bits of the ``rows`` trials set, and the events
-    :meth:`below` returns are zero beyond them.  Each test draws its column's
+    :meth:`below` returns are zero beyond them; it is read-only, shared by
+    every Block of ``rows`` trials.  Each test draws its column's
     leading planes from every block's own substream; ``bit_generator`` is
     re-keyed for every (block, column) drawn.
     """
@@ -183,8 +239,7 @@ class Block:
         self.path = (master_seed, domain, setting_index, block_index)
         self.rows = rows
         self.words = -(-rows // 64)
-        self.valid = np.full(self.words, _ALL)
-        self.valid[-1] >>= np.uint64(-rows % 64)
+        self.valid = _valid_mask(rows)
         self._bit_generator = np.random.SFC64(0) if bit_generator is None else bit_generator
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
@@ -205,32 +260,48 @@ class Block:
             # A block's tie words follow its planes on its own stream, which
             # the next block re-keys: the chain runs one block at a time.
             below = np.empty(self.words, dtype=np.uint64)
-            for words, stream, planes in self._draws(column, m):
-                below[words] = _chain(planes, keys, None if pick is None else pick[words], self.valid[words], stream)
+            for start in range(0, self.words, PLANE_WORDS):
+                words = slice(start, start + PLANE_WORDS)
+                valid = self.valid[words]
+                stream, planes = self._planes(column, start, m)
+                picked = None if pick is None else pick[words]
+                below[words] = _chain(planes[:, : valid.size], keys, picked, valid, stream)
         else:
-            planes = np.empty((m, self.words), dtype=np.uint64)
-            for words, _stream, drawn in self._draws(column, m):
-                planes[:, words] = drawn
-            below = _chain(planes, keys, pick, self.valid)
+            drawn = [self._planes(column, start, m)[1] for start in range(0, self.words, PLANE_WORDS)]
+            planes = np.concatenate(drawn, axis=1)
+            below = _chain(planes[:, : self.words], keys, pick, self.valid)
         if always is not _NONE:
             below |= always & self.valid
         return below
 
-    def _draws(self, column: int, m: int):
-        """Yield each block's slice of the words, its stream and the stream's first ``m`` planes over that slice.
+    def _planes(self, column: int, start: int, m: int) -> tuple[np.random.SFC64, np.ndarray]:
+        """The stream of the block whose words start at ``start`` and its first ``m`` planes, (m, ``PLANE_WORDS``).
 
-        A block's stream is yielded standing at its first tie word, and is
-        re-keyed for the next block.
+        The stream is left standing at the block's first tie word.
         """
         seed, domain, si, first = self.path
-        for start in range(0, self.words, PLANE_WORDS):
-            words = slice(start, min(start + PLANE_WORDS, self.words))
-            stream = bit_stream(seed, domain, si, first + start // PLANE_WORDS, column, bit_generator=self._bit_generator)
-            yield words, stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)[:, : words.stop - start]
+        block = first + start // PLANE_WORDS
+        stream = bit_stream(seed, domain, si, block, column, bit_generator=self._bit_generator)
+        return stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
         """The block's packed ``words`` as one bool per trial."""
         return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=self.rows, bitorder="little").view(bool)
+
+
+@functools.lru_cache(maxsize=32)
+def _valid_mask(rows: int) -> np.ndarray:
+    """The read-only words of ``rows`` trials: their bits set, the padding bits of the last word clear."""
+    valid = np.full(-(-rows // 64), _ALL)
+    valid[-1] >>= np.uint64(-rows % 64)
+    valid.flags.writeable = False
+    return valid
+
+
+@functools.lru_cache(maxsize=256)
+def _key_bits(k: int, m: int) -> tuple[np.uint64, ...]:
+    """The leading ``m`` bits of one key K, MSB first, each as a word mask: all ones or none."""
+    return tuple(_ALL if k >> 63 - j & 1 else _NONE for j in range(m))
 
 
 def _chain(planes: np.ndarray, keys, pick, valid: np.ndarray, tie_stream=None) -> np.ndarray:
@@ -239,7 +310,10 @@ def _chain(planes: np.ndarray, keys, pick, valid: np.ndarray, tie_stream=None) -
     With ``tie_stream``, the stream standing at the first tie word of these
     planes, the trials still tied after them take their tie words.
     """
-    k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[-1] >> 63 - j & 1, pick) for j in range(len(planes))]
+    if pick is None:
+        k_bits = _key_bits(keys[0], len(planes))
+    else:
+        k_bits = [_by_pick(keys[0] >> 63 - j & 1, keys[-1] >> 63 - j & 1, pick) for j in range(len(planes))]
     # MSB first: ``agree`` holds the trials whose U has matched their key
     # on every plane so far, and the first plane where they differ
     # decides: U < K where the key has the bit there.  Both stay within

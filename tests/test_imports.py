@@ -67,6 +67,17 @@ def test_the_cli_builds_no_parser_at_import():
     assert done.stdout.split() == ["0"]
 
 
+def test_the_package_imports_without_numpy_random():
+    # rng checks numpy's SFC64 state layout at the first keying, not at import,
+    # so an exact command never loads numpy.random.
+    src = str(Path(entangle_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, entangle_lab.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def public_callables():
     """(qualified name, callable) of every public function, class and method defined in the package."""
     for info in pkgutil.iter_modules(entangle_lab.__path__, "entangle_lab."):

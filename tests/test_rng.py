@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 import threading
 from unittest import mock
 
@@ -58,6 +59,66 @@ def test_the_sfc64_state_is_the_digest():
     state = substream(7, 1, -2).bit_generator.state
     assert state["bit_generator"] == "SFC64"
     assert state["state"]["state"].tolist() == expected.tolist()
+
+
+def keyed_by_setter(master_seed: int, *path: int) -> np.random.SFC64:
+    """An SFC64 keyed through numpy's ``state`` setter with the little-endian words of ``stream_key``."""
+    words = np.frombuffer(stream_key(master_seed, *path).to_bytes(32, "little"), dtype="<u8")
+    bit_generator = np.random.SFC64(0)
+    bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def left_mid_word() -> np.random.SFC64:
+    """A generator holding half a word from a ``uint32`` draw: ``has_uint32 = 1``."""
+    bit_generator = np.random.SFC64(5)
+    np.random.Generator(bit_generator).integers(1 << 32, dtype=np.uint32)
+    assert bit_generator.state["has_uint32"] == 1
+    return bit_generator
+
+
+REUSED = np.random.SFC64(0)
+
+
+@property_settings
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    path=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5),
+    given_generator=st.sampled_from([lambda: None, lambda: REUSED, left_mid_word]),
+)
+def test_the_in_place_key_is_the_state_setters(seed, path, given_generator):
+    bit_generator = given_generator()
+    stream = bit_stream(seed, *path, bit_generator=bit_generator)
+    assert bit_generator is None or stream is bit_generator
+    reference = keyed_by_setter(seed, *path)
+    state = stream.state
+    assert state["state"]["state"].tolist() == reference.state["state"]["state"].tolist()
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    assert stream.random_raw(3).tolist() == reference.random_raw(3).tolist()
+    for draw in (lambda g: g.random(3), lambda g: g.integers(1 << 32, size=3, dtype=np.uint32)):
+        assert draw(np.random.Generator(stream)).tolist() == draw(np.random.Generator(reference)).tolist()
+
+
+def test_the_state_views_stay_bounded_and_a_dropped_one_is_rebuilt():
+    streams = [bit_stream(3, i) for i in range(3 * rng._MAX_STATE_VIEWS)]
+    assert len(rng._state_views) <= rng._MAX_STATE_VIEWS
+    bit_stream(3, -1, bit_generator=streams[0])
+    assert streams[0].random_raw(2).tolist() == keyed_by_setter(3, -1).random_raw(2).tolist()
+    for i, stream in enumerate(streams[1:], 1):
+        assert stream.random_raw() == keyed_by_setter(3, i).random_raw()
+
+
+def test_only_an_sfc64_is_keyed():
+    with pytest.raises(TypeError, match="must be an np.random.SFC64, got PCG64"):
+        bit_stream(0, 1, bit_generator=np.random.PCG64(0))
+
+
+def test_a_state_layout_mismatch_refuses_every_new_generator(monkeypatch):
+    monkeypatch.setattr(rng, "_SFC64_STATE", struct.Struct(">4QiI"))  # the words byte-swapped
+    rng._check_state_layout.cache_clear()
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(RuntimeError, match="SFC64's state is not laid out as '>4QiI'"):
+            bit_stream(0, 1)
 
 
 def _bits(values: np.ndarray) -> list[str]:
@@ -394,6 +455,26 @@ def test_constant_thresholds_draw_nothing():
 def test_a_block_holds_one_to_trial_block_rows(rows):
     with pytest.raises(ValueError, match=rf"rows must be in \[1, {TRIAL_BLOCK}\], got {rows}"):
         Block(0, DOMAIN_STRING_TRIALS, 0, 0, rows)
+
+
+@pytest.mark.parametrize("p, picked", [(0.75, False), (1 / 3, False), ((0.25, 1 / 3), True), ((1.0, 0.75), True)])
+def test_a_run_after_other_row_counts_sets_no_bit_past_its_rows(p, picked):
+    # Every Block of a row count shares one read-only valid mask; a run built
+    # after Blocks of other row counts must still get its own.
+    for rows in (1, 63, 64, 4099, TRIAL_BLOCK, TRIAL_BLOCK + 1):
+        Block(2, DOMAIN_STRING_TRIALS, 0, 0, rows, max_blocks=3).below(0, 0.75)
+    rows = 2 * TRIAL_BLOCK + 37
+    block = Block(2, DOMAIN_STRING_TRIALS, 0, 0, rows, max_blocks=3)
+    assert block.valid is Block(9, DOMAIN_BLOCH_COLLAPSE, 1, 5, rows, max_blocks=3).valid
+    with pytest.raises(ValueError, match="read-only"):
+        block.valid[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        block.valid[-1] |= np.uint64(1 << 63)
+    assert block.valid.tolist() == [2**64 - 1] * (2 * PLANE_WORDS) + [2**37 - 1]
+    events = block.below(1, p, pick=block.below(0, 0.5) if picked else None)
+    assert events.size == 2 * PLANE_WORDS + 1
+    assert int(events[-1]) >> 37 == 0
+    assert np.bitwise_count(events).sum() == block.unpack(events).sum() > 0
 
 
 def top_bytes(path, rows):
