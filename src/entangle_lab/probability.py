@@ -11,8 +11,18 @@ operation runs one expression tree for both.  All-exact inputs enter it as
 integer numerators over one common denominator ``d``, and every value computed
 from them is returned as a ``Fraction(n, d)``, one per distinct ``n``; with a
 float among the inputs, they enter it unchanged and the result carries Python's
-float bits.  An exact table carries the numerators it was built from
-(:meth:`ExperimentTable.from_numerators`), so no common denominator is rebuilt.
+float bits.
+
+An exact table built by :meth:`ExperimentTable.from_numerators` is checked
+once, on its integer numerators: every cell >= 0 and every row summing to
+``d`` > 0.  That check implies every invariant a :class:`JointDistribution`
+or :class:`ChshQuantities` tests, so its rows, :func:`chsh`,
+:func:`marginals` and :func:`check_bell_bounds` build their values from the
+numerators without re-testing them in ``Fraction`` arithmetic.  The table
+keeps one memo of ``Fraction(n, d)`` by numerator, which every result derived
+from it shares, and the quantities :func:`chsh` returns carry their
+numerators over ``d`` into :func:`check_bell_bounds` for an ``int`` bound.
+Every other table, and quantities a caller builds, take the path above.
 """
 
 from __future__ import annotations
@@ -45,13 +55,22 @@ def _scaled(values: tuple) -> tuple[tuple, int | None]:
     return tuple([n * (d // q) for n, q in ratios]), d
 
 
+class _Fractions(dict):
+    """``Fraction(n, d)`` by integer numerator ``n``, each built on its first lookup."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, n: int) -> Fraction:
+        self[n] = value = Fraction(n, self.d)
+        return value
+
+
 def _unscaler(d: int | None):
     """The value each numerator over ``d`` stands for: itself if ``d`` is None, else a
     ``Fraction(n, d)`` built once per distinct ``n`` (never keyed by floats: ``1.0 == 1``)."""
-    if d is None:
-        return lambda n: n
-    memo = {}
-    return lambda n: memo[n] if n in memo else memo.setdefault(n, Fraction(n, d))
+    return (lambda n: n) if d is None else _Fractions(d).__getitem__
 
 
 def _check_numerators(cells, d: int) -> None:
@@ -60,6 +79,21 @@ def _check_numerators(cells, d: int) -> None:
         row = cells[i : i + 4]
         if min(row) < 0 or not sum(row) == d > 0:
             raise InvariantViolation(f"{label}: cell numerators {tuple(row)} over {d} are not a distribution")
+
+
+def _prechecked(cls, values, **carried):
+    """A frozen dataclass ``cls`` with ``values`` as its fields and ``carried`` attributes, its
+    ``__post_init__`` not run: for values that an integer check has already passed."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values), **carried)
+    return instance
+
+
+def _check_chsh_numerators(combinations, d: int) -> None:
+    """Refuse four CHSH numerators over ``d`` unless each lies in [-4d, 4d], as :class:`ChshQuantities` would."""
+    for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
+        if abs(q) > 4 * d:
+            raise InvariantViolation(f"{name} = {Fraction(q, d)!r} outside [-4, 4]")
 
 
 @dataclass(frozen=True)
@@ -113,6 +147,10 @@ class ExperimentTable:
     a_prime_b: JointDistribution
     a_prime_b_prime: JointDistribution
 
+    #: ``Fraction(n, d)`` by numerator for a table that :meth:`from_numerators` built and
+    #: checked, shared by every result derived from it; None for any other table.
+    _fraction = None
+
     def rows(self) -> tuple[tuple[str, JointDistribution], ...]:
         """Rows with their canonical labels, in canonical order."""
         return tuple(zip(ROW_LABELS, (self.ab, self.ab_prime, self.a_prime_b, self.a_prime_b_prime)))
@@ -124,8 +162,10 @@ class ExperimentTable:
         cells, d = tuple(operator.index(n) for row in rows for n in row), operator.index(d)  # numpy ints as ints
         _check_numerators(cells, d)
         fraction = _unscaler(d)
-        table = cls(*(JointDistribution(*map(fraction, cells[i : i + 4])) for i in range(0, 16, 4)))
+        # The check above implies every test of JointDistribution.__post_init__.
+        table = cls(*(_prechecked(JointDistribution, map(fraction, cells[i : i + 4])) for i in range(0, 16, 4)))
         object.__setattr__(table, "_scaled_cells", (cells, d))
+        object.__setattr__(table, "_fraction", fraction)
         return table
 
     @cached_property
@@ -139,11 +179,11 @@ def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]
 
     ``counts`` holds one (n_pp, n_pm, n_mp, n_mm) row per setting in canonical
     row order; each row is divided by its own total.  A count that is not an
-    integer >= 0, or a row whose total is 0, is a ``ValueError``.
+    integer >= 0 (a bool included), or a row whose total is 0, is a ``ValueError``.
     """
     rows = [tuple(row) for row in counts]
     for label, row in zip(ROW_LABELS, rows):
-        if not all(isinstance(c, Integral) and c >= 0 for c in row) or sum(row) == 0:
+        if not all(isinstance(c, Integral) and not isinstance(c, bool) and c >= 0 for c in row) or sum(row) == 0:
             raise ValueError(f"{label}: counts {row!r} are not integers >= 0 with a positive total")
     rows = [tuple(int(c) for c in row) for row in rows]
     table = ExperimentTable(*(JointDistribution(*(c / sum(row) for c in row)) for row in rows))
@@ -178,6 +218,11 @@ class ChshQuantities:
     b_chsh: Real
     c_chsh: Real
     d_chsh: Real
+
+    #: ``(numerators, d)`` and the table's ``Fraction`` memo, for quantities that
+    #: :func:`chsh` derived from a checked table; None for any others.
+    _scaled_values = None
+    _fraction = None
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
@@ -217,7 +262,11 @@ def _cell_chsh(cells) -> tuple:
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
     cells, d = table._scaled_cells
-    return ChshQuantities(*map(_unscaler(d), _cell_chsh(cells)))
+    combinations, fraction = _cell_chsh(cells), table._fraction
+    if fraction is None:
+        return ChshQuantities(*map(_unscaler(d), combinations))
+    _check_chsh_numerators(combinations, d)
+    return _prechecked(ChshQuantities, map(fraction, combinations), _scaled_values=(combinations, d), _fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -248,12 +297,18 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     """Test each CHSH quantity against |q| <= bound (non-strict).
 
     ``bound`` defaults to the classical limit 2; pass 2*sqrt(2) to test
-    against the Tsirelson limit instead.
+    against the Tsirelson limit instead.  A bool bound is a ``TypeError``.
     """
+    if isinstance(bound, bool):
+        raise TypeError(f"bound must be a real number, not a bool, got {bound!r}")
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
-    (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
-    unscaled = _unscaler(d)
+    if type(bound) is int and quantities._fraction is not None:
+        values, d = quantities._scaled_values
+        scaled_bound, unscaled = bound * d, quantities._fraction
+    else:
+        (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
+        unscaled = _unscaler(d)
     checks = []
     for (name, value), n in zip(quantities.as_dict().items(), values):
         margin = abs(n) - scaled_bound
@@ -313,19 +368,24 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     under both partner settings and the difference recorded.  The pairs are
     mutually redundant (the + and - residuals of a side/setting are opposite),
     but all eight are kept for diagnostic readability.  The report flags a
-    violation iff max |residual| > tolerance.
+    violation iff max |residual| > tolerance.  A bool tolerance is a ``TypeError``.
     """
+    if isinstance(tolerance, bool):
+        raise TypeError(f"tolerance must be a real number, not a bool, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, d = table._scaled_cells
-    unscaled = _unscaler(d)
+    fraction = table._fraction
+    unscaled = _unscaler(d) if fraction is None else fraction
     comparisons, residuals = [], []
     for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second
         comparisons.append(MarginalComparison(side, setting, outcome, partners, *map(unscaled, (first, second, residual))))
         residuals.append(abs(residual))
-    # The first largest |residual|, as max() over the returned residuals picks it.
-    max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)
+    if fraction is not None:
+        max_abs = fraction(max(residuals))
+    else:  # the first largest |residual|, as max() over the returned residuals picks it
+        max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)
     return MarginalReport(
         tolerance=tolerance,
         comparisons=tuple(comparisons),
@@ -342,9 +402,7 @@ def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
     """
     _check_numerators(cells, d)
     combinations = _cell_chsh(cells)
-    for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
-        if abs(q) > 4 * d:
-            raise InvariantViolation(f"{name} = {Fraction(q, d)!r} outside [-4, 4]")
+    _check_chsh_numerators(combinations, d)
     return combinations, max(abs(first - second) for first, second in _cell_marginals(cells))
 
 

@@ -60,7 +60,10 @@ through it, and the Bloch average draws its float blocks through
 them, for the driver and for the trial-by-trial replay alike.  The one float
 draw is :func:`uniforms`, numpy's ``Generator.random`` on a substream;
 :func:`block_uniforms` draws a block's column 0 through it, which places the
-break of a traced string trial.
+break of a traced string trial.  Where a caller of :func:`uniforms`,
+:func:`block_uniforms` or :class:`Block` gives no bit generator, the
+drawing thread's own SFC64 is re-keyed: none of them hands it out, and each
+keys it right before it reads, so no draw seeds a generator of its own.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -72,6 +75,7 @@ import ctypes
 import functools
 import hashlib
 import struct
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,6 +124,9 @@ _MAX_STATE_VIEWS = 64
 # identity), so an entry holds its generator alive along with the view.
 _state_views: dict = {}
 
+# Each thread's SFC64 for the draws whose caller gives none (_thread_generator).
+_threads = threading.local()
+
 #: Most blocks in one :class:`Block` of :func:`count_outcomes`: 2**18 trials,
 #: whose events are 32 KiB arrays.  Longer runs were slower: their larger
 #: temporaries made the allocator hand pages back and re-fault them per task.
@@ -147,6 +154,14 @@ def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | No
         view = _state_view(bit_generator)
     key = stream_key(master_seed, *path)
     _SFC64_STATE.pack_into(view, 0, key & _U64, key >> 64 & _U64, key >> 128 & _U64, key >> 192, 0, 0)
+    return bit_generator
+
+
+def _thread_generator() -> np.random.SFC64:
+    """The calling thread's own SFC64, made on its first use; the words drawn never depend on it."""
+    bit_generator = getattr(_threads, "bit_generator", None)
+    if bit_generator is None:
+        bit_generator = _threads.bit_generator = np.random.SFC64(0)
     return bit_generator
 
 
@@ -185,7 +200,10 @@ def _check_state_layout() -> None:
 
 
 def uniforms(shape, master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.ndarray:
-    """``Generator.random(shape)`` on the substream at ``path``; ``bit_generator`` as in :func:`bit_stream`."""
+    """``Generator.random(shape)`` on the substream at ``path``; ``bit_generator`` as in :func:`bit_stream`,
+    the calling thread's own if None."""
+    if bit_generator is None:
+        bit_generator = _thread_generator()
     return np.random.Generator(bit_stream(master_seed, *path, bit_generator=bit_generator)).random(shape)
 
 
@@ -226,8 +244,9 @@ class Block:
     block.  ``valid`` has the bits of the ``rows`` trials set, and the events
     :meth:`below` returns are zero beyond them; it is read-only, shared by
     every Block of ``rows`` trials.  Each test draws its column's
-    leading planes from every block's own substream; ``bit_generator`` is
-    re-keyed for every (block, column) drawn.
+    leading planes from every block's own substream; ``bit_generator``, or
+    if None the drawing thread's own, is re-keyed for every (block, column)
+    drawn.
     """
 
     def __init__(
@@ -240,7 +259,7 @@ class Block:
         self.rows = rows
         self.words = -(-rows // 64)
         self.valid = _valid_mask(rows)
-        self._bit_generator = np.random.SFC64(0) if bit_generator is None else bit_generator
+        self._bit_generator = bit_generator
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
         """The events U < K, K = :func:`threshold_key` (p), of every trial on ``column``, as words.
@@ -281,7 +300,8 @@ class Block:
         """
         seed, domain, si, first = self.path
         block = first + start // PLANE_WORDS
-        stream = bit_stream(seed, domain, si, block, column, bit_generator=self._bit_generator)
+        bit_generator = _thread_generator() if self._bit_generator is None else self._bit_generator
+        stream = bit_stream(seed, domain, si, block, column, bit_generator=bit_generator)
         return stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
@@ -359,17 +379,21 @@ def _break_ties(stream, tied: np.ndarray, keys, pick) -> np.ndarray:
     return events
 
 
-def block_uniforms(master_seed: int, domain: int, setting_index: int, block_index: int, rows: int) -> np.ndarray:
+def block_uniforms(
+    master_seed: int, domain: int, setting_index: int, block_index: int, rows: int,
+    bit_generator: np.random.SFC64 | None = None,
+) -> np.ndarray:
     """The leading ``rows`` float draws of one block, a float64 vector.
 
     Entry ``r`` is the draw of trial ``block_index * TRIAL_BLOCK + r``, so
     fewer rows give the same leading values.  They are the block's column 0,
     the substream at its path plus ``0``: every string trace's break
     fractions depend on that trailing part, so ``STREAM_FORMAT`` fixes it.
+    ``bit_generator`` is as in :func:`uniforms`.
     """
     if not 0 < rows <= TRIAL_BLOCK:
         raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
-    return uniforms(rows, master_seed, domain, setting_index, block_index, 0)
+    return uniforms(rows, master_seed, domain, setting_index, block_index, 0, bit_generator=bit_generator)
 
 
 def iter_block_slices(end: int, start: int = 0, *, blocks: int = 1):

@@ -682,3 +682,90 @@ def test_numerator_tables_take_integers_only():
     assert {type(p.numerator) for _, row in table.rows() for p in row.probabilities()} == {int}
     with pytest.raises(TypeError):
         ExperimentTable.from_numerators([(3.5, 3.5, 0, 0)] * 4, 7)
+
+
+# --- the numerator path against the generic path, on random tables ---
+
+
+@st.composite
+def numerator_rows(draw):
+    """Four rows of integer numerators >= 0, each summing to one common ``d``, up to 2**60 in size."""
+    d = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**60), st.sampled_from([2**54, 2**54 + 1, 3 * 2**53])))
+    rows = []
+    for _ in range(4):
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=3, max_size=3)))
+        rows.append(tuple(high - low for low, high in zip([0, *cuts], [*cuts, d])))
+    return rows, d
+
+
+def marginal_values(report):
+    return [report.tolerance, report.max_abs_residual, report.violated, *((c.first, c.second, c.residual) for c in report.comparisons)]
+
+
+def bell_values(report):
+    return [report.bound, *((c.quantity, c.value, c.margin, c.violated) for c in report.checks)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=numerator_rows())
+def test_the_numerator_path_equals_the_generic_path_on_random_tables(drawn):
+    rows, d = drawn
+    table = ExperimentTable.from_numerators(rows, d)
+    generic = table_from_rows(*(tuple(Fraction(n, d) for n in row) for row in rows))
+    assert_same([dist.probabilities() for _, dist in table.rows()], [dist.probabilities() for _, dist in generic.rows()])
+    assert table == generic
+
+    quantities, expected = chsh(table), chsh(generic)
+    by_hand = ChshQuantities(*(Fraction(n, d) for n in probability._cell_chsh([n for row in rows for n in row])))
+    for other in (expected, by_hand):
+        assert_same(quantities.as_tuple(), other.as_tuple())
+        assert quantities == other
+    for tolerance in (0, 1e-9, Fraction(1, 7)):
+        report = marginals(table, tolerance)
+        assert_same(marginal_values(report), marginal_values(marginals(generic, tolerance)))
+        assert report == marginals(generic, tolerance)
+    for bound in (2, Fraction(5, 2), 2 * math.sqrt(2)):
+        report = check_bell_bounds(quantities, bound)
+        for other in (expected, by_hand):
+            assert_same(bell_values(report), bell_values(check_bell_bounds(other, bound)))
+            assert report == check_bell_bounds(other, bound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=numerator_rows(), cell=st.integers(0, 15), offset=st.one_of(st.integers(-3, 3), st.integers(-(2**61), 2**61)).filter(bool))
+def test_rows_that_are_not_distributions_are_refused_on_every_path(drawn, cell, offset):
+    rows, d = drawn
+    cells = [n for row in rows for n in row]
+    cells[cell] += offset
+    bad_rows = [tuple(cells[i : i + 4]) for i in range(0, 16, 4)]
+    with pytest.raises(InvariantViolation) as from_numerators:
+        ExperimentTable.from_numerators(bad_rows, d)
+    with pytest.raises(InvariantViolation) as diagnostics:
+        exact_diagnostics(cells, d)
+    assert str(from_numerators.value) == str(diagnostics.value)
+    assert str(from_numerators.value).startswith(f"{probability.ROW_LABELS[cell // 4]}: cell numerators ")
+    # The generic constructor allows a row sum off 1 by NORMALIZATION_TOL, so it refuses only the rest.
+    row = bad_rows[cell // 4]
+    if min(row) < 0 or max(row) > d or Fraction(abs(sum(row) - d), d) > NORMALIZATION_TOL:
+        with pytest.raises(InvariantViolation):
+            table_from_rows(*(tuple(Fraction(n, d) for n in row) for row in bad_rows))
+
+
+@pytest.mark.parametrize("build", [lambda: WHITE_STRING_TABLE, lambda: analytic_table(StringModelConfig(variant="v3", p_w=0.3))], ids=["generic", "numerators"])
+def test_check_bell_bounds_refuses_a_bool_bound(build):
+    quantities = chsh(build())
+    for bound in (True, False):
+        with pytest.raises(TypeError, match=rf"^bound must be a real number, not a bool, got {bound}$"):
+            check_bell_bounds(quantities, bound)
+
+
+@pytest.mark.parametrize("build", [lambda: WHITE_STRING_TABLE, lambda: analytic_table(StringModelConfig(variant="v3", p_w=0.3))], ids=["generic", "numerators"])
+def test_marginals_refuse_a_bool_tolerance(build):
+    for tolerance in (True, False):
+        with pytest.raises(TypeError, match=rf"^tolerance must be a real number, not a bool, got {tolerance}$"):
+            marginals(build(), tolerance)
+
+
+def test_frequency_table_refuses_bool_counts():
+    with pytest.raises(ValueError, match=r"^AB: counts \(True, False, 0, 0\) are not integers >= 0 with a positive total$"):
+        frequency_table([[True, False, 0, 0]] * 4)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import sys
 import threading
 from unittest import mock
 
@@ -550,3 +551,54 @@ def test_sign_counts_are_the_four_cells():
     assert list(sign_counts(~pack(a_plus), ~pack(b_plus), 1000)) == expected[::-1]
     full = gen.random(1024) < 0.5  # no padding
     assert list(sign_counts(pack(full), pack(~full), 1024)) == [0, int(full.sum()), int((~full).sum()), 0]
+
+
+def test_block_uniforms_take_a_bit_generator():
+    expected = block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17)
+    reused = np.random.SFC64(0)
+    uniforms(3, 8, 1, bit_generator=reused)  # a reused bit generator's earlier keys do not matter
+    assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, reused).tobytes() == expected.tobytes()
+    assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, bit_generator=reused).tobytes() == expected.tobytes()
+
+
+def test_draws_given_no_generator_key_one_per_thread_and_never_mix(monkeypatch):
+    # Blocks made on this thread are drawn on eight others at once, with
+    # float draws between them and a short switch interval: a generator
+    # shared across threads would be re-keyed mid-read and give other words.
+    blocks = [Block(4, DOMAIN_STRING_TRIALS, si, 0, 3000) for si in range(8)]
+    expected = [(blocks[si].below(0, 1 / 3).tobytes(), block_uniforms(4, DOMAIN_BLOCH_AVERAGE, si, 0, 3000).tobytes()) for si in range(8)]
+    keyed, original = {}, rng.bit_stream
+
+    def recording(*path, bit_generator=None):
+        keyed.setdefault(threading.current_thread(), []).append(bit_generator)  # held, so no id is reused
+        return original(*path, bit_generator=bit_generator)
+
+    monkeypatch.setattr(rng, "bit_stream", recording)
+    got, errors = {}, []
+
+    def draw(si):
+        try:
+            for _ in range(20):
+                got[si] = (blocks[si].below(0, 1 / 3).tobytes(), block_uniforms(4, DOMAIN_BLOCH_AVERAGE, si, 0, 3000).tobytes())
+                if got[si] != expected[si]:
+                    return
+        except BaseException as error:  # reported below, on the test's thread
+            errors.append(error)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(si,)) for si in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == dict(enumerate(expected))
+    assert set(keyed) == set(threads)
+    generators = [{id(g) for g in held} for held in keyed.values()]
+    assert [len(ids) for ids in generators] == [1] * 8 and len(set.union(*generators)) == 8  # one per drawing thread

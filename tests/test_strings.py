@@ -453,3 +453,22 @@ def test_lhv_table_rejects_non_finite_weights(bad):
 def test_lhv_table_checks_huge_exact_weights_without_overflow():
     with pytest.raises(ValueError, match="weights"):
         lhv_table(lambda lam, s: 1, lambda lam, s: 1, (0, 1), weights=(Fraction(-(10**400)), Fraction(10**400) + 1))
+
+
+def test_a_traced_block_keys_the_threads_own_generator(monkeypatch):
+    # The trace's Block and its break draw re-key one generator, the calling
+    # thread's, and a fresh one is never seeded per traced block.
+    from entangle_lab import rng, strings
+
+    config = StringModelConfig(variant=Variant.V4, p_w=0.5, p_1=0.75)
+    held, original = [], rng.bit_stream
+
+    def recording(*path, bit_generator=None):
+        held.append(original(*path, bit_generator=bit_generator))
+        return held[-1]
+
+    monkeypatch.setattr(rng, "bit_stream", recording)
+    for block_index in range(3):
+        strings._trace_columns(config, SETTINGS[0], 1, block_index, 100)
+    assert len(held) == 3 * 6  # four columns, the cut and the break draw
+    assert {id(g) for g in held} == {id(rng._thread_generator())}
