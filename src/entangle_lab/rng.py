@@ -60,10 +60,12 @@ through it, and the Bloch average draws its float blocks through
 them, for the driver and for the trial-by-trial replay alike.  The one float
 draw is :func:`uniforms`, numpy's ``Generator.random`` on a substream;
 :func:`block_uniforms` draws a block's column 0 through it, which places the
-break of a traced string trial.  Where a caller of :func:`uniforms`,
-:func:`block_uniforms` or :class:`Block` gives no bit generator, the
-drawing thread's own SFC64 is re-keyed: none of them hands it out, and each
-keys it right before it reads, so no draw seeds a generator of its own.
+break of a traced string trial.  Where a caller of :func:`uniforms` or
+:class:`Block` gives no bit generator, and for every :func:`block_uniforms`
+draw, the drawing thread's own SFC64 is re-keyed: none of them hands it
+out, and each keys it right before it reads, so none of them seeds a
+generator of its own.  :func:`map_blocks` still seeds one per chunk, and
+:func:`bit_stream` given no generator returns a fresh one to its caller.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -379,21 +381,17 @@ def _break_ties(stream, tied: np.ndarray, keys, pick) -> np.ndarray:
     return events
 
 
-def block_uniforms(
-    master_seed: int, domain: int, setting_index: int, block_index: int, rows: int,
-    bit_generator: np.random.SFC64 | None = None,
-) -> np.ndarray:
+def block_uniforms(master_seed: int, domain: int, setting_index: int, block_index: int, rows: int) -> np.ndarray:
     """The leading ``rows`` float draws of one block, a float64 vector.
 
     Entry ``r`` is the draw of trial ``block_index * TRIAL_BLOCK + r``, so
     fewer rows give the same leading values.  They are the block's column 0,
     the substream at its path plus ``0``: every string trace's break
     fractions depend on that trailing part, so ``STREAM_FORMAT`` fixes it.
-    ``bit_generator`` is as in :func:`uniforms`.
     """
     if not 0 < rows <= TRIAL_BLOCK:
         raise ValueError(f"rows must be in [1, {TRIAL_BLOCK}], got {rows}")
-    return uniforms(rows, master_seed, domain, setting_index, block_index, 0, bit_generator=bit_generator)
+    return uniforms(rows, master_seed, domain, setting_index, block_index, 0)
 
 
 def iter_block_slices(end: int, start: int = 0, *, blocks: int = 1):

@@ -553,14 +553,6 @@ def test_sign_counts_are_the_four_cells():
     assert list(sign_counts(pack(full), pack(~full), 1024)) == [0, int(full.sum()), int((~full).sum()), 0]
 
 
-def test_block_uniforms_take_a_bit_generator():
-    expected = block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17)
-    reused = np.random.SFC64(0)
-    uniforms(3, 8, 1, bit_generator=reused)  # a reused bit generator's earlier keys do not matter
-    assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, reused).tobytes() == expected.tobytes()
-    assert block_uniforms(3, DOMAIN_STRING_TRIALS, 1, 2, 17, bit_generator=reused).tobytes() == expected.tobytes()
-
-
 def test_draws_given_no_generator_key_one_per_thread_and_never_mix(monkeypatch):
     # Blocks made on this thread are drawn on eight others at once, with
     # float draws between them and a short switch interval: a generator
