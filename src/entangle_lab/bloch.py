@@ -202,9 +202,9 @@ def universal_average(
     overlap = _cell_overlap(born[0], cells)
     tasks = [(b, min(rows, n_distributions - b * rows)) for b in range(-(-n_distributions // rows))]
 
-    def block_sum(task, bit_generator):
+    def block_sum(task):
         block_index, n = task
-        raw = uniforms((n, cells), master_seed, DOMAIN_BLOCH_AVERAGE, 0, block_index, bit_generator=bit_generator)
+        raw = uniforms((n, cells), master_seed, DOMAIN_BLOCH_AVERAGE, 0, block_index)
         return float(np.sum((raw @ overlap) / raw.sum(axis=1)))
 
     averaged = math.fsum(map_blocks(tasks, block_sum, workers=workers)) / n_distributions

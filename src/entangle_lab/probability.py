@@ -375,17 +375,13 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, d = table._scaled_cells
-    fraction = table._fraction
-    unscaled = _unscaler(d) if fraction is None else fraction
+    unscaled = _unscaler(d) if table._fraction is None else table._fraction
     comparisons, residuals = [], []
     for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second
         comparisons.append(MarginalComparison(side, setting, outcome, partners, *map(unscaled, (first, second, residual))))
         residuals.append(abs(residual))
-    if fraction is not None:
-        max_abs = fraction(max(residuals))
-    else:  # the first largest |residual|, as max() over the returned residuals picks it
-        max_abs = abs(comparisons[max(range(len(residuals)), key=residuals.__getitem__)].residual)
+    max_abs = unscaled(max(residuals))
     return MarginalReport(
         tolerance=tolerance,
         comparisons=tuple(comparisons),

@@ -50,9 +50,9 @@ plane chain, and of a caller's outcome function, covers the whole run; a
 tie path still runs block by block, as each block's tie words follow its
 own planes.  :func:`count_outcomes` is the one counting driver on this
 layout: it runs one task per (setting, run) through :func:`map_blocks`,
-which deals tasks into one chunk per worker with one SFC64 bit generator
-each, re-keyed for every substream drawn, and it sums the per-run counts of
-a caller's outcome function as integers.
+which runs ``fn(task)`` in one chunk per worker thread and returns the
+results in task order, and it sums the per-run counts of a caller's outcome
+function as integers.
 The string table, the quantum table and the Bloch collapse all sample
 through it, and the Bloch average draws its float blocks through
 :func:`map_blocks` too, each at most ``MAX_BLOCKS`` blocks per setting.
@@ -60,12 +60,11 @@ through it, and the Bloch average draws its float blocks through
 them, for the driver and for the trial-by-trial replay alike.  The one float
 draw is :func:`uniforms`, numpy's ``Generator.random`` on a substream;
 :func:`block_uniforms` draws a block's column 0 through it, which places the
-break of a traced string trial.  Where a caller of :func:`uniforms` or
-:class:`Block` gives no bit generator, and for every :func:`block_uniforms`
-draw, the drawing thread's own SFC64 is re-keyed: none of them hands it
-out, and each keys it right before it reads, so none of them seeds a
-generator of its own.  :func:`map_blocks` still seeds one per chunk, and
-:func:`bit_stream` given no generator returns a fresh one to its caller.
+break of a traced string trial.
+Every sampler draw, a :class:`Block` test or a :func:`uniforms` call,
+re-keys the drawing thread's own SFC64 right before it reads, so the words
+drawn depend on the substream path alone, never on the thread or the
+generator.  Only :func:`bit_stream` given no generator returns a fresh one.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -126,7 +125,7 @@ _MAX_STATE_VIEWS = 64
 # identity), so an entry holds its generator alive along with the view.
 _state_views: dict = {}
 
-# Each thread's SFC64 for the draws whose caller gives none (_thread_generator).
+# Each thread's SFC64, which every sampler draw re-keys (_thread_generator).
 _threads = threading.local()
 
 #: Most blocks in one :class:`Block` of :func:`count_outcomes`: 2**18 trials,
@@ -201,12 +200,9 @@ def _check_state_layout() -> None:
         raise RuntimeError(f"numpy {np.__version__}: SFC64's state is not laid out as {_SFC64_STATE.format!r}")
 
 
-def uniforms(shape, master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.ndarray:
-    """``Generator.random(shape)`` on the substream at ``path``; ``bit_generator`` as in :func:`bit_stream`,
-    the calling thread's own if None."""
-    if bit_generator is None:
-        bit_generator = _thread_generator()
-    return np.random.Generator(bit_stream(master_seed, *path, bit_generator=bit_generator)).random(shape)
+def uniforms(shape, master_seed: int, *path: int) -> np.ndarray:
+    """``Generator.random(shape)`` on the substream at ``path``, drawn on the calling thread's own SFC64."""
+    return np.random.Generator(bit_stream(master_seed, *path, bit_generator=_thread_generator())).random(shape)
 
 
 def threshold_key(p: float) -> int:
@@ -246,22 +242,18 @@ class Block:
     block.  ``valid`` has the bits of the ``rows`` trials set, and the events
     :meth:`below` returns are zero beyond them; it is read-only, shared by
     every Block of ``rows`` trials.  Each test draws its column's
-    leading planes from every block's own substream; ``bit_generator``, or
-    if None the drawing thread's own, is re-keyed for every (block, column)
-    drawn.
+    leading planes from every block's own substream on the drawing
+    thread's own SFC64, re-keyed for every (block, column) drawn, so a
+    Block may be made on one thread and drawn on another.
     """
 
-    def __init__(
-        self, master_seed: int, domain: int, setting_index: int, block_index: int, rows: int,
-        bit_generator: np.random.SFC64 | None = None, *, max_blocks: int = 1,
-    ):
+    def __init__(self, master_seed: int, domain: int, setting_index: int, block_index: int, rows: int, *, max_blocks: int = 1):
         if not 0 < rows <= max_blocks * TRIAL_BLOCK:
             raise ValueError(f"rows must be in [1, {max_blocks * TRIAL_BLOCK}], got {rows}")
         self.path = (master_seed, domain, setting_index, block_index)
         self.rows = rows
         self.words = -(-rows // 64)
         self.valid = _valid_mask(rows)
-        self._bit_generator = bit_generator
 
     def below(self, column: int, p, pick: np.ndarray | None = None) -> np.ndarray:
         """The events U < K, K = :func:`threshold_key` (p), of every trial on ``column``, as words.
@@ -302,8 +294,7 @@ class Block:
         """
         seed, domain, si, first = self.path
         block = first + start // PLANE_WORDS
-        bit_generator = _thread_generator() if self._bit_generator is None else self._bit_generator
-        stream = bit_stream(seed, domain, si, block, column, bit_generator=bit_generator)
+        stream = bit_stream(seed, domain, si, block, column, bit_generator=_thread_generator())
         return stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
@@ -429,19 +420,18 @@ def check_workers(workers: int) -> None:
 
 
 def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
-    """``[fn(task, bit_generator) for task in tasks]``, computed in one chunk per worker.
+    """``[fn(task) for task in tasks]``, computed in one chunk per worker.
 
     The tasks are dealt round-robin into ``min(workers, len(tasks))`` chunks,
-    each run on its own thread with its own SFC64 bit generator, which ``fn``
-    re-keys for every substream it draws.  The results come back in task
-    order, so a caller combining them in that order gets the same result
-    for any ``workers`` value.  ``workers`` lies in [1, ``MAX_WORKERS``].
+    each run on its own thread; a draw in ``fn`` re-keys that thread's own
+    SFC64.  The results come back in task order, so a caller combining them
+    in that order gets the same result for any ``workers`` value.
+    ``workers`` lies in [1, ``MAX_WORKERS``].
     """
     check_workers(workers)
 
     def run(chunk):
-        bit_generator = np.random.SFC64(0)
-        return [fn(task, bit_generator) for task in chunk]
+        return [fn(task) for task in chunk]
 
     n_chunks = min(workers, len(tasks))
     if n_chunks <= 1:
@@ -474,9 +464,9 @@ def count_outcomes(
     runs = list(iter_block_slices(n_trials, blocks=_RUN_BLOCKS))
     tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in runs]
 
-    def run(task, bit_generator):
+    def run(task):
         si, block, rows = task
-        return outcome(si, Block(master_seed, domain, si, block, rows, bit_generator, max_blocks=_RUN_BLOCKS))
+        return outcome(si, Block(master_seed, domain, si, block, rows, max_blocks=_RUN_BLOCKS))
 
     counts = np.zeros((n_settings, n_cells), dtype=np.int64)
     for (si, _block, _rows), cells in zip(tasks, map_blocks(tasks, run, workers=workers)):

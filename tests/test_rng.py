@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import byte_streams
 from byte_streams import LOW_BITS, feeding, key, pack, tied_trials
-from entangle_lab import rng
+from entangle_lab import bloch, quantum, rng, strings
 from entangle_lab.rng import (
     DOMAIN_BLOCH_AVERAGE,
     DOMAIN_BLOCH_COLLAPSE,
@@ -207,9 +207,8 @@ def test_block_uniforms_shape_and_bounds():
 def test_uniforms_are_the_generator_floats_of_the_substream():
     expected = substream(3, DOMAIN_BLOCH_AVERAGE, 0, 2).random((5, 7))
     assert uniforms((5, 7), 3, DOMAIN_BLOCH_AVERAGE, 0, 2).tobytes() == expected.tobytes()
-    reused = np.random.SFC64(0)
-    uniforms(3, 8, 1, bit_generator=reused)  # a reused bit generator's earlier keys do not matter
-    assert uniforms((5, 7), 3, DOMAIN_BLOCH_AVERAGE, 0, 2, bit_generator=reused).tobytes() == expected.tobytes()
+    uniforms(3, 8, 1)  # the thread's generator is re-keyed: a draw on another path first does not matter
+    assert uniforms((5, 7), 3, DOMAIN_BLOCH_AVERAGE, 0, 2).tobytes() == expected.tobytes()
 
 
 def test_each_column_is_the_substream_of_its_path():
@@ -246,7 +245,38 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, expected)
     assert len(threads) <= min(workers, 2)
-    assert len(generators) == min(workers, 2)  # one reused bit generator per chunk
+    assert len(generators) == len(threads)  # one reused bit generator per drawing thread
+
+
+_V4 = strings.StringModelConfig(variant=strings.Variant.V4, p_w=0.5, p_1=0.75)
+_Z_FRAME = bloch.MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        pytest.param(lambda: strings.estimate_table(_V4, 1000, 3, workers=1), id="estimate_table"),
+        pytest.param(lambda: quantum.sample_table(strings.analytic_table(_V4), 1000, 3, workers=1), id="sample_table"),
+        pytest.param(
+            lambda: bloch.collapse_counts((0.0, 0.0, 0.3), _Z_FRAME, bloch.BreakDistribution(), 1000, 3, workers=1),
+            id="collapse_counts",
+        ),
+        pytest.param(lambda: bloch.universal_average((0.0, 0.0, 0.3), _Z_FRAME, 8, 1000, 3, workers=1), id="universal_average"),
+    ],
+)
+def test_a_draw_keys_the_threads_own_generator(monkeypatch, sample):
+    # With one worker every draw runs on the calling thread and re-keys its
+    # generator: no sampler seeds a fresh one per chunk or per block.
+    held, original = [], rng.bit_stream
+
+    def recording(*path, bit_generator=None):
+        held.append(original(*path, bit_generator=bit_generator))
+        return held[-1]
+
+    monkeypatch.setattr(rng, "bit_stream", recording)
+    sample()
+    assert held
+    assert {id(g) for g in held} == {id(rng._thread_generator())}
 
 
 @pytest.mark.parametrize("n_trials", [MAX_BLOCKS * TRIAL_BLOCK + 1, 10**12])
@@ -261,7 +291,7 @@ def test_count_outcomes_refuses_a_count_past_the_cap_before_any_block(monkeypatc
 
 @pytest.mark.parametrize("workers", [0, 65, 100_000])
 def test_map_blocks_refuses_workers_outside_the_range_before_any_chunk(monkeypatch, workers):
-    def never(task, bit_generator):
+    def never(task):
         raise AssertionError("a chunk ran")
 
     def no_thread(self):
