@@ -13,16 +13,16 @@ from them is returned as a ``Fraction(n, d)``, one per distinct ``n``; with a
 float among the inputs, they enter it unchanged and the result carries Python's
 float bits.
 
-An exact table built by :meth:`ExperimentTable.from_numerators` is checked
-once, on its integer numerators: every cell >= 0 and every row summing to
-``d`` > 0.  That check implies every invariant a :class:`JointDistribution`
-or :class:`ChshQuantities` tests, so its rows, :func:`chsh`,
-:func:`marginals` and :func:`check_bell_bounds` build their values from the
-numerators without re-testing them in ``Fraction`` arithmetic.  The table
-keeps one memo of ``Fraction(n, d)`` by numerator, which every result derived
-from it shares, and the quantities :func:`chsh` returns carry their
-numerators over ``d`` into :func:`check_bell_bounds` for an ``int`` bound.
-Every other table, and quantities a caller builds, take the path above.
+Every :class:`ExperimentTable` reaches that form once, when it is built: its
+16 cells as numerators over ``d`` (``d`` None for a table with a float cell),
+with one unscaler that every result derived from it shares, a memo of
+``Fraction(n, d)`` by numerator for an exact table and the identity for a
+float table.  Every :class:`ChshQuantities` likewise carries its numerators.
+So :func:`chsh`, :func:`marginals` and :func:`check_bell_bounds` each have one
+body for every table.  :meth:`ExperimentTable.from_numerators` differs only in
+its check: one test on the integer numerators (every cell >= 0 and every row
+summing to ``d`` > 0), which implies every test a :class:`JointDistribution`
+makes, so it skips their ``Fraction`` re-tests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from numbers import Integral, Real
 
 NORMALIZATION_TOL = 1e-12
@@ -67,10 +66,15 @@ class _Fractions(dict):
         return value
 
 
+def _identity(n):
+    """A value over no denominator: itself (a module-level function, so a float table pickles)."""
+    return n
+
+
 def _unscaler(d: int | None):
     """The value each numerator over ``d`` stands for: itself if ``d`` is None, else a
     ``Fraction(n, d)`` built once per distinct ``n`` (never keyed by floats: ``1.0 == 1``)."""
-    return (lambda n: n) if d is None else _Fractions(d).__getitem__
+    return _identity if d is None else _Fractions(d).__getitem__
 
 
 def _check_numerators(cells, d: int) -> None:
@@ -89,11 +93,16 @@ def _prechecked(cls, values, **carried):
     return instance
 
 
-def _check_chsh_numerators(combinations, d: int) -> None:
-    """Refuse four CHSH numerators over ``d`` unless each lies in [-4d, 4d], as :class:`ChshQuantities` would."""
+def _check_chsh_numerators(combinations, d: int | None) -> None:
+    """Refuse four CHSH numerators over ``d`` unless each lies in [-4d, 4d], with the message of :class:`ChshQuantities`.
+
+    Exact numerators are held to 4d strictly, where :class:`ChshQuantities` lets any value (a ``Fraction``
+    too) pass 4 by up to ``CHSH_RANGE_TOL``; with ``d`` None, values take that float rule, which refuses NaN.
+    """
+    bound = 4 + CHSH_RANGE_TOL if d is None else 4 * d
     for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
-        if abs(q) > 4 * d:
-            raise InvariantViolation(f"{name} = {Fraction(q, d)!r} outside [-4, 4]")
+        if not abs(q) <= bound:
+            raise InvariantViolation(f"{name} = {_unscaler(d)(q)!r} outside [-4, 4]")
 
 
 @dataclass(frozen=True)
@@ -147,9 +156,10 @@ class ExperimentTable:
     a_prime_b: JointDistribution
     a_prime_b_prime: JointDistribution
 
-    #: ``Fraction(n, d)`` by numerator for a table that :meth:`from_numerators` built and
-    #: checked, shared by every result derived from it; None for any other table.
-    _fraction = None
+    def __post_init__(self):
+        # The cells as numerators over d, and the unscaler every result derived from the table shares.
+        cells, d = _scaled(tuple(p for _, row in self.rows() for p in row.probabilities()))
+        self.__dict__.update(_scaled_cells=(cells, d), _fraction=_unscaler(d))
 
     def rows(self) -> tuple[tuple[str, JointDistribution], ...]:
         """Rows with their canonical labels, in canonical order."""
@@ -158,20 +168,13 @@ class ExperimentTable:
     @classmethod
     def from_numerators(cls, rows, d: int) -> ExperimentTable:
         """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``, each a
-        distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as :attr:`_scaled_cells`."""
+        distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as ``_scaled_cells``."""
         cells, d = tuple(operator.index(n) for row in rows for n in row), operator.index(d)  # numpy ints as ints
         _check_numerators(cells, d)
         fraction = _unscaler(d)
         # The check above implies every test of JointDistribution.__post_init__.
-        table = cls(*(_prechecked(JointDistribution, map(fraction, cells[i : i + 4])) for i in range(0, 16, 4)))
-        object.__setattr__(table, "_scaled_cells", (cells, d))
-        object.__setattr__(table, "_fraction", fraction)
-        return table
-
-    @cached_property
-    def _scaled_cells(self) -> tuple[tuple, int | None]:
-        """The 16 cells, row by row, through :func:`_scaled` (once per table)."""
-        return _scaled(tuple(p for _, row in self.rows() for p in row.probabilities()))
+        dists = (_prechecked(JointDistribution, map(fraction, cells[i : i + 4])) for i in range(0, 16, 4))
+        return _prechecked(cls, dists, _scaled_cells=(cells, d), _fraction=fraction)
 
 
 def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]]:
@@ -219,15 +222,11 @@ class ChshQuantities:
     c_chsh: Real
     d_chsh: Real
 
-    #: ``(numerators, d)`` and the table's ``Fraction`` memo, for quantities that
-    #: :func:`chsh` derived from a checked table; None for any others.
-    _scaled_values = None
-    _fraction = None
-
     def __post_init__(self):
         for name, value in self.as_dict().items():
             if not (abs(value) <= 4 or abs(value) <= 4 + CHSH_RANGE_TOL):  # also rejects NaN
                 raise InvariantViolation(f"{name} = {value!r} outside [-4, 4]")
+        object.__setattr__(self, "_scaled_values", _scaled(self.as_tuple()))  # (numerators, d)
 
     def as_dict(self) -> dict[str, Real]:
         return {
@@ -262,11 +261,9 @@ def _cell_chsh(cells) -> tuple:
 def chsh(table: ExperimentTable) -> ChshQuantities:
     """The four CHSH combinations of a table's correlation functions."""
     cells, d = table._scaled_cells
-    combinations, fraction = _cell_chsh(cells), table._fraction
-    if fraction is None:
-        return ChshQuantities(*map(_unscaler(d), combinations))
+    combinations = _cell_chsh(cells)
     _check_chsh_numerators(combinations, d)
-    return _prechecked(ChshQuantities, map(fraction, combinations), _scaled_values=(combinations, d), _fraction=fraction)
+    return _prechecked(ChshQuantities, map(table._fraction, combinations), _scaled_values=(combinations, d))
 
 
 @dataclass(frozen=True)
@@ -303,13 +300,12 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
         raise TypeError(f"bound must be a real number, not a bool, got {bound!r}")
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
-    if type(bound) is int and quantities._fraction is not None:
+    if type(bound) is int:
         values, d = quantities._scaled_values
-        scaled_bound, unscaled = bound * d, quantities._fraction
+        scaled_bound = bound if d is None else bound * d
     else:
         (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
-        unscaled = _unscaler(d)
-    checks = []
+    unscaled, checks = _unscaler(d), []
     for (name, value), n in zip(quantities.as_dict().items(), values):
         margin = abs(n) - scaled_bound
         checks.append(BoundCheck(quantity=name, value=value, margin=unscaled(margin), violated=margin > 0))
@@ -374,8 +370,7 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
         raise TypeError(f"tolerance must be a real number, not a bool, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    cells, d = table._scaled_cells
-    unscaled = _unscaler(d) if table._fraction is None else table._fraction
+    cells, unscaled = table._scaled_cells[0], table._fraction
     comparisons, residuals = [], []
     for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
         residual = first - second

@@ -150,6 +150,23 @@ def test_a_draw_keys_only_the_threads_own_generator():
     assert handed == []
 
 
+def test_probability_has_one_exact_path():
+    # Every table and every ChshQuantities carries its numerators and unscaler from
+    # construction, so none is built late and no function asks whether they are there.
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "probability.py").read_text(encoding="utf-8"))
+    names = [dotted(node) for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    names += [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for name in names if name.endswith("cached_property")] == []
+    asked = [
+        f"probability.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Constant) and side.value is None for side in [node.left, *node.comparators])
+        and any(isinstance(part, ast.Attribute) and part.attr in {"_fraction", "_scaled_cells", "_scaled_values"} for part in ast.walk(node))
+    ]
+    assert asked == []
+
+
 @pytest.mark.parametrize(
     "module, name",
     [

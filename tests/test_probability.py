@@ -1,6 +1,9 @@
 """Tests for joint distributions, correlations, CHSH combinations and marginals."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 from numbers import Real
 
@@ -769,3 +772,69 @@ def test_marginals_refuse_a_bool_tolerance(build):
 def test_frequency_table_refuses_bool_counts():
     with pytest.raises(ValueError, match=r"^AB: counts \(True, False, 0, 0\) are not integers >= 0 with a positive total$"):
         frequency_table([[True, False, 0, 0]] * 4)
+
+
+# --- one exact path: every table and every ChshQuantities carries its numerators from construction ---
+
+EIGHTHS = [(0, 8, 0, 0), (1, 2, 3, 2), (8, 0, 0, 0), (2, 2, 2, 2)]  # dyadic, so the float rows sum to 1.0 exactly
+TABLE_KINDS = {
+    "float": lambda: table_from_rows(*(tuple(n / 8 for n in row) for row in EIGHTHS)),
+    "generic": lambda: table_from_rows(*(tuple(Fraction(n, 8) for n in row) for row in EIGHTHS)),
+    "numerators": lambda: ExperimentTable.from_numerators(EIGHTHS, 8),
+}
+
+
+def table_results(table):
+    """chsh, marginals at tolerance 0 and check_bell_bounds at bounds 2 and 2*sqrt(2), as plain values."""
+    quantities = chsh(table)
+    bells = [bell_values(check_bell_bounds(quantities, bound)) for bound in (2, 2 * math.sqrt(2))]
+    return [quantities.as_tuple(), marginal_values(marginals(table, 0)), *bells]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_a_table_survives_pickle_and_deepcopy(kind):
+    # A float table's unscaler is a module-level function; a lambda would not pickle.
+    table = TABLE_KINDS[kind]()
+    quantities = chsh(table)
+    for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert copied == table
+        assert_same(table_results(copied), table_results(table))
+    for copied in (pickle.loads(pickle.dumps(quantities)), copy.deepcopy(quantities)):
+        assert_same(bell_values(check_bell_bounds(copied)), bell_values(check_bell_bounds(quantities)))
+
+
+def test_replace_recomputes_the_numerators_of_a_table():
+    table = analytic_table(StringModelConfig(variant="v4", p_w=HALF, p_1=Fraction(7, 10)))
+    replaced = dataclasses.replace(table, ab_prime=JointDistribution(Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)))
+    generic = table_from_rows(*(dist.probabilities() for _, dist in replaced.rows()))
+    assert chsh(replaced) != chsh(table)
+    assert_same(table_results(replaced), table_results(generic))
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_replace_recomputes_the_numerators_of_chsh_quantities(kind):
+    quantities = chsh(TABLE_KINDS[kind]())
+    replaced = dataclasses.replace(quantities, a_chsh=quantities.a_chsh + HALF)  # 7/4 + 1/2, past the bound 2
+    by_hand = ChshQuantities(*replaced.as_tuple())
+    for bound in (2, Fraction(5, 2), 2 * math.sqrt(2)):
+        assert_same(bell_values(check_bell_bounds(replaced, bound)), bell_values(check_bell_bounds(by_hand, bound)))
+    assert check_bell_bounds(replaced).checks[0].violated and not check_bell_bounds(quantities).checks[0].violated
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_chsh_range_checks_every_table(monkeypatch, kind):
+    table = TABLE_KINDS[kind]()
+    value = 6.0 if kind == "float" else Fraction(6)
+    with pytest.raises(InvariantViolation) as expected:
+        ChshQuantities(value, 0, 0, 0)
+    # Valid rows keep every combination within [-4, 4], so force one to 6 in the cells' own scale (AB sums to d).
+    monkeypatch.setattr(probability, "_cell_chsh", lambda cells: (6 * sum(cells[:4]), 0, 0, 0))
+    with pytest.raises(InvariantViolation) as got:
+        chsh(table)
+    assert str(got.value) == str(expected.value) == f"a_chsh = {value!r} outside [-4, 4]"
+
+
+def test_chsh_refuses_a_nan_combination_of_a_float_table(monkeypatch):
+    monkeypatch.setattr(probability, "_cell_chsh", lambda cells: (0.0, math.nan, 0.0, 0.0))
+    with pytest.raises(InvariantViolation, match=r"^b_chsh = nan outside \[-4, 4\]$"):
+        chsh(TABLE_KINDS["float"]())

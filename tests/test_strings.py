@@ -1,5 +1,6 @@
 """Tests for the string-model samplers, analytic tables and LHV baseline."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -401,6 +402,20 @@ class TestLhvBaseline:
             alice, bob, lams, weights = random_lhv_strategy(16, rng)
             q = chsh(lhv_table(alice, bob, lams, weights))
             assert all(abs(value) <= 2 for value in q.as_tuple())
+
+    def test_every_deterministic_strategy_keeps_both_laws_exactly(self):
+        # The local polytope is the convex hull of the 16 deterministic strategies, so by
+        # linearity these 16 tables prove the CHSH bound and the marginal laws for every LHV table.
+        maxima = []
+        for a, a_prime, b, b_prime in itertools.product((1, -1), repeat=4):
+            outcomes = {"A": a, "A'": a_prime, "B": b, "B'": b_prime}
+            table = lhv_table(lambda lam, s: outcomes[s], lambda lam, s: outcomes[s], (0,))
+            values = chsh(table).as_tuple()
+            assert all(type(q) is Fraction and abs(q) <= 2 for q in values)
+            maxima.append(max(abs(q) for q in values))
+            residual = marginals(table, 0).max_abs_residual
+            assert type(residual) is Fraction and residual == 0
+        assert len(maxima) == 16 and max(maxima) == 2
 
     @pytest.mark.parametrize("n_lambda", [0, -1])
     def test_a_random_strategy_needs_a_lambda(self, n_lambda):
