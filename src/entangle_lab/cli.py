@@ -438,7 +438,7 @@ _WORKERS_SAMPLING = f"sampling threads, in [1, {MAX_WORKERS}]; results are ident
 
 
 def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: $ENTANGLE_LAB_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed, in [0, 2**64 - 1] (default: $ENTANGLE_LAB_SEED or 0)")
     parser.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--workers", type=_workers, default=1, help=workers_help)
@@ -464,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="analytic and sampled tables of a string-model variant")
     table.add_argument("--variant", required=True, choices=_VARIANT_CHOICES, help=_VARIANT_HELP)
-    table.add_argument("--pw", type=float, default=None, help="white-color probability (v2/v3/v4)")
-    table.add_argument("--p1", type=float, default=None, help="string-1 selection probability (v4 only)")
-    table.add_argument("--length", type=float, default=1.0, help="string length (cancels from probabilities)")
+    table.add_argument("--pw", type=float, default=None, help="white-color probability, in [0, 1] (v2/v3/v4)")
+    table.add_argument("--p1", type=float, default=None, help="string-1 selection probability, in [0, 1] (v4 only)")
+    table.add_argument("--length", type=float, default=1.0, help="string length, positive and finite (cancels from probabilities)")
     trials_help = f"Monte Carlo trials per setting, in [0, {MAX_TRIALS}] (0: analytic only)"
     table.add_argument("--trials", type=int, default=0, help=trials_help)
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
-    trace_limit_help = f"traced trials per setting (needs --trace; default {TRACE_LIMIT})"
+    trace_limit_help = f"traced trials per setting, >= 1 (needs --trace; default {TRACE_LIMIT})"
     table.add_argument("--trace-limit", type=int, default=None, help=trace_limit_help)
     _add_common(table, workers_help=_WORKERS_SAMPLING)
     table.set_defaults(run=_cmd_table)
@@ -481,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--start", type=float, required=True, help="first grid value, in [0, 1]")
     scan.add_argument("--stop", type=float, required=True, help="last grid value, in [0, 1] and above --start")
     scan.add_argument("--steps", type=int, required=True, help=f"grid points, in [2, {SCAN_MAX_STEPS}]")
-    scan.add_argument("--pw", type=float, default=None, help="fixed p_w when scanning p_1")
-    scan.add_argument("--p1", type=float, default=None, help="fixed p_1 when scanning p_w")
+    scan.add_argument("--pw", type=float, default=None, help="fixed p_w when scanning p_1, in [0, 1]")
+    scan.add_argument("--p1", type=float, default=None, help="fixed p_1 when scanning p_w, in [0, 1]")
     _add_common(scan)
     scan.set_defaults(run=_cmd_scan)
 

@@ -49,22 +49,27 @@ words are its blocks' words one after another, so that one pass of the
 plane chain, and of a caller's outcome function, covers the whole run; a
 tie path still runs block by block, as each block's tie words follow its
 own planes.  :func:`count_outcomes` is the one counting driver on this
-layout: it runs one task per (setting, run) through :func:`map_blocks`,
-which runs ``fn(task)`` in one chunk per worker thread and returns the
-results in task order, and it sums the per-run counts of a caller's outcome
-function as integers.
+layout: it splits each setting's blocks into the fewest runs of at most
+``_RUN_BLOCKS`` blocks, their lengths differing by at most one, runs one
+task per (setting, run) through :func:`map_blocks`, which runs
+``fn(task)`` in one chunk per worker thread and returns the results in task
+order, and it sums the per-run counts of a caller's outcome function as
+integers.  The plane chain inverts a test's freshly drawn planes in place.
 The string table, the quantum table and the Bloch collapse all sample
 through it, and the Bloch average draws its float blocks through
 :func:`map_blocks` too, each at most ``MAX_BLOCKS`` blocks per setting.
-:func:`iter_block_slices` maps a range of trials to the blocks that hold
-them, for the driver and for the trial-by-trial replay alike.  The one float
-draw is :func:`uniforms`, numpy's ``Generator.random`` on a substream;
+:func:`iter_block_slices` maps a range of trials to those runs, or to
+single blocks for the trial-by-trial replay.  The one float draw is
+:func:`uniforms`, numpy's ``Generator.random`` on a substream;
 :func:`block_uniforms` draws a block's column 0 through it, which places the
 break of a traced string trial.
 Every sampler draw, a :class:`Block` test or a :func:`uniforms` call,
 re-keys the drawing thread's own SFC64 right before it reads, so the words
 drawn depend on the substream path alone, never on the thread or the
-generator.  Only :func:`bit_stream` given no generator returns a fresh one.
+generator.  The view of its state that keys it is kept beside it, and both
+go when the thread ends; a generator a caller hands :func:`bit_stream` gets
+its view for that call alone.  Only :func:`bit_stream` given no generator
+returns a fresh one.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -118,26 +123,30 @@ _ALL, _NONE = np.uint64(_U64), np.uint64(0)
 #: numpy's ``sfc64_state``: the four state words in native order, ``has_uint32``, ``uinteger``.
 _SFC64_STATE = struct.Struct("@4QiI")
 
-#: Most generators :func:`bit_stream` keeps a state view for; past it the views are dropped.
-_MAX_STATE_VIEWS = 64
-
-# Each SFC64's state bytes, keyed by the generator itself (it hashes by
-# identity), so an entry holds its generator alive along with the view.
-_state_views: dict = {}
-
-# Each thread's SFC64, which every sampler draw re-keys (_thread_generator).
+# Each thread's SFC64, which every sampler draw re-keys, and the view of its
+# state that keys it (_thread_generator); both go when the thread ends.
 _threads = threading.local()
 
-#: Most blocks in one :class:`Block` of :func:`count_outcomes`: 2**18 trials,
-#: whose events are 32 KiB arrays.  Longer runs were slower: their larger
-#: temporaries made the allocator hand pages back and re-fault them per task.
-_RUN_BLOCKS = 4
+#: Most blocks in one :class:`Block` of :func:`count_outcomes`: 5 * 2**16
+#: trials, whose events are 40 KiB arrays.  Each (setting, run) task has a
+#: fixed cost, so fewer runs are faster, as long as a test holds one plane
+#: stack at a time (8 planes of a 5-block run are 320 KiB): the plane chain
+#: inverts the stack in place, and the drawn blocks go once they are joined.
+#: A second stack per test made the allocator hand its pages back and
+#: re-fault them on every task.
+_RUN_BLOCKS = 5
 
 
 def stream_key(master_seed: int, *path: int) -> int:
     """256-bit key for the substream at ``path`` under ``master_seed``: the SHA-256 digest, little-endian."""
-    payload = _KEY_PREFIX + struct.pack(f"<Q{len(path)}q", master_seed & _U64, *path)
+    payload = _payload_packer(len(path))(_KEY_PREFIX, master_seed & _U64, *path)
     return int.from_bytes(hashlib.sha256(payload).digest(), "little")
+
+
+@functools.cache
+def _payload_packer(parts: int) -> Callable[..., bytes]:
+    """Packs a key's payload for a path of ``parts`` parts: the prefix, the seed, the path, little-endian."""
+    return struct.Struct(f"<{len(_KEY_PREFIX)}sQ{parts}q").pack
 
 
 def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.random.SFC64:
@@ -149,32 +158,40 @@ def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | No
     """
     if bit_generator is None:
         bit_generator = np.random.SFC64(0)
-    view = _state_views.get(bit_generator)
-    if view is None:
-        _check_state_layout()
+    if bit_generator is getattr(_threads, "bit_generator", None):
+        view = _threads.view
+    else:
         view = _state_view(bit_generator)
-    key = stream_key(master_seed, *path)
-    _SFC64_STATE.pack_into(view, 0, key & _U64, key >> 64 & _U64, key >> 128 & _U64, key >> 192, 0, 0)
+    _write_key(view, stream_key(master_seed, *path))
     return bit_generator
+
+
+def _write_key(view: ctypes.Array, key: int) -> None:
+    """Key the SFC64 whose state ``view`` is: the key's four words, low word first, and no half word left."""
+    _SFC64_STATE.pack_into(view, 0, key & _U64, key >> 64 & _U64, key >> 128 & _U64, key >> 192, 0, 0)
 
 
 def _thread_generator() -> np.random.SFC64:
     """The calling thread's own SFC64, made on its first use; the words drawn never depend on it."""
     bit_generator = getattr(_threads, "bit_generator", None)
     if bit_generator is None:
-        bit_generator = _threads.bit_generator = np.random.SFC64(0)
+        bit_generator = np.random.SFC64(0)
+        _threads.view = _state_view(bit_generator)
+        _threads.bit_generator = bit_generator
     return bit_generator
 
 
-def _state_view(bit_generator: np.random.SFC64) -> ctypes.Array:
-    """A writable view of the generator's ``sfc64_state``, kept in ``_state_views``."""
+def _state_view(bit_generator: np.random.SFC64, *, check: bool = True) -> ctypes.Array:
+    """A writable view of the generator's ``sfc64_state``, made once :func:`_check_state_layout` passes.
+
+    The view holds no reference to the generator: whoever keeps the view
+    keeps the generator with it.
+    """
     if not isinstance(bit_generator, np.random.SFC64):
         raise TypeError(f"bit_generator must be an np.random.SFC64, got {type(bit_generator).__name__}")
-    if len(_state_views) >= _MAX_STATE_VIEWS:
-        _state_views.clear()
-    view = (ctypes.c_char * _SFC64_STATE.size).from_address(bit_generator.ctypes.state_address)
-    _state_views[bit_generator] = view
-    return view
+    if check:
+        _check_state_layout()
+    return (ctypes.c_char * _SFC64_STATE.size).from_address(bit_generator.ctypes.state_address)
 
 
 @functools.cache
@@ -187,8 +204,7 @@ def _check_state_layout() -> None:
     key = stream_key(0)
     direct, by_setter = np.random.SFC64(0), np.random.SFC64(0)
     np.random.Generator(direct).integers(1 << 32, dtype=np.uint32)  # has_uint32 and uinteger for the write to clear
-    _state_view(direct)  # made here, so that keying ``direct`` does not come back to this check
-    bit_stream(0, bit_generator=direct)
+    _write_key(_state_view(direct, check=False), key)  # as bit_stream writes, without coming back here
     words = np.array([key >> 64 * i & _U64 for i in range(4)], dtype=np.uint64)
     by_setter.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
     written, expected = direct.state, by_setter.state
@@ -244,7 +260,8 @@ class Block:
     every Block of ``rows`` trials.  Each test draws its column's
     leading planes from every block's own substream on the drawing
     thread's own SFC64, re-keyed for every (block, column) drawn, so a
-    Block may be made on one thread and drawn on another.
+    Block may be made on one thread and drawn on another.  The drawn planes
+    are the test's own, and the plane chain inverts them in place.
     """
 
     def __init__(self, master_seed: int, domain: int, setting_index: int, block_index: int, rows: int, *, max_blocks: int = 1):
@@ -280,8 +297,8 @@ class Block:
                 picked = None if pick is None else pick[words]
                 below[words] = _chain(planes[:, : valid.size], keys, picked, valid, stream)
         else:
-            drawn = [self._planes(column, start, m)[1] for start in range(0, self.words, PLANE_WORDS)]
-            planes = np.concatenate(drawn, axis=1)
+            # The drawn blocks go once joined, before the chain (``_RUN_BLOCKS``).
+            planes = np.concatenate([self._planes(column, start, m)[1] for start in range(0, self.words, PLANE_WORDS)], axis=1)
             below = _chain(planes[:, : self.words], keys, pick, self.valid)
         if always is not _NONE:
             below |= always & self.valid
@@ -320,7 +337,9 @@ def _key_bits(k: int, m: int) -> tuple[np.uint64, ...]:
 def _chain(planes: np.ndarray, keys, pick, valid: np.ndarray, tie_stream=None) -> np.ndarray:
     """The events U < K decided by ``planes`` (MSB first) within ``valid``; ``pick`` as in :meth:`Block.below`.
 
-    With ``tie_stream``, the stream standing at the first tie word of these
+    ``planes`` is overwritten: the chain inverts it in place, to U's zero
+    bits, so it makes no temporary of the stack's size.  With
+    ``tie_stream``, the stream standing at the first tie word of these
     planes, the trials still tied after them take their tie words.
     """
     if pick is None:
@@ -330,20 +349,22 @@ def _chain(planes: np.ndarray, keys, pick, valid: np.ndarray, tie_stream=None) -
     # MSB first: ``agree`` holds the trials whose U has matched their key
     # on every plane so far, and the first plane where they differ
     # decides: U < K where the key has the bit there.  Both stay within
-    # the valid bits.
-    clear = ~planes  # U's zero bits
+    # the valid bits.  Where the key bit is set, an agreeing trial either
+    # decides there or keeps agreeing, so ``agree ^ decided`` is the next
+    # ``agree``.
+    clear = np.invert(planes, out=planes)
     below, agree = None, valid
     for j, k_bit in enumerate(k_bits):
         if k_bit is _NONE:
             decided, match = None, clear[j]
         elif k_bit is _ALL:
-            decided, match = agree & clear[j], planes[j]
+            decided, match = agree & clear[j], None
         else:
-            decided, match = agree & clear[j] & k_bit, ~(planes[j] ^ k_bit)
+            decided, match = agree & clear[j] & k_bit, clear[j] ^ k_bit
         if decided is not None:
             below = decided if below is None else below | decided
         if tie_stream is not None or j < len(planes) - 1:
-            agree = agree & match
+            agree = agree ^ decided if match is None else agree & match
     if below is None:
         below = np.zeros_like(valid)
     if tie_stream is not None:
@@ -386,26 +407,45 @@ def block_uniforms(master_seed: int, domain: int, setting_index: int, block_inde
 
 
 def iter_block_slices(end: int, start: int = 0, *, blocks: int = 1):
-    """Yield (block_index, first_trial, rows) for the runs of at most ``blocks`` blocks that hold trials [start, end).
+    """Yield (block_index, first_trial, rows) for the fewest runs of at most ``blocks`` blocks that hold trials [start, end).
 
-    A run starts at block ``block_index``, the first at the block holding
+    The runs' lengths in blocks differ by at most one, the longer first: 10
+    blocks at ``blocks=5`` make 5 + 5, and 16 make 4 + 4 + 4 + 4.  A run
+    starts at block ``block_index``, the first at the block holding
     ``start``; ``first_trial`` is its first trial, and ``rows`` counts from
     it to ``end`` or the end of the run, so the cost is one step per run in
     the range, whatever ``start`` is.
     """
     if start < end:
-        for block_index in range(start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK), blocks):
+        block_index, end_block = start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK)
+        n_runs = -(-(end_block - block_index) // blocks)
+        length, longer = divmod(end_block - block_index, n_runs)
+        for run in range(n_runs):
+            run_blocks = length + (run < longer)
             first = block_index * TRIAL_BLOCK
-            yield block_index, first, min(end - first, blocks * TRIAL_BLOCK)
+            yield block_index, first, min(end - first, run_blocks * TRIAL_BLOCK)
+            block_index += run_blocks
+
+
+#: Most words :func:`sign_counts` takes: a count of 64 bits a word then stays below 2**32.
+_MAX_SIGN_WORDS = 1 << 26
 
 
 def sign_counts(a_plus: np.ndarray, b_plus: np.ndarray, rows: int) -> tuple[int, int, int, int]:
     """The cell counts (++, +-, -+, --) of paired + masks packed into words, over their first ``rows`` bits.
 
     Trial r is bit ``r % 64`` of word ``r // 64``; the bits past ``rows`` in
-    the last word are padding, whatever they hold.
+    the last word are padding, whatever they hold.  The counts are summed in
+    32 bits, so masks of ``_MAX_SIGN_WORDS`` words or more are refused with
+    ``ValueError``.
     """
-    n_a, n_b, n_ab = np.add.reduce(np.bitwise_count(np.concatenate((a_plus, b_plus, a_plus & b_plus)).reshape(3, -1)), axis=1).tolist()
+    if a_plus.size >= _MAX_SIGN_WORDS:
+        raise ValueError(f"sign_counts takes fewer than {_MAX_SIGN_WORDS} words, got {a_plus.size}")
+    popcounts = np.empty((3, a_plus.size), dtype=np.uint8)
+    np.bitwise_count(a_plus, out=popcounts[0])
+    np.bitwise_count(b_plus, out=popcounts[1])
+    np.bitwise_count(a_plus & b_plus, out=popcounts[2])
+    n_a, n_b, n_ab = np.add.reduce(popcounts, axis=1, dtype=np.uint32).tolist()
     if rows % 64:
         padding = _U64 << rows % 64 & _U64
         a, b = int(a_plus[-1]) & padding, int(b_plus[-1]) & padding
@@ -454,10 +494,12 @@ def count_outcomes(
 
     ``outcome(setting_index, block)`` returns the ``n_cells`` counts of the
     ``block.rows`` trials of one :class:`Block`, a run of at most
-    ``_RUN_BLOCKS`` blocks.  The (setting, run) tasks run through
-    :func:`map_blocks`.  The counts are integer sums over runs whose events
-    depend only on the block layout, so they are bit-identical for any
-    ``workers`` value.
+    ``_RUN_BLOCKS`` blocks: each setting's blocks make the fewest such runs,
+    their lengths differing by at most one (:func:`iter_block_slices`), so
+    10 blocks make 2 runs of 5 and 16 make 4 of 4.  The (setting, run)
+    tasks run through :func:`map_blocks`.  The counts are integer sums over
+    runs whose events depend only on the block layout, so they are
+    bit-identical for any ``workers`` value.
     """
     if not 1 <= n_trials <= MAX_BLOCKS * TRIAL_BLOCK:
         raise ValueError(f"n_trials must lie in [1, {MAX_BLOCKS * TRIAL_BLOCK}], got {n_trials}")

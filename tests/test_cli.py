@@ -1014,6 +1014,41 @@ def test_scan_help_states_the_steps_range(capsys):
     assert f"grid points, in [2, {SCAN_MAX_STEPS}]" in " ".join(out.split())
 
 
+def test_every_numeric_flag_states_its_range():
+    # A flag with a type is one parsed as a number; its help names the values it takes.
+    stated = []
+    for name, parser in leaf_parsers(build_parser()):
+        for action in parser._actions:
+            if action.option_strings and action.type is not None:
+                assert re.search(r"in \[|>= 1|positive and finite", action.help), f"{name} {action.option_strings[0]}"
+                stated.append(f"{name} {action.option_strings[0]}")
+    assert "entangle-lab bloch decompose --seed" in stated and "entangle-lab table --length" in stated
+
+
+@pytest.mark.parametrize(
+    "command, texts",
+    [
+        (
+            ("table",),
+            (
+                "white-color probability, in [0, 1]",
+                "string-1 selection probability, in [0, 1]",
+                "string length, positive and finite",
+                "traced trials per setting, >= 1",
+                "master seed, in [0, 2**64 - 1]",
+            ),
+        ),
+        (("scan",), ("fixed p_w when scanning p_1, in [0, 1]", "fixed p_1 when scanning p_w, in [0, 1]")),
+        (("bloch", "decompose"), ("master seed, in [0, 2**64 - 1]",)),
+    ],
+)
+def test_the_probability_length_trace_limit_and_seed_help_states_the_range(capsys, command, texts):
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    for text in texts:
+        assert text in " ".join(out.split())
+
+
 @pytest.mark.parametrize(
     "pp_extra, pm_extra, fragment",
     [((((1, 0), -1),), (((1, 0), 1),), "AB: cell numerators (-1, "), ((((0, 0), 3),), (), "AB: cell numerators (3, ")],

@@ -1,5 +1,6 @@
 """Tests for deterministic substream derivation and the one threshold rule."""
 
+import gc
 import hashlib
 import math
 import struct
@@ -100,13 +101,26 @@ def test_the_in_place_key_is_the_state_setters(seed, path, given_generator):
         assert draw(np.random.Generator(stream)).tolist() == draw(np.random.Generator(reference)).tolist()
 
 
-def test_the_state_views_stay_bounded_and_a_dropped_one_is_rebuilt():
-    streams = [bit_stream(3, i) for i in range(3 * rng._MAX_STATE_VIEWS)]
-    assert len(rng._state_views) <= rng._MAX_STATE_VIEWS
-    bit_stream(3, -1, bit_generator=streams[0])
-    assert streams[0].random_raw(2).tolist() == keyed_by_setter(3, -1).random_raw(2).tolist()
-    for i, stream in enumerate(streams[1:], 1):
-        assert stream.random_raw() == keyed_by_setter(3, i).random_raw()
+def test_a_finished_threads_generator_and_a_callers_generator_are_not_held():
+    # An SFC64 takes no weak reference, so its references are counted: once
+    # the thread has ended, or the calls have returned, only this test's
+    # list and getrefcount's argument hold the generator.  (Counted outside
+    # the assert, whose rewriting would hold one more.)
+    drawn = []
+
+    def draw():
+        Block(3, DOMAIN_STRING_TRIALS, 0, 0, 64).below(0, 1 / 3)
+        drawn.append(rng._thread_generator())
+
+    thread = threading.Thread(target=draw)
+    thread.start()
+    thread.join()
+    gc.collect()
+    drawn.append(np.random.SFC64(0))
+    for i in range(3):
+        assert bit_stream(3, i, bit_generator=drawn[1]).random_raw() == keyed_by_setter(3, i).random_raw()
+    references = [sys.getrefcount(bit_generator) - 1 for bit_generator in drawn]  # less the loop's own name
+    assert references == [2, 2]
 
 
 def test_only_an_sfc64_is_keyed():
@@ -357,6 +371,42 @@ def test_iter_block_slices_partitions_exactly():
     assert list(iter_block_slices(2 * TRIAL_BLOCK + 5, 2 * TRIAL_BLOCK + 5)) == []  # no trials, no blocks
 
 
+@property_settings
+@given(start=st.integers(0, 40 * TRIAL_BLOCK), n_trials=st.integers(1, 40 * TRIAL_BLOCK), blocks=st.integers(1, 12))
+def test_iter_block_slices_makes_the_fewest_balanced_runs(start, n_trials, blocks):
+    end = start + n_trials
+    runs = list(iter_block_slices(end, start, blocks=blocks))
+    first_block, n_blocks = start // TRIAL_BLOCK, -(-end // TRIAL_BLOCK) - start // TRIAL_BLOCK
+    assert len(runs) == -(-n_blocks // blocks)
+    # Each run starts at its block's boundary, right where the one before ends,
+    # and the last ends at ``end``: the runs hold exactly the blocks of [start, end).
+    assert runs[0][:2] == (first_block, first_block * TRIAL_BLOCK)
+    for (block, first, rows), (next_block, next_first, _) in zip(runs, runs[1:]):
+        assert rows % TRIAL_BLOCK == 0
+        assert (next_block, next_first) == (block + rows // TRIAL_BLOCK, first + rows)
+    assert all(first == block * TRIAL_BLOCK for block, first, _ in runs)
+    assert runs[-1][1] + runs[-1][2] == end
+    lengths = [-(-rows // TRIAL_BLOCK) for _, _, rows in runs]
+    assert sum(lengths) == n_blocks
+    assert max(lengths) <= blocks and max(lengths) - min(lengths) <= 1
+
+
+@pytest.mark.parametrize("n_blocks, lengths", [(1, [1]), (2, [2]), (5, [5]), (6, [3, 3]), (10, [5, 5]), (11, [4, 4, 3]), (16, [4, 4, 4, 4])])
+def test_count_outcomes_runs_the_fewest_balanced_tasks_per_setting(n_blocks, lengths):
+    assert rng._RUN_BLOCKS == 5
+    calls = []
+
+    def record(si, block):
+        calls.append((si, block.path[3], block.rows))
+        return (block.rows,)
+
+    counts = count_outcomes(0, DOMAIN_STRING_TRIALS, 2, n_blocks * TRIAL_BLOCK - 3, 1, record)
+    assert counts.tolist() == [[n_blocks * TRIAL_BLOCK - 3]] * 2
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    rows = [length * TRIAL_BLOCK for length in lengths[:-1]] + [lengths[-1] * TRIAL_BLOCK - 3]
+    assert calls == [(si, start, r) for si in range(2) for start, r in zip(starts, rows)]
+
+
 # --- the threshold rule ----------------------------------------------------
 
 BYTE_EDGES = [k / 256 for k in range(1, 256)]
@@ -581,6 +631,25 @@ def test_sign_counts_are_the_four_cells():
     assert list(sign_counts(~pack(a_plus), ~pack(b_plus), 1000)) == expected[::-1]
     full = gen.random(1024) < 0.5  # no padding
     assert list(sign_counts(pack(full), pack(~full), 1024)) == [0, int(full.sum()), int((~full).sum()), 0]
+
+
+@property_settings
+@given(rows=st.integers(1, 5 * TRIAL_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_sign_counts_are_exact_whatever_the_padding_bits_hold(rows, seed):
+    gen = np.random.default_rng(seed)
+    words = -(-rows // 64)
+    a_words, b_words = (gen.integers(0, 2**64, size=words, dtype=np.uint64) for _ in range(2))
+    a_plus, b_plus = (np.unpackbits(w.astype("<u8").view(np.uint8), bitorder="little")[:rows].view(bool) for w in (a_words, b_words))
+    expected = np.bincount((~a_plus) * 2 + (~b_plus), minlength=4).tolist()
+    assert list(sign_counts(a_words, b_words, rows)) == expected
+
+
+def test_sign_counts_refuse_masks_of_2_26_words_before_any_work():
+    # Broadcast, so no memory is allocated: each count sums in 32 bits, and
+    # 2**26 words of 64 bits could reach 2**32.
+    words = np.broadcast_to(np.uint64(0), (1 << 26,))
+    with pytest.raises(ValueError, match=r"^sign_counts takes fewer than 67108864 words, got 67108864$"):
+        sign_counts(words, words, 64 << 26)
 
 
 def test_draws_given_no_generator_key_one_per_thread_and_never_mix(monkeypatch):
