@@ -28,7 +28,6 @@ from .strings import (
     estimate_table,
     lhv_table,
     pre_broken_lhv_strategy,
-    random_lhv_strategy,
 )
 from .quantum import (
     AxisQuad,

@@ -11,8 +11,10 @@ Subcommands
     bloch    collapse sampling, universal averages and the 15-dimensional
              two-qubit decomposition
 
-Each subcommand is one ``_cmd_*(args, seed)`` function.  It checks its own
-flags, computes its result and returns ``(config, results, (header, rows))``:
+The parser refuses a numeric flag outside its range, declared once with
+:func:`_ranged`.  Each subcommand is one ``_cmd_*(args, seed)`` function.  It
+checks the rules that tie flags together, computes its result and returns
+``(config, results, (header, rows))``:
 the configuration echo, the JSON ``results`` block and the CSV rows.
 :func:`main` renders every report.  It resolves the seed once, writes the CSV
 rows under ``--format csv``, and otherwise builds the JSON envelope, appending
@@ -211,24 +213,19 @@ def _cmd_table(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         raise ValueError(f"--p1 applies to v4 only, not {args.variant}")
     if args.trace_limit is not None and not args.trace:
         raise ValueError("--trace-limit needs --trace")
-    trace_limit = TRACE_LIMIT if args.trace_limit is None else args.trace_limit
     config = StringModelConfig(
         variant=Variant(args.variant),
         p_w=args.pw,
         p_1=args.p1,
         length_l=args.length,
     )
-    if not 0 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
     if args.trace and args.trials == 0:
         raise ValueError("--trace needs --trials >= 1")
-    if trace_limit < 1:
-        raise ValueError(f"--trace-limit must be >= 1, got {trace_limit}")
 
     if args.trace:
         # Written first, so a trace path that cannot be opened is refused before any sampling.
         with open(args.trace, "w", encoding="utf-8") as out:
-            write_trace(out, config, seed, min(trace_limit, args.trials))
+            write_trace(out, config, seed, min(args.trace_limit or TRACE_LIMIT, args.trials))
     analytic = analytic_table(config)
     sampled = counts = None
     if args.trials:
@@ -253,10 +250,6 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
         raise ValueError("--pw fixes p_w, which --parameter p_w scans")
     if args.parameter == "p_1" and args.p1 is not None:
         raise ValueError("--p1 fixes p_1, which --parameter p_1 scans")
-    if not 2 <= args.steps <= SCAN_MAX_STEPS:
-        raise ValueError(f"--steps must lie in [2, {SCAN_MAX_STEPS}], got {args.steps}")
-    if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
-        raise ValueError("--start and --stop must lie in [0, 1]")
     if not args.start < args.stop:
         raise ValueError("--start must be < --stop")
     variant = Variant(args.variant)
@@ -286,10 +279,6 @@ def _cmd_scan(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
 
 
 def _cmd_quantum(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
-    if not 0.0 <= args.alpha <= math.pi:
-        raise ValueError(f"--alpha must lie in [0, pi], got {args.alpha}")
-    if not 0 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [0, {MAX_TRIALS}], got {args.trials}")
     state = maximally_mixed_state() if args.mixed else singlet_state()
     analytic = table_for_axes(state, coplanar_axes(args.alpha))
 
@@ -307,15 +296,11 @@ def _cmd_quantum(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
 
 def _collapse_geometry(costheta: float):
     """State and frame with r.n+ = costheta: n+ along +z, r tilted toward +x."""
-    if not -1.0 <= costheta <= 1.0:
-        raise ValueError(f"--costheta must lie in [-1, 1], got {costheta}")
     r = np.array([math.sqrt(max(0.0, 1.0 - costheta * costheta)), 0.0, costheta])
     return r, MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 
 
 def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     r, frame = _collapse_geometry(args.costheta)
     dist = BreakDistribution(None if args.cell_weights is None else _parse_cell_weights(args.cell_weights))
     born_plus, born_minus = outcome_probabilities(r, frame)
@@ -424,24 +409,33 @@ def _cmd_bloch_decompose(args, seed: int) -> tuple[dict, dict, tuple[list, list]
     return config_echo, results, (["block", "index", "value"], rows)
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}], got {value}")
-    return value
+def _ranged(parser, flag: str, kind: type, lo, hi, help: str, note: str = "", **kwargs) -> None:
+    """Add a ``kind`` flag whose values lie in [lo, hi], or are >= lo when ``hi`` is None.
+
+    The parser refuses a NaN or out-of-range value as a usage error, "must lie
+    in [lo, hi], got v", and the help reads "help, in [lo, hi]note".
+    """
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (lo <= value and (hi is None or value <= hi)):  # NaN compares false
+            raise argparse.ArgumentTypeError(f"must {'be' if hi is None else 'lie'} {span}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value: 'abc'"
+    parser.add_argument(flag, type=parse, help=f"{help}, {span}{note}", **kwargs)
 
 
-_WORKERS_NO_EFFECT = (
-    f"accepted in [1, {MAX_WORKERS}] on every command for a uniform command line; has no effect on this command"
-)
-_WORKERS_SAMPLING = f"sampling threads, in [1, {MAX_WORKERS}]; results are identical for any value"
+_WORKERS_NO_EFFECT = ("accepted on every command for a uniform command line", "; has no effect on this command")
+_WORKERS_SAMPLING = ("sampling threads", "; results are identical for any value")
 
 
-def _add_common(parser: argparse.ArgumentParser, workers_help: str = _WORKERS_NO_EFFECT) -> None:
+def _add_common(parser: argparse.ArgumentParser, workers_help: tuple[str, str] = _WORKERS_NO_EFFECT) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed, in [0, 2**64 - 1] (default: $ENTANGLE_LAB_SEED or 0)")
     parser.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--workers", type=_workers, default=1, help=workers_help)
+    _ranged(parser, "--workers", int, 1, MAX_WORKERS, *workers_help, default=1)
     parser.add_argument("--timing", action="store_true", help="include wall time in the JSON report (json only)")
 
 
@@ -467,30 +461,27 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--pw", type=float, default=None, help="white-color probability, in [0, 1] (v2/v3/v4)")
     table.add_argument("--p1", type=float, default=None, help="string-1 selection probability, in [0, 1] (v4 only)")
     table.add_argument("--length", type=float, default=1.0, help="string length, positive and finite (cancels from probabilities)")
-    trials_help = f"Monte Carlo trials per setting, in [0, {MAX_TRIALS}] (0: analytic only)"
-    table.add_argument("--trials", type=int, default=0, help=trials_help)
+    _ranged(table, "--trials", int, 0, MAX_TRIALS, "Monte Carlo trials per setting", " (0: analytic only)", default=0)
     table.add_argument("--trace", default=None, help="write per-trial micro traces as JSON lines to this path")
-    trace_limit_help = f"traced trials per setting, >= 1 (needs --trace; default {TRACE_LIMIT})"
-    table.add_argument("--trace-limit", type=int, default=None, help=trace_limit_help)
+    _ranged(table, "--trace-limit", int, 1, None, "traced trials per setting", f" (needs --trace; default {TRACE_LIMIT})")
     _add_common(table, workers_help=_WORKERS_SAMPLING)
     table.set_defaults(run=_cmd_table)
 
     scan = sub.add_parser("scan", help="sweep p_w or p_1 over a grid")
     scan.add_argument("--variant", required=True, choices=_VARIANT_CHOICES, help=_VARIANT_HELP)
     scan.add_argument("--parameter", required=True, choices=["p_w", "p_1"], help="the scanned parameter (p_1: v4 only)")
-    scan.add_argument("--start", type=float, required=True, help="first grid value, in [0, 1]")
-    scan.add_argument("--stop", type=float, required=True, help="last grid value, in [0, 1] and above --start")
-    scan.add_argument("--steps", type=int, required=True, help=f"grid points, in [2, {SCAN_MAX_STEPS}]")
+    _ranged(scan, "--start", float, 0, 1, "first grid value", required=True)
+    _ranged(scan, "--stop", float, 0, 1, "last grid value", " and above --start", required=True)
+    _ranged(scan, "--steps", int, 2, SCAN_MAX_STEPS, "grid points", required=True)
     scan.add_argument("--pw", type=float, default=None, help="fixed p_w when scanning p_1, in [0, 1]")
     scan.add_argument("--p1", type=float, default=None, help="fixed p_1 when scanning p_w, in [0, 1]")
     _add_common(scan)
     scan.set_defaults(run=_cmd_scan)
 
     quantum = sub.add_parser("quantum", help="singlet reference values on the coplanar axis family")
-    quantum.add_argument("--alpha", type=float, required=True, help="angle between the A and B axes, in [0, pi]")
+    _ranged(quantum, "--alpha", float, 0, math.pi, "angle between the A and B axes in radians", " (pi)", required=True)
     quantum.add_argument("--mixed", action="store_true", help="use the maximally mixed state instead of the singlet")
-    quantum_trials_help = f"sampled trials per setting, in [0, {MAX_TRIALS}] (0: analytic only)"
-    quantum.add_argument("--trials", type=int, default=0, help=quantum_trials_help)
+    _ranged(quantum, "--trials", int, 0, MAX_TRIALS, "sampled trials per setting", " (0: analytic only)", default=0)
     _add_common(quantum, workers_help=_WORKERS_SAMPLING)
     quantum.set_defaults(run=_cmd_quantum)
 
@@ -498,16 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     bloch_sub = bloch.add_subparsers(dest="subcommand", required=True)
 
     collapse = bloch_sub.add_parser("collapse", help="sample the break-point collapse mechanism")
-    costheta_help = "r.n+ of the measured state, in [-1, 1]"
-    collapse.add_argument("--costheta", type=float, required=True, help=costheta_help)
-    collapse_trials_help = f"sampled collapses, in [1, {MAX_TRIALS}] (default 10000)"
-    collapse.add_argument("--trials", type=int, default=10000, help=collapse_trials_help)
+    costheta = ("--costheta", float, -1, 1, "r.n+ of the measured state")
+    _ranged(collapse, *costheta, required=True)
+    _ranged(collapse, "--trials", int, 1, MAX_TRIALS, "sampled collapses", " (default 10000)", default=10000)
     collapse.add_argument("--cell-weights", default=None, help="comma-separated piecewise cell weights (default: uniform)")
     _add_common(collapse, workers_help=_WORKERS_SAMPLING)
     collapse.set_defaults(run=_cmd_bloch_collapse)
 
     average = bloch_sub.add_parser("average", help="universal average over random break distributions")
-    average.add_argument("--costheta", type=float, required=True, help=costheta_help)
+    _ranged(average, *costheta, required=True)
     cells_help = f"equal cells per break distribution, in [1, {AVERAGE_BLOCK_FLOATS}] (default 64)"
     average.add_argument("--cells", type=int, default=64, help=cells_help)
     dists_help = f"distributions averaged, in [1, {MAX_BLOCKS} * ({AVERAGE_BLOCK_FLOATS} // cells)] (default 100000)"

@@ -587,26 +587,3 @@ def pre_broken_lhv_strategy():
         return 1
 
     return alice, bob, lam_values, weights
-
-
-def random_lhv_strategy(n_lambda: int, rng: np.random.Generator):
-    """A random deterministic strategy over ``n_lambda`` equally-typed points.
-
-    Outcome tables are independent fair +/-1 draws per (lambda, setting);
-    lambda weights are random positive integers normalized exactly.
-    """
-    if n_lambda < 1:
-        raise ValueError(f"n_lambda must be >= 1, got {n_lambda}")
-    a_table = rng.integers(0, 2, size=(n_lambda, 2)) * 2 - 1
-    b_table = rng.integers(0, 2, size=(n_lambda, 2)) * 2 - 1
-    raw = rng.integers(1, 1000, size=n_lambda)
-    total = int(raw.sum())
-    weights = tuple(Fraction(int(w), total) for w in raw)
-
-    def alice(lam, setting: str) -> int:
-        return int(a_table[lam, 0 if setting == "A" else 1])
-
-    def bob(lam, setting: str) -> int:
-        return int(b_table[lam, 0 if setting == "B" else 1])
-
-    return alice, bob, tuple(range(n_lambda)), weights

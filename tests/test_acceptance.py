@@ -32,8 +32,8 @@ from entangle_lab.strings import (
     analytic_table,
     estimate_table,
     lhv_table,
-    random_lhv_strategy,
 )
+from lhv_strategies import random_lhv_strategy
 
 HALF = Fraction(1, 2)
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)

@@ -246,7 +246,7 @@ class TestTable:
         args = ("table", "--variant", "v1", "--trials", "10", "--trace", str(path), "--trace-limit", "0")
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == "--trace-limit must be >= 1, got 0"
+        assert json.loads(err)["error"]["message"] == "argument --trace-limit: must be >= 1, got 0"
         assert not path.exists()
 
     @pytest.mark.parametrize("variant", ["v1", "v1pre", "v2", "v3"])
@@ -677,6 +677,20 @@ def test_usage_errors_are_one_json_line_on_stderr(capsys, args):
     assert error["message"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("table", "--variant", "v1", "--workers", "abc"), "argument --workers: invalid int value: 'abc'"),
+        (("table", "--variant", "v1", "--trials", "1.5"), "argument --trials: invalid int value: '1.5'"),
+        (("quantum", "--alpha", "pi"), "argument --alpha: invalid float value: 'pi'"),
+    ],
+)
+def test_a_value_that_is_not_a_number_names_the_expected_type(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert json.loads(err)["error"]["message"] == message
+
+
 def test_help_and_version_stay_plain_text(capsys):
     code, out, err = run_cli(capsys, "--version")
     assert (code, out.strip(), err) == (0, f"entangle-lab {entangle_lab.__version__}", "")
@@ -972,15 +986,15 @@ def test_scan_refuses_steps_past_the_maximum_before_allocating(capsys, monkeypat
     args = ("scan", "--variant", "v2", "--parameter", "p_w", "--start", "0", "--stop", "1", "--steps", str(steps))
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert json.loads(err)["error"]["message"] == f"--steps must lie in [2, {SCAN_MAX_STEPS}], got {steps}"
+    assert json.loads(err)["error"]["message"] == f"argument --steps: must lie in [2, {SCAN_MAX_STEPS}], got {steps}"
 
 
 @pytest.mark.parametrize(
     "command, flag, message",
     [
-        (("table", "--variant", "v1"), "--trials", "--trials must lie in [0, 4294967296]"),
-        (("quantum", "--alpha", "0.5"), "--trials", "--trials must lie in [0, 4294967296]"),
-        (("bloch", "collapse", "--costheta", "0.5"), "--trials", "--trials must lie in [1, 4294967296]"),
+        (("table", "--variant", "v1"), "--trials", "argument --trials: must lie in [0, 4294967296]"),
+        (("quantum", "--alpha", "0.5"), "--trials", "argument --trials: must lie in [0, 4294967296]"),
+        (("bloch", "collapse", "--costheta", "0.5"), "--trials", "argument --trials: must lie in [1, 4294967296]"),
         (("bloch", "average", "--costheta", "0.5"), "--dists", "n_distributions must lie in [1, 1073741824] for 64 cells"),
     ],
 )
@@ -1115,3 +1129,55 @@ def test_a_call_after_a_usage_error_or_help_gives_a_fresh_process_bytes(capsys, 
     code, out, _ = run_cli(capsys, *SAMPLED_ARGS)
     assert code == 0
     assert out == fresh_process_output(*SAMPLED_ARGS)
+
+
+RANGED_FLAGS = [
+    ("table", "--trials", 0, MAX_TRIALS),
+    ("table", "--trace-limit", 1, None),
+    ("scan", "--start", 0.0, 1.0),
+    ("scan", "--stop", 0.0, 1.0),
+    ("scan", "--steps", 2, SCAN_MAX_STEPS),
+    ("quantum", "--alpha", 0.0, math.pi),
+    ("quantum", "--trials", 0, MAX_TRIALS),
+    ("collapse", "--costheta", -1.0, 1.0),
+    ("collapse", "--trials", 1, MAX_TRIALS),
+    ("average", "--costheta", -1.0, 1.0),
+    *((command, "--workers", 1, rng.MAX_WORKERS) for command in WORKER_COMMANDS),
+]
+
+
+def outside(lo, hi) -> list[str]:
+    """The values just past [lo, hi], and for a float flag NaN and both infinities."""
+    if isinstance(lo, int):
+        return [str(lo - 1)] + ([] if hi is None else [str(hi + 1)])
+    return [repr(math.nextafter(lo, -math.inf)), repr(math.nextafter(hi, math.inf)), "nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("command, flag, lo, hi", RANGED_FLAGS)
+def test_a_ranged_flag_refuses_each_value_past_its_edges_and_takes_both_edges(capsys, tmp_path, command, flag, lo, hi):
+    base = WORKER_COMMANDS[command]
+    path = tmp_path / "report.json"
+    for value in outside(lo, hi):
+        code, out, err = run_cli(capsys, *base, f"{flag}={value}", "--out", str(path))
+        assert (code, out) == (EXIT_CONFIG, ""), value
+        lines = err.splitlines()
+        assert len(lines) == 1, value
+        assert json.loads(lines[0])["error"]["message"].startswith(f"argument {flag}: "), value
+        assert not path.exists(), value
+    # An edge is parsed, not run: --steps 1000000 or 2**32 trials would take minutes.
+    dest = flag.removeprefix("--").replace("-", "_")
+    for edge in [lo] + ([] if hi is None else [hi]):
+        assert getattr(build_parser().parse_args([*base, f"{flag}={edge!r}"]), dest) == edge
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("quantum", "--alpha", repr(math.pi), "--trials", "10"),
+        ("bloch", "collapse", "--costheta=-1", "--trials", "10"),
+        ("bloch", "average", "--costheta", "1", "--cells", "2", "--dists", "10"),
+        ("bloch", "average", "--costheta=-1", "--cells", "2", "--dists", "10"),
+    ],
+)
+def test_the_angle_and_costheta_edges_run(capsys, args):
+    assert run_json(capsys, *args)["config"]

@@ -99,9 +99,8 @@ def parameters(fn) -> list[str]:
 
 
 def test_no_public_callable_samples_from_a_callers_generator():
-    # random_lhv_strategy builds a strategy from the caller's generator; it samples no trials.
     takers = {name for name, fn in public_callables() if "rng" in parameters(fn)}
-    assert takers == {"entangle_lab.strings.random_lhv_strategy"}
+    assert takers == set()
     assert len(dict(public_callables())) > 50
 
 
@@ -207,3 +206,27 @@ def test_the_cli_imports_no_private_name_and_no_trace_record_from_strings():
     ]
     assert "write_trace" in names
     assert [name for name in names if name.startswith("_") or name == "MicroTrace"] == []
+
+
+def test_the_cli_handlers_leave_every_range_to_the_parser():
+    # A flag's range is declared once, in the cli._ranged call that adds it; a
+    # handler checks only the rules that tie flags together.
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    handlers = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and (node.name.startswith("_cmd_") or node.name == "_collapse_geometry")
+    ]
+    assert len(handlers) == 7
+    refusals = [
+        f"cli.py:{node.lineno} {ast.unparse(node.exc)}"
+        for handler in handlers
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and ("must lie in" in part.value or "must be >=" in part.value)
+            for part in ast.walk(node.exc)
+        )
+    ]
+    assert refusals == []

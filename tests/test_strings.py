@@ -22,8 +22,8 @@ from entangle_lab.strings import (
     iter_trials,
     lhv_table,
     pre_broken_lhv_strategy,
-    random_lhv_strategy,
 )
+from lhv_strategies import random_lhv_strategy
 
 HALF = Fraction(1, 2)
 P_W_GRID = (Fraction(0), Fraction(1, 4), HALF, Fraction(math.sqrt(2) / 2), Fraction(1))
