@@ -20,12 +20,12 @@ substream here yields far fewer words than that, so two substreams overlap
 only with negligible probability.  :func:`bit_stream` writes the key into
 the generator's state in place, through its public ``ctypes.state_address``,
 in numpy's ``sfc64_state`` layout: the four words in native order, then
-``has_uint32 = 0`` and ``uinteger = 0``.  Before it first keys a
-generator, it writes one key that way and compares it with what the
-``state`` setter makes; a mismatch raises ``RuntimeError``, so a numpy with
-another layout is refused, never silently mis-keyed.  The check waits for
-the first keying, not the import, because it needs ``numpy.random``, which
-an exact command never loads.
+``has_uint32 = 0`` and ``uinteger = 0``.  Before a thread's generator is
+made, one key is written that way and compared with what the ``state``
+setter makes; a mismatch raises ``RuntimeError``, so a numpy with another
+layout is refused, never silently mis-keyed.  The check waits for the first
+keying, not the import, because it needs ``numpy.random``, which an exact
+command never loads.
 
 Trial-indexed sampling uses one substream per (domain, setting, block,
 column), with ``TRIAL_BLOCK`` trials per block, and keeps every event packed:
@@ -51,8 +51,8 @@ tie path still runs block by block, as each block's tie words follow its
 own planes.  :func:`count_outcomes` is the one counting driver on this
 layout: it splits each setting's blocks into the fewest runs of at most
 ``_RUN_BLOCKS`` blocks, their lengths differing by at most one, runs one
-task per (setting, run) through :func:`map_blocks`, which runs
-``fn(task)`` in one chunk per worker thread and returns the results in task
+task per (setting, run) through :func:`map_blocks`, which runs the tasks
+on a pool of at most ``workers`` threads and returns the results in task
 order, and it sums the per-run counts of a caller's outcome function as
 integers.  The plane chain inverts a test's freshly drawn planes in place.
 The string table, the quantum table and the Bloch collapse all sample
@@ -64,12 +64,10 @@ single blocks for the trial-by-trial replay.  The one float draw is
 :func:`block_uniforms` draws a block's column 0 through it, which places the
 break of a traced string trial.
 Every sampler draw, a :class:`Block` test or a :func:`uniforms` call,
-re-keys the drawing thread's own SFC64 right before it reads, so the words
-drawn depend on the substream path alone, never on the thread or the
-generator.  The view of its state that keys it is kept beside it, and both
-go when the thread ends; a generator a caller hands :func:`bit_stream` gets
-its view for that call alone.  Only :func:`bit_stream` given no generator
-returns a fresh one.
+re-keys the drawing thread's own SFC64 right before it reads: that is the
+one generator :func:`bit_stream` keys and returns, so the words drawn depend
+on the substream path alone, never on the thread.  The view of its state
+that keys it is kept beside it, and both go when the thread ends.
 
 ``STREAM_FORMAT`` names the mapping from (seed, path) to sampled numbers.
 Any change to the numbers a sampler yields must bump it.
@@ -149,20 +147,15 @@ def _payload_packer(parts: int) -> Callable[..., bytes]:
     return struct.Struct(f"<{len(_KEY_PREFIX)}sQ{parts}q").pack
 
 
-def bit_stream(master_seed: int, *path: int, bit_generator: np.random.SFC64 | None = None) -> np.random.SFC64:
-    """The substream at ``path`` as an SFC64 bit generator standing at its first word.
+def bit_stream(master_seed: int, *path: int) -> np.random.SFC64:
+    """The substream at ``path``: the calling thread's own SFC64, re-keyed to stand at its first word.
 
-    Its state is the four little-endian words of the path's key.
-    ``bit_generator`` is re-keyed and returned if given, so a caller drawing
-    many substreams sets up one generator; the words do not depend on it.
+    Its state is the four little-endian words of the path's key.  Every call
+    on a thread returns the same generator, so a stream is read before the
+    thread keys the next one.
     """
-    if bit_generator is None:
-        bit_generator = np.random.SFC64(0)
-    if bit_generator is getattr(_threads, "bit_generator", None):
-        view = _threads.view
-    else:
-        view = _state_view(bit_generator)
-    _write_key(view, stream_key(master_seed, *path))
+    bit_generator = _thread_generator()
+    _write_key(_threads.view, stream_key(master_seed, *path))
     return bit_generator
 
 
@@ -172,25 +165,22 @@ def _write_key(view: ctypes.Array, key: int) -> None:
 
 
 def _thread_generator() -> np.random.SFC64:
-    """The calling thread's own SFC64, made on its first use; the words drawn never depend on it."""
+    """The calling thread's own SFC64, made on its first use once :func:`_check_state_layout` passes."""
     bit_generator = getattr(_threads, "bit_generator", None)
     if bit_generator is None:
+        _check_state_layout()
         bit_generator = np.random.SFC64(0)
         _threads.view = _state_view(bit_generator)
         _threads.bit_generator = bit_generator
     return bit_generator
 
 
-def _state_view(bit_generator: np.random.SFC64, *, check: bool = True) -> ctypes.Array:
-    """A writable view of the generator's ``sfc64_state``, made once :func:`_check_state_layout` passes.
+def _state_view(bit_generator: np.random.SFC64) -> ctypes.Array:
+    """A writable view of the generator's ``sfc64_state``.
 
     The view holds no reference to the generator: whoever keeps the view
     keeps the generator with it.
     """
-    if not isinstance(bit_generator, np.random.SFC64):
-        raise TypeError(f"bit_generator must be an np.random.SFC64, got {type(bit_generator).__name__}")
-    if check:
-        _check_state_layout()
     return (ctypes.c_char * _SFC64_STATE.size).from_address(bit_generator.ctypes.state_address)
 
 
@@ -198,13 +188,13 @@ def _state_view(bit_generator: np.random.SFC64, *, check: bool = True) -> ctypes
 def _check_state_layout() -> None:
     """Raise ``RuntimeError`` unless :func:`bit_stream` keys an SFC64 exactly as its ``state`` setter does.
 
-    It runs before the first generator is keyed, and again before each
-    keying of a new generator until it passes.
+    It runs before the first thread's generator is made, and again before
+    each new thread's generator until it passes.
     """
     key = stream_key(0)
     direct, by_setter = np.random.SFC64(0), np.random.SFC64(0)
     np.random.Generator(direct).integers(1 << 32, dtype=np.uint32)  # has_uint32 and uinteger for the write to clear
-    _write_key(_state_view(direct, check=False), key)  # as bit_stream writes, without coming back here
+    _write_key(_state_view(direct), key)  # as bit_stream writes
     words = np.array([key >> 64 * i & _U64 for i in range(4)], dtype=np.uint64)
     by_setter.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
     written, expected = direct.state, by_setter.state
@@ -218,7 +208,7 @@ def _check_state_layout() -> None:
 
 def uniforms(shape, master_seed: int, *path: int) -> np.ndarray:
     """``Generator.random(shape)`` on the substream at ``path``, drawn on the calling thread's own SFC64."""
-    return np.random.Generator(bit_stream(master_seed, *path, bit_generator=_thread_generator())).random(shape)
+    return np.random.Generator(bit_stream(master_seed, *path)).random(shape)
 
 
 def threshold_key(p: float) -> int:
@@ -311,7 +301,7 @@ class Block:
         """
         seed, domain, si, first = self.path
         block = first + start // PLANE_WORDS
-        stream = bit_stream(seed, domain, si, block, column, bit_generator=_thread_generator())
+        stream = bit_stream(seed, domain, si, block, column)
         return stream, stream.random_raw(m * PLANE_WORDS).reshape(m, PLANE_WORDS)
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
@@ -460,30 +450,22 @@ def check_workers(workers: int) -> None:
 
 
 def map_blocks(tasks: Sequence, fn: Callable, *, workers: int = 1) -> list:
-    """``[fn(task) for task in tasks]``, computed in one chunk per worker.
+    """``[fn(task) for task in tasks]``, computed on ``min(workers, len(tasks))`` threads.
 
-    The tasks are dealt round-robin into ``min(workers, len(tasks))`` chunks,
-    each run on its own thread; a draw in ``fn`` re-keys that thread's own
-    SFC64.  The results come back in task order, so a caller combining them
-    in that order gets the same result for any ``workers`` value.
-    ``workers`` lies in [1, ``MAX_WORKERS``].
+    A draw in ``fn`` re-keys its thread's own SFC64, so a task's result does
+    not depend on the thread that runs it.  The results come back in task
+    order, so a caller combining them in that order gets the same result for
+    any ``workers`` value.  ``workers`` lies in [1, ``MAX_WORKERS``].
     """
     check_workers(workers)
-
-    def run(chunk):
-        return [fn(task) for task in chunk]
-
-    n_chunks = min(workers, len(tasks))
-    if n_chunks <= 1:
-        return run(tasks)
-    # Imported here: a one-chunk run does not pay for the thread pool's imports.
+    threads = min(workers, len(tasks))
+    if threads <= 1:
+        return [fn(task) for task in tasks]
+    # Imported here: a one-thread run does not pay for the thread pool's imports.
     from concurrent.futures import ThreadPoolExecutor
 
-    results = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        for i, part in enumerate(pool.map(run, [tasks[i::n_chunks] for i in range(n_chunks)])):
-            results[i::n_chunks] = part
-    return results
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def count_outcomes(

@@ -103,7 +103,7 @@ class feeding:
     def __enter__(self):
         self.served, self.drawn, laid_out = [], {}, {}
 
-        def bit_stream(master_seed, domain, si, block, column, bit_generator=None):
+        def bit_stream(master_seed, domain, si, block, column):
             keys = self.keys(si, column)
             memo = (column, tuple(keys) if isinstance(keys, list) else keys)
             if memo not in laid_out:

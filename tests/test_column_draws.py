@@ -39,8 +39,8 @@ def drawing(calls, words):
     """Patch ``rng.bit_stream`` to count each string (setting, block, column)'s keyings and words."""
     original = rng.bit_stream
 
-    def counting(master_seed, domain, si, block, column, bit_generator=None):
-        stream = original(master_seed, domain, si, block, column, bit_generator=bit_generator)
+    def counting(master_seed, domain, si, block, column):
+        stream = original(master_seed, domain, si, block, column)
         if domain != DOMAIN_STRING_TRIALS:  # a replay's break draws
             return stream
         calls[si, block, column] += 1

@@ -127,8 +127,8 @@ def test_only_rng_turns_a_key_into_numbers():
 
 
 def test_a_draw_keys_only_the_threads_own_generator():
-    # rng seeds an SFC64 only as a thread's own, as bit_stream's fresh one
-    # and for its layout check, and no module hands a draw another one.
+    # rng seeds an SFC64 only as a thread's own and for its layout check,
+    # and no call hands a draw a generator.
     package = Path(entangle_lab.__file__).parent
     seeders, handed = set(), []
     for path in sorted(package.glob("*.py")):
@@ -139,13 +139,8 @@ def test_a_draw_keys_only_the_threads_own_generator():
                     continue
                 if dotted(node.func) == "np.random.SFC64":
                     seeders.add(f"{path.name} {owner}")
-                expected = "direct" if owner == "_check_state_layout" else "_thread_generator()"
-                handed += [
-                    f"{path.name}:{node.lineno} {ast.unparse(keyword.value)}"
-                    for keyword in node.keywords
-                    if keyword.arg == "bit_generator" and ast.unparse(keyword.value) != expected
-                ]
-    assert seeders == {"rng.py _thread_generator", "rng.py bit_stream", "rng.py _check_state_layout"}
+                handed += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for k in node.keywords if k.arg == "bit_generator"]
+    assert seeders == {"rng.py _thread_generator", "rng.py _check_state_layout"}
     assert handed == []
 
 

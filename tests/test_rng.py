@@ -39,9 +39,17 @@ from entangle_lab.rng import (
 property_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
+def keyed_by_setter(master_seed: int, *path: int) -> np.random.SFC64:
+    """An SFC64 keyed through numpy's ``state`` setter with the little-endian words of ``stream_key``."""
+    words = np.frombuffer(stream_key(master_seed, *path).to_bytes(32, "little"), dtype="<u8")
+    bit_generator = np.random.SFC64(0)
+    bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
 def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """The reference generator of a path, built on ``bit_stream`` apart from ``rng.uniforms``."""
-    return np.random.Generator(bit_stream(master_seed, *path))
+    """The reference generator of a path: a fresh SFC64 of its own, keyed apart from ``rng``'s draws."""
+    return np.random.Generator(keyed_by_setter(master_seed, *path))
 
 
 def test_keys_are_frozen():
@@ -63,35 +71,37 @@ def test_the_sfc64_state_is_the_digest():
     assert state["state"]["state"].tolist() == expected.tolist()
 
 
-def keyed_by_setter(master_seed: int, *path: int) -> np.random.SFC64:
-    """An SFC64 keyed through numpy's ``state`` setter with the little-endian words of ``stream_key``."""
-    words = np.frombuffer(stream_key(master_seed, *path).to_bytes(32, "little"), dtype="<u8")
-    bit_generator = np.random.SFC64(0)
-    bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words}, "has_uint32": 0, "uinteger": 0}
-    return bit_generator
+def on_a_new_thread(seed: int, path: list) -> np.random.SFC64:
+    """``bit_stream`` on a thread of its own, so it keys a freshly made generator."""
+    streams = []
+    thread = threading.Thread(target=lambda: streams.append(bit_stream(seed, *path)))
+    thread.start()
+    thread.join()
+    assert streams[0] is not rng._thread_generator()
+    return streams[0]
 
 
-def left_mid_word() -> np.random.SFC64:
-    """A generator holding half a word from a ``uint32`` draw: ``has_uint32 = 1``."""
-    bit_generator = np.random.SFC64(5)
-    np.random.Generator(bit_generator).integers(1 << 32, dtype=np.uint32)
-    assert bit_generator.state["has_uint32"] == 1
-    return bit_generator
+def after_a_draw(seed: int, path: list) -> np.random.SFC64:
+    """``bit_stream`` on this thread's generator, reused after another stream's words."""
+    bit_stream(5, 1, 2).random_raw(3)
+    return bit_stream(seed, *path)
 
 
-REUSED = np.random.SFC64(0)
+def mid_word(seed: int, path: list) -> np.random.SFC64:
+    """``bit_stream`` on this thread's generator holding half a word from a ``uint32`` draw: ``has_uint32 = 1``."""
+    np.random.Generator(bit_stream(5, 1, 2)).integers(1 << 32, dtype=np.uint32)
+    assert rng._thread_generator().state["has_uint32"] == 1
+    return bit_stream(seed, *path)
 
 
 @property_settings
 @given(
     seed=st.integers(0, 2**64 - 1),
     path=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5),
-    given_generator=st.sampled_from([lambda: None, lambda: REUSED, left_mid_word]),
+    keyed=st.sampled_from([on_a_new_thread, after_a_draw, mid_word]),
 )
-def test_the_in_place_key_is_the_state_setters(seed, path, given_generator):
-    bit_generator = given_generator()
-    stream = bit_stream(seed, *path, bit_generator=bit_generator)
-    assert bit_generator is None or stream is bit_generator
+def test_the_in_place_key_is_the_state_setters(seed, path, keyed):
+    stream = keyed(seed, path)
     reference = keyed_by_setter(seed, *path)
     state = stream.state
     assert state["state"]["state"].tolist() == reference.state["state"]["state"].tolist()
@@ -101,11 +111,11 @@ def test_the_in_place_key_is_the_state_setters(seed, path, given_generator):
         assert draw(np.random.Generator(stream)).tolist() == draw(np.random.Generator(reference)).tolist()
 
 
-def test_a_finished_threads_generator_and_a_callers_generator_are_not_held():
+def test_a_finished_threads_generator_is_not_held():
     # An SFC64 takes no weak reference, so its references are counted: once
-    # the thread has ended, or the calls have returned, only this test's
-    # list and getrefcount's argument hold the generator.  (Counted outside
-    # the assert, whose rewriting would hold one more.)
+    # the thread has ended, only this test's list and getrefcount's argument
+    # hold the generator.  (Counted outside the assert, whose rewriting would
+    # hold one more.)
     drawn = []
 
     def draw():
@@ -116,24 +126,47 @@ def test_a_finished_threads_generator_and_a_callers_generator_are_not_held():
     thread.start()
     thread.join()
     gc.collect()
-    drawn.append(np.random.SFC64(0))
-    for i in range(3):
-        assert bit_stream(3, i, bit_generator=drawn[1]).random_raw() == keyed_by_setter(3, i).random_raw()
-    references = [sys.getrefcount(bit_generator) - 1 for bit_generator in drawn]  # less the loop's own name
-    assert references == [2, 2]
+    references = sys.getrefcount(drawn[0])
+    assert references == 2
 
 
-def test_only_an_sfc64_is_keyed():
-    with pytest.raises(TypeError, match="must be an np.random.SFC64, got PCG64"):
-        bit_stream(0, 1, bit_generator=np.random.PCG64(0))
+def test_bit_stream_keys_and_returns_the_threads_one_generator():
+    assert bit_stream(0, 1) is bit_stream(0, 2) is rng._thread_generator()
+    drawn = []  # held, so the two threads' generators are alive at once
+
+    def draw():
+        drawn.append(bit_stream(0, 1))
+        assert drawn[-1] is rng._thread_generator()
+
+    for _ in range(2):
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join()
+    assert len({id(g) for g in [*drawn, rng._thread_generator()]}) == 3
+
+
+def test_bit_stream_takes_no_generator():
+    with pytest.raises(TypeError, match="bit_generator"):
+        bit_stream(0, 1, bit_generator=np.random.SFC64(0))
 
 
 def test_a_state_layout_mismatch_refuses_every_new_generator(monkeypatch):
+    # This thread's generator is made already; each new thread's is refused.
     monkeypatch.setattr(rng, "_SFC64_STATE", struct.Struct(">4QiI"))  # the words byte-swapped
     rng._check_state_layout.cache_clear()
-    for _ in range(2):  # a failed check is not cached
-        with pytest.raises(RuntimeError, match="SFC64's state is not laid out as '>4QiI'"):
+    refused = []
+
+    def draw():
+        try:
             bit_stream(0, 1)
+        except RuntimeError as error:
+            refused.append(str(error))
+
+    for _ in range(2):  # a failed check is not cached
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join()
+    assert refused == [f"numpy {np.__version__}: SFC64's state is not laid out as '>4QiI'"] * 2
 
 
 def _bits(values: np.ndarray) -> list[str]:
@@ -249,10 +282,11 @@ def test_count_outcomes_sums_fresh_block_counts_for_any_workers(workers):
     threads, generators = set(), {}
     original = rng.bit_stream
 
-    def recording(*path, bit_generator=None):
+    def recording(*path):
         threads.add(threading.get_ident())
-        generators[id(bit_generator)] = bit_generator  # held, so no id is reused
-        return original(*path, bit_generator=bit_generator)
+        stream = original(*path)
+        generators[id(stream)] = stream  # held, so no id is reused
+        return stream
 
     with mock.patch.object(rng, "bit_stream", recording):
         counts = count_outcomes(9, DOMAIN_STRING_TRIALS, 2, n_trials, 3, _three_cells, workers=workers)
@@ -280,11 +314,11 @@ _Z_FRAME = bloch.MeasurementFrame(n_plus=np.array([0.0, 0.0, 1.0]))
 )
 def test_a_draw_keys_the_threads_own_generator(monkeypatch, sample):
     # With one worker every draw runs on the calling thread and re-keys its
-    # generator: no sampler seeds a fresh one per chunk or per block.
+    # generator: no sampler seeds a fresh one per task or per block.
     held, original = [], rng.bit_stream
 
-    def recording(*path, bit_generator=None):
-        held.append(original(*path, bit_generator=bit_generator))
+    def recording(*path):
+        held.append(original(*path))
         return held[-1]
 
     monkeypatch.setattr(rng, "bit_stream", recording)
@@ -306,7 +340,7 @@ def test_count_outcomes_refuses_a_count_past_the_cap_before_any_block(monkeypatc
 @pytest.mark.parametrize("workers", [0, 65, 100_000])
 def test_map_blocks_refuses_workers_outside_the_range_before_any_chunk(monkeypatch, workers):
     def never(task):
-        raise AssertionError("a chunk ran")
+        raise AssertionError("a task ran")
 
     def no_thread(self):
         raise AssertionError("a thread was started")
@@ -652,7 +686,7 @@ def test_sign_counts_refuse_masks_of_2_26_words_before_any_work():
         sign_counts(words, words, 64 << 26)
 
 
-def test_draws_given_no_generator_key_one_per_thread_and_never_mix(monkeypatch):
+def test_each_thread_keys_its_own_generator_and_draws_never_mix(monkeypatch):
     # Blocks made on this thread are drawn on eight others at once, with
     # float draws between them and a short switch interval: a generator
     # shared across threads would be re-keyed mid-read and give other words.
@@ -660,9 +694,10 @@ def test_draws_given_no_generator_key_one_per_thread_and_never_mix(monkeypatch):
     expected = [(blocks[si].below(0, 1 / 3).tobytes(), block_uniforms(4, DOMAIN_BLOCH_AVERAGE, si, 0, 3000).tobytes()) for si in range(8)]
     keyed, original = {}, rng.bit_stream
 
-    def recording(*path, bit_generator=None):
-        keyed.setdefault(threading.current_thread(), []).append(bit_generator)  # held, so no id is reused
-        return original(*path, bit_generator=bit_generator)
+    def recording(*path):
+        stream = original(*path)
+        keyed.setdefault(threading.current_thread(), []).append(stream)  # held, so no id is reused
+        return stream
 
     monkeypatch.setattr(rng, "bit_stream", recording)
     got, errors = {}, []

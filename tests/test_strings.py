@@ -478,8 +478,8 @@ def test_a_traced_block_keys_the_threads_own_generator(monkeypatch):
     config = StringModelConfig(variant=Variant.V4, p_w=0.5, p_1=0.75)
     held, original = [], rng.bit_stream
 
-    def recording(*path, bit_generator=None):
-        held.append(original(*path, bit_generator=bit_generator))
+    def recording(*path):
+        held.append(original(*path))
         return held[-1]
 
     monkeypatch.setattr(rng, "bit_stream", recording)
