@@ -114,7 +114,7 @@ class BreakDistribution:
         if not np.isfinite(w).all():
             raise ValueError(f"cell weights must be finite, got {w.tolist()!r}")
         if np.any(w < 0):
-            raise InvariantViolation("cell weights must be non-negative")
+            raise InvariantViolation(f"cell weights must be non-negative, got {w.tolist()!r}")
         with np.errstate(over="ignore"):  # huge weights sum to inf, which the check refuses
             total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_TOL:

@@ -12,10 +12,13 @@ Subcommands
              two-qubit decomposition
 
 The parser refuses a numeric flag outside its range, declared once with
-:func:`_ranged`.  Each subcommand is one ``_cmd_*(args, seed)`` function.  It
-checks the rules that tie flags together, computes its result and returns
-``(config, results, (header, rows))``:
-the configuration echo, the JSON ``results`` block and the CSV rows.
+:func:`_ranged`.  A comma-list flag (``--cell-weights``, ``--a``, ``--b``) is
+read once, by :func:`_comma_numbers`, and checked only by the library
+constructor it builds, whose refusal is reported under the flag's name.
+Each subcommand is one ``_cmd_*(args, seed)`` function.  It checks the rules
+that tie flags together, computes its result and returns
+``(config, results, (header, rows))``: the configuration echo, the JSON
+``results`` block and the CSV rows.
 :func:`main` renders every report.  It resolves the seed once, writes the CSV
 rows under ``--format csv``, and otherwise builds the JSON envelope, appending
 ``seed_source`` to the echo and, under ``--timing``, adding ``wall_time_s``.
@@ -49,7 +52,6 @@ import numpy as np
 from . import __version__
 from .bloch import (
     AVERAGE_BLOCK_FLOATS,
-    WEIGHT_TOL,
     BreakDistribution,
     MeasurementFrame,
     bloch_vector,
@@ -62,7 +64,7 @@ from .bloch import (
 from .probability import InvariantViolation, check_bell_bounds, chsh, exact_diagnostics, marginals
 from .quantum import coplanar_axes, maximally_mixed_state, product_state, sample_table
 from .quantum import singlet_state, table_for_axes
-from .rng import MAX_BLOCKS, MAX_WORKERS, TRIAL_BLOCK
+from .rng import MAX_BLOCKS, MAX_TRIALS, MAX_WORKERS
 from .report import (
     _ROW_KEYS,
     bell_bounds_to_json,
@@ -88,8 +90,6 @@ ANALYTIC_MARGINAL_TOL = 1e-9  # the quantum analytic table's, whose cells are fl
 TRACE_LIMIT = 100
 #: Most ``scan --steps``: a larger grid is refused before it is allocated.
 SCAN_MAX_STEPS = 10**6
-#: Most sampled trials per setting, ``rng.MAX_BLOCKS`` full blocks; the samplers refuse more too.
-MAX_TRIALS = MAX_BLOCKS * TRIAL_BLOCK
 
 _VARIANT_CHOICES = [v.value for v in Variant]
 _VARIANT_HELP = "string-model variant: v1 white, v1pre pre-broken, v2 unstable color, v3 parity, v4 two strings"
@@ -118,39 +118,12 @@ def _parse_seed(args) -> tuple[int, str]:
     return seed, source
 
 
-def _parse_bloch_vector(text: str, flag: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects three comma-separated numbers, got {text!r}")
+def _comma_numbers(flag: str, text: str, build):
+    """``build`` of the comma-separated numbers in ``text``; a refusal is a ValueError under ``flag``."""
     try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"{flag} expects numbers, got {text!r}") from None
-    try:
-        bloch_vector(values)
-    except InvariantViolation:
-        raise ValueError(f"{flag} must have norm at most 1, got {float(np.linalg.norm(values))!r}") from None
-    except ValueError:
-        raise ValueError(f"{flag} expects finite numbers, got {text!r}") from None
-    return values
-
-
-def _parse_cell_weights(text: str) -> list[float]:
-    """``--cell-weights``: finite, non-negative numbers that sum to 1."""
-    weights = []
-    for position, part in enumerate(text.split(","), start=1):
-        try:
-            weight = float(part)
-        except ValueError:
-            raise ValueError(f"--cell-weights: weight {position} is not a number: {part!r}") from None
-        if not (math.isfinite(weight) and weight >= 0):
-            raise ValueError(f"--cell-weights: weight {position} must be finite and non-negative, got {part!r}")
-        weights.append(weight)
-    with np.errstate(over="ignore"):  # summed as BreakDistribution sums them; huge weights give inf
-        total = float(np.sum(weights))
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"--cell-weights must sum to 1, got {total!r}")
-    return weights
+        return build([float(part) for part in text.split(",")])
+    except ValueError as exc:  # an InvariantViolation too: a refused flag is a configuration error
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _detach_stdout() -> None:
@@ -302,7 +275,8 @@ def _collapse_geometry(costheta: float):
 
 def _cmd_bloch_collapse(args, seed: int) -> tuple[dict, dict, tuple[list, list]]:
     r, frame = _collapse_geometry(args.costheta)
-    dist = BreakDistribution(None if args.cell_weights is None else _parse_cell_weights(args.cell_weights))
+    weights = args.cell_weights
+    dist = BreakDistribution() if weights is None else _comma_numbers("--cell-weights", weights, BreakDistribution)
     born_plus, born_minus = outcome_probabilities(r, frame)
     n_plus, n_minus = collapse_counts(r, frame, dist, args.trials, seed, workers=args.workers)
 
@@ -385,11 +359,11 @@ def _cmd_bloch_decompose(args, seed: int) -> tuple[dict, dict, tuple[list, list]
     elif args.state == "mixed":
         rho = maximally_mixed_state()
     elif args.state == "product":
-        if not args.a or not args.b:
+        if args.a is None or args.b is None:
             raise ValueError("--state product needs --a and --b Bloch vectors")
-        rho = product_state(_parse_bloch_vector(args.a, "--a"), _parse_bloch_vector(args.b, "--b"))
+        rho = product_state(_comma_numbers("--a", args.a, bloch_vector), _comma_numbers("--b", args.b, bloch_vector))
     else:  # custom
-        if not args.state_file:
+        if args.state_file is None:
             raise ValueError("--state custom needs --state-file")
         rho = _load_state_file(args.state_file)
 

@@ -223,9 +223,7 @@ class ChshQuantities:
     d_chsh: Real
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not (abs(value) <= 4 or abs(value) <= 4 + CHSH_RANGE_TOL):  # also rejects NaN
-                raise InvariantViolation(f"{name} = {value!r} outside [-4, 4]")
+        _check_chsh_numerators(self.as_tuple(), None)
         object.__setattr__(self, "_scaled_values", _scaled(self.as_tuple()))  # (numerators, d)
 
     def as_dict(self) -> dict[str, Real]:

@@ -67,7 +67,8 @@ def _three_vector(v: Sequence[float], name: str, *, unit: bool) -> np.ndarray:
         raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError(f"{name} must be finite, got {r.tolist()!r}")
-    norm = float(np.linalg.norm(r))
+    with np.errstate(over="ignore"):  # a huge finite vector's norm is inf, which the check refuses
+        norm = float(np.linalg.norm(r))
     if unit and abs(norm - 1.0) > AXIS_NORM_TOL:
         raise InvariantViolation(f"{name} norm {norm!r} deviates from 1")
     if not unit and norm > 1.0 + AXIS_NORM_TOL:
@@ -158,7 +159,8 @@ def _projector_stack(axes) -> np.ndarray:
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 2 or axes.shape[1] != 3:
         raise ValueError(f"axes must have shape (n, 3), got {axes.shape}")
-    norms = np.linalg.norm(axes, axis=1)
+    with np.errstate(over="ignore"):  # as in _three_vector
+        norms = np.linalg.norm(axes, axis=1)
     bad = ~(np.abs(norms - 1.0) <= AXIS_NORM_TOL)
     if bad.any():
         raise InvariantViolation(f"axis norm {float(norms[bad][0])!r} deviates from 1")

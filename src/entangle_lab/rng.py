@@ -90,8 +90,11 @@ STREAM_FORMAT = 6
 #: Trials per substream block for trial-indexed sampling.
 TRIAL_BLOCK = 1 << 16
 
-#: Most blocks per setting that one count takes: 2**32 trials.
+#: Most blocks per setting that one count takes.
 MAX_BLOCKS = 1 << 16
+
+#: Most trials per setting that one count takes, ``MAX_BLOCKS`` full blocks: 2**32.
+MAX_TRIALS = MAX_BLOCKS * TRIAL_BLOCK
 
 #: Most threads :func:`map_blocks` runs; a larger ``workers`` is refused.
 MAX_WORKERS = 64
@@ -483,8 +486,8 @@ def count_outcomes(
     runs whose events depend only on the block layout, so they are
     bit-identical for any ``workers`` value.
     """
-    if not 1 <= n_trials <= MAX_BLOCKS * TRIAL_BLOCK:
-        raise ValueError(f"n_trials must lie in [1, {MAX_BLOCKS * TRIAL_BLOCK}], got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     runs = list(iter_block_slices(n_trials, blocks=_RUN_BLOCKS))
     tasks = [(si, block, rows) for si in range(n_settings) for block, _start, rows in runs]
 

@@ -487,3 +487,20 @@ def test_overlong_bloch_vector_message_shows_a_plain_float(check):
 def test_non_unit_axis_message_shows_a_plain_float(check, message):
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         check([2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    ("check", "message"),
+    (
+        (bloch_vector, "Bloch vector norm inf exceeds 1"),
+        (qubit_state, "Bloch vector norm inf exceeds 1"),
+        (unit_axis, "axis norm inf deviates from 1"),
+        (lambda v: MeasurementFrame(n_plus=v), "n_plus norm inf deviates from 1"),
+        (lambda v: joint_probabilities(singlet_state(), [v], [[0.0, 0.0, 1.0]]), "axis norm inf deviates from 1"),
+    ),
+    ids=("bloch_vector", "qubit_state", "unit_axis", "MeasurementFrame", "joint_probabilities"),
+)
+def test_a_vector_whose_norm_overflows_is_refused_without_a_warning(check, message):
+    # Warnings are errors in this suite: numpy's overflow warning must not replace the refusal.
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        check([1e308, 1e308, 0.0])

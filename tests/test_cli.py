@@ -732,14 +732,24 @@ def test_workers_help_says_what_the_flag_does(capsys, command):
 @pytest.mark.parametrize(
     "weights, fragment",
     [
-        ("0,0", "must sum to 1, got 0.0"),
-        ("0.25,0.25", "must sum to 1, got 0.5"),
-        ("-0.5,1.5", "weight 1 must be finite and non-negative"),
-        ("0.5,-0.0001,0.5001", "weight 2 must be finite and non-negative"),
-        (",", "weight 1 is not a number: ''"),
-        ("abc,1", "weight 1 is not a number: 'abc'"),
-        ("1,abc", "weight 2 is not a number: 'abc'"),
-        ("nan,1", "weight 1 must be finite"),
+        ("0,0", "cell weights sum to 0.0, not 1"),
+        ("0.25,0.25", "cell weights sum to 0.5, not 1"),
+        ("-0.5,1.5", "cell weights must be non-negative, got [-0.5, 1.5]"),
+        ("0.5,-0.0001,0.5001", "cell weights must be non-negative, got [0.5, -0.0001, 0.5001]"),
+        (",", "could not convert string to float: ''"),
+        ("abc,1", "could not convert string to float: 'abc'"),
+        ("1,abc", "could not convert string to float: 'abc'"),
+        ("nan,1", "cell weights must be finite, got [nan, 1.0]"),
+    ],
+    ids=[
+        "0,0-must sum to 1, got 0.0",
+        "0.25,0.25-must sum to 1, got 0.5",
+        "-0.5,1.5-weight 1 must be finite and non-negative",
+        "0.5,-0.0001,0.5001-weight 2 must be finite and non-negative",
+        ",-weight 1 is not a number: ''",
+        "abc,1-weight 1 is not a number: 'abc'",
+        "1,abc-weight 2 is not a number: 'abc'",
+        "nan,1-weight 1 must be finite",
     ],
 )
 def test_collapse_cell_weight_errors_are_configuration_errors(capsys, tmp_path, weights, fragment):
@@ -764,13 +774,16 @@ def test_empty_cell_weights_are_refused(capsys, tmp_path):
     assert (code, out) == (2, "")
     message = json.loads(err)["error"]["message"]
     assert message.startswith("--cell-weights")
-    assert "weight 1 is not a number: ''" in message
+    assert "could not convert string to float: ''" in message
     assert not path.exists()
 
 
 @pytest.mark.parametrize(
     "a, message",
-    [("1,0", "--a expects three comma-separated numbers, got '1,0'"), ("x,0,0", "--a expects numbers, got 'x,0,0'")],
+    [
+        ("1,0", "--a: Bloch vector must be a 3-vector, got shape (2,)"),
+        ("x,0,0", "--a: could not convert string to float: 'x'"),
+    ],
     ids=["two-numbers", "not-a-number"],
 )
 def test_product_state_rejects_malformed_bloch_vectors(capsys, a, message):
@@ -784,9 +797,53 @@ def test_product_state_rejects_overlong_bloch_vectors(capsys, flag, a, b):
     code, out, err = run_cli(capsys, "bloch", "decompose", "--state", "product", "--a", a, "--b", b)
     assert (code, out) == (2, "")
     message = json.loads(err)["error"]["message"]
-    assert message.startswith(f"{flag} must have norm at most 1, got ")
+    assert message.startswith(f"{flag}: Bloch vector norm ")
+    assert message.endswith(" exceeds 1")
     assert "np.float64" not in message
-    float(message.rsplit(" ", 1)[1])  # a plain float
+    float(message.split()[4])  # a plain float
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--cell-weights", "0.25,0.25"),
+        ("--cell-weights", "-0.5,1.5"),
+        ("--cell-weights", "nan,1"),
+        ("--cell-weights", "1e308,1e308"),
+        ("--a", "1,0"),
+        ("--a", "0.8,0.8,0"),
+        ("--a", "nan,0,0"),
+        ("--a", "1e308,1e308,0"),
+        ("--b", "2,0,0"),
+        ("--b", "0,0,1,0"),
+        ("--b", "0,inf,0"),
+    ],
+)
+def test_a_refused_comma_list_flag_reports_its_constructors_refusal(capsys, tmp_path, flag, text):
+    # The constructor a flag builds is its only rule: the CLI adds the flag's name and nothing else.
+    build = bloch.BreakDistribution if flag == "--cell-weights" else bloch.bloch_vector
+    with pytest.raises(ValueError) as refusal:
+        build([float(part) for part in text.split(",")])
+    if flag == "--cell-weights":
+        argv = ["collapse", "--costheta", "0.5", f"--cell-weights={text}"]
+    else:
+        vectors = {"--a": "0,0,1", "--b": "0,0,1", flag: text}
+        argv = ["decompose", "--state", "product", *(f"{name}={value}" for name, value in vectors.items())]
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "bloch", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": 2, "message": f"{flag}: {refusal.value}"}}
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_an_empty_bloch_vector_is_refused_as_a_number(capsys, flag):
+    # As with --cell-weights, an empty value is not the absent flag.
+    vectors = {"--a": "0,0,1", "--b": "0,0,1", flag: ""}
+    argv = ["bloch", "decompose", "--state", "product", *(f"{name}={value}" for name, value in vectors.items())]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": 2, "message": f"{flag}: could not convert string to float: ''"}}
 
 
 @pytest.mark.parametrize(
@@ -925,7 +982,7 @@ OVERFLOWING_ASYMMETRY = [[0.25, 1.7e308, 0, 0], [-1.7e308, 0.25, 0, 0], [0, 0, 0
     [
         (
             ["collapse", "--costheta", "0.5", "--cell-weights", "1e308,1e308"],
-            None, 2, "--cell-weights must sum to 1, got inf",
+            None, 2, "--cell-weights: cell weights sum to inf, not 1",
         ),
         (["decompose", "--state", "custom"], OVERFLOWING_ASYMMETRY, 3, "state is not Hermitian"),
         (["decompose", "--state", "custom"], [[0] * 4] * 4, 3, "state trace 0j deviates from 1"),

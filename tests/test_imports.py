@@ -225,3 +225,16 @@ def test_the_cli_handlers_leave_every_range_to_the_parser():
         )
     ]
     assert refusals == []
+
+
+def test_the_cli_leaves_the_vector_tolerances_to_the_constructors():
+    # --cell-weights, --a and --b are checked only by BreakDistribution and
+    # bloch_vector, so the CLI names neither tolerance those checks use.
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if isinstance(name, str)
+    }
+    assert names.isdisjoint({"WEIGHT_TOL", "AXIS_NORM_TOL"})
