@@ -17,12 +17,15 @@ Every :class:`ExperimentTable` reaches that form once, when it is built: its
 16 cells as numerators over ``d`` (``d`` None for a table with a float cell),
 with one unscaler that every result derived from it shares, a memo of
 ``Fraction(n, d)`` by numerator for an exact table and the identity for a
-float table.  Every :class:`ChshQuantities` likewise carries its numerators.
-So :func:`chsh`, :func:`marginals` and :func:`check_bell_bounds` each have one
-body for every table.  :meth:`ExperimentTable.from_numerators` differs only in
-its check: one test on the integer numerators (every cell >= 0 and every row
-summing to ``d`` > 0), which implies every test a :class:`JointDistribution`
-makes, so it skips their ``Fraction`` re-tests.
+float table.  Every :class:`ChshQuantities` likewise carries its numerators
+and unscaler (its table's, when :func:`chsh` builds it).  So :func:`chsh`,
+:func:`marginals` and :func:`check_bell_bounds` each have one body for every
+table.  :meth:`ExperimentTable.from_numerators` differs only in its check: one
+test on the integer numerators (every cell >= 0 and every row summing to
+``d`` > 0), which implies every test a :class:`JointDistribution` makes, so it
+skips their ``Fraction`` re-tests.  ``strings.analytic_table`` hands its flat
+int cells to the constructor behind it, ``_numerator_table``, which makes the
+same check.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ def _scaled(values: tuple) -> tuple[tuple, int | None]:
 class _Fractions(dict):
     """``Fraction(n, d)`` by integer numerator ``n``, each built on its first lookup."""
 
+    __slots__ = ("d",)
+
     def __init__(self, d: int):
-        super().__init__()
         self.d = d
 
     def __missing__(self, n: int) -> Fraction:
@@ -79,7 +83,9 @@ def _unscaler(d: int | None):
 
 def _check_numerators(cells, d: int) -> None:
     """Refuse 16 integer cells over ``d`` unless each row is >= 0 and sums to ``d`` > 0."""
-    for label, i in zip(ROW_LABELS, range(0, 16, 4)):
+    if min(cells) >= 0 and sum(cells[0:4]) == sum(cells[4:8]) == sum(cells[8:12]) == sum(cells[12:16]) == d > 0:
+        return
+    for label, i in zip(ROW_LABELS, range(0, 16, 4)):  # name the first row that fails
         row = cells[i : i + 4]
         if min(row) < 0 or not sum(row) == d > 0:
             raise InvariantViolation(f"{label}: cell numerators {tuple(row)} over {d} are not a distribution")
@@ -100,9 +106,18 @@ def _check_chsh_numerators(combinations, d: int | None) -> None:
     too) pass 4 by up to ``CHSH_RANGE_TOL``; with ``d`` None, values take that float rule, which refuses NaN.
     """
     bound = 4 + CHSH_RANGE_TOL if d is None else 4 * d
-    for name, q in zip(ChshQuantities.__dataclass_fields__, combinations):
+    for name, q in zip(_CHSH_NAMES, combinations):
         if not abs(q) <= bound:
             raise InvariantViolation(f"{name} = {_unscaler(d)(q)!r} outside [-4, 4]")
+
+
+def _check_chsh_batch(combinations) -> None:
+    """Refuse a (4, n) float array of CHSH combinations, column by column, as :func:`_check_chsh_numerators`
+    refuses a float table's four: one array comparison, and on failure the message of the first offending
+    column's first offending combination."""
+    if not (abs(combinations) <= 4 + CHSH_RANGE_TOL).all():
+        for column in combinations.T.tolist():
+            _check_chsh_numerators(column, None)
 
 
 @dataclass(frozen=True)
@@ -168,13 +183,26 @@ class ExperimentTable:
     @classmethod
     def from_numerators(cls, rows, d: int) -> ExperimentTable:
         """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``, each a
-        distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as ``_scaled_cells``."""
-        cells, d = tuple(operator.index(n) for row in rows for n in row), operator.index(d)  # numpy ints as ints
-        _check_numerators(cells, d)
-        fraction = _unscaler(d)
-        # The check above implies every test of JointDistribution.__post_init__.
-        dists = (_prechecked(JointDistribution, map(fraction, cells[i : i + 4])) for i in range(0, 16, 4))
-        return _prechecked(cls, dists, _scaled_cells=(cells, d), _fraction=fraction)
+        distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as ``_scaled_cells``.
+        A bool numerator or ``d`` is a ``TypeError``."""
+        cells = tuple([n for row in rows for n in row])
+        _refuse_bools(cells, d)
+        return _numerator_table(tuple(map(operator.index, cells)), operator.index(d))  # numpy ints as ints
+
+
+def _refuse_bools(cells, d) -> None:
+    """A bool among integer cell numerators or their ``d`` is a ``TypeError``: ``True`` is no numerator."""
+    if isinstance(d, bool) or bool in map(type, cells):
+        raise TypeError(f"cell numerators and d must be integers, not bools, got {tuple(cells)!r} over {d!r}")
+
+
+def _numerator_table(cells: tuple[int, ...], d: int) -> ExperimentTable:
+    """:meth:`ExperimentTable.from_numerators` of 16 int cells, row by row, over an int ``d``."""
+    _check_numerators(cells, d)
+    fraction = _unscaler(d)
+    # The check above implies every test of JointDistribution.__post_init__.
+    dists = (_prechecked(JointDistribution, map(fraction, cells[i : i + 4])) for i in range(0, 16, 4))
+    return _prechecked(ExperimentTable, dists, _scaled_cells=(cells, d), _fraction=fraction)
 
 
 def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]]:
@@ -224,7 +252,8 @@ class ChshQuantities:
 
     def __post_init__(self):
         _check_chsh_numerators(self.as_tuple(), None)
-        object.__setattr__(self, "_scaled_values", _scaled(self.as_tuple()))  # (numerators, d)
+        values, d = _scaled(self.as_tuple())
+        self.__dict__.update(_scaled_values=(values, d), _fraction=_unscaler(d))
 
     def as_dict(self) -> dict[str, Real]:
         return {
@@ -239,6 +268,9 @@ class ChshQuantities:
 
     def max_abs(self) -> Real:
         return max(abs(q) for q in self.as_tuple())
+
+
+_CHSH_NAMES = tuple(ChshQuantities.__dataclass_fields__)
 
 
 def _chsh_combinations(e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
@@ -261,7 +293,8 @@ def chsh(table: ExperimentTable) -> ChshQuantities:
     cells, d = table._scaled_cells
     combinations = _cell_chsh(cells)
     _check_chsh_numerators(combinations, d)
-    return _prechecked(ChshQuantities, map(table._fraction, combinations), _scaled_values=(combinations, d))
+    fraction = table._fraction
+    return _prechecked(ChshQuantities, map(fraction, combinations), _scaled_values=(combinations, d), _fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -299,15 +332,16 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
     if type(bound) is int:
-        values, d = quantities._scaled_values
+        (values, d), unscaled = quantities._scaled_values, quantities._fraction
         scaled_bound = bound if d is None else bound * d
     else:
         (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
-    unscaled, checks = _unscaler(d), []
-    for (name, value), n in zip(quantities.as_dict().items(), values):
-        margin = abs(n) - scaled_bound
-        checks.append(BoundCheck(quantity=name, value=value, margin=unscaled(margin), violated=margin > 0))
-    return BellBoundReport(bound=bound, checks=tuple(checks))
+        unscaled = _unscaler(d)
+    checks = tuple([
+        BoundCheck(name, value, unscaled(margin := abs(n) - scaled_bound), margin > 0)
+        for name, value, n in zip(_CHSH_NAMES, quantities.as_tuple(), values)
+    ])
+    return BellBoundReport(bound, checks)
 
 
 @dataclass(frozen=True)
@@ -328,23 +362,23 @@ class MarginalComparison:
     residual: Real
 
 
-#: Side, own setting, outcome, partner settings, and the two cells (of the 16,
-#: row by row) whose sum is the marginal under each partner setting.
+#: Per no-signaling comparison: its labels (side, own setting, outcome, partner settings), then the
+#: two cells (of the 16, row by row) whose sum is the marginal under each partner setting.
 _MARGINAL_COMPARISONS = (
-    ("alice", "A", "+", ("B", "B'"), (0, 1), (4, 5)),
-    ("alice", "A", "-", ("B", "B'"), (2, 3), (6, 7)),
-    ("alice", "A'", "+", ("B", "B'"), (8, 9), (12, 13)),
-    ("alice", "A'", "-", ("B", "B'"), (10, 11), (14, 15)),
-    ("bob", "B", "+", ("A", "A'"), (0, 2), (8, 10)),
-    ("bob", "B", "-", ("A", "A'"), (1, 3), (9, 11)),
-    ("bob", "B'", "+", ("A", "A'"), (4, 6), (12, 14)),
-    ("bob", "B'", "-", ("A", "A'"), (5, 7), (13, 15)),
+    (("alice", "A", "+", ("B", "B'")), (0, 1), (4, 5)),
+    (("alice", "A", "-", ("B", "B'")), (2, 3), (6, 7)),
+    (("alice", "A'", "+", ("B", "B'")), (8, 9), (12, 13)),
+    (("alice", "A'", "-", ("B", "B'")), (10, 11), (14, 15)),
+    (("bob", "B", "+", ("A", "A'")), (0, 2), (8, 10)),
+    (("bob", "B", "-", ("A", "A'")), (1, 3), (9, 11)),
+    (("bob", "B'", "+", ("A", "A'")), (4, 6), (12, 14)),
+    (("bob", "B'", "-", ("A", "A'")), (5, 7), (13, 15)),
 )
 
 
 def _cell_marginals(cells) -> list[tuple]:
     """``(first, second)`` of each of ``_MARGINAL_COMPARISONS``, in the cells' own scale."""
-    return [(cells[i] + cells[j], cells[k] + cells[m]) for _, _, _, _, (i, j), (k, m) in _MARGINAL_COMPARISONS]
+    return [(cells[i] + cells[j], cells[k] + cells[m]) for _, (i, j), (k, m) in _MARGINAL_COMPARISONS]
 
 
 @dataclass(frozen=True)
@@ -370,9 +404,10 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, unscaled = table._scaled_cells[0], table._fraction
     comparisons, residuals = [], []
-    for (side, setting, outcome, partners, _, _), (first, second) in zip(_MARGINAL_COMPARISONS, _cell_marginals(cells)):
+    for labels, (i, j), (k, m) in _MARGINAL_COMPARISONS:
+        first, second = cells[i] + cells[j], cells[k] + cells[m]
         residual = first - second
-        comparisons.append(MarginalComparison(side, setting, outcome, partners, *map(unscaled, (first, second, residual))))
+        comparisons.append(MarginalComparison(*labels, unscaled(first), unscaled(second), unscaled(residual)))
         residuals.append(abs(residual))
     max_abs = unscaled(max(residuals))
     return MarginalReport(
@@ -387,8 +422,10 @@ def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
     """:func:`chsh` and the largest |:func:`marginals` residual| of 16 integer cells over ``d``, row by row.
 
     No ``Fraction`` is built: each result is a numerator over ``d``.  As in :meth:`ExperimentTable.from_numerators` and
-    :class:`ChshQuantities`, a row that is not a distribution or a combination outside [-4, 4] is an :class:`InvariantViolation`.
+    :class:`ChshQuantities`, a row that is not a distribution or a combination outside [-4, 4] is an :class:`InvariantViolation`;
+    a bool cell or ``d`` is a ``TypeError``.
     """
+    _refuse_bools(cells, d)
     _check_numerators(cells, d)
     combinations = _cell_chsh(cells)
     _check_chsh_numerators(combinations, d)

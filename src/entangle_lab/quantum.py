@@ -36,11 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from .probability import (
-    CHSH_RANGE_TOL,
     NORMALIZATION_TOL,
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
+    _check_chsh_batch,
     _chsh_combinations,
     _correlation,
     frequency_table,
@@ -271,7 +271,8 @@ def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float
 
     The whole grid is one batch of 4 * len(alphas) axis pairs; correlations
     and the four CHSH combinations are formed as arrays by the expressions of
-    :func:`probability.chsh`, with the same range check as :class:`ChshQuantities`.
+    :func:`probability.chsh`; an angle whose combinations :class:`ChshQuantities` would
+    refuse is refused with its message, naming the first offending combination.
     """
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
@@ -284,7 +285,6 @@ def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float
     bob = np.stack([b, b_prime, b, b_prime], axis=1).reshape(-1, 3)
     p = joint_probabilities(rho, alice, bob).reshape(-1, 4, 4)
     e = _correlation(*np.moveaxis(p, 2, 0))  # (angles, rows)
-    max_abs = np.abs(_chsh_combinations(*e.T)).max(axis=0)
-    if (max_abs > 4 + CHSH_RANGE_TOL).any():
-        raise InvariantViolation(f"CHSH quantity {float(max_abs.max())!r} outside [-4, 4]")
-    return list(zip(alphas, max_abs.tolist()))
+    combinations = np.array(_chsh_combinations(*e.T))  # (4, angles)
+    _check_chsh_batch(combinations)
+    return list(zip(alphas, np.abs(combinations).max(axis=0).tolist()))

@@ -38,10 +38,15 @@ cut.  ``write_trace`` writes ``table --trace``'s JSON lines from these
 columns, and ``iter_trials`` zips them into one ``MicroTrace``, the record
 of a trace line, per trial.
 ``cell_polynomials`` runs the kernel once per variant over the finite event
-space and keeps every cell as an integer polynomial in (p_w, p_1);
-``cell_numerators`` evaluates these cached polynomials exactly, as integer
-numerators over one denominator, and ``analytic_table`` builds from them the
-exact table that carries them (``ExperimentTable.from_numerators``).
+space and keeps every cell as an integer polynomial in (p_w, p_1).  These are
+compiled once per polynomials object into the distinct cells' coefficients
+over one flat vector of Bernstein monomials and each cell's index among them,
+so one evaluation forms the monomials once and takes one dot product per
+distinct cell.  ``cell_numerators`` and ``analytic_table`` share that
+evaluator: the first returns the cells as rows of integer numerators over one
+denominator, the second hands the flat cells to the constructor behind
+``ExperimentTable.from_numerators``, which builds the exact table that
+carries them.
 """
 
 from __future__ import annotations
@@ -51,15 +56,16 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .probability import NORMALIZATION_TOL, ExperimentTable, JointDistribution, frequency_table
+from .probability import NORMALIZATION_TOL, ExperimentTable, JointDistribution, _numerator_table, frequency_table
 from .rng import (
     DOMAIN_STRING_TRACE,
     DOMAIN_STRING_TRIALS,
@@ -504,28 +510,100 @@ def cell_polynomials(variant: Variant) -> CellPolynomials:
     return CellPolynomials((k_w, n_selections), tuple(cells))
 
 
+class _CompiledCells(NamedTuple):
+    """A variant's :class:`CellPolynomials` compiled for evaluation.
+
+    ``distinct`` holds each distinct cell polynomial once, as its
+    coefficients over the flat monomial vector whose entry
+    ``a * (k_1 + 1) + c`` is the Bernstein monomial ``(a, c)``; ``index``
+    gives each of the 16 cells, row by row, its entry of ``distinct``, and
+    ``pick`` gathers them.
+    """
+
+    degrees: tuple[int, int]
+    distinct: tuple[tuple[int, ...], ...]
+    index: tuple[int, ...]
+    pick: Callable[[list[int]], tuple[int, ...]]
+
+
+def _compile(polynomials: CellPolynomials) -> _CompiledCells:
+    (k_w, k_1), rows = polynomials
+    cells = [cell for row in rows for cell in row]
+    distinct = list(dict.fromkeys(cells))
+    index = tuple(map(distinct.index, cells))
+    flat = [[0] * ((k_w + 1) * (k_1 + 1)) for _ in distinct]
+    for coefficients, cell in zip(flat, distinct):
+        for (a, c), n in cell:
+            coefficients[a * (k_1 + 1) + c] = n
+    return _CompiledCells((k_w, k_1), tuple(map(tuple, flat)), index, operator.itemgetter(*index))
+
+
+#: Per variant: the polynomials last returned by :func:`cell_polynomials` and their compiled form.
+_COMPILED: dict[Variant, tuple[CellPolynomials, _CompiledCells]] = {}
+
+
+def _compiled_cells(variant: Variant) -> _CompiledCells:
+    """:func:`cell_polynomials` of ``variant``, compiled once per polynomials object it returns."""
+    polynomials = cell_polynomials(variant)
+    entry = _COMPILED.get(variant)
+    if entry is None or entry[0] is not polynomials:
+        entry = _COMPILED[variant] = (polynomials, _compile(polynomials))
+    return entry[1]
+
+
 def _scaled_bernstein(n: int, q: int, k: int) -> list[int]:
     """``p**a * (1 - p)**(k - a) * q**k`` for a = 0..k and p = n / q, in integers."""
     m = q - n
     return [n**a * m ** (k - a) for a in range(k + 1)]
 
 
+def _evaluate(compiled: _CompiledCells, p_w: tuple[int, int], p_1: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+    """``(cells, d)``: the 16 compiled cells, row by row, as integer numerators over ``d``.
+
+    One pass forms the (k_w + 1)(k_1 + 1) Bernstein products; each distinct
+    cell is then one dot product with them.
+    """
+    (k_w, k_1), distinct, _, pick = compiled
+    (n_w, q_w), (n_1, q_1) = p_w, p_1
+    s = _scaled_bernstein(n_1, q_1, k_1)
+    products = [x * y for x in _scaled_bernstein(n_w, q_w, k_w) for y in s]
+    cells = pick([sum(map(operator.mul, coefficients, products)) for coefficients in distinct])
+    return cells, 2 * q_w**k_w * q_1**k_1
+
+
+def _checked_ratio(name: str, pair) -> tuple[int, int]:
+    """``(n, q)`` as ints if it is n / q with 0 <= n <= q and q > 0, else a ``ValueError`` naming ``name``."""
+    try:
+        n, q = pair
+    except (TypeError, ValueError):  # not a pair
+        n = q = None
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (n, q)):
+        raise ValueError(f"{name} must be a pair (n, q) of integers, got {pair!r}")
+    if not 0 <= n <= q or q <= 0:
+        raise ValueError(f"{name} = {n}/{q} is not a probability n/q with 0 <= n <= q and q > 0")
+    return int(n), int(q)
+
+
 def cell_numerators(variant: Variant, p_w: tuple[int, int], p_1: tuple[int, int]) -> tuple[list[tuple], int]:
     """``(rows, d)``: the cell polynomials at exact ``(numerator, denominator)`` pairs in [0, 1].
 
     Each row (AB, AB', A'B, A'B') holds its cells' integer numerators over
-    ``d = 2 * d_w**k_w * d_1**k_1``.
+    ``d = 2 * d_w**k_w * d_1**k_1``.  A pair that is not n / q with
+    0 <= n <= q and q > 0 is a ``ValueError`` naming ``p_w`` or ``p_1``.
     """
-    (k_w, k_1), cells = cell_polynomials(variant)
-    w, s = _scaled_bernstein(*p_w, k_w), _scaled_bernstein(*p_1, k_1)
-    rows = [tuple([sum(n * w[a] * s[c] for (a, c), n in cell) for cell in row]) for row in cells]
-    return rows, 2 * p_w[1] ** k_w * p_1[1] ** k_1
+    cells, d = _evaluate(_compiled_cells(variant), _checked_ratio("p_w", p_w), _checked_ratio("p_1", p_1))
+    return [cells[i : i + 4] for i in range(0, 16, 4)], d
+
+
+def _integer_ratio(p: Real) -> tuple[int, int]:
+    """``(n, q)`` of ``Fraction(p)``; int, float and ``Fraction`` give it directly."""
+    return p.as_integer_ratio() if type(p) in (int, float, Fraction) else Fraction(p).as_integer_ratio()
 
 
 def analytic_table(config: StringModelConfig) -> ExperimentTable:
-    """Closed-form experiment table: :func:`cell_numerators` as an exact table that carries them."""
-    p_w, p_1 = Fraction(config.p_w).as_integer_ratio(), Fraction(config.p_1).as_integer_ratio()
-    return ExperimentTable.from_numerators(*cell_numerators(config.variant, p_w, p_1))
+    """Closed-form experiment table: the cells of :func:`cell_numerators` as an exact table that carries them."""
+    cells, d = _evaluate(_compiled_cells(config.variant), _integer_ratio(config.p_w), _integer_ratio(config.p_1))
+    return _numerator_table(cells, d)
 
 
 OutcomeFn = Callable[[object, str], int]

@@ -1140,6 +1140,26 @@ def test_scan_refuses_a_corrupted_numerator_row_with_exit_three(capsys, monkeypa
     assert error["message"].startswith(fragment) and error["message"].endswith("are not a distribution")
 
 
+@pytest.mark.parametrize(
+    "pp_extra, pm_extra, fragment",
+    [((((1, 0), -1),), (((1, 0), 1),), "AB: cell numerators (-1, "), ((((0, 0), 3),), (), "AB: cell numerators (3, ")],
+    ids=["negative-cell", "row-sum-off"],
+)
+def test_table_refuses_a_corrupted_numerator_row_with_exit_three(capsys, monkeypatch, pp_extra, pm_extra, fragment):
+    # The analytic table evaluates whatever cell_polynomials returns, compiled
+    # or not, through the same integer row check as scan.
+    real = strings.cell_polynomials(strings.Variant.V2)
+    assert run_cli(capsys, "table", "--variant", "v2", "--pw", "0.5")[0] == 0  # the real polynomials, compiled first
+    (pp, pm, *rest), *rows = real.cells
+    corrupted = strings.CellPolynomials(real.degrees, ((pp + pp_extra, pm + pm_extra, *rest), *rows))
+    monkeypatch.setattr(strings, "cell_polynomials", lambda variant: corrupted)
+    code, out, err = run_cli(capsys, "table", "--variant", "v2", "--pw", "0.5")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == EXIT_NUMERIC
+    assert error["message"].startswith(fragment) and error["message"].endswith("are not a distribution")
+
+
 def fresh_process_output(*args) -> str:
     src = str(Path(entangle_lab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -238,3 +238,16 @@ def test_the_cli_leaves_the_vector_tolerances_to_the_constructors():
         if isinstance(name, str)
     }
     assert names.isdisjoint({"WEIGHT_TOL", "AXIS_NORM_TOL"})
+
+
+def test_quantum_leaves_the_chsh_range_to_probability():
+    # scan_tsirelson refuses through probability's one CHSH range rule, so
+    # quantum names no tolerance of its own for it.
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "quantum.py").read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if isinstance(name, str)
+    }
+    assert "CHSH_RANGE_TOL" not in names

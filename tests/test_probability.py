@@ -687,6 +687,25 @@ def test_numerator_tables_take_integers_only():
         ExperimentTable.from_numerators([(3.5, 3.5, 0, 0)] * 4, 7)
 
 
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([[True, False, 0, 0]] * 4, True),  # built Fraction(1, 1) cells before bools were refused
+        ([[1, 0, 0, 0]] * 4, True),
+        ([[1, 0, 0, 0]] * 3 + [[0, 0, 0, True]], 1),
+        ([[2, 0, 0, 0]] * 3 + [[False, 0, 0, 2]], 2),
+    ],
+    ids=["all-bool", "bool-d", "bool-cell", "false-cell"],
+)
+def test_numerator_tables_and_diagnostics_refuse_bools(rows, d):
+    with pytest.raises(TypeError, match="^cell numerators and d must be integers, not bools, got "):
+        ExperimentTable.from_numerators(rows, d)
+    with pytest.raises(TypeError, match="^cell numerators and d must be integers, not bools, got "):
+        exact_diagnostics([n for row in rows for n in row], d)
+    ints = [[int(n) for n in row] for row in rows]
+    assert ExperimentTable.from_numerators(ints, int(d))._scaled_cells == (tuple(n for row in ints for n in row), int(d))
+
+
 # --- the numerator path against the generic path, on random tables ---
 
 

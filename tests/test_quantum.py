@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entangle_lab import quantum
 from entangle_lab.probability import (
     NORMALIZATION_TOL,
+    ChshQuantities,
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
@@ -208,6 +210,25 @@ class TestScan:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             scan_tsirelson(singlet_state(), [])
+
+    @pytest.mark.parametrize("tolerated", [False, True], ids=["refused", "within-tolerance"])
+    def test_an_out_of_range_angle_is_refused_with_the_chsh_quantities_message(self, monkeypatch, tolerated):
+        # Rows [e, 0, 0, 0] give the correlation e.  Angle 1's correlations (1, 1, 1, -3.5)
+        # put only d_chsh out of range (6.5); angle 2's (-3, 1, 1, 1) put a_chsh there (6).
+        # A combination past 4 by no more than CHSH_RANGE_TOL passes, as ChshQuantities lets it.
+        over = 1e-10 if tolerated else 2.5
+        correlations = [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0 - over), (-1.0 - over, 1.0, 1.0, 1.0)]
+        batch = np.array([[e, 0.0, 0.0, 0.0] for angle in correlations for e in angle])
+        monkeypatch.setattr(quantum, "joint_probabilities", lambda rho, alice, bob: batch)
+        alphas = [0.0, 0.5, 1.0]
+        if tolerated:
+            assert [value for _, value in scan_tsirelson(singlet_state(), alphas)] == [2.0, 4.0 + over, 4.0 + over]
+            return
+        with pytest.raises(InvariantViolation) as expected:
+            ChshQuantities(-2.5, -2.5, -2.5, 6.5)
+        with pytest.raises(InvariantViolation) as got:
+            scan_tsirelson(singlet_state(), alphas)
+        assert str(got.value) == str(expected.value) == "d_chsh = 6.5 outside [-4, 4]"
 
 
 class TestValidation:
