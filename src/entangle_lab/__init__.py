@@ -32,7 +32,6 @@ from .strings import (
 from .quantum import (
     AxisQuad,
     coplanar_axes,
-    joint_distribution,
     joint_probabilities,
     maximally_mixed_state,
     product_state,

@@ -162,6 +162,19 @@ class JointDistribution:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
 
+def _distribution_batch(rows):
+    """A clamped copy of an (n, 4) float array of outcome probabilities, each row checked and clamped as by
+    :class:`JointDistribution`: one array test, and on failure the message of the first offending row."""
+    if ((rows >= -NORMALIZATION_TOL) & (rows <= 1.0 + NORMALIZATION_TOL)).all():  # False at a NaN
+        rows = rows.copy()
+        rows[rows < 0.0] = 0.0
+        rows[rows > 1.0] = 1.0
+        if (abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3] - 1.0) <= NORMALIZATION_TOL).all():
+            return rows
+    for row in rows.tolist():
+        JointDistribution(*row)  # refuses the first row that failed a test above
+
+
 @dataclass(frozen=True)
 class ExperimentTable:
     """The 4x4 block of joint probabilities for the settings AB, AB', A'B, A'B'."""
@@ -182,18 +195,24 @@ class ExperimentTable:
 
     @classmethod
     def from_numerators(cls, rows, d: int) -> ExperimentTable:
-        """The exact table of four rows (AB, AB', A'B, A'B') of integer numerators over ``d``, each a
+        """The exact table of four rows (AB, AB', A'B, A'B') of four integer numerators over ``d``, each a
         distribution over ``d``: cells ``Fraction(n, d)``, and ``(numerators, d)`` as ``_scaled_cells``.
-        A bool numerator or ``d`` is a ``TypeError``."""
-        cells = tuple([n for row in rows for n in row])
-        _refuse_bools(cells, d)
-        return _numerator_table(tuple(map(operator.index, cells)), operator.index(d))  # numpy ints as ints
+        The numerators and ``d`` pass :func:`_integer_cells`; rows of another shape are a ``ValueError``."""
+        rows = [tuple(row) for row in rows]
+        if [len(row) for row in rows] != [4, 4, 4, 4]:
+            raise ValueError(f"expected 4 rows of 4 cell numerators, got rows of {[len(row) for row in rows]}")
+        return _numerator_table(*_integer_cells([n for row in rows for n in row], d))
 
 
-def _refuse_bools(cells, d) -> None:
-    """A bool among integer cell numerators or their ``d`` is a ``TypeError``: ``True`` is no numerator."""
-    if isinstance(d, bool) or bool in map(type, cells):
-        raise TypeError(f"cell numerators and d must be integers, not bools, got {tuple(cells)!r} over {d!r}")
+def _integer_cells(cells, d) -> tuple[tuple[int, ...], int]:
+    """16 cell numerators and their ``d`` as ints, numpy ints read as ints.  A value that is not an integer,
+    a bool included (``True`` is no numerator), is a ``TypeError``; another count of cells a ``ValueError``."""
+    values = (*cells, d)
+    if bool in map(type, values) or not all(hasattr(n, "__index__") for n in values):
+        raise TypeError(f"cell numerators and d must be integers, not bools, got {values[:-1]!r} over {d!r}")
+    if len(values) != 17:
+        raise ValueError(f"expected 16 cell numerators, got {len(values) - 1}")
+    return tuple(map(operator.index, values[:-1])), operator.index(d)
 
 
 def _numerator_table(cells: tuple[int, ...], d: int) -> ExperimentTable:
@@ -423,9 +442,9 @@ def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:
 
     No ``Fraction`` is built: each result is a numerator over ``d``.  As in :meth:`ExperimentTable.from_numerators` and
     :class:`ChshQuantities`, a row that is not a distribution or a combination outside [-4, 4] is an :class:`InvariantViolation`;
-    a bool cell or ``d`` is a ``TypeError``.
+    the cells and ``d`` pass :func:`_integer_cells`.
     """
-    _refuse_bools(cells, d)
+    cells, d = _integer_cells(cells, d)
     _check_numerators(cells, d)
     combinations = _cell_chsh(cells)
     _check_chsh_numerators(combinations, d)

@@ -6,21 +6,21 @@ P_ij = Tr[rho (P_i(a) x P_j(b))] with the projectors built branch-free from
 standard coplanar axis family, the textbook CHSH values including the
 Tsirelson point 2*sqrt(2) at alpha = pi/4.
 
-Each piece of the algebra is written once: ``_three_vector`` checks every
-real 3-vector and ``_n_dot_sigma`` forms n.sigma, for the projectors and for
-``qubit_state``.  One batched kernel, :func:`joint_probabilities`, computes
-every probability: it takes paired (n, 3) Alice and Bob axes, checks all axis
-norms at once, builds an (n, 2, 2, 2) projector stack, forms the Kronecker
-products by one broadcast multiply and takes all traces in one ``einsum``.
-``joint_distribution`` is a batch of one pair, ``table_for_axes`` a batch of
-four and ``scan_tsirelson`` a batch of four pairs per angle, with
-``probability``'s CHSH expressions applied to arrays.  The arithmetic per cell
-is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the batched values are
-bit-identical to a one-cell-at-a-time loop.
+Each rule is written once.  ``_check_vectors`` checks every real 3-vector,
+one or a batch, and ``_n_dot_sigma`` forms n.sigma.  One batched kernel,
+:func:`joint_probabilities`, computes every probability: it checks paired
+(n, 3) Alice and Bob axes at once, builds an (n, 2, 2, 2) projector stack,
+forms the Kronecker products by one broadcast multiply, takes all traces in
+one ``einsum`` and checks the rows by ``probability``'s batch form of the
+:class:`JointDistribution` rule.  ``_ROW_AXES`` lays out a table's rows and
+``_coplanar_quads`` places the coplanar family, so ``table_for_axes`` is a
+batch of one axis quad and ``scan_tsirelson`` one of a quad per angle.  The
+arithmetic per cell is that of ``np.kron`` plus ``einsum("ij,ji->")``, so the
+batched values are bit-identical to a one-cell-at-a-time loop.
 
 One tolerance rule: a state that passes :func:`validate_state`, measured along
 axes that pass the axis check, is never refused by :func:`joint_probabilities`'s
-``NORMALIZATION_TOL`` (1e-12).  As Tr[rho P] >= lambda_min(rho) for a rank-one
+row tolerance (1e-12).  As Tr[rho P] >= lambda_min(rho) for a rank-one
 projector P, and an axis of norm 1 + e moves its projectors' eigenvalues by e/2,
 ``PSD_TOL``, ``TRACE_TOL`` and ``AXIS_NORM_TOL`` of 1e-13 keep each probability
 within 5e-13 of [0, 1] and each clamped row sum within 6e-13 of 1.  The
@@ -36,13 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from .probability import (
-    NORMALIZATION_TOL,
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
     _check_chsh_batch,
     _chsh_combinations,
     _correlation,
+    _distribution_batch,
     frequency_table,
 )
 from .rng import DOMAIN_QUANTUM_SAMPLING, count_outcomes, sign_counts
@@ -59,21 +59,27 @@ PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+def _check_vectors(r: np.ndarray, name: str, *, unit: bool) -> np.ndarray:
+    """Check the real 3-vectors on the last axis of the float array ``r``, named ``name``:
+    finiteness (ValueError), then the norm (InvariantViolation): 1 within ``AXIS_NORM_TOL``
+    if ``unit``, else at most 1.  Each refusal names the first offending vector."""
+    if not np.isfinite(r).all():
+        finite = np.isfinite(r).all(axis=-1)
+        raise ValueError(f"{name} must be finite, got {r[~finite][0].tolist()!r}")
+    with np.errstate(over="ignore"):  # a huge finite vector's norm is inf, which the check refuses
+        norms = np.linalg.norm(r, axis=-1)
+    bad = np.abs(norms - 1.0) > AXIS_NORM_TOL if unit else norms > 1.0 + AXIS_NORM_TOL
+    if bad.any():
+        raise InvariantViolation(f"{name} norm {float(norms[bad][0])!r} {'deviates from' if unit else 'exceeds'} 1")
+    return r
+
+
 def _three_vector(v: Sequence[float], name: str, *, unit: bool) -> np.ndarray:
-    """Check the real 3-vector ``name``: shape and finiteness (ValueError), then the
-    norm (InvariantViolation): 1 within ``AXIS_NORM_TOL`` if ``unit``, else at most 1."""
+    """The real 3-vector ``name``, of shape (3,) (else ValueError), checked by :func:`_check_vectors`."""
     r = np.asarray(v, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError(f"{name} must be finite, got {r.tolist()!r}")
-    with np.errstate(over="ignore"):  # a huge finite vector's norm is inf, which the check refuses
-        norm = float(np.linalg.norm(r))
-    if unit and abs(norm - 1.0) > AXIS_NORM_TOL:
-        raise InvariantViolation(f"{name} norm {norm!r} deviates from 1")
-    if not unit and norm > 1.0 + AXIS_NORM_TOL:
-        raise InvariantViolation(f"{name} norm {norm!r} exceeds 1")
-    return r
+    return _check_vectors(r, name, unit=unit)
 
 
 def unit_axis(v: Sequence[float]) -> np.ndarray:
@@ -85,11 +91,6 @@ def _n_dot_sigma(n: np.ndarray) -> np.ndarray:
     """n.sigma = n_x X + n_y Y + n_z Z as (..., 2, 2), for real (..., 3) vectors n."""
     n = n[..., None, None]
     return n[..., 0, :, :] * PAULI_X + n[..., 1, :, :] * PAULI_Y + n[..., 2, :, :] * PAULI_Z
-
-
-def axis_in_xz_plane(theta: float) -> np.ndarray:
-    """Direction at angle ``theta`` from +z, rotated toward +x."""
-    return np.array([math.sin(theta), 0.0, math.cos(theta)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,27 +153,12 @@ def product_state(alice_bloch: Sequence[float], bob_bloch: Sequence[float]) -> n
 
 
 def _projector_stack(axes) -> np.ndarray:
-    """(n, 2, 2, 2) projectors (I + n.sigma)/2, (I - n.sigma)/2 for (n, 3) unit axes.
-
-    Every norm is checked in one pass; a NaN norm fails the check too.
-    """
+    """(n, 2, 2, 2) projectors (I + n.sigma)/2, (I - n.sigma)/2 for (n, 3) unit axes, all checked in one pass."""
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 2 or axes.shape[1] != 3:
         raise ValueError(f"axes must have shape (n, 3), got {axes.shape}")
-    with np.errstate(over="ignore"):  # as in _three_vector
-        norms = np.linalg.norm(axes, axis=1)
-    bad = ~(np.abs(norms - 1.0) <= AXIS_NORM_TOL)
-    if bad.any():
-        raise InvariantViolation(f"axis norm {float(norms[bad][0])!r} deviates from 1")
-    n_dot_sigma = _n_dot_sigma(axes)
+    n_dot_sigma = _n_dot_sigma(_check_vectors(axes, "axis", unit=True))
     return np.stack([(IDENTITY_2 + n_dot_sigma) / 2.0, (IDENTITY_2 - n_dot_sigma) / 2.0], axis=1)
-
-
-def projector(axis: Sequence[float], sign: int) -> np.ndarray:
-    """Spin projector (I + sign * n.sigma)/2 along a unit axis."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _projector_stack([unit_axis(axis)])[0, (1 - sign) // 2]
 
 
 def joint_probabilities(rho: np.ndarray, alice_axes, bob_axes) -> np.ndarray:
@@ -182,9 +168,8 @@ def joint_probabilities(rho: np.ndarray, alice_axes, bob_axes) -> np.ndarray:
     result is Tr[rho (P_i(a_k) x P_j(b_k))].  The state is validated once, the
     Kronecker products are formed by the broadcast multiply of ``np.kron`` and
     all traces are taken by one ``einsum``, so every value carries the same
-    bits as a per-cell ``einsum("ij,ji->", rho, np.kron(P_i, P_j))``.  Values
-    get the checks of :class:`JointDistribution` in batch: no NaN, each within
-    ``NORMALIZATION_TOL`` of [0, 1] (then clamped), each row summing to one.
+    bits as a per-cell ``einsum("ij,ji->", rho, np.kron(P_i, P_j))``.  Rows
+    are checked and clamped by :class:`JointDistribution`'s rule, in batch.
     """
     rho = validate_state(rho)
     proj_a = _projector_stack(alice_axes)
@@ -193,29 +178,22 @@ def joint_probabilities(rho: np.ndarray, alice_axes, bob_axes) -> np.ndarray:
         raise ValueError(f"got {proj_a.shape[0]} Alice axes but {proj_b.shape[0]} Bob axes")
     # kron[n, s, t, i, k, j, l] = P_s(a_n)[i, j] * P_t(b_n)[k, l]
     kron = proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
-    probs = np.einsum("ij,ncji->nc", rho, kron.reshape(-1, 4, 4, 4)).real
-    if np.isnan(probs).any():
-        raise InvariantViolation("outcome probability is NaN")
-    outside = (probs < -NORMALIZATION_TOL) | (probs > 1.0 + NORMALIZATION_TOL)
-    if outside.any():
-        raise InvariantViolation(f"outcome probability {float(probs[outside][0])!r} outside [0, 1]")
-    probs = np.minimum(np.maximum(probs, 0.0), 1.0)
-    totals = probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3]
-    unnormalized = np.abs(totals - 1.0) > NORMALIZATION_TOL
-    if unnormalized.any():
-        raise InvariantViolation(f"outcome probabilities sum to {float(totals[unnormalized][0])!r}, not 1")
-    return probs
+    return _distribution_batch(np.einsum("ij,ncji->nc", rho, kron.reshape(-1, 4, 4, 4)).real)
 
 
-def joint_distribution(rho: np.ndarray, alice_axis, bob_axis) -> JointDistribution:
-    """Joint outcome probabilities of product spin measurements on a state."""
-    return JointDistribution(*joint_probabilities(rho, [alice_axis], [bob_axis])[0].tolist())
+#: The Alice and the Bob axis of each table row AB, AB', A'B, A'B', as indices into an axis quad (a, a', b, b').
+_ROW_AXES = ([0, 0, 1, 1], [2, 3, 2, 3])
+
+
+def _quad_probabilities(rho: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) probabilities of (n, 4, 3) axis quads (a, a', b, b'): per quad, one table's rows in order."""
+    alice, bob = (quads[:, side].reshape(-1, 3) for side in _ROW_AXES)
+    return joint_probabilities(rho, alice, bob).reshape(-1, 4, 4)
 
 
 def table_for_axes(rho: np.ndarray, axes: AxisQuad) -> ExperimentTable:
-    alice = [axes.a, axes.a, axes.a_prime, axes.a_prime]
-    bob = [axes.b, axes.b_prime, axes.b, axes.b_prime]
-    return ExperimentTable(*(JointDistribution(*row) for row in joint_probabilities(rho, alice, bob).tolist()))
+    quad = np.array([[axes.a, axes.a_prime, axes.b, axes.b_prime]])
+    return ExperimentTable(*(JointDistribution(*row) for row in _quad_probabilities(rho, quad)[0].tolist()))
 
 
 def sample_table(table: ExperimentTable, trials_per_setting: int, master_seed: int, *, workers: int = 1):
@@ -250,20 +228,28 @@ def _collapse_thresholds(p_pp: float, p_pm: float, p_mp: float, p_mm: float) -> 
     )
 
 
-def coplanar_axes(alpha: float) -> AxisQuad:
-    """The standard coplanar CHSH family at relative angle ``alpha``.
+def _coplanar_quads(alphas: list[float]) -> np.ndarray:
+    """(n, 4, 3) axis quads (a, a', b, b') of the coplanar family, one per angle in ``alphas``: in the x-z
+    plane at 0, pi/2, alpha and alpha + pi/2 from +z toward +x, each axis (sin, 0, cos) of its angle.
+    A non-finite angle is a ValueError."""
+    thetas = []
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
+        thetas += (0.0, math.pi / 2.0, alpha, alpha + math.pi / 2.0)
+    axes = np.zeros((len(thetas), 3))
+    axes[:, 0], axes[:, 2] = list(map(math.sin, thetas)), list(map(math.cos, thetas))
+    return axes.reshape(-1, 4, 3)
 
-    All axes lie in the x-z plane: A along +z, B at alpha, A' at pi/2 and B'
-    at alpha + pi/2.  At alpha = pi/4 this realizes the angle pattern
-    (A,B) = pi/4, (A,B') = 3pi/4, (A',B) = pi/4, (A,A') = (B,B') = pi/2,
-    for which the singlet gives B_CHSH = -2*sqrt(2).
+
+def coplanar_axes(alpha: float) -> AxisQuad:
+    """The standard coplanar CHSH family at relative angle ``alpha`` (see ``_coplanar_quads``).
+
+    At alpha = pi/4 this realizes the angle pattern (A,B) = pi/4,
+    (A,B') = 3pi/4, (A',B) = pi/4, (A,A') = (B,B') = pi/2, for which the
+    singlet gives B_CHSH = -2*sqrt(2).
     """
-    return AxisQuad(
-        a=axis_in_xz_plane(0.0),
-        a_prime=axis_in_xz_plane(math.pi / 2.0),
-        b=axis_in_xz_plane(alpha),
-        b_prime=axis_in_xz_plane(alpha + math.pi / 2.0),
-    )
+    return AxisQuad(*_coplanar_quads([float(alpha)])[0])
 
 
 def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float, float]]:
@@ -277,13 +263,7 @@ def scan_tsirelson(rho: np.ndarray, alphas: Sequence[float]) -> list[tuple[float
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise ValueError("angle grid must be non-empty")
-    a, a_prime = axis_in_xz_plane(0.0), axis_in_xz_plane(math.pi / 2.0)
-    b = np.array([axis_in_xz_plane(alpha) for alpha in alphas])
-    b_prime = np.array([axis_in_xz_plane(alpha + math.pi / 2.0) for alpha in alphas])
-    # Four rows per angle, in table order: AB, AB', A'B, A'B'.
-    alice = np.tile([a, a, a_prime, a_prime], (len(alphas), 1))
-    bob = np.stack([b, b_prime, b, b_prime], axis=1).reshape(-1, 3)
-    p = joint_probabilities(rho, alice, bob).reshape(-1, 4, 4)
+    p = _quad_probabilities(rho, _coplanar_quads(alphas))
     e = _correlation(*np.moveaxis(p, 2, 0))  # (angles, rows)
     combinations = np.array(_chsh_combinations(*e.T))  # (4, angles)
     _check_chsh_batch(combinations)

@@ -31,8 +31,8 @@ from entangle_lab.probability import InvariantViolation
 from entangle_lab.quantum import (
     joint_probabilities,
     maximally_mixed_state,
+    _projector_stack,
     product_state,
-    projector,
     qubit_state,
     singlet_state,
     unit_axis,
@@ -479,7 +479,7 @@ def test_overlong_bloch_vector_message_shows_a_plain_float(check):
     (
         (unit_axis, "axis norm 2.0 deviates from 1"),
         (lambda v: MeasurementFrame(n_plus=v), "n_plus norm 2.0 deviates from 1"),
-        (lambda v: projector(v, 1), "axis norm 2.0 deviates from 1"),
+        (lambda v: _projector_stack([v]), "axis norm 2.0 deviates from 1"),
         (lambda v: joint_probabilities(singlet_state(), [v], [[0.0, 0.0, 1.0]]), "axis norm 2.0 deviates from 1"),
     ),
     ids=("unit_axis", "MeasurementFrame", "projector", "joint_probabilities"),

@@ -167,6 +167,9 @@ def test_probability_has_one_exact_path():
         ("bloch", "BreakDistribution.uniform"),
         ("bloch", "BreakDistribution.piecewise"),
         ("quantum", "chsh_for_axes"),
+        ("quantum", "axis_in_xz_plane"),
+        ("quantum", "joint_distribution"),
+        ("quantum", "projector"),
         ("strings", "setting_index"),
         ("rng", "substream"),
         ("strings", "MicroTrace.to_json_dict"),
@@ -180,7 +183,10 @@ def test_a_removed_alias_is_gone(module, name):
     # Each re-spelled another public call: BreakDistribution(), BreakDistribution(w),
     # chsh(table_for_axes(rho, axes)), SETTINGS.index(s), rng.uniforms,
     # MicroTrace._asdict() and, for a row's marginal, the cell sums that
-    # probability.marginals compares.
+    # probability.marginals compares.  quantum.joint_distribution was a batch
+    # of one of joint_probabilities, and quantum.projector re-ran the axis
+    # check of the projector stack it called; quantum.axis_in_xz_plane was
+    # coplanar_axes' placement of one axis, which no other code used.
     owner = importlib.import_module(f"entangle_lab.{module}")
     *path, last = name.split(".")
     for part in path:
@@ -251,3 +257,25 @@ def test_quantum_leaves_the_chsh_range_to_probability():
         if isinstance(name, str)
     }
     assert "CHSH_RANGE_TOL" not in names
+
+
+def test_quantum_leaves_the_row_rule_to_probability_and_has_one_norm():
+    # joint_probabilities checks its rows through probability's batch form of
+    # JointDistribution's rule, and every 3-vector norm is taken in one function.
+    tree = ast.parse((Path(entangle_lab.__file__).parent / "quantum.py").read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if isinstance(name, str)
+    }
+    assert "NORMALIZATION_TOL" not in names
+    norms = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "norm"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    }
+    assert len(norms) <= 1, norms

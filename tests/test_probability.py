@@ -706,6 +706,79 @@ def test_numerator_tables_and_diagnostics_refuse_bools(rows, d):
     assert ExperimentTable.from_numerators(ints, int(d))._scaled_cells == (tuple(n for row in ints for n in row), int(d))
 
 
+@pytest.mark.parametrize(
+    "cells, d",
+    [
+        ([0.5, 0.5, 0, 0] * 4, 1),  # exact_diagnostics once returned ((0.0, 0.0, 0.0, 0.0), 0.0)
+        ([1, 0, 0, 0] * 4, 1.0),
+        ([Fraction(1), 0, 0, 0] * 4, 1),
+        ([np.float64(1), 0, 0, 0] * 4, 1),
+    ],
+    ids=["float-cells", "float-d", "fraction-cell", "numpy-float-cell"],
+)
+def test_numerator_tables_and_diagnostics_refuse_what_is_not_an_integer(cells, d):
+    with pytest.raises(TypeError, match="^cell numerators and d must be integers, not bools, got "):
+        ExperimentTable.from_numerators([cells[i : i + 4] for i in range(0, 16, 4)], d)
+    with pytest.raises(TypeError, match="^cell numerators and d must be integers, not bools, got "):
+        exact_diagnostics(cells, d)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1, 0, 0, 0)] * 5, r"^expected 4 rows of 4 cell numerators, got rows of \[4, 4, 4, 4, 4\]$"),  # once dropped row 5
+        ([(1, 0, 0)] * 4, r"^expected 4 rows of 4 cell numerators, got rows of \[3, 3, 3, 3\]$"),
+        ([(1, 0, 0, 0)] * 3, r"^expected 4 rows of 4 cell numerators, got rows of \[4, 4, 4\]$"),
+        ([(1, 0, 0, 0, 0), (1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)], r"^expected 4 rows of 4 cell numerators, got rows of \[5, 3, 4, 4\]$"),
+    ],
+    ids=["five-rows", "rows-of-three", "three-rows", "ragged-sixteen"],
+)
+def test_numerator_tables_refuse_any_shape_but_four_rows_of_four(rows, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentTable.from_numerators(rows, 1)
+
+
+@pytest.mark.parametrize("count", [0, 12, 15, 17, 20])
+def test_exact_diagnostics_refuse_any_count_but_sixteen_cells(count):
+    # 12 cells once failed inside min() with "min() arg is an empty sequence".
+    with pytest.raises(ValueError, match=f"^expected 16 cell numerators, got {count}$"):
+        exact_diagnostics(([1, 0, 0, 0] * 5)[:count], 1)
+
+
+# --- the batch form of JointDistribution's float rule ---
+
+edge_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -5e-13, -NORMALIZATION_TOL, -1.5e-12, 1 + 5e-13, 1 + 1.5e-12, math.nan]),
+    st.floats(0, 1),
+)
+
+
+@st.composite
+def edge_rows(draw):
+    """Four float cells near the edges of the rule: three drawn, the fourth closing the sum to 1 off by about 1e-12."""
+    cells = draw(st.lists(edge_cells, min_size=3, max_size=3))
+    miss = draw(st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12]))
+    return draw(st.permutations([*cells, 1.0 - math.fsum(cells) + miss]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(edge_rows(), min_size=1, max_size=5))
+def test_the_batch_row_rule_is_joint_distributions_rule_row_by_row(rows):
+    expected = []
+    for row in rows:
+        try:
+            expected.append([p.hex() for p in JointDistribution(*row).probabilities()])
+        except InvariantViolation as refused:
+            with pytest.raises(InvariantViolation) as got:
+                probability._distribution_batch(np.array(rows))
+            assert str(got.value) == str(refused)
+            return
+    batch = np.array(rows)
+    got = probability._distribution_batch(batch)
+    assert [[p.hex() for p in row] for row in got.tolist()] == expected
+    assert np.array_equal(batch, np.array(rows), equal_nan=True)  # the caller's array is left as it was
+
+
 # --- the numerator path against the generic path, on random tables ---
 
 

@@ -26,13 +26,11 @@ from entangle_lab.quantum import (
     PAULI_Y,
     PAULI_Z,
     AxisQuad,
-    axis_in_xz_plane,
+    _projector_stack,
     coplanar_axes,
-    joint_distribution,
     joint_probabilities,
     maximally_mixed_state,
     product_state,
-    projector,
     scan_tsirelson,
     singlet_state,
     table_for_axes,
@@ -99,20 +97,25 @@ class TestSingletState:
         validate_state(singlet_state())
 
 
+def pair_distribution(rho, alice_axis, bob_axis):
+    """The JointDistribution of one axis pair: a batch of one of joint_probabilities."""
+    return JointDistribution(*joint_probabilities(rho, [alice_axis], [bob_axis])[0].tolist())
+
+
 class TestJointDistribution:
     def test_equal_axes_anticorrelate_perfectly(self):
-        dist = joint_distribution(singlet_state(), Z, Z)
+        dist = pair_distribution(singlet_state(), Z, Z)
         np.testing.assert_allclose(
             [float(p) for p in dist.probabilities()], [0.0, 0.5, 0.5, 0.0], atol=1e-14
         )
 
     def test_eighth_turn_correlation(self):
-        dist = joint_distribution(singlet_state(), Z, axis_in_xz_plane(math.pi / 4))
+        dist = pair_distribution(singlet_state(), Z, coplanar_axes(math.pi / 4).b)
         assert abs(correlation(dist) + math.cos(math.pi / 4)) < 1e-12
 
     def test_aligned_product_state(self):
         rho = product_state([0, 0, 1], [0, 0, 1])
-        dist = joint_distribution(rho, Z, Z)
+        dist = pair_distribution(rho, Z, Z)
         np.testing.assert_allclose(
             [float(p) for p in dist.probabilities()], [1.0, 0.0, 0.0, 0.0], atol=1e-14
         )
@@ -122,13 +125,13 @@ class TestJointDistribution:
         rho = singlet_state()
         for _ in range(100):
             a, b = random_axis(rng), random_axis(rng)
-            e = correlation(joint_distribution(rho, a, b))
+            e = correlation(pair_distribution(rho, a, b))
             assert abs(e + float(a @ b)) < 1e-12
 
     def test_rejects_invalid_state(self):
         not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(InvariantViolation):
-            joint_distribution(not_psd, Z, Z)
+            joint_probabilities(not_psd, [Z], [Z])
 
 
 class TestChshForAxes:
@@ -152,7 +155,7 @@ class TestChshForAxes:
         for rho in (singlet_state(), product_state([0.3, 0.1, 0.9] / np.linalg.norm([0.3, 0.1, 0.9]), [0, 1, 0])):
             axis = random_axis(rng)
             quad = AxisQuad(a=axis, a_prime=axis, b=axis, b_prime=axis)
-            e = correlation(joint_distribution(rho, axis, axis))
+            e = correlation(pair_distribution(rho, axis, axis))
             q = chsh(table_for_axes(rho, quad))
             for value in q.as_tuple():
                 assert abs(value - 2 * e) < 1e-12
@@ -238,15 +241,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             unit_axis([1.0, 0.0])
 
-    @pytest.mark.parametrize("sign", [0, 2, 1.5])
-    def test_projector_sign_must_be_one_or_minus_one(self, sign):
-        with pytest.raises(ValueError, match=rf"sign must be \+1 or -1, got {sign}"):
-            projector(Z, sign)
-
     def test_projector_completeness(self):
         rng = np.random.default_rng(4)
         n = random_axis(rng)
-        plus, minus = projector(n, 1), projector(n, -1)
+        plus, minus = _projector_stack([n])[0]
         np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(plus @ plus, plus, atol=1e-15)
         np.testing.assert_allclose(plus @ minus, np.zeros((2, 2)), atol=1e-15)
@@ -392,8 +390,9 @@ class TestBatchedKernel:
         rng = np.random.default_rng(6)
         alice, bob = random_axes(rng, 10), random_axes(rng, 10)
         bob[3, 1] = math.nan
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ValueError, match="axis must be finite") as refused:
             joint_probabilities(singlet_state(), alice, bob)
+        assert not isinstance(refused.value, InvariantViolation)
 
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_axes_that_are_not_n_by_3_are_rejected(self, side):
@@ -413,7 +412,7 @@ class TestBatchedKernel:
         rho[cell] = math.nan
         quad = coplanar_axes(math.pi / 4)
         with pytest.raises(InvariantViolation):
-            joint_distribution(rho, Z, Z)
+            joint_probabilities(rho, [Z], [Z])
         with pytest.raises(InvariantViolation):
             table_for_axes(rho, quad)
         with pytest.raises(InvariantViolation):
@@ -426,6 +425,81 @@ class TestBatchedKernel:
             unit_axis([math.nan, 0.0, 1.0])
         with pytest.raises(ValueError):
             product_state([math.inf, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
+# --- one rule per concern: the axis check, the table layout, the coplanar family ---
+
+#: Its dot-product norm is 1.0000000000001 and its per-axis sum of squares 1.0000000000001001: it once
+#: passed unit_axis and AxisQuad, and table_for_axes then refused it.
+BOUNDARY_AXIS = [0.16898105777936037, 0.9691939660276077, -0.1791883320075422]
+
+
+def axis_verdicts(v):
+    """Each entry point that checks an axis, on ``v``: None where it passes, else its refusal."""
+
+    def verdict(call):
+        try:
+            call()
+        except ValueError as refused:  # InvariantViolation included
+            return type(refused), str(refused)
+        return None
+
+    verdicts = {
+        "unit_axis": verdict(lambda: unit_axis(v)),
+        "AxisQuad": verdict(lambda: AxisQuad(Z, Z, v, Z)),
+        "joint_probabilities": verdict(lambda: joint_probabilities(singlet_state(), [Z, v], [Z, Z])),
+    }
+    if verdicts["AxisQuad"] is None:
+        verdicts["table_for_axes"] = verdict(lambda: table_for_axes(singlet_state(), AxisQuad(Z, Z, v, Z)))
+    return verdicts
+
+
+def test_the_boundary_axis_gets_one_verdict_everywhere():
+    refusal = (InvariantViolation, "axis norm 1.0000000000001001 deviates from 1")
+    assert axis_verdicts(BOUNDARY_AXIS) == {"unit_axis": refusal, "AxisQuad": refusal, "joint_probabilities": refusal}
+
+
+def test_axes_within_a_few_ulps_of_the_tolerance_get_one_verdict_everywhere():
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for axis in random_axes(rng, 40):
+        for edge in (1 - AXIS_NORM_TOL, 1 + AXIS_NORM_TOL):
+            for ulps in range(-3, 4):
+                verdicts = set(axis_verdicts(axis * edge * (1 + ulps * 2.0**-52)).values())
+                assert len(verdicts) == 1, verdicts
+                outcomes |= {verdict is None for verdict in verdicts}
+    assert outcomes == {True, False}  # the sample straddles the boundary
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_axis_is_a_value_error_on_every_path(bad):
+    v = [0.0, bad, 1.0]
+    message = f"axis must be finite, got {v!r}"
+    assert axis_verdicts(v) == {name: (ValueError, message) for name in ("unit_axis", "AxisQuad", "joint_probabilities")}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_angle_is_refused_by_name(bad):
+    message = f"^alpha must be finite, got {bad!r}$"
+    with pytest.raises(ValueError, match=message) as refused:
+        scan_tsirelson(singlet_state(), [0.0, bad, 1.0])
+    assert not isinstance(refused.value, InvariantViolation)
+    with pytest.raises(ValueError, match=message):
+        coplanar_axes(bad)
+
+
+def test_the_table_layout_and_the_coplanar_family_are_each_written_once(monkeypatch):
+    # Permute the row layout and shift the family's B axes: table_for_axes,
+    # coplanar_axes and scan_tsirelson all follow, so they still agree bit for bit.
+    rng = np.random.default_rng(9)
+    rho, alphas = random_state(rng), [0.3, 1.1, 2.9]
+    unpatched = [chsh(table_for_axes(rho, coplanar_axes(alpha))).as_tuple() for alpha in alphas]
+    coplanar_quads = quantum._coplanar_quads
+    monkeypatch.setattr(quantum, "_ROW_AXES", ([1, 0, 1, 0], [3, 3, 2, 2]))
+    monkeypatch.setattr(quantum, "_coplanar_quads", lambda alphas: coplanar_quads([alpha + 0.2 for alpha in alphas]))
+    patched = [chsh(table_for_axes(rho, coplanar_axes(alpha))) for alpha in alphas]
+    assert [q.as_tuple() for q in patched] != unpatched
+    assert bits(v for _, v in scan_tsirelson(rho, alphas)) == bits(q.max_abs() for q in patched)
 
 
 # --- one tolerance rule: a validated state is never refused ---
@@ -457,7 +531,7 @@ def test_a_validated_state_is_never_refused_by_the_probabilities(seed, edge, str
     rng = np.random.default_rng(seed)
     a, b = random_axes(rng, 2)
     # The product eigenvector of P+(a) x P+(b) carries the extreme eigenvalue, so P++ reaches it.
-    plus_a, plus_b = (np.linalg.eigh(projector(n, 1))[1][:, -1] for n in (a, b))
+    plus_a, plus_b = (np.linalg.eigh(_projector_stack([n])[0, 0])[1][:, -1] for n in (a, b))
     basis = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     basis[:, 0] = np.kron(plus_a, plus_b)
     basis = np.linalg.qr(basis)[0]
