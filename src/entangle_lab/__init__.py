@@ -27,7 +27,6 @@ from .strings import (
     analytic_table,
     estimate_table,
     lhv_table,
-    pre_broken_lhv_strategy,
 )
 from .quantum import (
     AxisQuad,
@@ -45,9 +44,7 @@ from .bloch import (
     BreakDistribution,
     MeasurementFrame,
     collapse_counts,
-    decohere,
     decompose,
-    lambda_basis,
     outcome_probabilities,
     rank_one_residual,
     reconstruct,

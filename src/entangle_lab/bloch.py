@@ -2,13 +2,16 @@
 
 A two-outcome measurement is represented by the diameter between the two
 outcome directions n+ and -n+.  The state first decoheres onto the diameter
-along a straight path, landing at the point that splits the diameter into
-segments whose relative sizes are the outcome probabilities; an abstract
-elastic band over the diameter then breaks at a random point, and the side
-containing the break decides the outcome.  A uniform break distribution
-reproduces the Born statistics exactly; non-uniform (piecewise-constant)
-distributions span the classical-to-solipsistic spectrum, and averaging over
-random distributions recovers the Born values again.
+along a straight path, r_tau = (1 - tau) r + tau (r.n+) n+ for tau from 0 to
+1, which leaves both outcome directions fixed and lands at the point that
+splits the diameter into segments whose relative sizes are the outcome
+probabilities; an abstract elastic band over the diameter then breaks at a
+random point, and the side containing the break decides the outcome.  Only
+the landing point enters the statistics, so no function traces the path.
+A uniform break distribution reproduces the Born statistics exactly;
+non-uniform (piecewise-constant) distributions span the
+classical-to-solipsistic spectrum, and averaging over random distributions
+recovers the Born values again.
 
 As in the string model, the outcome is one threshold test: + iff the
 uniform break measure lies below F(p+), with F =
@@ -23,10 +26,11 @@ For two qubits the analogous representation lives in 15 dimensions: a state
 decomposes into the two local Bloch vectors plus a 9-component block
 describing their connection, which for product states is fixed by the local
 vectors and for entangled states is an independent piece of the description.
-The 15 generators are one read-only (15, 4, 4) stack, so ``decompose`` is one
-batched trace and ``reconstruct`` one contraction over it.  Bloch vectors and
-measurement directions are checked by ``quantum``'s one 3-vector check, and
-states by its one density-matrix check, ``validate_state``.
+The 15 generators are one read-only (15, 4, 4) stack, ``LAMBDA_BASIS``, so
+``decompose`` is one batched trace and ``reconstruct`` one contraction over
+it.  Bloch vectors and measurement directions are checked by ``quantum``'s
+one 3-vector check, and states by its one density-matrix check,
+``validate_state``.
 """
 
 from __future__ import annotations
@@ -78,20 +82,6 @@ def outcome_probabilities(r: Sequence[float], frame: MeasurementFrame) -> tuple[
     """
     c = float(np.dot(bloch_vector(r), frame.n_plus))
     return (1.0 + c) / 2.0, (1.0 - c) / 2.0
-
-
-def decohere(r: Sequence[float], frame: MeasurementFrame, tau: float) -> np.ndarray:
-    """Point at fraction ``tau`` along the straight path onto the diameter.
-
-    r_tau = (1 - tau) r + tau r_par with r_par = (r.n+) n+; tau = 0 is the
-    initial state, tau = 1 the fully decohered on-diameter state.  Both
-    outcome directions are fixed points of the whole path.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
-    r = bloch_vector(r)
-    r_par = float(np.dot(r, frame.n_plus)) * frame.n_plus
-    return (1.0 - tau) * r + tau * r_par
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,18 +212,11 @@ def _generator_stack() -> np.ndarray:
     return stack
 
 
-_LAMBDA_BASIS = _generator_stack()
-
-
-def lambda_basis() -> np.ndarray:
-    """The 15 orthogonal generators of the two-qubit Bloch representation.
-
-    A read-only (15, 4, 4) stack ordered as sigma_i x I (3), I x sigma_i (3),
-    then sigma_j x sigma_k in row-major (j, k) order (9), all scaled by
-    1/sqrt(2) so that Tr(G_i G_j) = 2 delta_ij.  The ordering is frozen:
-    serialized 15-vectors index into exactly this stack.
-    """
-    return _LAMBDA_BASIS
+#: The 15 orthogonal generators of the two-qubit Bloch representation: a read-only
+#: (15, 4, 4) stack ordered as sigma_i x I (3), I x sigma_i (3), then sigma_j x sigma_k
+#: in row-major (j, k) order (9), all scaled by 1/sqrt(2) so that Tr(G_i G_j) =
+#: 2 delta_ij.  The ordering is frozen: serialized 15-vectors index into exactly this stack.
+LAMBDA_BASIS = _generator_stack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +266,13 @@ class BlochVector15:
 def decompose(rho: np.ndarray) -> BlochVector15:
     """Generalized Bloch vector of a two-qubit state: r_i = (2/sqrt(6)) Tr(rho G_i)."""
     rho = validate_state(rho)
-    return BlochVector15(r15=_DECOMP_SCALE * np.trace(rho @ _LAMBDA_BASIS, axis1=1, axis2=2).real)
+    return BlochVector15(r15=_DECOMP_SCALE * np.trace(rho @ LAMBDA_BASIS, axis1=1, axis2=2).real)
 
 
 def reconstruct(vec: BlochVector15 | Sequence[float]) -> np.ndarray:
     """Density matrix from a generalized Bloch vector: (I + sqrt(6) r.G)/4."""
     r15 = (vec if isinstance(vec, BlochVector15) else BlochVector15(vec)).r15
-    return (np.eye(4) + math.sqrt(6.0) * np.tensordot(r15, _LAMBDA_BASIS, axes=1)) / 4.0
+    return (np.eye(4) + math.sqrt(6.0) * np.tensordot(r15, LAMBDA_BASIS, axes=1)) / 4.0
 
 
 def rank_one_residual(r_conn: Sequence[float]) -> float:

@@ -99,6 +99,13 @@ def _prechecked(cls, values, **carried):
     return instance
 
 
+def _refuse_bools(names, values) -> None:
+    """Refuse a bool among a dataclass's field ``values`` with a ``TypeError`` naming its field: ``True`` is no number here."""
+    for name, value in zip(names, values):
+        if type(value) is bool:
+            raise TypeError(f"{name} must be a real number, not a bool, got {value!r}")
+
+
 def _check_chsh_numerators(combinations, d: int | None) -> None:
     """Refuse four CHSH numerators over ``d`` unless each lies in [-4d, 4d], with the message of :class:`ChshQuantities`.
 
@@ -127,6 +134,7 @@ class JointDistribution:
     Fields are ordered ++, +-, -+, -- and must sum to one within
     ``NORMALIZATION_TOL``.  Floats are clamped into [0, 1] when they carry
     round-off of at most the same tolerance; exact rationals are kept as-is.
+    A bool field is a ``TypeError``.
     """
 
     p_pp: Real
@@ -135,6 +143,7 @@ class JointDistribution:
     p_mm: Real
 
     def __post_init__(self):
+        _refuse_bools(self.__dataclass_fields__, self.probabilities())
         scaled, d = _scaled(self.probabilities())
         for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
             if d is not None:  # an integer numerator over d
@@ -262,6 +271,7 @@ class ChshQuantities:
 
     Each combination flips the sign of exactly one correlation (AB, AB',
     A'B, A'B' respectively for a, b, c, d) and is bounded by 4 in magnitude.
+    A bool field is a ``TypeError``.
     """
 
     a_chsh: Real
@@ -270,6 +280,7 @@ class ChshQuantities:
     d_chsh: Real
 
     def __post_init__(self):
+        _refuse_bools(_CHSH_NAMES, self.as_tuple())
         _check_chsh_numerators(self.as_tuple(), None)
         values, d = _scaled(self.as_tuple())
         self.__dict__.update(_scaled_values=(values, d), _fraction=_unscaler(d))

@@ -58,28 +58,6 @@ def emit_csv(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def parse_csv(text: str) -> tuple[list[str], list[list]]:
-    """Parse an emitted CSV back into typed rows (int, float or str cells)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("CSV is empty: missing header row") from None
-    rows = []
-    for row in reader:
-        typed = []
-        for cell in row:
-            try:
-                typed.append(int(cell))
-            except ValueError:
-                try:
-                    typed.append(float(cell))
-                except ValueError:
-                    typed.append(cell)
-        rows.append(typed)
-    return header, rows
-
-
 def distribution_to_json(dist: JointDistribution, *, rationals: bool = False) -> dict:
     values = dist.probabilities()
     out = {key: float(v) for key, v in zip(_CELL_KEYS, values)}

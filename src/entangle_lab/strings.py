@@ -596,8 +596,11 @@ def cell_numerators(variant: Variant, p_w: tuple[int, int], p_1: tuple[int, int]
 
 
 def _integer_ratio(p: Real) -> tuple[int, int]:
-    """``(n, q)`` of ``Fraction(p)``; int, float and ``Fraction`` give it directly."""
-    return p.as_integer_ratio() if type(p) in (int, float, Fraction) else Fraction(p).as_integer_ratio()
+    """``(n, q)`` of the exact value of a real that :class:`StringModelConfig` accepts: its ``as_integer_ratio()``
+    (int, float, ``Fraction`` and every numpy float, ``float32`` and ``longdouble`` too), else that of ``Fraction(p)``
+    (numpy ints and other rationals)."""
+    ratio = getattr(p, "as_integer_ratio", None)
+    return ratio() if ratio is not None else Fraction(p).as_integer_ratio()
 
 
 def analytic_table(config: StringModelConfig) -> ExperimentTable:
@@ -642,26 +645,3 @@ def lhv_table(
             probs[OutcomePair(alice(lam, setting.alice), bob(lam, setting.bob)).index] += w
         dists.append(JointDistribution(*probs))
     return ExperimentTable(*dists)
-
-
-def pre_broken_lhv_strategy():
-    """The pre-broken string expressed as an LHV strategy.
-
-    Lambda is which side of the cut is long; length measurements discover it,
-    color measurements always see white.  Exact enumeration reproduces the
-    pre-broken analytic table.
-    """
-    lam_values = ("alice_long", "bob_long")
-    weights = (Fraction(1, 2), Fraction(1, 2))
-
-    def alice(lam, setting: str) -> int:
-        if setting == "A":
-            return 1 if lam == "alice_long" else -1
-        return 1
-
-    def bob(lam, setting: str) -> int:
-        if setting == "B":
-            return 1 if lam == "bob_long" else -1
-        return 1
-
-    return alice, bob, lam_values, weights

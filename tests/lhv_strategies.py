@@ -1,9 +1,10 @@
-"""Random deterministic local-hidden-variable strategies for the LHV bound tests.
+"""Deterministic local-hidden-variable strategies for the LHV bound tests.
 
 A strategy is ``(alice, bob, lam_values, weights)``, the arguments of
-``strings.lhv_table``.  It is built from the caller's generator, so it lives
-with the tests rather than in the package, whose samplers draw only from
-keyed substreams.
+``strings.lhv_table``.  A random one is built from the caller's generator, so
+it lives with the tests rather than in the package, whose samplers draw only
+from keyed substreams; the pre-broken string's strategy is used by the tests
+alone.
 """
 
 from fractions import Fraction
@@ -32,3 +33,26 @@ def random_lhv_strategy(n_lambda: int, rng: np.random.Generator):
         return int(b_table[lam, 0 if setting == "B" else 1])
 
     return alice, bob, tuple(range(n_lambda)), weights
+
+
+def pre_broken_lhv_strategy():
+    """The pre-broken string expressed as an LHV strategy.
+
+    Lambda is which side of the cut is long; length measurements discover it,
+    color measurements always see white.  Exact enumeration reproduces the
+    pre-broken analytic table.
+    """
+    lam_values = ("alice_long", "bob_long")
+    weights = (Fraction(1, 2), Fraction(1, 2))
+
+    def alice(lam, setting: str) -> int:
+        if setting == "A":
+            return 1 if lam == "alice_long" else -1
+        return 1
+
+    def bob(lam, setting: str) -> int:
+        if setting == "B":
+            return 1 if lam == "bob_long" else -1
+        return 1
+
+    return alice, bob, lam_values, weights

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_lab.bloch import _LAMBDA_BASIS, decompose, lambda_basis, reconstruct
+from entangle_lab.bloch import LAMBDA_BASIS, decompose, reconstruct
 from entangle_lab.quantum import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, product_state, qubit_state, singlet_state
 
 reference_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -85,14 +85,14 @@ def bloch_vectors(draw):
 
 
 def test_basis_stack_keeps_the_loop_generators_bit_for_bit():
-    assert lambda_basis().shape == (15, 4, 4)
-    assert lambda_basis().tobytes() == np.array(LOOP_BASIS).tobytes()
+    assert LAMBDA_BASIS.shape == (15, 4, 4)
+    assert LAMBDA_BASIS.tobytes() == np.array(LOOP_BASIS).tobytes()
 
 
 def test_basis_stack_is_read_only():
-    assert not _LAMBDA_BASIS.flags.writeable
+    assert not LAMBDA_BASIS.flags.writeable
     with pytest.raises(ValueError):
-        lambda_basis()[0, 0, 0] = 1.0
+        LAMBDA_BASIS[0, 0, 0] = 1.0
 
 
 def test_singlet_decomposition_matches_the_loop():

@@ -14,14 +14,13 @@ from byte_streams import feeding, from_float, key
 from entangle_lab import bloch
 from entangle_lab.bloch import (
     AVERAGE_BLOCK_FLOATS,
+    LAMBDA_BASIS,
     BlochVector15,
     BreakDistribution,
     MeasurementFrame,
     bloch_vector,
     collapse_counts,
-    decohere,
     decompose,
-    lambda_basis,
     outcome_probabilities,
     rank_one_residual,
     reconstruct,
@@ -60,45 +59,6 @@ def born_oracle(r, n_plus):
     p_plus = abs(np.vdot(spinor(n_plus), psi)) ** 2
     p_minus = abs(np.vdot(spinor(-np.asarray(n_plus)), psi)) ** 2
     return p_plus, p_minus
-
-
-class TestDecohere:
-    def test_path_start_is_the_state(self):
-        rng = np.random.default_rng(1)
-        r = random_unit(rng)
-        np.testing.assert_allclose(decohere(r, Z_FRAME, 0.0), r, atol=1e-15)
-
-    def test_eigenstate_is_fixed(self):
-        n = Z_FRAME.n_plus
-        np.testing.assert_allclose(decohere(n, Z_FRAME, 1.0), n, atol=1e-15)
-        np.testing.assert_allclose(decohere(-n, Z_FRAME, 1.0), -n, atol=1e-15)
-
-    def test_orthogonal_state_lands_at_the_origin(self):
-        r = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(decohere(r, Z_FRAME, 1.0), np.zeros(3), atol=1e-15)
-
-    def test_affine_in_tau(self):
-        rng = np.random.default_rng(2)
-        r = random_unit(rng)
-        start = decohere(r, Z_FRAME, 0.0)
-        end = decohere(r, Z_FRAME, 1.0)
-        for tau in (0.25, 0.5, 0.9):
-            np.testing.assert_allclose(
-                decohere(r, Z_FRAME, tau), (1 - tau) * start + tau * end, atol=1e-14
-            )
-
-    def test_lands_on_the_diameter(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            r = random_unit(rng)
-            n = random_unit(rng)
-            landed = decohere(r, MeasurementFrame(n_plus=n), 1.0)
-            assert np.linalg.norm(np.cross(landed, n)) < 1e-12
-
-    @pytest.mark.parametrize("tau", (-0.1, 1.1))
-    def test_rejects_tau_outside_unit_interval(self, tau):
-        with pytest.raises(ValueError):
-            decohere(np.array([0.0, 0.0, 1.0]), Z_FRAME, tau)
 
 
 class TestOutcomeProbabilities:
@@ -315,20 +275,20 @@ class TestUniversalAverage:
 
 class TestLambdaBasis:
     def test_fifteen_generators(self):
-        assert len(lambda_basis()) == 15
+        assert len(LAMBDA_BASIS) == 15
 
     def test_traceless_and_hermitian(self):
-        for gen in lambda_basis():
+        for gen in LAMBDA_BASIS:
             assert abs(np.trace(gen)) < 1e-15
             np.testing.assert_allclose(gen, gen.conj().T, atol=1e-15)
 
     def test_orthogonality_normalization(self):
-        basis = lambda_basis()
+        basis = LAMBDA_BASIS
         gram = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         np.testing.assert_allclose(gram, 2 * np.eye(15), atol=1e-14)
 
     def test_frozen_ordering(self):
-        basis = lambda_basis()
+        basis = LAMBDA_BASIS
         sx, sz = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])
         scale = 1 / math.sqrt(2)
         np.testing.assert_allclose(basis[0], scale * np.kron(sx, np.eye(2)), atol=1e-15)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import entangle_lab
+from csv_rows import parse_csv
 from entangle_lab import bloch, cli, quantum, rng, strings
 from entangle_lab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OUTPUT, MAX_TRIALS, SCAN_MAX_STEPS, build_parser, main
-from entangle_lab.report import emit_csv, parse_csv
+from entangle_lab.report import emit_csv
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 

@@ -2,7 +2,9 @@
 
 Every sampled number comes from the package's keyed substreams, so no
 public callable samples from a caller's generator, and only ``rng`` turns a
-substream key into numbers.  Each operation has one public name.
+substream key into numbers.  Each operation has one public name, and each
+public name has a caller outside the tests or reproduces a claim a test
+checks.
 """
 
 import ast
@@ -171,6 +173,10 @@ def test_probability_has_one_exact_path():
         ("quantum", "joint_distribution"),
         ("quantum", "projector"),
         ("strings", "setting_index"),
+        ("strings", "pre_broken_lhv_strategy"),
+        ("bloch", "decohere"),
+        ("bloch", "lambda_basis"),
+        ("report", "parse_csv"),
         ("rng", "substream"),
         ("strings", "MicroTrace.to_json_dict"),
         ("probability", "JointDistribution.marginal_alice_plus"),
@@ -187,12 +193,81 @@ def test_a_removed_alias_is_gone(module, name):
     # of one of joint_probabilities, and quantum.projector re-ran the axis
     # check of the projector stack it called; quantum.axis_in_xz_plane was
     # coplanar_axes' placement of one axis, which no other code used.
+    # pre_broken_lhv_strategy and parse_csv had only tests for callers and moved
+    # to test helpers; bloch.decohere traced a path no statistic reads, and
+    # bloch.lambda_basis() returned the constant LAMBDA_BASIS.
     owner = importlib.import_module(f"entangle_lab.{module}")
     *path, last = name.split(".")
     for part in path:
         owner = getattr(owner, part)
     assert not hasattr(owner, last)
     assert not hasattr(entangle_lab, last)
+
+
+#: Public names that no other package code calls, each kept because README names the
+#: claim of the paper it reproduces and a test checks that claim.
+TEST_ONLY_NAMES = {
+    "strings.lhv_table",  # every local strategy keeps |CHSH| <= 2 (test_strings.py, TestLhvBaseline)
+    "probability.correlation",  # E(a, b) = -a.b for the singlet (test_quantum.py)
+    "bloch.reconstruct",  # the 15-vector determines the two-qubit state (test_acceptance.py)
+}
+
+
+def referenced_names(tree) -> set[str]:
+    """Every name, attribute and imported name that ``tree`` mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def unreferenced_public_names(package: Path, perfbench: Path) -> set[str]:
+    """``module.name`` of each top-level public function and class of ``package`` that no
+    other top-level statement of the package (``__init__``'s re-exports aside) and no
+    ``perfbench/*.py`` file mentions."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    del modules["__init__"]
+    outside = set().union(*(referenced_names(ast.parse(path.read_text(encoding="utf-8"))) for path in perfbench.glob("*.py")))
+    statements = [(module, top, referenced_names(top)) for module, tree in modules.items() for top in tree.body]
+    return {
+        f"{module}.{top.name}"
+        for module, top, _ in statements
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+        and top.name not in outside
+        and not any(top.name in names for _, other, names in statements if other is not top)
+    }
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public name stays only if other package code or the benchmark uses it, or it
+    # is on the short allow-list above; one that only tests call moves to a test helper.
+    package = Path(entangle_lab.__file__).parent
+    perfbench = package.parent.parent / "perfbench"
+    assert (perfbench / "tracing.py").is_file()
+    assert unreferenced_public_names(package, perfbench) == TEST_ONLY_NAMES
+    assert len(TEST_ONLY_NAMES) <= 3
+
+
+def test_the_caller_scan_sees_a_name_that_only_tests_call(tmp_path):
+    package, perfbench = tmp_path / "pkg", tmp_path / "perfbench"
+    package.mkdir()
+    perfbench.mkdir()
+    (package / "__init__.py").write_text("from .a import lonely, used, benched, helper\n")
+    (package / "a.py").write_text(
+        "def lonely():\n    return lonely\n\n"
+        "def used():\n    return _private()\n\n"
+        "def benched():\n    pass\n\n"
+        "def helper():\n    pass\n\n"
+        "def _private():\n    return helper()\n"
+    )
+    (package / "b.py").write_text("from .a import used\n")
+    (perfbench / "run.py").write_text("import a\na.benched()\n")
+    assert unreferenced_public_names(package, perfbench) == {"a.lonely"}
 
 
 def test_the_cli_imports_no_private_name_and_no_trace_record_from_strings():

@@ -861,6 +861,20 @@ def test_marginals_refuse_a_bool_tolerance(build):
             marginals(build(), tolerance)
 
 
+@pytest.mark.parametrize("cls", [JointDistribution, ChshQuantities])
+def test_the_generic_constructors_refuse_a_bool_field(cls):
+    # True would be read as the int 1, and a table of bools would render "1/1".
+    fields = list(cls.__dataclass_fields__)
+    good = (Fraction(1, 2), Fraction(1, 2), 0, 0)
+    cls(*good)
+    for position, name in enumerate(fields):
+        for flag in (True, False):
+            values = list(good)
+            values[position] = flag
+            with pytest.raises(TypeError, match=rf"^{name} must be a real number, not a bool, got {flag}$"):
+                cls(*values)
+
+
 def test_frequency_table_refuses_bool_counts():
     with pytest.raises(ValueError, match=r"^AB: counts \(True, False, 0, 0\) are not integers >= 0 with a positive total$"):
         frequency_table([[True, False, 0, 0]] * 4)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import entangle_lab
+from csv_rows import parse_csv
 from entangle_lab.probability import JointDistribution, chsh, check_bell_bounds, marginals
 from entangle_lab.report import (
     SCHEMA_VERSION,
@@ -18,7 +19,6 @@ from entangle_lab.report import (
     format_csv_value,
     make_report,
     marginals_to_json,
-    parse_csv,
     report_to_json,
     table_to_json,
 )

@@ -21,9 +21,8 @@ from entangle_lab.strings import (
     estimate_table,
     iter_trials,
     lhv_table,
-    pre_broken_lhv_strategy,
 )
-from lhv_strategies import random_lhv_strategy
+from lhv_strategies import pre_broken_lhv_strategy, random_lhv_strategy
 
 HALF = Fraction(1, 2)
 P_W_GRID = (Fraction(0), Fraction(1, 4), HALF, Fraction(math.sqrt(2) / 2), Fraction(1))
@@ -216,6 +215,27 @@ class TestConfig:
     def test_rejects_a_bool_parameter(self, name):
         with pytest.raises(TypeError, match=name):
             StringModelConfig(variant=Variant.V4, **{name: True})
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.longdouble])
+    @pytest.mark.parametrize("value", [0.5, 0.3, 0.7])
+    def test_a_numpy_float_gives_the_table_of_its_exact_value(self, kind, value):
+        # Every real the constructor accepts is read exactly by analytic_table.
+        p = kind(value)
+        exact = Fraction(*p.as_integer_ratio())
+        for variant, params in ((Variant.V2, {"p_w": p}), (Variant.V3, {"p_w": p}), (Variant.V4, {"p_w": p, "p_1": p})):
+            expected = {name: exact for name in params}
+            assert rows_of(analytic_table(StringModelConfig(variant, **params))) == rows_of(
+                analytic_table(StringModelConfig(variant, **expected))
+            )
+        if value == 0.5:
+            assert rows_of(analytic_table(StringModelConfig(Variant.V2, p_w=p))) == rows_of(
+                analytic_table(StringModelConfig(Variant.V2, p_w=0.5))
+            )
+
+    def test_a_numpy_int_gives_the_table_of_its_value(self):
+        assert rows_of(analytic_table(StringModelConfig(Variant.V2, p_w=np.int64(1)))) == rows_of(
+            analytic_table(StringModelConfig(Variant.V2, p_w=1))
+        )
 
     @pytest.mark.parametrize("bad", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
     def test_rejects_a_length_whose_float_is_not_positive_and_finite(self, bad):
