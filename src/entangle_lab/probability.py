@@ -26,6 +26,10 @@ test on the integer numerators (every cell >= 0 and every row summing to
 skips their ``Fraction`` re-tests.  ``strings.analytic_table`` hands its flat
 int cells to the constructor behind it, ``_numerator_table``, which makes the
 same check.
+
+The verdict records, which check nothing, are ``NamedTuple``s, built without a ``__setattr__`` per field;
+the three classes that check their values stay frozen dataclasses.  One rule, ``_check_real``, refuses a value
+that is no real number (a bool, Python's or numpy's, included) wherever this module takes a real number.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
+from typing import NamedTuple
 
 NORMALIZATION_TOL = 1e-12
 
@@ -99,11 +104,15 @@ def _prechecked(cls, values, **carried):
     return instance
 
 
-def _refuse_bools(names, values) -> None:
-    """Refuse a bool among a dataclass's field ``values`` with a ``TypeError`` naming its field: ``True`` is no number here."""
-    for name, value in zip(names, values):
-        if type(value) is bool:
-            raise TypeError(f"{name} must be a real number, not a bool, got {value!r}")
+def _check_real(name: str, value) -> None:
+    """Refuse a ``value`` that is no real number with a ``TypeError`` naming ``name``.  No bool is one: numpy's
+    ``np.True_`` is no ``numbers.Real``, and Python's ``True``, which is one, would count as 1 here."""
+    if type(value) in (int, float):  # the common case, decided by one type test
+        return
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, not a bool, got {value!r}")
+    if not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 def _check_chsh_numerators(combinations, d: int | None) -> None:
@@ -143,9 +152,9 @@ class JointDistribution:
     p_mm: Real
 
     def __post_init__(self):
-        _refuse_bools(self.__dataclass_fields__, self.probabilities())
         scaled, d = _scaled(self.probabilities())
-        for name, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), scaled):
+        for name, value, n in zip(("p_pp", "p_pm", "p_mp", "p_mm"), self.probabilities(), scaled):
+            _check_real(name, value)
             if d is not None:  # an integer numerator over d
                 if not 0 <= n <= d:
                     raise InvariantViolation(f"{name} = {getattr(self, name)!r} outside [0, 1]")
@@ -155,8 +164,6 @@ class JointDistribution:
                 if n < -NORMALIZATION_TOL or n > 1.0 + NORMALIZATION_TOL:
                     raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
                 object.__setattr__(self, name, min(max(n, 0.0), 1.0))  # absorb float round-off at the edges
-            elif not isinstance(n, Real):
-                raise TypeError(f"{name} must be a real number, got {type(n).__name__}")
             elif not 0 <= n <= 1:  # also rejects a NaN that is not a float, e.g. np.float32
                 raise InvariantViolation(f"{name} = {n!r} outside [0, 1]")
         p = scaled if d is not None else self.probabilities()  # floats as clamped
@@ -280,18 +287,14 @@ class ChshQuantities:
     d_chsh: Real
 
     def __post_init__(self):
-        _refuse_bools(_CHSH_NAMES, self.as_tuple())
+        for name, value in zip(_CHSH_NAMES, self.as_tuple()):
+            _check_real(name, value)
         _check_chsh_numerators(self.as_tuple(), None)
         values, d = _scaled(self.as_tuple())
         self.__dict__.update(_scaled_values=(values, d), _fraction=_unscaler(d))
 
     def as_dict(self) -> dict[str, Real]:
-        return {
-            "a_chsh": self.a_chsh,
-            "b_chsh": self.b_chsh,
-            "c_chsh": self.c_chsh,
-            "d_chsh": self.d_chsh,
-        }
+        return dict(zip(_CHSH_NAMES, self.as_tuple()))
 
     def as_tuple(self) -> tuple[Real, Real, Real, Real]:
         return (self.a_chsh, self.b_chsh, self.c_chsh, self.d_chsh)
@@ -327,8 +330,16 @@ def chsh(table: ExperimentTable) -> ChshQuantities:
     return _prechecked(ChshQuantities, map(fraction, combinations), _scaled_values=(combinations, d), _fraction=fraction)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+def _replaceable(cls):
+    """Give the NamedTuple ``cls`` the field table of a dataclass with its fields, and no per-record cost,
+    so ``dataclasses.replace``, ``fields`` and ``asdict`` take its records as when they were dataclasses."""
+    shadow = dataclass(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))
+    cls.__dataclass_fields__ = shadow.__dataclass_fields__
+    return cls
+
+
+@_replaceable
+class BoundCheck(NamedTuple):
     """Verdict for one CHSH quantity against a bound.
 
     ``margin`` is |value| - bound: positive for a violation, non-positive
@@ -341,8 +352,8 @@ class BoundCheck:
     violated: bool
 
 
-@dataclass(frozen=True)
-class BellBoundReport:
+@_replaceable
+class BellBoundReport(NamedTuple):
     bound: Real
     checks: tuple[BoundCheck, ...]
 
@@ -357,8 +368,7 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     ``bound`` defaults to the classical limit 2; pass 2*sqrt(2) to test
     against the Tsirelson limit instead.  A bool bound is a ``TypeError``.
     """
-    if isinstance(bound, bool):
-        raise TypeError(f"bound must be a real number, not a bool, got {bound!r}")
+    _check_real("bound", bound)
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be positive and finite, got {bound!r}")
     if type(bound) is int:
@@ -367,15 +377,14 @@ def check_bell_bounds(quantities: ChshQuantities, bound: Real = 2) -> BellBoundR
     else:
         (*values, scaled_bound), d = _scaled((*quantities.as_tuple(), bound))
         unscaled = _unscaler(d)
-    checks = tuple([
+    return BellBoundReport(bound, tuple([
         BoundCheck(name, value, unscaled(margin := abs(n) - scaled_bound), margin > 0)
         for name, value, n in zip(_CHSH_NAMES, quantities.as_tuple(), values)
-    ])
-    return BellBoundReport(bound, checks)
+    ]))
 
 
-@dataclass(frozen=True)
-class MarginalComparison:
+@_replaceable
+class MarginalComparison(NamedTuple):
     """One observer-side marginal compared across the partner's two settings.
 
     ``residual`` = marginal under the first partner setting minus the marginal
@@ -411,8 +420,8 @@ def _cell_marginals(cells) -> list[tuple]:
     return [(cells[i] + cells[j], cells[k] + cells[m]) for _, (i, j), (k, m) in _MARGINAL_COMPARISONS]
 
 
-@dataclass(frozen=True)
-class MarginalReport:
+@_replaceable
+class MarginalReport(NamedTuple):
     tolerance: Real
     comparisons: tuple[MarginalComparison, ...]
     max_abs_residual: Real
@@ -428,8 +437,7 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
     but all eight are kept for diagnostic readability.  The report flags a
     violation iff max |residual| > tolerance.  A bool tolerance is a ``TypeError``.
     """
-    if isinstance(tolerance, bool):
-        raise TypeError(f"tolerance must be a real number, not a bool, got {tolerance!r}")
+    _check_real("tolerance", tolerance)
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     cells, unscaled = table._scaled_cells[0], table._fraction
@@ -440,12 +448,7 @@ def marginals(table: ExperimentTable, tolerance: Real) -> MarginalReport:
         comparisons.append(MarginalComparison(*labels, unscaled(first), unscaled(second), unscaled(residual)))
         residuals.append(abs(residual))
     max_abs = unscaled(max(residuals))
-    return MarginalReport(
-        tolerance=tolerance,
-        comparisons=tuple(comparisons),
-        max_abs_residual=max_abs,
-        violated=max_abs > tolerance,
-    )
+    return MarginalReport(tolerance, tuple(comparisons), max_abs, max_abs > tolerance)
 
 
 def exact_diagnostics(cells, d: int) -> tuple[tuple[int, int, int, int], int]:

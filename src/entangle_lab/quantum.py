@@ -103,8 +103,15 @@ class AxisQuad:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, unit_axis(getattr(self, name)))
+        fields = (self.a, self.a_prime, self.b, self.b_prime)
+        try:  # one check of the four stacked axes
+            axes = _check_vectors(np.array(fields, dtype=float), "axis", unit=True)
+        except (TypeError, ValueError):  # InvariantViolation included
+            axes = None
+        if np.shape(axes) != (4, 3):  # unit_axis refuses the first offending axis with its own message
+            axes = [unit_axis(v) for v in fields]
+        for name, axis in zip(("a", "a_prime", "b", "b_prime"), axes):
+            object.__setattr__(self, name, axis)
 
 
 def validate_state(rho: np.ndarray) -> np.ndarray:

@@ -85,15 +85,7 @@ def bell_bounds_to_json(report: BellBoundReport) -> dict:
     return {
         "bound": float(report.bound),
         "any_violated": report.any_violated,
-        "checks": [
-            {
-                "quantity": c.quantity,
-                "value": float(c.value),
-                "margin": float(c.margin),
-                "violated": c.violated,
-            }
-            for c in report.checks
-        ],
+        "checks": [{**c._asdict(), "value": float(c.value), "margin": float(c.margin)} for c in report.checks],
     }
 
 
@@ -103,15 +95,9 @@ def marginals_to_json(report: MarginalReport) -> dict:
         "max_abs_residual": float(report.max_abs_residual),
         "violated": report.violated,
         "comparisons": [
-            {
-                "side": c.side,
-                "setting": c.setting,
-                "outcome": c.outcome,
-                "partner_settings": list(c.partner_settings),
-                "first": float(c.first),
-                "second": float(c.second),
-                "residual": float(c.residual),
-            }
+            # The keys keep the record's field order, which the report bytes depend on.
+            {**c._asdict(), "partner_settings": list(c.partner_settings), "first": float(c.first),
+             "second": float(c.second), "residual": float(c.residual)}
             for c in report.comparisons
         ],
     }

@@ -354,3 +354,33 @@ def test_quantum_leaves_the_row_rule_to_probability_and_has_one_norm():
         and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
     }
     assert len(norms) <= 1, norms
+
+
+def declared_dataclasses(source: str) -> dict[str, bool]:
+    """Whether each class of ``source`` declared with ``@dataclass`` (bare or called) defines ``__post_init__``."""
+    def is_dataclass(decorator) -> bool:
+        return dotted(decorator.func if isinstance(decorator, ast.Call) else decorator) in {"dataclass", "dataclasses.dataclass"}
+
+    return {
+        node.name: any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    }
+
+
+def test_probability_declares_a_dataclass_only_where_it_validates():
+    # A class whose __post_init__ checks nothing is a NamedTuple: a frozen dataclass's __init__ makes
+    # one object.__setattr__ call per field, and an exact table's verdict builds 14 records.
+    declared = declared_dataclasses((Path(entangle_lab.__file__).parent / "probability.py").read_text(encoding="utf-8"))
+    assert [name for name, validates in declared.items() if not validates] == []
+    assert set(declared) == {"JointDistribution", "ExperimentTable", "ChshQuantities"}
+
+
+def test_the_dataclass_scan_sees_a_bare_and_a_called_decorator():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n\n    def __post_init__(self):\n        pass\n\n"
+        "class D(NamedTuple):\n    x: int\n"
+    )
+    assert declared_dataclasses(source) == {"A": False, "B": False, "C": True}

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from entangle_lab import probability
 from entangle_lab.probability import (
     NORMALIZATION_TOL,
+    BellBoundReport,
+    BoundCheck,
     ChshQuantities,
     ExperimentTable,
     InvariantViolation,
     JointDistribution,
+    MarginalComparison,
+    MarginalReport,
     check_bell_bounds,
     chsh,
     correlation,
@@ -944,3 +948,122 @@ def test_chsh_refuses_a_nan_combination_of_a_float_table(monkeypatch):
     monkeypatch.setattr(probability, "_cell_chsh", lambda cells: (0.0, math.nan, 0.0, 0.0))
     with pytest.raises(InvariantViolation, match=r"^b_chsh = nan outside \[-4, 4\]$"):
         chsh(TABLE_KINDS["float"]())
+
+
+# --- numpy bools: refused wherever a bool is ---
+
+NUMPY_BOOLS = pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["np.True_", "np.False_"])
+
+
+@NUMPY_BOOLS
+def test_chsh_quantities_refuse_a_numpy_bool_field(flag):
+    # A numpy bool is no numbers.Real; before, it passed ChshQuantities and came back as a margin of np.int64(-1).
+    for position, name in enumerate(probability._CHSH_NAMES):
+        values = [0.0] * 4
+        values[position] = flag
+        with pytest.raises(TypeError, match=rf"^{name} must be a real number, got bool_?$"):
+            ChshQuantities(*values)
+
+
+@NUMPY_BOOLS
+@pytest.mark.parametrize("build", [lambda: WHITE_STRING_TABLE, lambda: analytic_table(StringModelConfig(variant="v3", p_w=0.3))], ids=["generic", "numerators"])
+def test_marginals_refuse_a_numpy_bool_tolerance(build, flag):
+    with pytest.raises(TypeError, match=r"^tolerance must be a real number, got bool_?$"):
+        marginals(build(), flag)
+
+
+@NUMPY_BOOLS
+@pytest.mark.parametrize("build", [lambda: WHITE_STRING_TABLE, lambda: analytic_table(StringModelConfig(variant="v3", p_w=0.3))], ids=["generic", "numerators"])
+def test_check_bell_bounds_refuses_a_numpy_bool_bound(build, flag):
+    with pytest.raises(TypeError, match=r"^bound must be a real number, got bool_?$"):
+        check_bell_bounds(chsh(build()), flag)
+
+
+@NUMPY_BOOLS
+def test_joint_distribution_refuses_a_numpy_bool_field_by_the_same_rule(flag):
+    with pytest.raises(TypeError, match=r"^p_mp must be a real number, got bool_?$"):
+        JointDistribution(0.5, 0.5, flag, 0.0)
+
+
+# --- the verdict records: NamedTuples with the surface of the frozen dataclasses they were ---
+
+RECORD_FIELDS = {
+    BoundCheck: ("quantity", "value", "margin", "violated"),
+    BellBoundReport: ("bound", "checks"),
+    MarginalComparison: ("side", "setting", "outcome", "partner_settings", "first", "second", "residual"),
+    MarginalReport: ("tolerance", "comparisons", "max_abs_residual", "violated"),
+}
+
+#: The repr of the Bell checks and the marginal comparisons of the table v4_records reads,
+#: as the frozen dataclasses printed them.
+FIRST_CHECK_REPR = "BoundCheck(quantity='a_chsh', value=Fraction(1534, 625), margin=Fraction(284, 625), violated=True)"
+OTHER_CHECK_REPR = "BoundCheck(quantity='{}', value=Fraction(84, 625), margin=Fraction(-1166, 625), violated=False)"
+COMPARISON_REPRS = [
+    f"MarginalComparison(side='{side}', setting={setting!r}, outcome='{outcome}', partner_settings={partners!r}, "
+    f"first={first}, second={second}, residual={residual})"
+    for side, partners, own in (("alice", ("B", "B'"), ("A", "A'")), ("bob", ("A", "A'"), ("B", "B'")))
+    for setting, rows in zip(own, (
+        (("Fraction(52, 125)", "Fraction(3, 10)", "Fraction(29, 250)"), ("Fraction(73, 125)", "Fraction(7, 10)", "Fraction(-29, 250)")),
+        (("Fraction(3, 10)", "Fraction(3, 10)", "Fraction(0, 1)"), ("Fraction(7, 10)", "Fraction(7, 10)", "Fraction(0, 1)")),
+    ))
+    for outcome, (first, second, residual) in zip("+-", rows)
+]
+
+
+def v4_records():
+    """One record of each kind, from the exact v4 table at p_w = 3/10, p_1 = 7/10 (both laws broken)."""
+    table = analytic_table(StringModelConfig(variant="v4", p_w=Fraction(3, 10), p_1=Fraction(7, 10)))
+    bell, report = check_bell_bounds(chsh(table)), marginals(table, 0)
+    return {BoundCheck: bell.checks[0], BellBoundReport: bell, MarginalComparison: report.comparisons[0], MarginalReport: report}
+
+
+def test_the_verdict_records_print_as_the_dataclasses_did():
+    records = v4_records()
+    checks = [FIRST_CHECK_REPR] + [OTHER_CHECK_REPR.format(name) for name in ("b_chsh", "c_chsh", "d_chsh")]
+    assert repr(records[BoundCheck]) == FIRST_CHECK_REPR
+    assert repr(records[BellBoundReport]) == f"BellBoundReport(bound=2, checks=({', '.join(checks)}))"
+    assert repr(records[MarginalComparison]) == COMPARISON_REPRS[0]
+    assert [repr(c) for c in records[MarginalReport].comparisons] == COMPARISON_REPRS
+    assert repr(records[MarginalReport]) == (
+        f"MarginalReport(tolerance=0, comparisons=({', '.join(COMPARISON_REPRS)}), "
+        "max_abs_residual=Fraction(29, 250), violated=True)"
+    )
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_a_verdict_record_keeps_its_fields_and_is_frozen(cls):
+    record = v4_records()[cls]
+    fields = RECORD_FIELDS[cls]
+    assert type(record) is cls and cls._fields == fields
+    assert [field.name for field in dataclasses.fields(record)] == list(fields)
+    # The widened surface: a record is a tuple of its field values, in field order.
+    assert tuple(getattr(record, name) for name in fields) == tuple(record) == record
+    assert [record[i] for i in range(len(fields))] == list(record)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert tuple(getattr(record, name) for name in fields) == tuple(record)  # unchanged
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_a_verdict_record_hashes_and_survives_pickle_and_deepcopy(cls):
+    record = v4_records()[cls]
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and repr(copied) == repr(record)
+        assert hash(copied) == hash(record) and {record: cls}[copied] is cls
+    assert v4_records()[cls] == record and hash(v4_records()[cls]) == hash(record)
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_dataclasses_replace_still_takes_a_verdict_record(cls):
+    # perfbench/selftest.py builds its corrupted verdicts this way.
+    record = v4_records()[cls]
+    first, *rest = RECORD_FIELDS[cls]
+    replaced = dataclasses.replace(record, **{first: "changed"})
+    assert type(replaced) is cls and replaced == ("changed", *record[1:])
+    assert dataclasses.asdict(replaced)[first] == "changed" and list(dataclasses.asdict(replaced)) == [first, *rest]
+
+
+def test_any_violated_reads_the_checks_of_a_bell_report():
+    bell = v4_records()[BellBoundReport]
+    assert bell.any_violated and not bell._replace(checks=bell.checks[1:]).any_violated

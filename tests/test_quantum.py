@@ -552,3 +552,53 @@ def test_a_validated_state_is_never_refused_by_the_probabilities(seed, edge, str
     assert np.abs(probs.sum(axis=1) - 1).max() <= NORMALIZATION_TOL
     assert probs[0, 0] == (0.0 if edge == "low" else 1.0)
     table_for_axes(rho, AxisQuad(a * scale, alice[1], b * scale, bob[1]))
+
+
+# --- AxisQuad checks its four axes at once, and refuses as unit_axis does ---
+
+
+def refusal(call):
+    """The exception type and message ``call`` raises, else None."""
+    try:
+        call()
+    except (TypeError, ValueError) as refused:  # InvariantViolation included
+        return type(refused), str(refused)
+    return None
+
+
+BAD_AXES = {
+    "short": [1.0, 0.0],
+    "matrix": [[0.0, 0.0, 1.0]] * 3,
+    "scalar": 1.0,
+    "long": [0.0, 0.0, 2.0],
+    "short norm": [0.0, 0.6, 0.6],
+    "nan": [math.nan, 0.0, 1.0],
+    "inf": [0.0, math.inf, 0.0],
+    "text": ["x", 0.0, 1.0],
+    "boundary": BOUNDARY_AXIS,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_AXES)
+def test_an_axis_quad_refuses_its_first_bad_axis_as_unit_axis_does(bad):
+    expected = refusal(lambda: unit_axis(BAD_AXES[bad]))
+    assert expected is not None
+    for position in range(4):
+        axes = [Z, Z, Z, Z]
+        axes[position] = BAD_AXES[bad]
+        assert refusal(lambda: AxisQuad(*axes)) == expected
+    # With two bad axes, the first one's refusal.
+    assert refusal(lambda: AxisQuad(Z, BAD_AXES[bad], [0.0, 0.0, 3.0], Z)) == expected
+    assert refusal(lambda: AxisQuad(Z, [0.0, 0.0, 3.0], BAD_AXES[bad], Z)) == refusal(lambda: unit_axis([0.0, 0.0, 3.0]))
+
+
+def test_an_axis_quad_checks_its_axes_in_one_call(monkeypatch):
+    calls = []
+    check = quantum._check_vectors
+    monkeypatch.setattr(quantum, "_check_vectors", lambda r, *args, **kwargs: calls.append(np.shape(r)) or check(r, *args, **kwargs))
+    axes = [list(axis) for axis in random_axes(np.random.default_rng(7), 4)]
+    quad = AxisQuad(*axes)
+    assert calls == [(4, 3)]
+    for name, axis in zip(("a", "a_prime", "b", "b_prime"), axes):
+        stored = getattr(quad, name)
+        assert stored.dtype == np.float64 and stored.shape == (3,) and stored.tolist() == axis

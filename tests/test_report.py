@@ -9,6 +9,7 @@ import pytest
 import entangle_lab
 from csv_rows import parse_csv
 from entangle_lab.probability import JointDistribution, chsh, check_bell_bounds, marginals
+from entangle_lab.quantum import coplanar_axes, singlet_state, table_for_axes
 from entangle_lab.report import (
     SCHEMA_VERSION,
     bell_bounds_to_json,
@@ -121,3 +122,81 @@ class TestJson:
         dist = JointDistribution(Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8))
         data = distribution_to_json(dist)
         assert all(isinstance(v, float) for v in data.values())
+
+
+# --- the verdict serializers, frozen: an exact v4 table and the float singlet table at the Tsirelson angle ---
+
+CHSH_NAMES = ("a_chsh", "b_chsh", "c_chsh", "d_chsh")
+MARGINAL_LABELS = [
+    (side, setting, outcome, partners)
+    for side, own, partners in (("alice", ("A", "A'"), ["B", "B'"]), ("bob", ("B", "B'"), ["A", "A'"]))
+    for setting in own
+    for outcome in "+-"
+]
+
+
+def frozen_bell_bounds(checks):
+    """The ``bell_bounds_to_json`` dict of bound 2 and one (value, margin, violated) per CHSH quantity."""
+    return {
+        "bound": 2.0,
+        "any_violated": any(violated for _, _, violated in checks),
+        "checks": [
+            {"quantity": name, "value": value, "margin": margin, "violated": violated}
+            for name, (value, margin, violated) in zip(CHSH_NAMES, checks)
+        ],
+    }
+
+
+def frozen_marginals(max_abs_residual, comparisons):
+    """The ``marginals_to_json`` dict of tolerance 0 and one (first, second, residual) per comparison."""
+    return {
+        "tolerance": 0.0,
+        "max_abs_residual": max_abs_residual,
+        "violated": max_abs_residual > 0,
+        "comparisons": [
+            {"side": side, "setting": setting, "outcome": outcome, "partner_settings": partners,
+             "first": first, "second": second, "residual": residual}
+            for (side, setting, outcome, partners), (first, second, residual) in zip(MARGINAL_LABELS, comparisons)
+        ],
+    }
+
+
+V4_BROKEN = (0.116, [(0.416, 0.3, 0.116), (0.584, 0.7, -0.116), (0.3, 0.3, 0.0), (0.7, 0.7, 0.0)] * 2)
+SINGLET_ROUND_OFF = 5.551115123125783e-17
+SINGLET_HALVES = (0.49999999999999983, 0.4999999999999999, 0.4999999999999998)
+SINGLET_MARGINALS = (
+    SINGLET_ROUND_OFF,
+    [(SINGLET_HALVES[0], SINGLET_HALVES[1], -SINGLET_ROUND_OFF)] * 2
+    + [(SINGLET_HALVES[2], SINGLET_HALVES[0], -SINGLET_ROUND_OFF)] * 2
+    + [(SINGLET_HALVES[0], SINGLET_HALVES[2], SINGLET_ROUND_OFF)] * 2
+    + [(SINGLET_HALVES[1], SINGLET_HALVES[0], SINGLET_ROUND_OFF)] * 2,
+)
+FROZEN_VERDICTS = {
+    "v4 exact": (
+        lambda: analytic_table(StringModelConfig(variant="v4", p_w=Fraction(3, 10), p_1=Fraction(7, 10))),
+        frozen_bell_bounds([(2.4544, 0.4544, True)] + [(0.1344, -1.8656, False)] * 3),
+        frozen_marginals(*V4_BROKEN),
+    ),
+    "singlet float": (
+        lambda: table_for_axes(singlet_state(), coplanar_axes(math.pi / 4)),
+        frozen_bell_bounds([
+            (-3.3306690738754696e-16, -1.9999999999999996, False),
+            (-2.8284271247461894, 0.8284271247461894, True),
+            (0.0, -2.0, False),
+            (-2.220446049250313e-16, -1.9999999999999998, False),
+        ]),
+        frozen_marginals(*SINGLET_MARGINALS),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FROZEN_VERDICTS)
+def test_the_verdict_serializers_write_the_frozen_dicts(kind):
+    build, bell_bounds, marginal_report = FROZEN_VERDICTS[kind]
+    table = build()
+    for got, expected in (
+        (bell_bounds_to_json(check_bell_bounds(chsh(table))), bell_bounds),
+        (marginals_to_json(marginals(table, 0)), marginal_report),
+    ):
+        assert got == expected
+        assert json.dumps(got) == json.dumps(expected)  # every float's digits and every bool's type too
