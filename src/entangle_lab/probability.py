@@ -16,8 +16,9 @@ float bits.
 Every :class:`ExperimentTable` reaches that form once, when it is built: its
 16 cells as numerators over ``d`` (``d`` None for a table with a float cell),
 with one unscaler that every result derived from it shares, a memo of
-``Fraction(n, d)`` by numerator for an exact table and the identity for a
-float table.  Every :class:`ChshQuantities` likewise carries its numerators
+``Fraction(n, d)`` by numerator for an exact table (each written from its lowest
+terms into a bare ``Fraction``'s slots, whose layout is checked at import) and
+the identity for a float table.  Every :class:`ChshQuantities` likewise carries its numerators
 and unscaler (its table's, when :func:`chsh` builds it).  So :func:`chsh`,
 :func:`marginals` and :func:`check_bell_bounds` each have one body for every
 table.  :meth:`ExperimentTable.from_numerators` differs only in its check: one
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import math
 import operator
+import pickle
+import platform
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
@@ -63,16 +66,36 @@ def _scaled(values: tuple) -> tuple[tuple, int | None]:
 
 
 class _Fractions(dict):
-    """``Fraction(n, d)`` by integer numerator ``n``, each built on its first lookup."""
+    """``Fraction(n, d)`` by integer numerator ``n``, each built on its first lookup from its lowest terms (``d`` > 0 at
+    every caller) in the two slots of a bare ``Fraction``, which :meth:`_check_layout` vouches for at import."""
 
     __slots__ = ("d",)
 
     def __init__(self, d: int):
         self.d = d
 
-    def __missing__(self, n: int) -> Fraction:
-        self[n] = value = Fraction(n, self.d)
+    def __missing__(self, n: int, cls=Fraction) -> Fraction:
+        g = math.gcd(n, self.d)
+        self[n] = value = object.__new__(cls)  # Fraction(n, d) without its type dispatch
+        value._numerator, value._denominator = n // g, self.d // g
         return value
+
+    @staticmethod
+    def _check_layout(cls) -> None:
+        """Raise ``RuntimeError`` unless :meth:`__missing__` building a ``cls`` gives ``Fraction(n, d)`` for an ``n`` < 0 not in
+        lowest terms: the same numerator, denominator, ``==``, ``hash`` and ``repr``, also after a pickle round trip."""
+        expected = Fraction(-6, 4)
+        try:
+            built = _Fractions(4).__missing__(-6, cls)
+            copied = pickle.loads(pickle.dumps(built))
+            seen = {(v.numerator, v.denominator, v == expected, hash(v), repr(v)) for v in (expected, built, copied)}
+        except Exception:  # e.g. no such slot
+            seen = ()
+        if len(seen) != 1:
+            raise RuntimeError(f"Python {platform.python_version()}: Fraction is not laid out as ('_numerator', '_denominator')")
+
+
+_Fractions._check_layout(Fraction)
 
 
 def _identity(n):
@@ -245,15 +268,21 @@ def frequency_table(counts) -> tuple[ExperimentTable, dict[str, tuple[int, ...]]
 
     ``counts`` holds one (n_pp, n_pm, n_mp, n_mm) row per setting in canonical
     row order; each row is divided by its own total.  A count that is not an
-    integer >= 0 (a bool included), or a row whose total is 0, is a ``ValueError``.
+    integer >= 0 (a bool included), a row whose total is 0, or other than 4 rows of 4, is a ``ValueError``.
     """
     rows = [tuple(row) for row in counts]
-    for label, row in zip(ROW_LABELS, rows):
-        if not all(isinstance(c, Integral) and not isinstance(c, bool) and c >= 0 for c in row) or sum(row) == 0:
-            raise ValueError(f"{label}: counts {row!r} are not integers >= 0 with a positive total")
-    rows = [tuple(int(c) for c in row) for row in rows]
-    table = ExperimentTable(*(JointDistribution(*(c / sum(row) for c in row)) for row in rows))
-    return table, dict(zip(ROW_LABELS, rows))
+    if [len(row) for row in rows] != [4, 4, 4, 4]:
+        raise ValueError(f"expected 4 rows of 4 counts, got rows of {[len(row) for row in rows]}")
+    flat = [c for row in rows for c in row]  # one test of each type, then of the values; on failure, the first bad row
+    if not (all(issubclass(t, Integral) and t is not bool for t in set(map(type, flat))) and min(flat) >= 0 and all(map(sum, rows))):
+        for label, row in zip(ROW_LABELS, rows):
+            if not all(isinstance(c, Integral) and not isinstance(c, bool) and c >= 0 for c in row) or sum(row) == 0:
+                raise ValueError(f"{label}: counts {row!r} are not integers >= 0 with a positive total")
+    rows = [tuple(map(int, row)) for row in rows]
+    # Such cells lie in [0, 1], none -0.0, summing to 1 within a few ulps: every test of a JointDistribution passes.
+    cells = tuple([c / total for row in rows for total in [sum(row)] for c in row])
+    dists = (_prechecked(JointDistribution, cells[i : i + 4]) for i in range(0, 16, 4))
+    return _prechecked(ExperimentTable, dists, _scaled_cells=(cells, None), _fraction=_identity), dict(zip(ROW_LABELS, rows))
 
 
 def _correlation(p_pp, p_pm, p_mp, p_mm):

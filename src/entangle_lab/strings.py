@@ -66,6 +66,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .probability import NORMALIZATION_TOL, ExperimentTable, JointDistribution, _numerator_table, frequency_table
+from .probability import _check_real, _Fractions
 from .rng import (
     DOMAIN_STRING_TRACE,
     DOMAIN_STRING_TRIALS,
@@ -124,8 +125,7 @@ class StringModelConfig:
             p_w = 0.5
         p_1 = 0.5 if self.p_1 is None else self.p_1
         for name, value in (("p_w", p_w), ("p_1", p_1), ("length_l", self.length_l)):
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+            _check_real(name, value)
             if name != "length_l" and not 0 <= value <= 1:  # also rejects NaN
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         try:
@@ -629,7 +629,7 @@ def lhv_table(
     if n_lam == 0:
         raise ValueError("lambda space must be non-empty")
     if weights is None:
-        weights = [Fraction(1, n_lam)] * n_lam
+        weights = [_Fractions(n_lam)[1]] * n_lam
     if len(weights) != n_lam:
         raise ValueError("weights and lam_values must have equal length")
     # Compared, not converted: math.isfinite(w) overflows on a huge Fraction.

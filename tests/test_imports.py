@@ -384,3 +384,33 @@ def test_the_dataclass_scan_sees_a_bare_and_a_called_decorator():
         "class D(NamedTuple):\n    x: int\n"
     )
     assert declared_dataclasses(source) == {"A": False, "B": False, "C": True}
+
+
+def two_argument_fractions(source: str) -> list[str]:
+    """``Fraction(...)`` calls with two arguments, each with its line, outside the class ``_Fractions``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body if isinstance(top, ast.ClassDef) and top.name == "_Fractions" for node in ast.walk(top)}
+    return [
+        f"{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and dotted(node.func).rpartition(".")[2] == "Fraction"
+        and len(node.args) + len(node.keywords) == 2 and id(node) not in inside
+    ]
+
+
+def test_every_exact_value_from_an_integer_pair_comes_from_the_memo():
+    # probability._Fractions builds each one from its lowest terms under its layout check.
+    found = {
+        path.name: calls
+        for path in sorted(Path(entangle_lab.__file__).parent.glob("*.py"))
+        if (calls := two_argument_fractions(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_fraction_scan_sees_a_call_outside_the_memo():
+    source = (
+        "class _Fractions(dict):\n    def f(self):\n        return Fraction(1, 2)\n\n"
+        "def g():\n    return fractions.Fraction(3, 4), Fraction(5), Fraction(numerator=1, denominator=2)\n"
+    )
+    assert two_argument_fractions(source) == ["6 fractions.Fraction(3, 4)", "6 Fraction(numerator=1, denominator=2)"]

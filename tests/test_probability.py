@@ -1067,3 +1067,95 @@ def test_dataclasses_replace_still_takes_a_verdict_record(cls):
 def test_any_violated_reads_the_checks_of_a_bell_report():
     bell = v4_records()[BellBoundReport]
     assert bell.any_violated and not bell._replace(checks=bell.checks[1:]).any_violated
+
+
+# --- the memo builds each Fraction from its lowest terms, as Fraction(n, d) would ---
+
+BIG = 2**200
+
+
+def facts(value):
+    return (type(value), value.numerator, value.denominator, hash(value), repr(value), str(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(-BIG, BIG), st.sampled_from([0])),
+    st.integers(1, BIG),
+    st.sampled_from(["n", "zero", "plus_d", "minus_d", "multiple"]),
+    st.integers(-5, 5),
+)
+def test_the_memo_builds_what_fraction_builds(n, d, kind, k):
+    n = {"n": n, "zero": 0, "plus_d": d, "minus_d": -d, "multiple": k * d}[kind]
+    built, expected = probability._Fractions(d)[n], Fraction(n, d)
+    assert facts(built) == facts(expected)
+    assert built == expected and not built < expected and not expected < built
+    assert facts(pickle.loads(pickle.dumps(built))) == facts(expected)
+    other = Fraction(3, 7)
+    for a, b in ((built + other, expected + other), (built * other, expected * other), (built + 5, expected + 5), (built * -2, expected * -2)):
+        assert facts(a) == facts(b)
+
+
+def test_the_layout_check_refuses_a_class_laid_out_otherwise():
+    class Renamed:
+        __slots__ = ("_num", "_den")
+
+    class Subclass(Fraction):  # built through the slots, but its repr and pickle differ
+        __slots__ = ()
+
+    for cls in (Renamed, Subclass, float):
+        with pytest.raises(RuntimeError, match=r"^Python \d+\.\d+\.\d+\S*: Fraction is not laid out as"):
+            probability._Fractions._check_layout(cls)
+    probability._Fractions._check_layout(Fraction)  # passes
+
+
+def lowest_terms(value):
+    return not isinstance(value, Fraction) or (value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q), st.integers(0, q), st.just(q))),
+       st.sampled_from([Variant.V2, Variant.V3, Variant.V4]))
+def test_every_exact_result_is_in_lowest_terms(params, variant):
+    k_w, q_w, k_1, q_1 = params
+    p_w, p_1 = Fraction(k_w) / q_w, Fraction(k_1) / q_1
+    table = analytic_table(StringModelConfig(variant, p_w=p_w, p_1=p_1 if variant is Variant.V4 else None))
+    quantities = chsh(table)
+    report, bounds = marginals(table, 0), check_bell_bounds(quantities)
+    values = [p for _, row in table.rows() for p in row.probabilities()] + list(quantities.as_tuple())
+    values += [v for c in report.comparisons for v in (c.first, c.second, c.residual)] + [report.max_abs_residual]
+    values += [v for c in bounds.checks for v in (c.value, c.margin)]
+    assert all(isinstance(v, Fraction) for v in values)
+    assert all(map(lowest_terms, values))
+
+
+def generic_frequency_table(counts):
+    rows = [tuple(int(c) for c in row) for row in counts]
+    return ExperimentTable(*(JointDistribution(*(c / sum(row) for c in row)) for row in rows))
+
+
+count_rows = st.lists(
+    st.one_of(
+        st.tuples(*[st.integers(0, 10**6)] * 4).filter(any),
+        st.integers(0, 3).flatmap(lambda i: st.integers(1, 10**9).map(lambda n: tuple(n if j == i else 0 for j in range(4)))),
+    ),
+    min_size=4, max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_rows, st.booleans())
+def test_frequency_table_matches_the_generic_construction(rows, as_numpy):
+    counts = np.array(rows, dtype=np.int64) if as_numpy else rows
+    table, by_label = frequency_table(counts)
+    expected = generic_frequency_table(rows)
+    assert table == expected
+    assert table._scaled_cells == expected._scaled_cells
+    assert chsh(table) == chsh(expected)
+    assert marginals(table, 1e-9) == marginals(expected, 1e-9)
+    assert by_label == dict(zip(probability.ROW_LABELS, rows))
+
+
+def test_frequency_table_refuses_another_shape():
+    with pytest.raises(ValueError, match=r"^expected 4 rows of 4 counts, got rows of \[4, 4, 3\]$"):
+        frequency_table([(1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0)])

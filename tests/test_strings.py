@@ -216,6 +216,13 @@ class TestConfig:
         with pytest.raises(TypeError, match=name):
             StringModelConfig(variant=Variant.V4, **{name: True})
 
+    @pytest.mark.parametrize("name", ["p_w", "p_1", "length_l"])
+    def test_a_bool_parameter_is_refused_by_the_one_real_number_rule(self, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be a real number, not a bool, got True$"):
+            StringModelConfig(variant=Variant.V4, **{name: True})
+        with pytest.raises(TypeError, match=rf"^{name} must be a real number, got bool_?$"):
+            StringModelConfig(variant=Variant.V4, **{name: np.True_})
+
     @pytest.mark.parametrize("kind", [np.float32, np.float16, np.longdouble])
     @pytest.mark.parametrize("value", [0.5, 0.3, 0.7])
     def test_a_numpy_float_gives_the_table_of_its_exact_value(self, kind, value):
